@@ -5,6 +5,7 @@ from .detection import (
     ArmAssignment,
     ClickDistribution,
     click_distribution,
+    clicks,
     fringe,
     fringe_visibility,
     interferometer_arms,
@@ -38,6 +39,7 @@ from .gaussian import (
     apply_phase,
     apply_two_mode_squeezer,
     build_interferometer,
+    interferometer_factors,
     mean_photon,
     vacuum,
 )
@@ -49,7 +51,6 @@ from .metrology import (
     fisher_per_trial,
     fisher_sweep,
     heisenberg_sensitivity,
-    interferometer_model,
     max_fisher,
     noon_fisher_per_photon,
     photons_through_sample,

@@ -12,21 +12,21 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import presets
-from .detection import fringe, interferometer_clicks
-from .estimation import CalibrationModel, UnidentifiableError, estimate_phase
+from .detection import fringe
+from .estimation import CalibrationModel, UnidentifiableError, _check_branch, estimate_phase
 from .fock import TruncationError, required_n_max, simulate_fock
 from .gaussian import InterferometerConfig, InvalidStateError
 from .metrology import (
     ACCOUNTINGS,
     BracketError,
+    FisherReport,
     fisher_sweep,
-    interferometer_model,
     max_fisher,
     noon_fisher_per_photon,
     photons_through_sample,
@@ -43,25 +43,8 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
-_CONFIG_KEYS = (
-    "r1",
-    "r2",
-    "eta_h",
-    "eta_v",
-    "eta_internal",
-    "overlap",
-    "phase_offset",
-    "snl_per_photon",
-)
-_SCENARIO_KEYS = (
-    "phase_schedule",
-    "window",
-    "repetition_rate",
-    "repeats",
-    "seed",
-    "branch",
-    "branch_margin",
-)
+_CONFIG_KEYS = tuple(f.name for f in fields(InterferometerConfig))
+_SCENARIO_KEYS = tuple(f.name for f in fields(TrackingScenario))
 
 
 class ConfigError(Exception):
@@ -78,6 +61,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_value(value):
+    """Strict JSON has no NaN or infinities: they are written as null."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_table(out_dir: Path, name: str, fmt: str, columns, rows) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
@@ -89,8 +79,8 @@ def _write_table(out_dir: Path, name: str, fmt: str, columns, rows) -> Path:
                 writer.writerow([_fmt(v) for v in row])
     else:
         path = out_dir / f"{name}.json"
-        payload = {"columns": list(columns), "rows": [[v for v in row] for row in rows]}
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True))
+        payload = {"columns": list(columns), "rows": [[_json_value(v) for v in row] for row in rows]}
+        path.write_text(json.dumps(payload, indent=1, sort_keys=True, allow_nan=False))
     return path
 
 
@@ -176,7 +166,7 @@ def _fisher_preset_rows(args):
         for r in np.round(np.arange(0.11, 0.5901, 0.04), 4):
             cfg = InterferometerConfig(r1=float(r), r2=float(r))
             n_through = photons_through_sample(cfg, args.accounting)
-            _, fmax = max_fisher(interferometer_model(cfg), h=args.h)
+            _, fmax = max_fisher(cfg)
             rows.append([float(r), n_through, fmax, fmax / n_through])
         return (
             ("r", "mean_photons_through_sample", "max_fisher_per_trial", "max_fisher_per_photon"),
@@ -196,28 +186,11 @@ def cmd_fisher(args) -> int:
         raise ConfigError(f"fisher supports presets 'fig3', 'fig3c', 'fig1b', got {args.preset!r}")
     cfg = _resolve_config(args, presets.fringe_config() if args.preset else None)
     grid = _phi_grid(args)
-    reports = fisher_sweep(cfg, grid, h=args.h, accounting=args.accounting)
-    rows = [
-        [
-            rep.phi,
-            rep.fisher_per_trial,
-            rep.mean_photons_through_sample,
-            rep.fisher_per_photon,
-            rep.snl_per_photon,
-            rep.enhancement_db,
-        ]
-        for rep in reports
-    ]
-    columns = (
-        "phi",
-        "fisher_per_trial",
-        "mean_photons_through_sample",
-        "fisher_per_photon",
-        "snl_per_photon",
-        "enhancement_db",
-    )
+    reports = fisher_sweep(cfg, grid, accounting=args.accounting)
+    columns = tuple(f.name for f in fields(FisherReport))
+    rows = [astuple(rep) for rep in reports]
     path = _write_table(Path(args.out), "fisher", args.format, columns, rows)
-    phi_star, f_star = max_fisher(interferometer_model(cfg), h=args.h)
+    phi_star, f_star = max_fisher(cfg)
     n_through = photons_through_sample(cfg, args.accounting)
     print(f"wrote {path}")
     print(f"max Fisher per photon: {f_star / n_through:.4f} rad^-2 at phi = {phi_star:.4f}")
@@ -249,8 +222,11 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    cal = CalibrationModel.from_json(args.calibration)
-    branch = (args.branch_lo, args.branch_hi)
+    branch = _check_branch((args.branch_lo, args.branch_hi))
+    try:
+        cal = CalibrationModel.from_json(args.calibration)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid calibration file {args.calibration}: {exc!r}") from exc
     rows = []
     with open(args.counts, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -259,18 +235,12 @@ def cmd_estimate(args) -> int:
             raise ConfigError(f"counts file must have columns {sorted(needed)}")
         for record in reader:
             counts = [int(record[k]) for k in ("n00", "n01", "n10", "n11")]
+            index = int(record["window_index"])
             try:
                 est = estimate_phase(counts, cal, branch)
-                rows.append(
-                    [
-                        int(record["window_index"]),
-                        est.phi_est,
-                        est.objective_value,
-                        int(est.low_information),
-                    ]
-                )
+                rows.append([index, est.phi_est, est.objective_value, int(est.low_information)])
             except UnidentifiableError:
-                rows.append([int(record["window_index"]), math.nan, math.nan, 1])
+                rows.append([index, math.nan, math.nan, 1])
     path = _write_table(
         Path(args.out),
         "estimates",
@@ -328,11 +298,8 @@ def cmd_validate(args) -> int:
     for r, eta in cases:
         cfg = InterferometerConfig(r1=r, r2=r, eta_h=eta, eta_v=eta)
         n_max = required_n_max(2 * r, args.budget)
-        dev = 0.0
-        for phi in grid:
-            gauss = interferometer_clicks(cfg, phi).as_array()
-            fock = simulate_fock(cfg, phi, n_max, budget=args.budget).as_array()
-            dev = max(dev, float(np.abs(gauss - fock).max()))
+        fock = np.array([simulate_fock(cfg, phi, n_max, budget=args.budget).as_array() for phi in grid])
+        dev = float(np.abs(fringe(cfg, grid) - fock).max())
         rows.append([r, eta, n_max, dev])
         worst = max(worst, dev)
         print(f"r={r} eta={eta} n_max={n_max}: max |delta p| = {dev:.3e}")
@@ -366,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fisher", help="Fisher information per trial and per photon")
     _add_common(p, grid=True)
     p.add_argument("--accounting", choices=ACCOUNTINGS, default="single-pass")
-    p.add_argument("--h", type=float, default=1e-4, help="central-difference step")
     p.set_defaults(func=cmd_fisher)
 
     p = sub.add_parser("thresholds", help="loss thresholds of this scheme vs NOON states")

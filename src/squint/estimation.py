@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .detection import fringe
+from .detection import _SUM_TOL, fringe
 from .gaussian import InterferometerConfig
-from .metrology import fisher_per_trial, interferometer_model
+from .metrology import _golden_min, fisher_per_trial
 
 __all__ = [
     "CalibrationModel",
@@ -79,28 +79,12 @@ class CalibrationModel:
     def probabilities(self, phi) -> np.ndarray:
         """Interpolated calibration curves at phi (scalar -> (4,), array -> (N, 4))."""
         wrapped = np.mod(phi, math.pi)
-        if np.ndim(wrapped) == 0:
-            return np.array(
-                [np.interp(wrapped, self.phi_tab, self.curves[:, j]) for j in range(4)]
-            )
-        return np.stack(
-            [np.interp(wrapped, self.phi_tab, self.curves[:, j]) for j in range(4)], axis=-1
-        )
+        return np.stack([np.interp(wrapped, self.phi_tab, self.curves[:, j]) for j in range(4)], axis=-1)
 
     def to_dict(self) -> dict:
-        cfg = self.config
         return {
             "schema": CALIBRATION_SCHEMA,
-            "config": {
-                "r1": cfg.r1,
-                "r2": cfg.r2,
-                "eta_h": cfg.eta_h,
-                "eta_v": cfg.eta_v,
-                "eta_internal": cfg.eta_internal,
-                "overlap": cfg.overlap,
-                "phase_offset": cfg.phase_offset,
-                "snl_per_photon": cfg.snl_per_photon,
-            },
+            "config": asdict(self.config),
             "fit_residual": self.fit_residual,
             "degraded": self.degraded,
             "tabulation": {
@@ -113,13 +97,22 @@ class CalibrationModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CalibrationModel":
+        """Load, requiring probability curves on a pi-periodic [0, pi] grid."""
         if data.get("schema") != CALIBRATION_SCHEMA:
             raise ValueError(f"unsupported calibration schema: {data.get('schema')!r}")
         tab = data["tabulation"]
+        if tab["phi_min"] != 0.0 or abs(tab["phi_max"] - math.pi) > 1e-12 or tab["points"] < 2:
+            raise ValueError("calibration grid must cover [0, pi] with at least 2 points")
         phi_tab = np.linspace(tab["phi_min"], tab["phi_max"], tab["points"])
-        curves = np.stack([np.asarray(data["curves"][name]) for name in _OUTCOMES], axis=-1)
+        curves = np.stack([np.asarray(data["curves"][name], dtype=float) for name in _OUTCOMES], axis=-1)
         if curves.shape != (tab["points"], 4):
             raise ValueError("curve arrays inconsistent with tabulation metadata")
+        if not (np.all(np.isfinite(curves)) and np.all((curves >= 0.0) & (curves <= 1.0))):
+            raise ValueError("calibration curves must be finite probabilities in [0, 1]")
+        if np.abs(curves.sum(axis=1) - 1.0).max() > _SUM_TOL:
+            raise ValueError("calibration curves do not sum to 1 at every phase")
+        if np.abs(curves[0] - curves[-1]).max() > _SUM_TOL:
+            raise ValueError("calibration curves differ at phi = 0 and phi = pi")
         return cls(
             config=InterferometerConfig(**data["config"]),
             phi_tab=phi_tab,
@@ -181,11 +174,7 @@ def calibrate(
         raise ValueError("calibration needs at least 8 distinct phases")
     if phis.max() - phis.min() < _HALF_PERIOD - 1e-9:
         raise ValueError("calibration phases must span at least half a period (pi/2)")
-    freqs = []
-    for _, counts in samples:
-        f, _ = _normalize(counts, 0)
-        freqs.append(f)
-    freq_arr = np.array(freqs)
+    freq_arr = np.array([_normalize(counts, 0)[0] for _, counts in samples])
 
     evals = 0
 
@@ -240,28 +229,6 @@ def _check_branch(branch: tuple[float, float]) -> tuple[float, float]:
     return lo, hi
 
 
-def _golden_min(f, a: float, b: float, tol: float) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    while b - a > tol:
-        if fc > fd:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        if fc < best_f:
-            best_x, best_f = c, fc
-        if fd < best_f:
-            best_x, best_f = d, fd
-    return best_x, best_f
-
-
 def estimate_phase(
     observed,
     cal: CalibrationModel,
@@ -297,7 +264,7 @@ def estimate_phase(
     x, fx = _golden_min(lambda p: float(objective_vec(cal.probabilities(p))), a, b, tol)
     if obj[i] < fx:
         x, fx = float(grid[i]), float(obj[i])
-    info = fisher_per_trial(interferometer_model(cal.config), x)
+    info = fisher_per_trial(cal.config, x)
     low_information = (trials * info < 1.0) if trials > 0 else (info < 1e-9)
     return PhaseEstimate(
         phi_est=float(x),
@@ -313,9 +280,12 @@ def bootstrap_sigma(
     cal: CalibrationModel,
     branch: tuple[float, float],
     resamples: int = 200,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
 ) -> float:
-    """Std of the phase estimate over multinomial resamples of the counts."""
+    """Std of the phase estimate over multinomial resamples of the counts.
+
+    ``seed`` is an integer seed or a ready generator, used as given.
+    """
     counts = np.asarray(counts)
     if resamples < 100:
         raise ValueError(f"need at least 100 resamples, got {resamples}")
@@ -336,7 +306,7 @@ def crlb(cal: CalibrationModel, phi: float, trials: int) -> float:
     """Cramer-Rao bound 1/sqrt(trials * F) of the calibrated model at phi."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    info = fisher_per_trial(interferometer_model(cal.config), phi)
+    info = fisher_per_trial(cal.config, phi)
     if info <= 0.0:
         return math.inf
     return 1.0 / math.sqrt(trials * info)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,6 +30,8 @@ __all__ = [
     "apply_loss",
     "mean_photon",
     "build_interferometer",
+    "interferometer_factors",
+    "PhaseFactors",
     "symplectic_form",
 ]
 
@@ -232,20 +235,19 @@ class InterferometerConfig:
 MODE_A, MODE_B, MODE_A_ANC, MODE_B_ANC = 0, 1, 2, 3
 
 
-def build_interferometer(cfg: InterferometerConfig, phi: float) -> GaussianState:
-    """Full lossy, mode-mismatched pipeline at probe phase ``phi``.
-
-    Returns the 4-mode output state: first squeezer on (a, b), internal loss,
-    phase on all modes, second squeezer acting on the rotated modes
-    (xi a + sqrt(1-xi^2) a', xi b + sqrt(1-xi^2) b'), then the external
-    arm losses applied to both components of each arm.
-    """
-    state = vacuum(4)
-    state = apply_two_mode_squeezer(state, MODE_A, MODE_B, cfg.r1)
+def _before_phase(cfg: InterferometerConfig) -> GaussianState:
+    """First squeezer on (a, b), then the internal loss."""
+    state = apply_two_mode_squeezer(vacuum(4), MODE_A, MODE_B, cfg.r1)
     if cfg.eta_internal < 1.0:
         state = apply_loss(state, MODE_A, cfg.eta_internal)
         state = apply_loss(state, MODE_B, cfg.eta_internal)
-    state = apply_phase(state, [0, 1, 2, 3], phi + cfg.phase_offset)
+    return state
+
+
+def _after_phase(cfg: InterferometerConfig, state: GaussianState) -> GaussianState:
+    """Second squeezer acting on the rotated modes (xi a + sqrt(1-xi^2) a',
+    xi b + sqrt(1-xi^2) b'), then the external arm losses applied to both
+    components of each arm."""
     theta = math.acos(min(1.0, cfg.overlap))
     mismatched = theta != 0.0
     if mismatched:
@@ -255,10 +257,52 @@ def build_interferometer(cfg: InterferometerConfig, phi: float) -> GaussianState
     if mismatched:
         state = apply_beamsplitter(state, MODE_A, MODE_A_ANC, -theta)
         state = apply_beamsplitter(state, MODE_B, MODE_B_ANC, -theta)
-    for m in (MODE_A, MODE_A_ANC):
-        if cfg.eta_h < 1.0:
-            state = apply_loss(state, m, cfg.eta_h)
-    for m in (MODE_B, MODE_B_ANC):
-        if cfg.eta_v < 1.0:
-            state = apply_loss(state, m, cfg.eta_v)
+    h, v = cfg.eta_h, cfg.eta_v
+    for m, eta in ((MODE_A, h), (MODE_A_ANC, h), (MODE_B, v), (MODE_B_ANC, v)):
+        if eta < 1.0:
+            state = apply_loss(state, m, eta)
     return state
+
+
+@dataclass(frozen=True)
+class PhaseFactors:
+    """Output covariance of one config as a function of the probe phase.
+
+    With Sigma1 = _before_phase(cfg), _after_phase(cfg, .) = A (.) A^T + N and
+    the phase rotating every mode by R(t), t = phi + phase_offset, the output
+    sigma(t) = A R(t) Sigma1 R(t)^T A^T + N is quadratic in (cos t, sin t):
+    sigma(t) = H0 + H1 cos(2t) + H2 sin(2t), ``harmonics`` = (H0, H1, H2).
+    """
+
+    harmonics: np.ndarray
+    phase_offset: float
+
+    def covariances(self, phis, order: int = 0) -> list[np.ndarray]:
+        """sigma(phi) and its first ``order`` phase derivatives, each (N, 8, 8)."""
+        t = 2.0 * (np.asarray(phis, dtype=float).reshape(-1) + self.phase_offset)
+        c, s = np.cos(t)[:, None, None], np.sin(t)[:, None, None]
+        h0, h1, h2 = self.harmonics
+        out = [h0 + c * h1 + s * h2]
+        if order >= 1:
+            out.append(2.0 * (c * h2 - s * h1))
+        if order >= 2:
+            out.append(-4.0 * (c * h1 + s * h2))
+        return out
+
+
+@lru_cache(maxsize=64)
+def interferometer_factors(cfg: InterferometerConfig) -> PhaseFactors:
+    """PhaseFactors of a config (cached), fixed by the pipeline run once at
+    each of t = 0, pi/2 and pi/4."""
+    before = _before_phase(cfg)
+    phases = (0.0, math.pi / 2, math.pi / 4)
+    s0, s90, s45 = (_after_phase(cfg, apply_phase(before, range(4), t)).covariance for t in phases)
+    h0 = (s0 + s90) / 2.0
+    harmonics = np.array([h0, (s0 - s90) / 2.0, s45 - h0])
+    harmonics.setflags(write=False)
+    return PhaseFactors(harmonics=harmonics, phase_offset=cfg.phase_offset)
+
+
+def build_interferometer(cfg: InterferometerConfig, phi: float) -> GaussianState:
+    """4-mode output state at probe phase ``phi``: one phase of interferometer_factors."""
+    return GaussianState(4, interferometer_factors(cfg).covariances([phi])[0][0])

@@ -1,8 +1,9 @@
 """Fisher information of the four-outcome measurement and loss thresholds.
 
 The per-trial Fisher information is F(phi) = sum_ij (d p_ij/d phi)^2 / p_ij,
-estimated by central differences with a guard for outcomes whose probability
-(and, at fringe extrema, derivative) vanishes. Per-photon quantities divide by
+computed from the analytic phase derivatives of the batched click core. Where
+an outcome's probability vanishes (a fringe zero) its term takes the limit
+2 d^2p_ij/dphi^2, so F stays exact there. Per-photon quantities divide by
 the mean photon number that passes through the sample, 2 sinh^2(r1) per trial
 under the default single-pass accounting.
 
@@ -19,8 +20,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .detection import ClickDistribution, interferometer_clicks
-from .gaussian import InterferometerConfig
+from .detection import clicks
+from .gaussian import InterferometerConfig, PhaseFactors, interferometer_factors
 
 __all__ = [
     "FisherReport",
@@ -35,18 +36,15 @@ __all__ = [
     "threshold_noon",
     "noon_fisher_per_photon",
     "photons_through_sample",
-    "interferometer_model",
     "max_fisher",
     "fisher_sweep",
 ]
 
 ACCOUNTINGS = ("single-pass", "double-pass")
 
-# Outcomes below this probability contribute through the guarded limit
-# (dp)^2 / max(p, guard); at fringe extrema dp vanishes too, so the limit is 0.
+# Outcomes at or below this probability contribute their limit 2 p'' instead
+# of (dp)^2 / p: near a zero p ~ p'' dphi^2 / 2 and dp ~ p'' dphi.
 _P_GUARD = 1e-12
-
-Model = Callable[[float], ClickDistribution]
 
 
 class BracketError(RuntimeError):
@@ -84,16 +82,16 @@ class NoonBaseline:
         )
 
 
-def fisher_per_trial(model: Model, phi: float, h: float = 1e-4) -> float:
-    """Central-difference estimate of the four-outcome Fisher information."""
-    if not 0.0 < h <= 0.01:
-        raise ValueError(f"step size must be in (0, 0.01], got {h}")
-    p0 = model(phi).as_array()
-    dp = (model(phi + h).as_array() - model(phi - h).as_array()) / (2.0 * h)
-    if not (np.all(np.isfinite(p0)) and np.all(np.isfinite(dp))):
-        raise ValueError("model returned non-finite probabilities")
-    total = float(np.sum(dp * dp / np.maximum(p0, _P_GUARD)))
-    return max(total, 0.0)
+def _fisher(factors: PhaseFactors, phis) -> np.ndarray:
+    """Per-trial Fisher information at each phase, from analytic derivatives."""
+    p, dp, d2p = clicks(factors, phis, order=2)
+    terms = np.where(p > _P_GUARD, dp * dp / np.maximum(p, _P_GUARD), 2.0 * d2p)
+    return np.maximum(terms.sum(axis=-1), 0.0)
+
+
+def fisher_per_trial(cfg: InterferometerConfig, phi: float) -> float:
+    """Four-outcome Fisher information per trial at probe phase ``phi``."""
+    return float(_fisher(interferometer_factors(cfg), [phi])[0])
 
 
 def fisher_max_ideal(r: float) -> float:
@@ -142,20 +140,17 @@ def photons_through_sample(cfg: InterferometerConfig, accounting: str = "single-
     return 2.0 * n_bar if accounting == "double-pass" else n_bar
 
 
-def interferometer_model(cfg: InterferometerConfig) -> Model:
-    """phi -> ClickDistribution for the configured pipeline."""
-    return lambda phi: interferometer_clicks(cfg, phi)
-
-
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
+def _golden_min(
+    f: Callable[[float], float], a: float, b: float, tol: float
+) -> tuple[float, float]:
+    """(x, f(x)) of the smallest value golden-section search sees on [a, b]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    best_x, best_f = (c, fc) if fc >= fd else (d, fd)
+    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
     while b - a > tol:
-        if fc < fd:
+        if fc > fd:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = f(d)
@@ -163,43 +158,41 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
             fc = f(c)
-        if fc > best_f:
+        if fc < best_f:
             best_x, best_f = c, fc
-        if fd > best_f:
+        if fd < best_f:
             best_x, best_f = d, fd
     return best_x, best_f
 
 
 def max_fisher(
-    model: Model,
+    cfg: InterferometerConfig,
     lo: float = 0.0,
     hi: float = math.pi,
-    h: float = 1e-4,
     coarse: int = 721,
     tol: float = 1e-6,
 ) -> tuple[float, float]:
     """(phi*, F*) maximizing the per-trial Fisher information on [lo, hi].
 
-    Coarse grid then golden-section refinement; returns the best point seen,
-    which is robust to the removable dip the estimator has exactly at a
-    fringe zero (where all derivatives vanish symmetrically).
+    One batched coarse grid, then golden-section refinement on the same
+    pipeline factors; returns the best point seen.
     """
+    factors = interferometer_factors(cfg)
     grid = np.linspace(lo, hi, coarse)
-    vals = [fisher_per_trial(model, p, h) for p in grid]
+    vals = _fisher(factors, grid)
     i = int(np.argmax(vals))
     a = grid[max(0, i - 1)]
     b = grid[min(coarse - 1, i + 1)]
-    x, fx = _golden_max(lambda p: fisher_per_trial(model, p, h), a, b, tol)
-    if vals[i] >= fx:
+    x, neg_fx = _golden_min(lambda p: -float(_fisher(factors, [p])[0]), a, b, tol)
+    if vals[i] >= -neg_fx:
         return float(grid[i]), float(vals[i])
-    return float(x), float(fx)
+    return float(x), -neg_fx
 
 
 def threshold_tm_numeric(
     cfg: InterferometerConfig,
     n_bar: float,
     tol: float = 1e-4,
-    h: float = 1e-4,
     coarse: int = 721,
 ) -> float:
     """Rediscover the loss threshold by bisecting the full pipeline.
@@ -217,8 +210,7 @@ def threshold_tm_numeric(
     base = cfg.with_updates(r1=r, r2=r, eta_internal=1.0, overlap=1.0)
 
     def excess(eta: float) -> float:
-        model = interferometer_model(base.with_updates(eta_h=eta, eta_v=eta))
-        _, fmax = max_fisher(model, h=h, coarse=coarse, tol=max(tol, 1e-6))
+        _, fmax = max_fisher(base.with_updates(eta_h=eta, eta_v=eta), coarse=coarse, tol=max(tol, 1e-6))
         return fmax / n_bar - snl
 
     lo, hi = 1e-6, 1.0 - 1e-9
@@ -239,7 +231,6 @@ def threshold_tm_numeric(
 def fisher_sweep(
     cfg: InterferometerConfig,
     phi_grid: Iterable[float],
-    h: float = 1e-4,
     accounting: str = "single-pass",
 ) -> list[FisherReport]:
     """Per-phase Fisher reports over a grid in [0, pi]."""
@@ -247,23 +238,9 @@ def fisher_sweep(
     if any(p < 0.0 or p > math.pi + 1e-12 for p in phis):
         raise ValueError("phase grid must lie within [0, pi]")
     n_through = photons_through_sample(cfg, accounting)
-    model = interferometer_model(cfg)
     reports = []
-    for p in phis:
-        f_trial = fisher_per_trial(model, p, h)
+    for p, f_trial in zip(phis, _fisher(interferometer_factors(cfg), phis).tolist()):
         f_photon = f_trial / n_through
-        if f_photon > 0.0:
-            db = 10.0 * math.log10(f_photon / cfg.snl_per_photon)
-        else:
-            db = -math.inf
-        reports.append(
-            FisherReport(
-                phi=p,
-                fisher_per_trial=f_trial,
-                mean_photons_through_sample=n_through,
-                fisher_per_photon=f_photon,
-                snl_per_photon=cfg.snl_per_photon,
-                enhancement_db=db,
-            )
-        )
+        db = 10.0 * math.log10(f_photon / cfg.snl_per_photon) if f_photon > 0.0 else -math.inf
+        reports.append(FisherReport(p, f_trial, n_through, f_photon, cfg.snl_per_photon, db))
     return reports

@@ -2,7 +2,8 @@
 
 Randomness uses counter-based Philox streams keyed by (seed, stream index),
 one stream per window, so serial and parallel executions of the same scenario
-produce bit-identical runs.
+produce bit-identical runs. A purpose tag in the high word of the Philox
+counter separates the streams of one window (click counts, bootstrap).
 """
 
 from __future__ import annotations
@@ -10,15 +11,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .detection import interferometer_clicks
-from .estimation import CalibrationModel, UnidentifiableError, bootstrap_sigma, crlb, estimate_phase
+from .detection import fringe, interferometer_clicks
+from .estimation import CalibrationModel, UnidentifiableError, bootstrap_sigma, estimate_phase
 from .gaussian import InterferometerConfig
-from .metrology import ACCOUNTINGS, photons_through_sample
+from .metrology import ACCOUNTINGS, fisher_per_trial, photons_through_sample
 
 __all__ = [
     "TrackingScenario",
@@ -49,11 +50,15 @@ CSV_COLUMNS = (
 
 _HALF_PERIOD = math.pi / 2.0
 
+COUNTS, BOOTSTRAP = 0, 1  # stream purposes
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    """Counter-based RNG stream for (seed, stream index)."""
+
+def _stream(seed: int, index: int, purpose: int = COUNTS) -> np.random.Generator:
+    """RNG stream keyed by (seed, stream index); the purpose is the high word
+    of the starting counter, 2^192 draws from the other purposes' streams."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    counter = np.array([0, 0, 0, purpose], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
 @dataclass(frozen=True)
@@ -178,16 +183,7 @@ class TrackingRun:
             "repeats": scn.repeats,
             "branch": [self.branch[0], self.branch[1]],
             "phases": [p for p, _ in scn.phase_schedule],
-            "aggregates": [
-                {
-                    "phase_index": agg.phase_index,
-                    "phi_set": agg.phi_set,
-                    "n_estimates": agg.n_estimates,
-                    "mean_phi_est": agg.mean_phi_est,
-                    "std_phi_est": agg.std_phi_est,
-                }
-                for agg in self.aggregates
-            ],
+            "aggregates": [asdict(agg) for agg in self.aggregates],
         }
 
     def to_json(self, path) -> None:
@@ -218,10 +214,8 @@ def run_tracking(
         return TrackingRun(scenario=scenario, config=cfg, branch=(0.0, 0.0))
     branch = scenario.resolved_branch()
     trials = scenario.trials_per_window
-    probs_cache: dict[float, np.ndarray] = {}
-    for phi_set, _ in scenario.phase_schedule:
-        if phi_set not in probs_cache:
-            probs_cache[phi_set] = interferometer_clicks(cfg, phi_set).as_array()
+    phases = list(dict.fromkeys(phi for phi, _ in scenario.phase_schedule))
+    probs_cache = dict(zip(phases, fringe(cfg, phases)))
 
     run = TrackingRun(scenario=scenario, config=cfg, branch=branch)
     windows_per_repeat = scenario.windows_per_repeat
@@ -243,7 +237,7 @@ def run_tracking(
                     sigma = bootstrap_sigma(
                         counts, cal, branch,
                         resamples=bootstrap_resamples,
-                        seed=scenario.seed ^ (0x5EED << 16) ^ stream_index,
+                        seed=_stream(scenario.seed, stream_index, BOOTSTRAP),
                     )
                 run.records.append(
                     WindowRecord(
@@ -312,17 +306,7 @@ class SensitivityReport:
             "photons_through_sample_per_trial": self.photons_through_sample,
             "snl_per_photon": self.snl_per_photon,
             "accounting": self.accounting,
-            "rows": [
-                {
-                    "phi_set": r.phi_set,
-                    "n_estimates": r.n_estimates,
-                    "dphi": r.dphi,
-                    "crlb": r.crlb,
-                    "snl_dphi": r.snl_dphi,
-                    "enhancement_db": r.enhancement_db,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
             "best_phase": None if best is None else best.phi_set,
             "best_enhancement_db": None if best is None else best.enhancement_db,
         }
@@ -349,10 +333,10 @@ def sensitivity_report(
     trials = run.trials_per_window
     n_through = photons_through_sample(cfg, accounting)
     snl_dphi = 1.0 / math.sqrt(snl * trials * n_through) if snl > 0 else math.inf
-    cal = CalibrationModel.from_config(cfg)
     rows = []
     for agg in run.aggregates:
-        bound = crlb(cal, agg.phi_set, trials)
+        info = fisher_per_trial(cfg, agg.phi_set)
+        bound = 1.0 / math.sqrt(trials * info) if info > 0.0 else math.inf
         if agg.std_phi_est > 0 and math.isfinite(snl_dphi):
             db = 20.0 * math.log10(snl_dphi / agg.std_phi_est)
         else:

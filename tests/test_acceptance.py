@@ -18,7 +18,6 @@ from squint.fock import required_n_max, simulate_fock, truncation_error_bound
 from squint.gaussian import InterferometerConfig, apply_two_mode_squeezer, mean_photon, vacuum
 from squint.metrology import (
     fisher_max_ideal,
-    interferometer_model,
     max_fisher,
     noon_fisher_per_photon,
     photons_through_sample,
@@ -37,7 +36,7 @@ def test_criterion_1_closed_form_fisher_maximum():
     worst = 0.0
     for r in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
         cfg = InterferometerConfig(r1=r, r2=r)
-        _, fmax = max_fisher(interferometer_model(cfg))
+        _, fmax = max_fisher(cfg)
         closed = fisher_max_ideal(r)
         rel = abs(fmax - closed) / closed
         worst = max(worst, rel)
@@ -54,7 +53,7 @@ def test_criterion_2_headline_mean_photon_number():
 
 def test_criterion_3_ideal_per_photon_benchmark():
     cfg = InterferometerConfig(r1=0.59, r2=0.59)
-    _, fmax = max_fisher(interferometer_model(cfg))
+    _, fmax = max_fisher(cfg)
     per_photon = fmax / photons_through_sample(cfg)
     assert per_photon == pytest.approx(11.12, abs=0.02)
     noon5 = noon_fisher_per_photon(5, 1.0)

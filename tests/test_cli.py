@@ -12,6 +12,15 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def strict_json(path):
+    """Parse a file as strict JSON: NaN and +-Infinity are rejected."""
+
+    def reject(token):
+        raise ValueError(f"non-finite constant {token} in {path}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -117,6 +126,30 @@ class TestThresholds:
         assert tm[0]["eta_tm_numeric"] == "nan"
 
 
+class TestStrictJson:
+    def test_fisher_json_is_strict(self, tmp_path, capsys):
+        assert main(["fisher", "--out", str(tmp_path), "--format", "json"]) == 0
+        table = strict_json(tmp_path / "fisher.json")
+        assert len(table["rows"]) == 361
+
+    def test_fisher_without_information_written_as_null(self, tmp_path, capsys):
+        # no light reaches the detectors: F = 0 and -inf dB at every phase
+        dark = {"interferometer": {"r1": 0.5, "r2": 0.5, "eta_h": 0.0, "eta_v": 0.0}}
+        cfg = write_config(tmp_path, dark)
+        argv = ["fisher", "--config", cfg, "--out", str(tmp_path), "--format", "json", "--phi-steps", "5"]
+        assert main(argv) == 0
+        table = strict_json(tmp_path / "fisher.json")
+        db = table["columns"].index("enhancement_db")
+        assert [row[db] for row in table["rows"]] == [None] * 5
+
+    def test_skipped_numeric_threshold_written_as_null(self, tmp_path, capsys):
+        argv = ["thresholds", "--out", str(tmp_path), "--nbar", "0.5", "--skip-numeric", "--format", "json"]
+        assert main(argv) == 0
+        table = strict_json(tmp_path / "thresholds_tm.json")
+        assert table["rows"][0][2] is None
+        strict_json(tmp_path / "thresholds_noon.json")
+
+
 @pytest.fixture(scope="module")
 def track_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("track")
@@ -163,6 +196,17 @@ class TestTrackAndEstimate:
         assert len(est_rows) == len(track_rows)
         for t, e in zip(track_rows, est_rows):
             assert t["phi_est"] == e["phi_est"]
+
+    def test_invalid_calibration_is_config_error(self, track_dir, tmp_path, capsys):
+        data = json.loads((track_dir / "calibration.json").read_text())
+        data["curves"]["p00"][3] = 1.7
+        data["curves"]["p11"][3] = -0.4
+        bad = write_config(tmp_path, data, name="bad_calibration.json")
+        argv = [
+            "estimate", "--counts", str(track_dir / "tracking.csv"), "--calibration", bad,
+            "--branch-lo", "0.4", "--branch-hi", "1.2", "--out", str(tmp_path),
+        ]
+        assert main(argv) == 2
 
     def test_track_needs_scenario(self, tmp_path):
         cfg = write_config(tmp_path, {"interferometer": {"r1": 0.3, "r2": 0.3}})

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from squint.estimation import (
     estimate_phase,
 )
 from squint.gaussian import InterferometerConfig
-from squint.metrology import fisher_max_ideal, max_fisher, interferometer_model
+from squint.metrology import fisher_max_ideal, max_fisher
 
 BRANCH = (0.3, 0.9)
 
@@ -62,6 +63,33 @@ class TestCalibrationModel:
         data["schema"] = "something-else/9"
         with pytest.raises(ValueError):
             CalibrationModel.from_dict(data)
+
+    def test_invalid_curves_rejected_on_load(self, tracking_cal):
+        def broken(edit):
+            data = json.loads(json.dumps(tracking_cal.to_dict()))
+            edit(data)
+            return data
+
+        def out_of_range(d):
+            d["curves"]["p00"][5], d["curves"]["p11"][5] = 1.7, -0.4
+
+        def not_normalized(d):
+            d["curves"]["p01"][7] += 0.1
+
+        def not_finite(d):
+            d["curves"]["p10"][9] = math.nan
+
+        def wrong_grid(d):
+            d["tabulation"]["phi_max"] = math.pi / 2
+
+        def open_period(d):
+            d["curves"]["p00"][-1] += 0.01
+            d["curves"]["p11"][-1] -= 0.01
+
+        for edit in (out_of_range, not_normalized, not_finite, wrong_grid, open_period):
+            with pytest.raises(ValueError):
+                CalibrationModel.from_dict(broken(edit))
+        assert CalibrationModel.from_dict(broken(lambda d: None)).config == tracking_cal.config
 
 
 def synthetic_samples(cfg, phases, trials, seed):
@@ -211,7 +239,7 @@ class TestBootstrapAndCrlb:
         assert abs(sigma - bound) / bound < 0.2
 
     def test_crlb_value_and_scaling(self, ideal_cal):
-        phi_star, fmax = max_fisher(interferometer_model(ideal_cal.config))
+        phi_star, fmax = max_fisher(ideal_cal.config)
         bound1 = crlb(ideal_cal, phi_star, 1)
         assert bound1 == pytest.approx(1.0 / math.sqrt(fmax), rel=1e-9)
         assert bound1 == pytest.approx(1.0 / math.sqrt(fisher_max_ideal(0.59)), rel=2e-3)
@@ -220,9 +248,9 @@ class TestBootstrapAndCrlb:
     def test_crlb_back_computed_window_for_two_mrad(self, tracking_cal):
         # trial count at which the phi = 0.58 bound reaches the quoted
         # 0.002 rad; the absolute window sensitivity is rate-dependent
-        from squint.metrology import fisher_per_trial, interferometer_model
+        from squint.metrology import fisher_per_trial
 
-        info = fisher_per_trial(interferometer_model(tracking_cal.config), 0.58)
+        info = fisher_per_trial(tracking_cal.config, 0.58)
         trials = math.ceil(1.0 / (info * 0.002**2))
         assert crlb(tracking_cal, 0.58, trials) <= 0.002
         assert crlb(tracking_cal, 0.58, trials - 1) > 0.002

@@ -2,8 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from squint.gaussian import InterferometerConfig
+from squint.detection import click_distribution, clicks, fringe, interferometer_arms
+from squint.gaussian import (
+    InterferometerConfig,
+    apply_beamsplitter,
+    apply_loss,
+    apply_phase,
+    apply_two_mode_squeezer,
+    interferometer_factors,
+    vacuum,
+)
 from squint.metrology import (
     ACCOUNTINGS,
     BracketError,
@@ -12,7 +23,6 @@ from squint.metrology import (
     fisher_per_trial,
     fisher_sweep,
     heisenberg_sensitivity,
-    interferometer_model,
     max_fisher,
     noon_fisher_per_photon,
     photons_through_sample,
@@ -26,53 +36,85 @@ def ideal(r):
     return InterferometerConfig(r1=r, r2=r)
 
 
+def op_by_op_clicks(cfg, phi):
+    """The pipeline applied one operation at a time, as the model describes it."""
+    s = apply_two_mode_squeezer(vacuum(4), 0, 1, cfg.r1)
+    s = apply_loss(apply_loss(s, 0, cfg.eta_internal), 1, cfg.eta_internal)
+    s = apply_phase(s, [0, 1, 2, 3], phi + cfg.phase_offset)
+    theta = math.acos(cfg.overlap)
+    s = apply_beamsplitter(apply_beamsplitter(s, 0, 2, theta), 1, 3, theta)
+    s = apply_two_mode_squeezer(s, 0, 1, cfg.r2)
+    s = apply_beamsplitter(apply_beamsplitter(s, 0, 2, -theta), 1, 3, -theta)
+    for mode, eta in ((0, cfg.eta_h), (2, cfg.eta_h), (1, cfg.eta_v), (3, cfg.eta_v)):
+        s = apply_loss(s, mode, eta)
+    return click_distribution(s, interferometer_arms()).as_array()
+
+
+random_configs = st.builds(
+    InterferometerConfig,
+    r1=st.floats(0.0, 1.0),
+    r2=st.floats(0.0, 1.0),
+    eta_h=st.floats(0.0, 1.0),
+    eta_v=st.floats(0.0, 1.0),
+    eta_internal=st.floats(0.3, 1.0),
+    overlap=st.floats(0.5, 1.0),
+    phase_offset=st.floats(-math.pi, math.pi),
+)
+phase_lists = st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=1, max_size=5)
+
+
 class TestFisherPerTrial:
     def test_numeric_optimum_matches_closed_form(self):
         # acceptance covers the full r grid; spot-check one interior value
         r = 0.35
-        _, fmax = max_fisher(interferometer_model(ideal(r)))
+        _, fmax = max_fisher(ideal(r))
         assert fmax == pytest.approx(fisher_max_ideal(r), rel=1e-3)
 
     def test_constant_model_gives_zero(self):
         cfg = InterferometerConfig(r1=0.5, r2=0.5, eta_h=0.0, eta_v=0.0)
-        assert fisher_per_trial(interferometer_model(cfg), 0.7) == 0.0
+        assert fisher_per_trial(cfg, 0.7) == 0.0
 
     def test_per_photon_benchmark(self):
         cfg = ideal(0.59)
-        _, fmax = max_fisher(interferometer_model(cfg))
+        _, fmax = max_fisher(cfg)
         per_photon = fmax / photons_through_sample(cfg)
         # ratio of the two closed forms: 4(n_bar + 2)
         n_bar = 2 * math.sinh(0.59) ** 2
         assert per_photon == pytest.approx(4 * (n_bar + 2), rel=2e-3)
 
-    def test_step_validation(self):
-        model = interferometer_model(ideal(0.3))
-        with pytest.raises(ValueError):
-            fisher_per_trial(model, 0.5, h=0.02)
-        with pytest.raises(ValueError):
-            fisher_per_trial(model, 0.5, h=0.0)
+    def test_fisher_at_fringe_zero_is_exact(self):
+        # at phi = pi/2 every click probability but p00 vanishes; each term
+        # takes its limit 2 p'' and F reaches the maximum 4 sinh^2(2r)
+        for r in (0.1, 0.3, 0.43, 0.59, 0.8):
+            assert fisher_per_trial(ideal(r), math.pi / 2) == pytest.approx(
+                fisher_max_ideal(r), abs=1e-9
+            )
 
-    def test_non_finite_model_rejected(self):
-        class Bad:
-            def as_array(self):
-                return np.array([math.nan, 0.0, 0.0, 1.0])
+    @settings(max_examples=40, deadline=None)
+    @given(random_configs, phase_lists)
+    def test_batched_clicks_match_op_by_op_chain(self, cfg, phis):
+        batched = clicks(interferometer_factors(cfg), phis)[0]
+        reference = np.array([op_by_op_clicks(cfg, phi) for phi in phis])
+        assert np.abs(batched - reference).max() <= 1e-14
 
-        with pytest.raises(ValueError):
-            fisher_per_trial(lambda phi: Bad(), 0.5)
-
-    def test_step_size_robustness(self, tracking_cfg):
-        # halving h moves the optimum value by < 0.05% (second-order accuracy)
-        model = interferometer_model(tracking_cfg)
-        phi_star, f1 = max_fisher(model, h=1e-4)
-        f2 = fisher_per_trial(model, phi_star, h=5e-5)
-        assert abs(f2 - f1) / f1 < 5e-4
+    @settings(max_examples=40, deadline=None)
+    @given(random_configs, phase_lists)
+    def test_analytic_derivatives_match_central_differences(self, cfg, phis):
+        phis = np.array(phis)
+        h = 2e-6  # truncation and roundoff both stay near 1e-10
+        factors = interferometer_factors(cfg)
+        _, dp, d2p = clicks(factors, phis, order=2)
+        central = (fringe(cfg, phis + h) - fringe(cfg, phis - h)) / (2 * h)
+        assert np.abs(dp - central).max() < 1e-8
+        central2 = (clicks(factors, phis + h, 1)[1] - clicks(factors, phis - h, 1)[1]) / (2 * h)
+        assert np.abs(d2p - central2).max() < 1e-7
 
     def test_high_squeezing_projection_improves_per_photon(self):
         # with overlap 0.995 and r = 1.5 the per-photon maximum rises well
         # beyond the r = 0.59 ideal benchmark; the absolute projected value is
         # mismatch-model dependent (see decisions ledger)
         cfg = InterferometerConfig(r1=1.5, r2=1.5, overlap=0.995)
-        _, fmax = max_fisher(interferometer_model(cfg))
+        _, fmax = max_fisher(cfg)
         per_photon = fmax / photons_through_sample(cfg)
         assert per_photon > 4 * (2 * math.sinh(0.59) ** 2 + 2)
         assert math.isfinite(per_photon)
@@ -81,7 +123,7 @@ class TestFisherPerTrial:
         last = math.inf
         for eta in (1.0, 0.9, 0.75, 0.5, 0.2):
             cfg = InterferometerConfig(r1=0.45, r2=0.45, eta_h=eta, eta_v=eta)
-            _, fmax = max_fisher(interferometer_model(cfg))
+            _, fmax = max_fisher(cfg)
             assert fmax <= last + 1e-9
             last = fmax
 

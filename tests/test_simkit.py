@@ -8,7 +8,9 @@ from squint.detection import interferometer_clicks
 from squint.estimation import CalibrationModel, crlb
 from squint.gaussian import InterferometerConfig
 from squint.simkit import (
+    BOOTSTRAP,
     TrackingScenario,
+    _stream,
     run_tracking,
     sample_clicks,
     sensitivity_report,
@@ -157,6 +159,25 @@ class TestRunTracking:
         assert all(r.sigma == 0.0 for r in plain.records)
         with_sigma = run_tracking(scn, tracking_cfg, tracking_cal, bootstrap_resamples=100)
         assert all(r.sigma > 0.0 for r in with_sigma.records)
+
+
+class TestStreams:
+    def test_bootstrap_streams_do_not_collide_across_runs(self):
+        # (seed 0, window 1) and (seed 1, window 0) shared one bootstrap seed
+        # when it was built as seed ^ const ^ window
+        a = _stream(0, 1, BOOTSTRAP).integers(0, 2**63, size=8)
+        b = _stream(1, 0, BOOTSTRAP).integers(0, 2**63, size=8)
+        assert not np.array_equal(a, b)
+
+    def test_bootstrap_stream_differs_from_count_stream(self):
+        a = _stream(3, 7).integers(0, 2**63, size=8)
+        b = _stream(3, 7, BOOTSTRAP).integers(0, 2**63, size=8)
+        assert not np.array_equal(a, b)
+
+    def test_count_streams_unchanged(self):
+        key = np.array([42, 5], dtype=np.uint64)
+        plain = np.random.Generator(np.random.Philox(key=key)).integers(0, 2**63, size=8)
+        assert np.array_equal(_stream(42, 5).integers(0, 2**63, size=8), plain)
 
 
 class TestCsvAndSummary:
