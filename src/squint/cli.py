@@ -19,7 +19,7 @@ import numpy as np
 
 from . import presets
 from .detection import fringe
-from .estimation import CalibrationModel, UnidentifiableError, _check_branch, estimate_phase
+from .estimation import CalibrationModel, UnidentifiableError, _check_branch, estimate_phase, write_json
 from .fock import TruncationError, required_n_max, simulate_fock
 from .gaussian import InterferometerConfig, InvalidStateError
 from .metrology import (
@@ -61,13 +61,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_value(value):
-    """Strict JSON has no NaN or infinities: they are written as null."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
 def _write_table(out_dir: Path, name: str, fmt: str, columns, rows) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
@@ -79,8 +72,7 @@ def _write_table(out_dir: Path, name: str, fmt: str, columns, rows) -> Path:
                 writer.writerow([_fmt(v) for v in row])
     else:
         path = out_dir / f"{name}.json"
-        payload = {"columns": list(columns), "rows": [[_json_value(v) for v in row] for row in rows]}
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True, allow_nan=False))
+        write_json(path, {"columns": list(columns), "rows": list(rows)})
     return path
 
 
@@ -227,20 +219,27 @@ def cmd_estimate(args) -> int:
         cal = CalibrationModel.from_json(args.calibration)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid calibration file {args.calibration}: {exc!r}") from exc
+    keys = ("n00", "n01", "n10", "n11")
+    try:
+        with open(args.counts, newline="") as fh:
+            reader = csv.DictReader(fh)
+            needed = {"window_index", *keys}
+            if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
+                raise ConfigError(f"counts file must have columns {sorted(needed)}")
+            windows = [(int(rec["window_index"]), [int(rec[k]) for k in keys]) for rec in reader]
+    except OSError as exc:
+        raise ConfigError(f"cannot read counts file {args.counts}: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed row in counts file {args.counts}: {exc}") from exc
+    if any(c < 0 for _, counts in windows for c in counts):
+        raise ConfigError(f"negative count in counts file {args.counts}")
     rows = []
-    with open(args.counts, newline="") as fh:
-        reader = csv.DictReader(fh)
-        needed = {"window_index", "n00", "n01", "n10", "n11"}
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            raise ConfigError(f"counts file must have columns {sorted(needed)}")
-        for record in reader:
-            counts = [int(record[k]) for k in ("n00", "n01", "n10", "n11")]
-            index = int(record["window_index"])
-            try:
-                est = estimate_phase(counts, cal, branch)
-                rows.append([index, est.phi_est, est.objective_value, int(est.low_information)])
-            except UnidentifiableError:
-                rows.append([index, math.nan, math.nan, 1])
+    for index, counts in windows:
+        try:
+            est = estimate_phase(counts, cal, branch)
+            rows.append([index, est.phi_est, est.objective_value, int(est.low_information)])
+        except UnidentifiableError:
+            rows.append([index, math.nan, math.nan, 1])
     path = _write_table(
         Path(args.out),
         "estimates",
@@ -274,7 +273,7 @@ def cmd_track(args) -> int:
     run.to_json(out / "tracking_summary.json")
     cal.to_json(out / "calibration.json")
     report = sensitivity_report(run, accounting=args.accounting)
-    (out / "sensitivity.json").write_text(json.dumps(report.to_dict(), indent=1, sort_keys=True))
+    write_json(out / "sensitivity.json", report.to_dict())
     print(f"wrote {out / 'tracking.csv'}")
     print(f"trials per window (assumed repetition rate): {run.trials_per_window}")
     best = report.best()

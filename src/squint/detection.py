@@ -51,6 +51,9 @@ _SUM_TOL = 1e-10
 # Phases per batch: bounds the scratch memory of long phase arrays.
 _CHUNK = 128
 _OUTCOMES = ("p00", "p01", "p10", "p11")
+# fringe_visibility grid over one period; overlap_for_visibility bisection
+_VISIBILITY_POINTS = 721
+_OVERLAP_MIN, _OVERLAP_TOL = 0.5, 1e-6
 
 
 def _checked(p: np.ndarray) -> np.ndarray:
@@ -201,33 +204,27 @@ def fringe(cfg: InterferometerConfig, phi_grid) -> np.ndarray:
     return clicks(interferometer_factors(cfg), phi_grid)[0]
 
 
-def fringe_visibility(cfg: InterferometerConfig, num_points: int = 721) -> float:
+def fringe_visibility(cfg: InterferometerConfig) -> float:
     """(max - min)/(max + min) of the coincidence fringe p11 over one period."""
-    p11 = fringe(cfg, np.linspace(0.0, math.pi, num_points))[:, 3]
+    p11 = fringe(cfg, np.linspace(0.0, math.pi, _VISIBILITY_POINTS))[:, 3]
     hi, lo = float(p11.max()), float(p11.min())
     return (hi - lo) / (hi + lo)
 
 
-def overlap_for_visibility(
-    cfg: InterferometerConfig,
-    target: float,
-    lo: float = 0.5,
-    tol: float = 1e-6,
-    num_points: int = 721,
-) -> float:
+def overlap_for_visibility(cfg: InterferometerConfig, target: float) -> float:
     """Mode-overlap amplitude reproducing a target p11 fringe visibility.
 
     Visibility is 1 at overlap 1 and decreases as the overlap shrinks, so a
-    bisection on [lo, 1] recovers the overlap for any reachable target.
+    bisection on [0.5, 1] recovers the overlap for any reachable target.
     """
     if not 0.0 < target <= 1.0:
         raise ValueError("target visibility must be in (0, 1]")
-    hi = 1.0
-    if fringe_visibility(cfg.with_updates(overlap=lo), num_points) > target:
+    lo, hi = _OVERLAP_MIN, 1.0
+    if fringe_visibility(cfg.with_updates(overlap=lo)) > target:
         raise ValueError(f"target visibility {target} not reachable above overlap {lo}")
-    while hi - lo > tol:
+    while hi - lo > _OVERLAP_TOL:
         mid = 0.5 * (lo + hi)
-        if fringe_visibility(cfg.with_updates(overlap=mid), num_points) < target:
+        if fringe_visibility(cfg.with_updates(overlap=mid)) < target:
             lo = mid
         else:
             hi = mid

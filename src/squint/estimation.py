@@ -38,6 +38,9 @@ __all__ = [
 CALIBRATION_SCHEMA = "squint-calibration/1"
 
 _HALF_PERIOD = math.pi / 2.0
+# estimate_phase: coarse grid over the branch, then golden section to this width
+_BRANCH_POINTS = 257
+_PHASE_TOL = 1e-6
 _OUTCOMES = ("p00", "p01", "p10", "p11")
 
 
@@ -45,12 +48,26 @@ class UnidentifiableError(ValueError):
     """The observed data carry no usable phase information on this branch."""
 
 
+def _finite_or_null(value):
+    """Strict JSON has no NaN or infinities: they are written as null."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` as strict, indented JSON with sorted keys."""
+    text = json.dumps(_finite_or_null(payload), indent=1, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text)
+
+
 @dataclass(frozen=True)
 class PhaseEstimate:
     """Single-window phase estimate on a half-period branch."""
 
     phi_est: float
-    sigma: float
     window_trials: int
     objective_value: float
     low_information: bool = False
@@ -122,7 +139,7 @@ class CalibrationModel:
         )
 
     def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=1, sort_keys=True))
+        write_json(path, self.to_dict())
 
     @classmethod
     def from_json(cls, path) -> "CalibrationModel":
@@ -235,8 +252,6 @@ def estimate_phase(
     branch: tuple[float, float],
     trials: int = 0,
     method: str = "least-squares",
-    grid_points: int = 257,
-    tol: float = 1e-6,
 ) -> PhaseEstimate:
     """Phase minimizing the squared difference to the calibration curves.
 
@@ -255,20 +270,19 @@ def estimate_phase(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, _BRANCH_POINTS)
     obj = objective_vec(cal.probabilities(grid))
     if obj.max() - obj.min() < 1e-15:
         raise UnidentifiableError("objective is flat on the branch")
     i = int(np.argmin(obj))
-    a, b = grid[max(0, i - 1)], grid[min(grid_points - 1, i + 1)]
-    x, fx = _golden_min(lambda p: float(objective_vec(cal.probabilities(p))), a, b, tol)
+    a, b = grid[max(0, i - 1)], grid[min(_BRANCH_POINTS - 1, i + 1)]
+    x, fx = _golden_min(lambda p: float(objective_vec(cal.probabilities(p))), a, b, _PHASE_TOL)
     if obj[i] < fx:
         x, fx = float(grid[i]), float(obj[i])
     info = fisher_per_trial(cal.config, x)
     low_information = (trials * info < 1.0) if trials > 0 else (info < 1e-9)
     return PhaseEstimate(
         phi_est=float(x),
-        sigma=0.0,
         window_trials=trials,
         objective_value=float(fx),
         low_information=bool(low_information),

@@ -1,12 +1,15 @@
 """Brute-force truncated Fock-space oracle for the interferometer pipeline.
 
-This is the independent verification path: squeezers and beamsplitters are
-matrix exponentials of truncated generators (via eigendecomposition of the
-Hermitian i*generator), the phase is the diagonal e^{i n phi}, loss acts as an
-amplitude-damping Kraus sum on a density matrix, and the click probabilities
-come from exact vacuum projectors with the same inclusion-exclusion as the
-Gaussian path. It is a correctness tool, not the production path: states with
-no loss stay vectors for speed, lossy states become density matrices, and the
+This is the independent verification path. The state is one pure vector
+from start to finish. Squeezers and beamsplitters are matrix exponentials of
+truncated generators; each conserves a photon-number label (n_a - n_b for a
+squeezer, n_a + n_b for a beamsplitter), so the exponential is one
+eigendecomposition per conserved sector. The phase is the diagonal
+e^{i n phi}. Internal loss is a beamsplitter onto an environment mode in
+vacuum, summed out at detection. External loss is a weight at detection:
+"mode m empty after transmission eta" has the POVM element
+sum_n (1 - eta)^n |n><n|, so the vacuum probabilities are exact, and the
+clicks follow from the same inclusion-exclusion as the Gaussian path. The
 mode-mismatch tier runs at reduced truncation with a looser budget.
 """
 
@@ -68,21 +71,30 @@ def _destroy(d: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, d)), 1)
 
 
-def _expm_skew(generator: np.ndarray) -> np.ndarray:
-    """exp of a skew-Hermitian matrix via eigendecomposition of i*generator."""
-    w, v = np.linalg.eigh(1j * generator)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+def _expm_skew(generator: np.ndarray, sectors: np.ndarray) -> np.ndarray:
+    """exp of a skew-Hermitian matrix that is block diagonal in ``sectors``
+    (a conserved label per basis index): one eigh of i*generator per block."""
+    u = np.zeros(generator.shape, dtype=complex)
+    for label in np.unique(sectors):
+        idx = np.flatnonzero(sectors == label)
+        block = np.ix_(idx, idx)
+        w, v = np.linalg.eigh(1j * generator[block])
+        u[block] = (v * np.exp(-1j * w)) @ v.conj().T
+    return u
+
+
+def _two_mode_unitary(generator, sign: int, n_max: int) -> np.ndarray:
+    """exp(g - g†) on the (n_max+1)^2 two-mode space, with n_a + sign*n_b conserved."""
+    n = np.arange(n_max + 1)
+    u = _expm_skew(generator - generator.T, (n[:, None] + sign * n[None, :]).ravel())
+    u.setflags(write=False)
+    return u
 
 
 @lru_cache(maxsize=4)
 def _squeezer_unitary_cached(r: float, n_max: int) -> np.ndarray:
-    d = n_max + 1
-    a = _destroy(d)
-    ident = np.eye(d)
-    ab = np.kron(a, ident) @ np.kron(ident, a)
-    u = _expm_skew(r * (ab - ab.conj().T))
-    u.setflags(write=False)
-    return u
+    a = _destroy(n_max + 1)
+    return _two_mode_unitary(r * np.kron(a, a), -1, n_max)
 
 
 def squeezer_unitary(r: float, n_max: int, budget: float | None = None) -> np.ndarray:
@@ -106,206 +118,94 @@ def squeezer_unitary(r: float, n_max: int, budget: float | None = None) -> np.nd
 @lru_cache(maxsize=4)
 def _beamsplitter_unitary(theta: float, n_max: int) -> np.ndarray:
     """exp[theta(a†b - a b†)]: a -> a cos(theta) + b sin(theta)."""
-    d = n_max + 1
-    a = _destroy(d)
-    ident = np.eye(d)
-    cross = np.kron(a, ident).conj().T @ np.kron(ident, a)
-    u = _expm_skew(theta * (cross - cross.conj().T))
-    u.setflags(write=False)
-    return u
+    a = _destroy(n_max + 1)
+    return _two_mode_unitary(theta * np.kron(a.T, a), 1, n_max)
 
 
 @dataclass(frozen=True)
 class FockState:
-    """Truncated product-basis state: a vector while pure, a density matrix
-    (stored as a 2M-axis tensor) once a loss channel has acted."""
+    """Pure truncated state: one amplitude per product-basis index, shape
+    (n_max+1,) * num_modes."""
 
     num_modes: int
     n_max: int
-    vector: np.ndarray | None = None
-    density: np.ndarray | None = None
+    vector: np.ndarray
 
     def __post_init__(self):
-        if (self.vector is None) == (self.density is None):
-            raise ValueError("exactly one of vector/density must be set")
-
-    @property
-    def is_pure(self) -> bool:
-        return self.vector is not None
+        shape = (self.n_max + 1,) * self.num_modes
+        if np.shape(self.vector) != shape:
+            raise ValueError(f"vector has shape {np.shape(self.vector)}, expected {shape}")
 
     def norm(self) -> float:
-        """Squared norm (pure) or trace (lossy); 1 up to the truncation tail."""
-        if self.vector is not None:
-            return float(np.vdot(self.vector, self.vector).real)
-        d = self.density
-        m = self.num_modes
-        return float(np.einsum(d, list(range(m)) + list(range(m)), []).real)
+        """Squared norm; 1 up to the truncation tail."""
+        return float(np.vdot(self.vector, self.vector).real)
 
-    def to_density(self) -> "FockState":
-        if self.density is not None:
-            return self
-        vec = self.vector
-        rho = np.tensordot(vec, vec.conj(), axes=0)
-        return FockState(self.num_modes, self.n_max, density=rho)
-
-    def vacuum_probability(self, modes: tuple[int, ...]) -> float:
-        """Probability that every selected mode is in its vacuum state."""
-        if self.vector is not None:
-            sl = tuple(0 if m in modes else slice(None) for m in range(self.num_modes))
-            block = self.vector[sl]
-            return float(np.sum(np.abs(block) ** 2))
-        m = self.num_modes
-        sl = tuple(0 if k % m in modes else slice(None) for k in range(2 * m))
-        block = self.density[sl]
-        kept = [k for k in range(m) if k not in modes]
-        n_kept = len(kept)
-        if n_kept == 0:
-            return float(block.real)
-        subs = list(range(n_kept)) + list(range(n_kept))
-        return float(np.einsum(block, subs, []).real)
+    def vacuum_probability(self, eta: dict[int, float]) -> float:
+        """Probability that no photon survives on the modes keyed in ``eta``,
+        mode m seen through transmission eta[m]; every other mode is summed out."""
+        weights = np.abs(self.vector) ** 2
+        n = np.arange(self.n_max + 1)
+        for mode, e in eta.items():  # (1 - eta)^n, with 0^0 = 1 at eta = 1
+            weights = np.moveaxis(np.moveaxis(weights, mode, -1) * (1.0 - e) ** n, -1, mode)
+        return float(weights.sum())
 
 
 def _apply_pair_unitary(tensor: np.ndarray, u: np.ndarray, ax1: int, ax2: int) -> np.ndarray:
     """Apply a two-mode operator (row-major (n1, n2) index) on two tensor axes."""
-    nd = tensor.ndim
     d = tensor.shape[ax1]
-    rest = [ax for ax in range(nd) if ax not in (ax1, ax2)]
-    perm = [ax1, ax2] + rest
-    work = np.transpose(tensor, perm).reshape(d * d, -1)
-    out = (u @ work).reshape([d, d] + [tensor.shape[ax] for ax in rest])
-    return np.transpose(out, np.argsort(perm))
+    work = np.moveaxis(tensor, (ax1, ax2), (0, 1))
+    out = (u @ work.reshape(d * d, -1)).reshape(work.shape)
+    return np.moveaxis(out, (0, 1), (ax1, ax2))
 
 
-def _apply_unitary(state: FockState, u: np.ndarray, ax1: int, ax2: int) -> FockState:
-    m = state.num_modes
-    if state.vector is not None:
-        return FockState(m, state.n_max, vector=_apply_pair_unitary(state.vector, u, ax1, ax2))
-    rho = _apply_pair_unitary(state.density, u, ax1, ax2)
-    rho = _apply_pair_unitary(rho, u.conj(), ax1 + m, ax2 + m)
-    return FockState(m, state.n_max, density=rho)
-
-
-def _damping_weights(eta: float, d: int) -> list[np.ndarray]:
-    """weights[k][n'] = <n'|E_k|n'+k> of the amplitude-damping Kraus operators."""
-    out = []
-    for k in range(d):
-        n = np.arange(d - k)
-        comb = np.array([math.comb(int(nn) + k, k) for nn in n], dtype=float)
-        out.append(np.sqrt(comb * eta**n * (1.0 - eta) ** k))
-    return out
-
-
-@lru_cache(maxsize=8)
-def _damping_transfer(eta: float, d: int) -> tuple[np.ndarray, ...]:
-    """Kraus sum regrouped along the diagonals it conserves.
-
-    Every E_k rho E_k† shifts bra and ket indices equally, so matrix elements
-    with a fixed photon-number offset v = m' - n' mix only among themselves:
-    out_diag_v = T_v @ in_diag_v with T_v[u, u+k] = w_k[u] w_k[u+v]. The same
-    T_v serves v and -v because the two weight factors commute.
-    """
-    weights = _damping_weights(eta, d)
-    transfer = []
-    for v in range(d):
-        size = d - v
-        t = np.zeros((size, size))
-        for k in range(size):
-            valid = size - k
-            w = weights[k]
-            u = np.arange(valid)
-            t[u, u + k] = w[:valid] * w[v: v + valid]
-        transfer.append(t.astype(complex))
-    return tuple(transfer)
-
-
-def _apply_loss(state: FockState, mode: int, eta: float) -> FockState:
-    """Amplitude-damping Kraus sum rho -> sum_k E_k rho E_k† on one mode."""
-    if eta == 1.0:
-        return state
-    state = state.to_density()
-    rho = state.density
-    m = state.num_modes
-    d = rho.shape[0]
-    ket_ax, bra_ax = mode, mode + m
-    rest = [ax for ax in range(2 * m) if ax not in (ket_ax, bra_ax)]
-    perm = rest + [ket_ax, bra_ax]
-    work = np.ascontiguousarray(np.transpose(rho, perm)).reshape(-1, d, d)
-    out = np.zeros_like(work)
-    transfer = _damping_transfer(eta, d)
-    for v in range(d):
-        rows = np.arange(d - v)
-        t_transposed = transfer[v].T
-        upper = np.ascontiguousarray(np.diagonal(work, offset=v, axis1=-2, axis2=-1))
-        out[:, rows, rows + v] = upper @ t_transposed
-        if v:
-            lower = np.ascontiguousarray(np.diagonal(work, offset=-v, axis1=-2, axis2=-1))
-            out[:, rows + v, rows] = lower @ t_transposed
-    out = out.reshape([rho.shape[ax] for ax in perm])
-    return FockState(m, state.n_max, density=np.transpose(out, np.argsort(perm)))
+def _arms(cfg: InterferometerConfig) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Modes of the H and V arms: (a, a') and (b, b') under mode mismatch,
+    else (a,) and (b,), mirroring the Gaussian model's mode layout."""
+    return ((0, 2), (1, 3)) if cfg.overlap < 1.0 else ((0,), (1,))
 
 
 def evolve_fock(cfg: InterferometerConfig, phi: float, n_max: int) -> FockState:
-    """Run the interferometer pipeline in truncated Fock space.
+    """Run the interferometer pipeline up to, not including, the external loss.
 
-    Uses two modes when the overlap is 1 and the full four-mode layout
-    (a, b, a', b') otherwise, mirroring the Gaussian model's mode layout.
+    The arm modes come first (see ``_arms``); internal loss appends one
+    environment mode per sample mode, so the state has at most six modes.
+    The internal-loss beamsplitter is exact under truncation: with the
+    environment empty, each (n_a + n_e) sector it touches is complete.
     """
     d = n_max + 1
-    four_mode = cfg.overlap < 1.0
-    num_modes = 4 if four_mode else 2
+    arm_h, arm_v = _arms(cfg)
+    system = len(arm_h) + len(arm_v)
+    lossy = cfg.eta_internal < 1.0
+    num_modes = system + 2 * lossy
     u1 = squeezer_unitary(cfg.r1, n_max)
     u2 = u1 if cfg.r2 == cfg.r1 else squeezer_unitary(cfg.r2, n_max)
 
     vec = np.zeros((d,) * num_modes, dtype=complex)
     vec[(0,) * num_modes] = 1.0
-    state = FockState(num_modes, n_max, vector=vec)
-    state = _apply_unitary(state, u1, 0, 1)
+    vec = _apply_pair_unitary(vec, u1, 0, 1)
+    if lossy:
+        loss = _beamsplitter_unitary(math.acos(math.sqrt(cfg.eta_internal)), n_max)
+        vec = _apply_pair_unitary(vec, loss, 0, system)
+        vec = _apply_pair_unitary(vec, loss, 1, system + 1)
 
-    if cfg.eta_internal < 1.0:
-        state = _apply_loss(state, 0, cfg.eta_internal)
-        state = _apply_loss(state, 1, cfg.eta_internal)
+    # phase: diagonal e^{i n phi} over the photon number of the sample modes a, b
+    n = np.arange(d)
+    phase = np.exp(1j * (n[:, None] + n[None, :]) * (phi + cfg.phase_offset))
+    vec = vec * phase.reshape((d, d) + (1,) * (num_modes - 2))
 
-    # phase: diagonal e^{i n phi} over the total photon number
-    total_phi = phi + cfg.phase_offset
-    n_axis = np.arange(d)
-    n_tot = sum(
-        n_axis.reshape([-1 if ax == k else 1 for ax in range(num_modes)])
-        for k in range(num_modes)
-    )
-    phase = np.exp(1j * n_tot * total_phi)
-    if state.vector is not None:
-        state = FockState(num_modes, n_max, vector=state.vector * phase)
-    else:
-        rho = state.density * phase.reshape(phase.shape + (1,) * num_modes)
-        rho = rho * phase.conj().reshape((1,) * num_modes + phase.shape)
-        state = FockState(num_modes, n_max, density=rho)
-
-    if four_mode:
-        theta = math.acos(cfg.overlap)
-        b = _beamsplitter_unitary(theta, n_max)
-        b_inv = _beamsplitter_unitary(-theta, n_max)
-        state = _apply_unitary(state, b, 0, 2)
-        state = _apply_unitary(state, b, 1, 3)
-        state = _apply_unitary(state, u2, 0, 1)
-        state = _apply_unitary(state, b_inv, 0, 2)
-        state = _apply_unitary(state, b_inv, 1, 3)
-    else:
-        state = _apply_unitary(state, u2, 0, 1)
-
-    arm_h = (0, 2) if four_mode else (0,)
-    arm_v = (1, 3) if four_mode else (1,)
-    for mode in arm_h:
-        state = _apply_loss(state, mode, cfg.eta_h)
-    for mode in arm_v:
-        state = _apply_loss(state, mode, cfg.eta_v)
-    return state
+    # mode mismatch: the second squeezer sees a, b rotated by theta into a', b'
+    mixed = (arm_h, arm_v) if cfg.overlap < 1.0 else ()
+    theta = math.acos(cfg.overlap)
+    for arm in mixed:
+        vec = _apply_pair_unitary(vec, _beamsplitter_unitary(theta, n_max), *arm)
+    vec = _apply_pair_unitary(vec, u2, 0, 1)
+    for arm in mixed:
+        vec = _apply_pair_unitary(vec, _beamsplitter_unitary(-theta, n_max), *arm)
+    return FockState(num_modes, n_max, vec)
 
 
 def simulate_fock(
-    cfg: InterferometerConfig,
-    phi: float,
-    n_max: int,
-    budget: float = 1e-8,
+    cfg: InterferometerConfig, phi: float, n_max: int, budget: float = 1e-8
 ) -> ClickDistribution:
     """Click probabilities from the truncated Fock evolution.
 
@@ -319,9 +219,10 @@ def simulate_fock(
             f"truncation bound {achieved:.3e} exceeds budget {budget:.3e} at n_max={n_max}"
         )
     state = evolve_fock(cfg, phi, n_max)
-    arm_h = (0, 2) if state.num_modes == 4 else (0,)
-    arm_v = (1, 3) if state.num_modes == 4 else (1,)
-    p00 = state.vacuum_probability(arm_h + arm_v)
-    ph = state.vacuum_probability(arm_h)
-    pv = state.vacuum_probability(arm_v)
+    arm_h, arm_v = _arms(cfg)
+    h = dict.fromkeys(arm_h, cfg.eta_h)
+    v = dict.fromkeys(arm_v, cfg.eta_v)
+    p00 = state.vacuum_probability({**h, **v})
+    ph = state.vacuum_probability(h)
+    pv = state.vacuum_probability(v)
     return ClickDistribution(p00=p00, p01=ph - p00, p10=pv - p00, p11=1.0 - ph - pv + p00)

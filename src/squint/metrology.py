@@ -45,6 +45,9 @@ ACCOUNTINGS = ("single-pass", "double-pass")
 # Outcomes at or below this probability contribute their limit 2 p'' instead
 # of (dp)^2 / p: near a zero p ~ p'' dphi^2 / 2 and dp ~ p'' dphi.
 _P_GUARD = 1e-12
+# max_fisher coarse grid over [0, pi]; threshold_tm_numeric bisection width
+_COARSE_POINTS = 721
+_THRESHOLD_TOL = 1e-4
 
 
 class BracketError(RuntimeError):
@@ -165,36 +168,25 @@ def _golden_min(
     return best_x, best_f
 
 
-def max_fisher(
-    cfg: InterferometerConfig,
-    lo: float = 0.0,
-    hi: float = math.pi,
-    coarse: int = 721,
-    tol: float = 1e-6,
-) -> tuple[float, float]:
-    """(phi*, F*) maximizing the per-trial Fisher information on [lo, hi].
+def max_fisher(cfg: InterferometerConfig, tol: float = 1e-6) -> tuple[float, float]:
+    """(phi*, F*) maximizing the per-trial Fisher information on [0, pi].
 
     One batched coarse grid, then golden-section refinement on the same
-    pipeline factors; returns the best point seen.
+    pipeline factors to width ``tol``; returns the best point seen.
     """
     factors = interferometer_factors(cfg)
-    grid = np.linspace(lo, hi, coarse)
+    grid = np.linspace(0.0, math.pi, _COARSE_POINTS)
     vals = _fisher(factors, grid)
     i = int(np.argmax(vals))
     a = grid[max(0, i - 1)]
-    b = grid[min(coarse - 1, i + 1)]
+    b = grid[min(_COARSE_POINTS - 1, i + 1)]
     x, neg_fx = _golden_min(lambda p: -float(_fisher(factors, [p])[0]), a, b, tol)
     if vals[i] >= -neg_fx:
         return float(grid[i]), float(vals[i])
     return float(x), -neg_fx
 
 
-def threshold_tm_numeric(
-    cfg: InterferometerConfig,
-    n_bar: float,
-    tol: float = 1e-4,
-    coarse: int = 721,
-) -> float:
+def threshold_tm_numeric(cfg: InterferometerConfig, n_bar: float) -> float:
     """Rediscover the loss threshold by bisecting the full pipeline.
 
     Builds the symmetric lossless config at the squeezing giving ``n_bar``,
@@ -210,7 +202,7 @@ def threshold_tm_numeric(
     base = cfg.with_updates(r1=r, r2=r, eta_internal=1.0, overlap=1.0)
 
     def excess(eta: float) -> float:
-        _, fmax = max_fisher(base.with_updates(eta_h=eta, eta_v=eta), coarse=coarse, tol=max(tol, 1e-6))
+        _, fmax = max_fisher(base.with_updates(eta_h=eta, eta_v=eta), tol=_THRESHOLD_TOL)
         return fmax / n_bar - snl
 
     lo, hi = 1e-6, 1.0 - 1e-9
@@ -219,7 +211,7 @@ def threshold_tm_numeric(
         raise BracketError(
             f"no threshold bracket in (0, 1): excess({lo})={f_lo:.3g}, excess(1)={f_hi:.3g}"
         )
-    while hi - lo > tol:
+    while hi - lo > _THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         if excess(mid) > 0:
             hi = mid

@@ -9,15 +9,13 @@ counter separates the streams of one window (click counts, bootstrap).
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .detection import fringe, interferometer_clicks
-from .estimation import CalibrationModel, UnidentifiableError, bootstrap_sigma, estimate_phase
+from .estimation import CalibrationModel, UnidentifiableError, bootstrap_sigma, estimate_phase, write_json
 from .gaussian import InterferometerConfig
 from .metrology import ACCOUNTINGS, fisher_per_trial, photons_through_sample
 
@@ -187,7 +185,7 @@ class TrackingRun:
         }
 
     def to_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.summary_dict(), indent=1, sort_keys=True))
+        write_json(path, self.summary_dict())
 
 
 def sample_clicks(cfg: InterferometerConfig, phi: float, trials: int, seed: int) -> np.ndarray:

@@ -208,6 +208,42 @@ class TestTrackAndEstimate:
         ]
         assert main(argv) == 2
 
+    @staticmethod
+    def estimate_argv(track_dir, tmp_path, counts):
+        return [
+            "estimate", "--counts", str(counts), "--calibration", str(track_dir / "calibration.json"),
+            "--branch-lo", "0.4", "--branch-hi", "1.2", "--out", str(tmp_path),
+        ]
+
+    def test_missing_counts_file_is_config_error(self, track_dir, tmp_path, capsys):
+        assert main(self.estimate_argv(track_dir, tmp_path, tmp_path / "missing.csv")) == 2
+        assert "cannot read counts file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["0,9000,400,500,12x", "0,9000,400,500", "0,9000,400,500,-12"])
+    def test_malformed_count_is_config_error(self, track_dir, tmp_path, capsys, row):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(f"window_index,n00,n01,n10,n11\n{row}\n")
+        assert main(self.estimate_argv(track_dir, tmp_path, counts)) == 2
+        assert "counts file" in capsys.readouterr().err
+
+    def test_tracking_outputs_are_strict(self, tmp_path, capsys):
+        # one repeat: each phase has a single estimate, std 0 and an infinite enhancement
+        payload = {
+            "interferometer": {"r1": 0.43, "r2": 0.43, "eta_h": 0.75, "eta_v": 0.75},
+            "scenario": {
+                "phase_schedule": [[0.5, 0.2], [0.8, 0.2]],
+                "window": 0.2,
+                "repetition_rate": 5e4,
+                "repeats": 1,
+            },
+        }
+        cfg = write_config(tmp_path, payload)
+        assert main(["track", "--config", cfg, "--out", str(tmp_path)]) == 0
+        summary = strict_json(tmp_path / "tracking_summary.json")
+        assert [agg["std_phi_est"] for agg in summary["aggregates"]] == [0.0, 0.0]
+        sens = strict_json(tmp_path / "sensitivity.json")
+        assert [row["enhancement_db"] for row in sens["rows"]] == [None, None]
+
     def test_track_needs_scenario(self, tmp_path):
         cfg = write_config(tmp_path, {"interferometer": {"r1": 0.3, "r2": 0.3}})
         assert main(["track", "--config", cfg, "--out", str(tmp_path)]) == 2
