@@ -21,6 +21,7 @@ from .estimation import (
     calibrate,
     crlb,
     estimate_phase,
+    estimate_phases,
 )
 from .fock import (
     FockState,

@@ -1,10 +1,14 @@
 """Calibration curves, least-squares phase estimation, bootstrap, and CRLB.
 
-The estimator follows the measurement protocol: a single window's observed
-outcome frequencies are matched against the calibrated p_ij(phi) curves by
-minimizing the unweighted squared difference over a half-period branch
-(grid search plus golden-section refinement). A multinomial maximum-likelihood
-objective is available behind a flag for comparison but is not the default.
+The estimator follows the measurement protocol: a window's observed outcome
+frequencies f are matched against the calibrated p_ij(phi) curves by
+minimizing the unweighted squared difference sum_k (p_k(phi) - f_k)^2 over a
+half-period branch. The curves interpolate linearly between calibration
+nodes, so on the segment from node value a to a + d the objective is an exact
+quadratic whose minimum is the distance from f to the segment, at
+u* = clip((f - a).d / |d|^2, 0, 1). ``estimate_phases`` takes the best
+segment for a whole batch of windows at once; every other estimate is a view
+of it.
 
 Calibration fits the interferometer parameters (r1, r2, eta_h, eta_v, overlap,
 phase_offset) to observed fringes with a derivative-free coordinate descent
@@ -22,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .detection import _SUM_TOL, fringe
-from .gaussian import InterferometerConfig
-from .metrology import _golden_min, fisher_per_trial
+from .gaussian import InterferometerConfig, interferometer_factors
+from .metrology import _fisher
 
 __all__ = [
     "CalibrationModel",
@@ -31,6 +35,7 @@ __all__ = [
     "UnidentifiableError",
     "calibrate",
     "estimate_phase",
+    "estimate_phases",
     "bootstrap_sigma",
     "crlb",
 ]
@@ -38,9 +43,13 @@ __all__ = [
 CALIBRATION_SCHEMA = "squint-calibration/1"
 
 _HALF_PERIOD = math.pi / 2.0
-# estimate_phase: coarse grid over the branch, then golden section to this width
-_BRANCH_POINTS = 257
-_PHASE_TOL = 1e-6
+# calibration tabulation: intervals over [0, pi]; calibrate's evaluation budget
+_CAL_INTERVALS = 2048
+_MAX_EVALS = 10_000
+# estimate_phases: windows x nodes per batch, which bounds its scratch near 1 MB
+_BATCH_CELLS = 8192
+# an objective varying less than this over the branch nodes carries no phase
+_FLAT = 1e-15
 _OUTCOMES = ("p00", "p01", "p10", "p11")
 
 
@@ -88,9 +97,9 @@ class CalibrationModel:
     degraded: bool = False
 
     @classmethod
-    def from_config(cls, config: InterferometerConfig, resolution: int = 2048) -> "CalibrationModel":
+    def from_config(cls, config: InterferometerConfig) -> "CalibrationModel":
         """Exact calibration curves tabulated from a known configuration."""
-        phi_tab = np.linspace(0.0, math.pi, resolution + 1)
+        phi_tab = np.linspace(0.0, math.pi, _CAL_INTERVALS + 1)
         return cls(config=config, phi_tab=phi_tab, curves=fringe(config, phi_tab))
 
     def probabilities(self, phi) -> np.ndarray:
@@ -146,18 +155,27 @@ class CalibrationModel:
         return cls.from_dict(json.loads(Path(path).read_text()))
 
 
-def _normalize(observed, trials: int) -> tuple[np.ndarray, int]:
-    obs = np.asarray(observed, dtype=float)
-    if obs.shape != (4,):
-        raise ValueError(f"observed must have 4 entries, got shape {obs.shape}")
+def _dot4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum over the leading outcome axis of a * b, in a fixed order so that a
+    row's result never depends on the batch it sits in."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+
+
+def _frequencies(counts) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (W, 4) of counts or frequencies -> frequencies (4, W) and totals (W,)."""
+    obs = np.asarray(counts, dtype=float)
+    if obs.ndim != 2 or obs.shape[1] != 4:
+        raise ValueError(f"counts must have shape (windows, 4), got {obs.shape}")
     if np.any(obs < 0) or not np.all(np.isfinite(obs)):
-        raise ValueError("observed entries must be finite and non-negative")
-    total = float(obs.sum())
-    if total <= 0:
-        raise UnidentifiableError("observed data are empty")
-    if trials == 0 and total > 1.5:
-        trials = int(round(total))
-    return obs / total, trials
+        raise ValueError("counts must be finite and non-negative")
+    obs = obs.T
+    totals = obs[0] + obs[1] + obs[2] + obs[3]
+    return np.divide(obs, totals, out=np.zeros_like(obs), where=totals > 0), totals
+
+
+def _window_trials(totals, trials: int):
+    """``trials`` if given, else each row's total when it holds counts (> 1.5)."""
+    return trials if trials else np.where(totals > 1.5, np.rint(totals), 0.0)
 
 
 _PARAM_NAMES = ("r1", "r2", "eta_h", "eta_v", "overlap", "phase_offset")
@@ -176,8 +194,6 @@ _STEP_FLOOR = 1e-7
 def calibrate(
     samples: Sequence[tuple[float, Sequence[int]]],
     initial: InterferometerConfig,
-    max_evals: int = 10_000,
-    resolution: int = 2048,
 ) -> CalibrationModel:
     """Least-squares fit of the pipeline parameters to observed click counts.
 
@@ -191,7 +207,9 @@ def calibrate(
         raise ValueError("calibration needs at least 8 distinct phases")
     if phis.max() - phis.min() < _HALF_PERIOD - 1e-9:
         raise ValueError("calibration phases must span at least half a period (pi/2)")
-    freq_arr = np.array([_normalize(counts, 0)[0] for _, counts in samples])
+    freqs, totals = _frequencies([counts for _, counts in samples])
+    if not totals.all():
+        raise UnidentifiableError("a calibration sample has no counts")
 
     evals = 0
 
@@ -200,19 +218,19 @@ def calibrate(
         evals += 1
         cfg = initial.with_updates(**dict(zip(_PARAM_NAMES, values)))
         model_curves = fringe(cfg, phis)
-        return float(np.sum((model_curves - freq_arr) ** 2))
+        return float(np.sum((model_curves - freqs.T) ** 2))
 
     current = np.array([getattr(initial, name) for name in _PARAM_NAMES], dtype=float)
     best = objective(current)
     steps = np.array(_INITIAL_STEPS)
     degraded = False
-    while evals < max_evals:
+    while evals < _MAX_EVALS:
         improved = False
         for k, name in enumerate(_PARAM_NAMES):
             lo, hi = _PARAM_BOUNDS[name]
             for direction in (+1.0, -1.0):
                 # walk while this direction keeps improving
-                while evals < max_evals:
+                while evals < _MAX_EVALS:
                     candidate = current.copy()
                     candidate[k] = min(hi, max(lo, candidate[k] + direction * steps[k]))
                     if candidate[k] == current[k]:
@@ -231,7 +249,7 @@ def calibrate(
         degraded = True
 
     fitted = initial.with_updates(**dict(zip(_PARAM_NAMES, current)))
-    model = CalibrationModel.from_config(fitted, resolution=resolution)
+    model = CalibrationModel.from_config(fitted)
     model.fit_residual = best
     model.degraded = degraded
     return model
@@ -246,46 +264,77 @@ def _check_branch(branch: tuple[float, float]) -> tuple[float, float]:
     return lo, hi
 
 
+def estimate_phases(
+    counts,
+    cal: CalibrationModel,
+    branch: tuple[float, float],
+    trials: int = 0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least-squares phase of every window, exact on the interpolated curves.
+
+    ``counts`` has one row (n00, n01, n10, n11) of counts or frequencies per
+    window; returns ``phi_est``, ``objective_value`` and ``low_information``,
+    each of shape (windows,). Low information is trials * F(phi_est) < 1,
+    trials defaulting to a row's total of counts (F < 1e-9 for frequencies).
+    A window without counts or with an objective flat over ``branch`` (width
+    at most pi/2) gets (nan, nan, True).
+    """
+    freqs, totals = _frequencies(counts)
+    lo, hi = _check_branch(branch)
+    # the branch ends plus every calibration node strictly inside, pi-periodically
+    shifts = math.pi * np.arange(math.floor(lo / math.pi), math.floor(hi / math.pi) + 1)
+    inner = (cal.phi_tab[:-1] + shifts[:, None]).ravel()
+    nodes = np.concatenate(([lo], inner[(inner > lo) & (inner < hi)], [hi]))
+    values = cal.probabilities(nodes).T  # (4, nodes)
+    step = np.diff(values, axis=1)[:, None]  # (4, 1, segments)
+    length2 = _dot4(step, step)
+    length2[length2 == 0.0] = np.inf  # a segment of zero length keeps u = 0
+
+    phi_est, objective = np.empty((2, totals.size))
+    flat = np.empty(totals.size, dtype=bool)
+    rows = max(1, _BATCH_CELLS // nodes.size)
+    for w in range(0, totals.size, rows):
+        gap = freqs[:, w:w + rows, None] - values[:, None]  # (4, batch, nodes)
+        at_nodes = _dot4(gap, gap)
+        flat[w:w + rows] = at_nodes.max(axis=1) - at_nodes.min(axis=1) < _FLAT
+        gap = gap[:, :, :-1]
+        u = np.clip(_dot4(gap, step) / length2, 0.0, 1.0)
+        resid = gap - u * step
+        segment = _dot4(resid, resid)
+        j = np.argmin(segment, axis=1)
+        best = (np.arange(j.size), j)
+        phi_est[w:w + rows] = (1.0 - u[best]) * nodes[j] + u[best] * nodes[j + 1]
+        objective[w:w + rows] = segment[best]
+
+    dead = flat | (totals <= 0)
+    phi_est[dead] = objective[dead] = math.nan
+    info = np.zeros(totals.size)
+    if not dead.all():
+        info[~dead] = _fisher(interferometer_factors(cal.config), phi_est[~dead])
+    window_trials = _window_trials(totals, trials)
+    low_information = np.where(window_trials > 0, window_trials * info < 1.0, info < 1e-9) | dead
+    return phi_est, objective, low_information
+
+
 def estimate_phase(
     observed,
     cal: CalibrationModel,
     branch: tuple[float, float],
     trials: int = 0,
-    method: str = "least-squares",
 ) -> PhaseEstimate:
-    """Phase minimizing the squared difference to the calibration curves.
-
-    ``observed`` may be outcome frequencies or raw counts (counts are
-    normalized and set ``window_trials``). The search never leaves ``branch``,
-    whose width must not exceed the half period pi/2.
+    """One window of ``estimate_phases``: (n00, n01, n10, n11) as counts or
+    frequencies (counts set ``window_trials``). Raises UnidentifiableError
+    when the window carries no phase information on the branch.
     """
-    freqs, trials = _normalize(observed, trials)
-    lo, hi = _check_branch(branch)
-    if method == "least-squares":
-        def objective_vec(p):
-            return np.sum((p - freqs) ** 2, axis=-1)
-    elif method == "mle":
-        def objective_vec(p):
-            return -np.sum(freqs * np.log(np.maximum(p, 1e-300)), axis=-1)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    grid = np.linspace(lo, hi, _BRANCH_POINTS)
-    obj = objective_vec(cal.probabilities(grid))
-    if obj.max() - obj.min() < 1e-15:
-        raise UnidentifiableError("objective is flat on the branch")
-    i = int(np.argmin(obj))
-    a, b = grid[max(0, i - 1)], grid[min(_BRANCH_POINTS - 1, i + 1)]
-    x, fx = _golden_min(lambda p: float(objective_vec(cal.probabilities(p))), a, b, _PHASE_TOL)
-    if obj[i] < fx:
-        x, fx = float(grid[i]), float(obj[i])
-    info = fisher_per_trial(cal.config, x)
-    low_information = (trials * info < 1.0) if trials > 0 else (info < 1e-9)
+    obs = np.asarray(observed, dtype=float)
+    (phi,), (value,), (low,) = estimate_phases(obs[None], cal, branch, trials)
+    if math.isnan(phi):
+        raise UnidentifiableError("no phase information on the branch: empty data or a flat objective")
     return PhaseEstimate(
-        phi_est=float(x),
-        window_trials=trials,
-        objective_value=float(fx),
-        low_information=bool(low_information),
+        phi_est=float(phi),
+        window_trials=int(_window_trials(float(obs.sum()), trials)),
+        objective_value=float(value),
+        low_information=bool(low),
     )
 
 
@@ -310,17 +359,21 @@ def bootstrap_sigma(
         raise UnidentifiableError("all counts fall in a single outcome")
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(total, counts / total, size=resamples)
-    estimates = [
-        estimate_phase(draw, cal, branch, trials=total).phi_est for draw in draws
-    ]
+    estimates = estimate_phases(draws, cal, branch, trials=total)[0]
+    if np.isnan(estimates).any():
+        raise UnidentifiableError("objective is flat on the branch")
     return float(np.std(estimates, ddof=1))
+
+
+def _cramer_rao(cfg: InterferometerConfig, phis, trials: int) -> np.ndarray:
+    """Bound 1/sqrt(trials * F) at each phase; inf where F = 0."""
+    info = _fisher(interferometer_factors(cfg), phis)
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.sqrt(trials * info)
 
 
 def crlb(cal: CalibrationModel, phi: float, trials: int) -> float:
     """Cramer-Rao bound 1/sqrt(trials * F) of the calibrated model at phi."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    info = fisher_per_trial(cal.config, phi)
-    if info <= 0.0:
-        return math.inf
-    return 1.0 / math.sqrt(trials * info)
+    return float(_cramer_rao(cal.config, [phi], trials)[0])

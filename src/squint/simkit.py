@@ -2,8 +2,7 @@
 
 Randomness uses counter-based Philox streams keyed by (seed, stream index),
 one stream per window, so serial and parallel executions of the same scenario
-produce bit-identical runs. A purpose tag in the high word of the Philox
-counter separates the streams of one window (click counts, bootstrap).
+produce bit-identical runs.
 """
 
 from __future__ import annotations
@@ -15,9 +14,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .detection import fringe, interferometer_clicks
-from .estimation import CalibrationModel, UnidentifiableError, bootstrap_sigma, estimate_phase, write_json
+from .estimation import CalibrationModel, _cramer_rao, estimate_phases, write_json
 from .gaussian import InterferometerConfig
-from .metrology import ACCOUNTINGS, fisher_per_trial, photons_through_sample
+from .metrology import ACCOUNTINGS, photons_through_sample
 
 __all__ = [
     "TrackingScenario",
@@ -42,21 +41,16 @@ CSV_COLUMNS = (
     "n10",
     "n11",
     "phi_est",
-    "sigma",
     "low_information",
 )
 
 _HALF_PERIOD = math.pi / 2.0
 
-COUNTS, BOOTSTRAP = 0, 1  # stream purposes
 
-
-def _stream(seed: int, index: int, purpose: int = COUNTS) -> np.random.Generator:
-    """RNG stream keyed by (seed, stream index); the purpose is the high word
-    of the starting counter, 2^192 draws from the other purposes' streams."""
+def _stream(seed: int, index: int) -> np.random.Generator:
+    """RNG stream keyed by (seed, stream index)."""
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    counter = np.array([0, 0, 0, purpose], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -124,7 +118,6 @@ class WindowRecord:
     phi_set: float
     counts: tuple[int, int, int, int]
     phi_est: float
-    sigma: float
     low_information: bool
 
 
@@ -165,7 +158,6 @@ class TrackingRun:
                         f"{rec.phi_set:.12g}",
                         *rec.counts,
                         f"{rec.phi_est:.12g}",
-                        f"{rec.sigma:.12g}",
                         int(rec.low_information),
                     ]
                 )
@@ -200,76 +192,39 @@ def run_tracking(
     scenario: TrackingScenario,
     cfg: InterferometerConfig,
     cal: CalibrationModel,
-    bootstrap_resamples: int = 0,
 ) -> TrackingRun:
-    """Replay the schedule: per window sample counts, estimate the phase, record.
-
-    Windows that carry no phase information are flagged rather than failing.
-    Per-window bootstrap sigmas are filled only when ``bootstrap_resamples``
-    >= 100 (they dominate the runtime otherwise they stay 0).
-    """
+    """Replay the schedule: sample every window's counts, estimate all phases
+    in one batch, record. Windows without phase information are flagged."""
     if not scenario.phase_schedule or scenario.windows_per_repeat == 0:
         return TrackingRun(scenario=scenario, config=cfg, branch=(0.0, 0.0))
     branch = scenario.resolved_branch()
     trials = scenario.trials_per_window
-    phases = list(dict.fromkeys(phi for phi, _ in scenario.phase_schedule))
-    probs_cache = dict(zip(phases, fringe(cfg, phases)))
+    one_repeat = [
+        (phase_index, phi_set)
+        for phase_index, (phi_set, duration) in enumerate(scenario.phase_schedule)
+        for _ in range(int(round(duration / scenario.window)))
+    ]
+    probs = fringe(cfg, [phi_set for phi_set, _ in scenario.phase_schedule])
+    windows = one_repeat * scenario.repeats
+    counts = np.array([
+        _stream(scenario.seed, index).multinomial(trials, probs[phase_index])
+        for index, (phase_index, _) in enumerate(windows)
+    ])
+    phi_est, _, low_info = estimate_phases(counts, cal, branch, trials)
 
     run = TrackingRun(scenario=scenario, config=cfg, branch=branch)
-    windows_per_repeat = scenario.windows_per_repeat
-    for repeat in range(scenario.repeats):
-        pos = 0
-        for phase_index, (phi_set, duration) in enumerate(scenario.phase_schedule):
-            for _ in range(int(round(duration / scenario.window))):
-                stream_index = repeat * windows_per_repeat + pos
-                counts = _stream(scenario.seed, stream_index).multinomial(
-                    trials, probs_cache[phi_set]
-                )
-                try:
-                    est = estimate_phase(counts, cal, branch, trials=trials)
-                    phi_est, low_info = est.phi_est, est.low_information
-                except UnidentifiableError:
-                    phi_est, low_info = math.nan, True
-                sigma = 0.0
-                if bootstrap_resamples >= 100 and math.isfinite(phi_est):
-                    sigma = bootstrap_sigma(
-                        counts, cal, branch,
-                        resamples=bootstrap_resamples,
-                        seed=_stream(scenario.seed, stream_index, BOOTSTRAP),
-                    )
-                run.records.append(
-                    WindowRecord(
-                        repeat=repeat,
-                        window_index=stream_index,
-                        phase_index=phase_index,
-                        phi_set=phi_set,
-                        counts=tuple(int(c) for c in counts),
-                        phi_est=phi_est,
-                        sigma=sigma,
-                        low_information=low_info,
-                    )
-                )
-                pos += 1
-
-    for phase_index, (phi_set, _) in enumerate(scenario.phase_schedule):
-        ests = [
-            r.phi_est
-            for r in run.records
-            if r.phase_index == phase_index and math.isfinite(r.phi_est)
-        ]
-        if not ests:
-            continue
-        arr = np.array(ests)
-        std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-        run.aggregates.append(
-            PhaseAggregate(
-                phase_index=phase_index,
-                phi_set=phi_set,
-                n_estimates=arr.size,
-                mean_phi_est=float(arr.mean()),
-                std_phi_est=std,
-            )
+    run.records = [
+        WindowRecord(index // len(one_repeat), index, phase_index, phi_set, tuple(n), phi, low)
+        for index, ((phase_index, phi_set), n, phi, low) in enumerate(
+            zip(windows, counts.tolist(), phi_est.tolist(), low_info.tolist())
         )
+    ]
+    phase_of = np.array([phase_index for phase_index, _ in windows])
+    for phase_index, (phi_set, _) in enumerate(scenario.phase_schedule):
+        ests = phi_est[(phase_of == phase_index) & np.isfinite(phi_est)]
+        if ests.size:
+            std = float(ests.std(ddof=1)) if ests.size > 1 else 0.0
+            run.aggregates.append(PhaseAggregate(phase_index, phi_set, ests.size, float(ests.mean()), std))
     return run
 
 
@@ -310,15 +265,11 @@ class SensitivityReport:
         }
 
 
-def sensitivity_report(
-    run: TrackingRun,
-    snl_per_photon: float | None = None,
-    accounting: str = "single-pass",
-) -> SensitivityReport:
+def sensitivity_report(run: TrackingRun, accounting: str = "single-pass") -> SensitivityReport:
     """Compare per-phase tracking noise with the CRLB and the SNL.
 
     The SNL sensitivity matches the photon budget actually spent per window:
-    dphi_SNL = 1/sqrt(snl_per_photon * trials * photons_through_sample), and
+    dphi_SNL = 1/sqrt(cfg.snl_per_photon * trials * photons_through_sample), and
     the enhancement is 20 log10(dphi_SNL / dphi). The absolute scale depends
     on the assumed repetition rate, which is always reported alongside.
     """
@@ -327,14 +278,13 @@ def sensitivity_report(
     if accounting not in ACCOUNTINGS:
         raise ValueError(f"accounting must be one of {ACCOUNTINGS}, got {accounting!r}")
     cfg = run.config
-    snl = cfg.snl_per_photon if snl_per_photon is None else float(snl_per_photon)
+    snl = cfg.snl_per_photon
     trials = run.trials_per_window
     n_through = photons_through_sample(cfg, accounting)
     snl_dphi = 1.0 / math.sqrt(snl * trials * n_through) if snl > 0 else math.inf
     rows = []
-    for agg in run.aggregates:
-        info = fisher_per_trial(cfg, agg.phi_set)
-        bound = 1.0 / math.sqrt(trials * info) if info > 0.0 else math.inf
+    bounds = _cramer_rao(cfg, [agg.phi_set for agg in run.aggregates], trials)
+    for agg, bound in zip(run.aggregates, bounds.tolist()):
         if agg.std_phi_est > 0 and math.isfinite(snl_dphi):
             db = 20.0 * math.log10(snl_dphi / agg.std_phi_est)
         else:

@@ -13,7 +13,7 @@ import pytest
 from squint import presets
 from squint.cli import main
 from squint.detection import fringe, interferometer_clicks
-from squint.estimation import bootstrap_sigma, crlb, estimate_phase
+from squint.estimation import bootstrap_sigma, crlb, estimate_phases
 from squint.fock import required_n_max, simulate_fock, truncation_error_bound
 from squint.gaussian import InterferometerConfig, apply_two_mode_squeezer, mean_photon, vacuum
 from squint.metrology import (
@@ -124,9 +124,7 @@ def test_criterion_7_estimator_efficiency(tracking_cfg, tracking_cal):
     trials, reps, phi0, branch = 100_000, 200, 0.58, (0.3, 0.9)
     probs = interferometer_clicks(tracking_cfg, phi0).as_array()
     draws = np.random.default_rng(0).multinomial(trials, probs, size=reps)
-    estimates = np.array(
-        [estimate_phase(d, tracking_cal, branch, trials=trials).phi_est for d in draws]
-    )
+    estimates = estimate_phases(draws, tracking_cal, branch, trials=trials)[0]
     mc_std = estimates.std(ddof=1)
     bound = crlb(tracking_cal, phi0, trials)
     ratio = mc_std / bound

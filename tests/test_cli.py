@@ -293,6 +293,11 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, {"interferometer": {"r1": -0.3, "r2": 0.3}})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_seed_only_on_track(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--seed", "3", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_unknown_preset_rejected(self, tmp_path, capsys):
         assert main(["sweep", "--preset", "fig9", "--out", str(tmp_path)]) == 2
 

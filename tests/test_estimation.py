@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squint.detection import interferometer_clicks
 from squint.estimation import (
@@ -12,6 +14,7 @@ from squint.estimation import (
     calibrate,
     crlb,
     estimate_phase,
+    estimate_phases,
 )
 from squint.gaussian import InterferometerConfig
 from squint.metrology import fisher_max_ideal, max_fisher
@@ -187,23 +190,104 @@ class TestEstimatePhase:
             est = estimate_phase(counts, tracking_cal, BRANCH)
             assert BRANCH[0] <= est.phi_est <= BRANCH[1]
 
-    def test_mle_option(self, tracking_cal):
-        freqs = tracking_cal.probabilities(0.58)
-        est = estimate_phase(freqs, tracking_cal, BRANCH, method="mle")
-        assert abs(est.phi_est - 0.58) < 1e-5
-        with pytest.raises(ValueError):
-            estimate_phase(freqs, tracking_cal, BRANCH, method="huber")
-
     def test_consistency_small_bias(self, tracking_cal):
         # bias well below the spread at T = 1e6 across three phases
         rng = np.random.default_rng(17)
         for phi_true in (0.45, 0.58, 0.8):
             probs = interferometer_clicks(tracking_cal.config, phi_true).as_array()
             draws = rng.multinomial(1_000_000, probs, size=200)
-            ests = np.array(
-                [estimate_phase(d, tracking_cal, BRANCH).phi_est for d in draws]
-            )
+            ests = estimate_phases(draws, tracking_cal, BRANCH)[0]
             assert abs(ests.mean() - phi_true) < ests.std(ddof=1) / 5
+
+
+@st.composite
+def branches(draw):
+    """Branches anywhere on the line, a third of them across 0 or pi."""
+    width = draw(st.floats(0.05, math.pi / 2))
+    anchor = draw(st.sampled_from([0.0, math.pi, None]))
+    if anchor is None:
+        lo = draw(st.floats(-2.0, 4.0))
+    else:
+        lo = anchor - width * draw(st.floats(0.05, 0.95))
+    return lo, lo + width
+
+
+count_rows = st.lists(st.tuples(*[st.integers(0, 100_000)] * 4), min_size=1, max_size=6)
+
+
+def interpolated_objective(cal, counts, phis):
+    freqs = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
+    return ((cal.probabilities(phis)[None] - freqs[:, None]) ** 2).sum(axis=-1)
+
+
+class TestEstimatePhases:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=count_rows, branch=branches())
+    def test_rows_match_single_window_and_minimize(self, tracking_cal, rows, branch):
+        counts = np.array(rows, dtype=float)
+        phi, value, low = estimate_phases(counts, tracking_cal, branch)
+        assert phi.shape == value.shape == low.shape == (len(rows),)
+        for k, row in enumerate(counts):
+            if np.isnan(phi[k]):
+                assert low[k] and np.isnan(value[k])
+                with pytest.raises(UnidentifiableError):
+                    estimate_phase(row, tracking_cal, branch)
+                continue
+            est = estimate_phase(row, tracking_cal, branch)
+            assert (est.phi_est, est.objective_value, est.low_information) == (phi[k], value[k], low[k])
+            assert branch[0] <= phi[k] <= branch[1]
+        lo, hi = branch
+        tab = np.concatenate([tracking_cal.phi_tab + k * math.pi for k in range(-1, 3)])
+        nodes = np.concatenate([[lo, hi], tab[(tab > lo) & (tab < hi)]])
+        grid = np.linspace(lo, hi, 20_001)
+        live = ~np.isnan(phi)
+        for phis in (nodes, grid):
+            # up to roundoff: residuals p - f carry an absolute error of a few eps
+            obj = interpolated_objective(tracking_cal, counts[live], phis)
+            assert np.all(value[live, None] <= obj + 4 * np.finfo(float).eps * (obj + np.sqrt(obj)))
+
+    def test_exact_frequencies_recovered(self, tracking_cal):
+        phis = np.array([0.31, 0.58, 0.72, 0.89])
+        phi, value, low = estimate_phases(tracking_cal.probabilities(phis), tracking_cal, BRANCH)
+        assert np.abs(phi - phis).max() < 1e-9
+        assert value.max() < 1e-20
+        assert not low.any()
+
+    def test_empty_and_flat_rows_do_not_touch_others(self, tracking_cal):
+        rng = np.random.default_rng(8)
+        probs = interferometer_clicks(tracking_cal.config, 0.6).as_array()
+        good = rng.multinomial(100_000, probs, size=3)
+        alone = estimate_phases(good, tracking_cal, BRANCH)
+        batch = np.insert(good, 1, 0, axis=0)  # an all-zero window
+        phi, value, low = estimate_phases(batch, tracking_cal, BRANCH)
+        assert np.isnan(phi[1]) and np.isnan(value[1]) and low[1]
+        for mine, theirs in zip((phi, value, low), alone):
+            assert np.array_equal(np.delete(mine, 1), theirs)
+
+        # curves on a circle of radius 0.05 about c: the window at c sees a
+        # flat objective while the others still resolve their phase
+        c = np.array([0.4, 0.2, 0.2, 0.2])
+        e1, e2 = np.array([1.0, -1.0, 0, 0]) / math.sqrt(2), np.array([0, 0, 1.0, -1.0]) / math.sqrt(2)
+        tab = np.linspace(0.0, math.pi, 2049)
+        curves = c + 0.05 * (np.cos(2 * tab)[:, None] * e1 + np.sin(2 * tab)[:, None] * e2)
+        circle = CalibrationModel(tracking_cal.config, tab, curves)
+        branch = (tab[200], tab[800])
+        others = curves[[300, 500, 700]]
+        phi, value, low = estimate_phases(np.insert(others, 1, c, axis=0), circle, branch)
+        assert np.isnan(phi[1]) and np.isnan(value[1]) and low[1]
+        assert np.array_equal(np.delete(phi, 1), estimate_phases(others, circle, branch)[0])
+        assert np.abs(np.delete(phi, 1) - tab[[300, 500, 700]]).max() < 1e-12
+
+        dead = CalibrationModel.from_config(tracking_cal.config.with_updates(eta_h=0.0, eta_v=0.0))
+        phi, value, low = estimate_phases(good, dead, BRANCH)
+        assert np.isnan(phi).all() and np.isnan(value).all() and low.all()
+
+    def test_invalid_batch_rejected(self, tracking_cal):
+        for bad in (np.ones((3, 3)), np.ones(4), [[1, 2, 3, -4]], [[1, 2, 3, math.inf]], [[1, 2, 3, math.nan]]):
+            with pytest.raises(ValueError):
+                estimate_phases(bad, tracking_cal, BRANCH)
+        empty = estimate_phases(np.empty((0, 4)), tracking_cal, BRANCH)
+        assert [a.shape for a in empty] == [(0,)] * 3
 
 
 class TestBootstrapAndCrlb:
