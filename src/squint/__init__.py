@@ -2,16 +2,12 @@
 stimulated two-mode-squeezing interferometer with threshold detectors."""
 
 from .detection import (
-    ArmAssignment,
     ClickDistribution,
-    click_distribution,
     clicks,
     fringe,
     fringe_visibility,
-    interferometer_arms,
     interferometer_clicks,
     overlap_for_visibility,
-    vacuum_probability,
 )
 from .estimation import (
     CalibrationModel,
@@ -47,7 +43,6 @@ from .gaussian import (
 from .metrology import (
     BracketError,
     FisherReport,
-    NoonBaseline,
     fisher_max_ideal,
     fisher_per_trial,
     fisher_sweep,

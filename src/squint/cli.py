@@ -108,22 +108,21 @@ def _load_config_file(path: str):
             section["branch"] = tuple(section["branch"])
         try:
             scenario = TrackingScenario(**section)
+            if scenario.windows_per_repeat:
+                scenario.resolved_branch()
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid scenario section: {exc}") from exc
     return cfg, scenario
 
 
-def _resolve_config(args, default: InterferometerConfig | None = None) -> InterferometerConfig:
-    if getattr(args, "preset", None) and getattr(args, "config", None):
-        raise ConfigError("give either --preset or --config, not both")
-    if getattr(args, "config", None):
+def _resolve_config(args) -> InterferometerConfig:
+    """The --config interferometer, else the fig3 preset, else the ideal r = 0.59 default."""
+    if args.config:
         cfg, _ = _load_config_file(args.config)
         if cfg is None:
             raise ConfigError("config file has no 'interferometer' section")
         return cfg
-    if default is not None:
-        return default
-    return InterferometerConfig(r1=0.59, r2=0.59)
+    return presets.fringe_config() if args.preset else InterferometerConfig(r1=0.59, r2=0.59)
 
 
 def _phi_grid(args) -> np.ndarray:
@@ -135,9 +134,7 @@ def _phi_grid(args) -> np.ndarray:
 
 
 def cmd_sweep(args) -> int:
-    if args.preset and args.preset != "fig3":
-        raise ConfigError(f"sweep supports preset 'fig3', got {args.preset!r}")
-    cfg = _resolve_config(args, presets.fringe_config() if args.preset else None)
+    cfg = _resolve_config(args)
     grid = _phi_grid(args)
     probs = fringe(cfg, grid)
     rows = [[p, *probs[i]] for i, p in enumerate(grid)]
@@ -153,19 +150,17 @@ def _fisher_preset_rows(args):
     if args.preset == "fig1b":
         table = presets.fig1b_table()
         return ("n_bar", "dphi_tm", "dphi_noon", "dphi_snl"), [list(r) for r in table], "fisher_fig1b"
-    if args.preset == "fig3c":
-        rows = []
-        for r in np.round(np.arange(0.11, 0.5901, 0.04), 4):
-            cfg = InterferometerConfig(r1=float(r), r2=float(r))
-            n_through = photons_through_sample(cfg, args.accounting)
-            _, fmax = max_fisher(cfg)
-            rows.append([float(r), n_through, fmax, fmax / n_through])
-        return (
-            ("r", "mean_photons_through_sample", "max_fisher_per_trial", "max_fisher_per_photon"),
-            rows,
-            "fisher_fig3c",
-        )
-    raise ConfigError(f"fisher supports presets 'fig3', 'fig3c', 'fig1b', got {args.preset!r}")
+    rows = []  # fig3c
+    for r in np.round(np.arange(0.11, 0.5901, 0.04), 4):
+        cfg = InterferometerConfig(r1=float(r), r2=float(r))
+        n_through = photons_through_sample(cfg, args.accounting)
+        _, fmax = max_fisher(cfg)
+        rows.append([float(r), n_through, fmax, fmax / n_through])
+    return (
+        ("r", "mean_photons_through_sample", "max_fisher_per_trial", "max_fisher_per_photon"),
+        rows,
+        "fisher_fig3c",
+    )
 
 
 def cmd_fisher(args) -> int:
@@ -174,9 +169,7 @@ def cmd_fisher(args) -> int:
         path = _write_table(Path(args.out), name, args.format, columns, rows)
         print(f"wrote {path}")
         return EXIT_OK
-    if args.preset and args.preset != "fig3":
-        raise ConfigError(f"fisher supports presets 'fig3', 'fig3c', 'fig1b', got {args.preset!r}")
-    cfg = _resolve_config(args, presets.fringe_config() if args.preset else None)
+    cfg = _resolve_config(args)
     grid = _phi_grid(args)
     reports = fisher_sweep(cfg, grid, accounting=args.accounting)
     columns = tuple(f.name for f in fields(FisherReport))
@@ -192,8 +185,8 @@ def cmd_fisher(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    if args.preset and args.preset != "fig1c":
-        raise ConfigError(f"thresholds supports preset 'fig1c', got {args.preset!r}")
+    if min(args.nbar) < 0:
+        raise ConfigError(f"mean photon numbers must be >= 0, got {min(args.nbar)}")
     base = InterferometerConfig(r1=0.0, r2=0.0)
     tm_rows = []
     for n_bar in args.nbar:
@@ -248,8 +241,6 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_track(args) -> int:
-    if args.preset and args.preset != "fig4":
-        raise ConfigError(f"track supports preset 'fig4', got {args.preset!r}")
     if args.preset:
         cfg = presets.tracking_config()
         scenario = presets.fig4_scenario(seed=0 if args.seed is None else args.seed)
@@ -286,7 +277,7 @@ def cmd_track(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    grid = np.linspace(0.0, math.pi, args.phi_steps)
+    grid = _phi_grid(args)
     cases = [(0.3, 1.0), (0.3, 0.75), (0.59, 1.0), (0.59, 0.75)]
     rows = []
     worst = 0.0
@@ -305,11 +296,16 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, grid: bool = False) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--preset", help="bundled figure preset")
+def _add_flags(parser: argparse.ArgumentParser, *preset_names, config=False, fmt=True, grid=False) -> None:
+    """Declare the shared flags a command reads: --preset (one of
+    ``preset_names``), --config, --out, --format and the phase grid."""
+    if config:
+        parser.add_argument("--config", help="JSON config file")
+    if preset_names:
+        parser.add_argument("--preset", choices=preset_names, help="bundled figure preset")
     parser.add_argument("--out", default="squint_out", help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    if fmt:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv")
     if grid:
         parser.add_argument("--phi-min", type=float, default=0.0)
         parser.add_argument("--phi-max", type=float, default=math.pi)
@@ -321,23 +317,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="tabulate the four click fringes over phase")
-    _add_common(p, grid=True)
+    _add_flags(p, "fig3", config=True, grid=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fisher", help="Fisher information per trial and per photon")
-    _add_common(p, grid=True)
+    _add_flags(p, "fig1b", "fig3", "fig3c", config=True, grid=True)
     p.add_argument("--accounting", choices=ACCOUNTINGS, default="single-pass")
     p.set_defaults(func=cmd_fisher)
 
     p = sub.add_parser("thresholds", help="loss thresholds of this scheme vs NOON states")
-    _add_common(p)
+    _add_flags(p, "fig1c")
     p.add_argument("--nbar", type=float, nargs="+", default=[0.1, 0.5, 0.78, 1.0, 2.0, 3.0])
     p.add_argument("--noon-max", type=int, default=20)
     p.add_argument("--skip-numeric", action="store_true", help="omit the bisection column")
     p.set_defaults(func=cmd_thresholds)
 
     p = sub.add_parser("estimate", help="re-estimate phases from a counts file")
-    _add_common(p)
+    _add_flags(p)
     p.add_argument("--counts", required=True, help="CSV with window counts (tracking schema)")
     p.add_argument("--calibration", required=True, help="calibration JSON")
     p.add_argument("--branch-lo", type=float, required=True)
@@ -345,17 +341,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("track", help="Monte Carlo phase-tracking replay")
-    _add_common(p)
+    _add_flags(p, "fig4", config=True, fmt=False)
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default: the scenario's, 0 for fig4)")
     p.add_argument("--accounting", choices=ACCOUNTINGS, default="single-pass")
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("validate", help="Gaussian vs Fock oracle equivalence suite")
-    _add_common(p)
+    _add_flags(p)
     p.add_argument("--phi-steps", type=int, default=73)
     p.add_argument("--budget", type=float, default=1e-8, help="oracle truncation budget")
     p.add_argument("--tol", type=float, default=1e-6, help="max allowed |delta p|")
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, phi_min=0.0, phi_max=math.pi)
     return parser
 
 
@@ -363,6 +359,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "preset", None) and getattr(args, "config", None):
+            raise ConfigError("give either --preset or --config, not both")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,8 +1,10 @@
-"""Threshold-detector click statistics of zero-mean Gaussian states.
+"""Threshold-detector click statistics of the interferometer output.
 
-The four outcome probabilities of two threshold detectors are obtained by
-inclusion-exclusion over vacuum overlaps of reduced states, which is exact
-for zero-mean Gaussian inputs and needs no Fock truncation:
+The experiment has one detection layout: detector H sees the matched and the
+mismatched mode of arm a (MODE_A, MODE_A_ANC), detector V those of arm b
+(MODE_B, MODE_B_ANC). The four outcome probabilities are obtained by
+inclusion-exclusion over vacuum overlaps of the arms' reduced states, which
+is exact for zero-mean Gaussian inputs and needs no Fock truncation:
 
     p00 = Pr(vacuum on both arms)
     p01 = Pr(vacuum on arm H) - p00      (click on V only)
@@ -23,7 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import (
-    GaussianState,
+    MODE_A,
+    MODE_A_ANC,
+    MODE_B,
+    MODE_B_ANC,
     InterferometerConfig,
     InvalidStateError,
     PhaseFactors,
@@ -33,11 +38,7 @@ from .gaussian import (
 
 __all__ = [
     "ClickDistribution",
-    "ArmAssignment",
-    "vacuum_probability",
-    "click_distribution",
     "clicks",
-    "interferometer_arms",
     "interferometer_clicks",
     "fringe",
     "fringe_visibility",
@@ -54,6 +55,11 @@ _OUTCOMES = ("p00", "p01", "p10", "p11")
 # fringe_visibility grid over one period; overlap_for_visibility bisection
 _VISIBILITY_POINTS = 721
 _OVERLAP_MIN, _OVERLAP_TOL = 0.5, 1e-6
+# Quadratures of both arms (H then V), of arm H and of arm V: the three
+# vacuum overlaps of the inclusion-exclusion.
+_ARM_H = _quad_indices((MODE_A, MODE_A_ANC), 4)
+_ARM_V = _quad_indices((MODE_B, MODE_B_ANC), 4)
+_OVERLAP_QUADS = tuple(np.array(idx) for idx in (_ARM_H + _ARM_V, _ARM_H, _ARM_V))
 
 
 def _checked(p: np.ndarray) -> np.ndarray:
@@ -87,29 +93,6 @@ class ClickDistribution:
         return np.array([self.p00, self.p01, self.p10, self.p11])
 
 
-@dataclass(frozen=True)
-class ArmAssignment:
-    """Which state modes feed the H and V threshold detectors."""
-
-    arm_h: tuple[int, ...]
-    arm_v: tuple[int, ...]
-
-    def __post_init__(self):
-        h, v = tuple(self.arm_h), tuple(self.arm_v)
-        if not h or not v:
-            raise ValueError("both arms must be nonempty")
-        if set(h) & set(v):
-            raise ValueError("arms must be disjoint")
-        object.__setattr__(self, "arm_h", h)
-        object.__setattr__(self, "arm_v", v)
-
-
-def interferometer_arms() -> ArmAssignment:
-    """Detector assignment for build_interferometer states: each detector sees
-    both the matched and the mismatched component of its arm."""
-    return ArmAssignment(arm_h=(0, 2), arm_v=(1, 3))
-
-
 def _vacuum_overlaps(subs: list[np.ndarray]) -> list[np.ndarray]:
     """P (N,) for a stack of reduced covariances (N, d, d), then P' and P''
     when ``subs`` also holds the stack's phase derivatives."""
@@ -137,13 +120,11 @@ def _vacuum_overlaps(subs: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def _click_stack(covs: list[np.ndarray], arms: ArmAssignment) -> list[np.ndarray]:
-    """Inclusion-exclusion over a covariance stack: p (N, 4), validated and
-    clamped, then dp and d2p when ``covs`` carries the derivative stacks."""
-    overlaps = []
-    for modes in (arms.arm_h + arms.arm_v, arms.arm_h, arms.arm_v):
-        idx = np.array(_quad_indices(modes, covs[0].shape[-1] // 2))
-        overlaps.append(_vacuum_overlaps([c[:, idx[:, None], idx] for c in covs]))
+def _click_stack(covs: list[np.ndarray]) -> list[np.ndarray]:
+    """Inclusion-exclusion over a stack of output covariances (N, 8, 8): p (N, 4),
+    validated and clamped, then dp and d2p when ``covs`` carries the derivative
+    stacks."""
+    overlaps = [_vacuum_overlaps([c[:, idx[:, None], idx] for c in covs]) for idx in _OVERLAP_QUADS]
     out = []
     for k, (p00, ph, pv) in enumerate(zip(*overlaps)):
         p01 = ph - p00
@@ -154,41 +135,12 @@ def _click_stack(covs: list[np.ndarray], arms: ArmAssignment) -> list[np.ndarray
     return out
 
 
-def vacuum_probability(state: GaussianState, modes) -> float:
-    """Tr[rho_sub |0><0|] = 1/sqrt(det(sigma_sub + I/2)) for the reduced state."""
-    return float(_vacuum_overlaps([state.reduced(modes)[None]])[0][0])
-
-
-def click_distribution(
-    state: GaussianState,
-    arms: ArmAssignment,
-    dark_h: float = 0.0,
-    dark_v: float = 0.0,
-) -> ClickDistribution:
-    """Four-outcome distribution via inclusion-exclusion over vacuum overlaps.
-
-    Optional per-detector dark-count probabilities are folded in as an
-    independent Bernoulli OR on each click (off by default).
-    """
-    p00, p01, p10, p11 = _click_stack([state.covariance[None]], arms)[0][0]
-    if dark_h or dark_v:
-        if not (0.0 <= dark_h <= 1.0 and 0.0 <= dark_v <= 1.0):
-            raise ValueError("dark-count probabilities must be in [0, 1]")
-        q00 = p00 * (1 - dark_h) * (1 - dark_v)
-        q01 = (1 - dark_h) * (p01 + p00 * dark_v)
-        q10 = (1 - dark_v) * (p10 + p00 * dark_h)
-        p00, p01, p10 = q00, q01, q10
-        p11 = 1.0 - p00 - p01 - p10
-    return ClickDistribution(p00=p00, p01=p01, p10=p10, p11=p11)
-
-
 def clicks(factors: PhaseFactors, phis, order: int = 0) -> list[np.ndarray]:
     """Click probabilities p (N, 4) of the pipeline over an array of phases,
     then dp/dphi and d2p/dphi2 up to ``order`` (at most 2), in chunks."""
     phis = np.asarray(phis, dtype=float).reshape(-1)
-    arms = interferometer_arms()
     chunks = (factors.covariances(phis[k: k + _CHUNK], order) for k in range(0, phis.size, _CHUNK))
-    parts = [_click_stack(covs, arms) for covs in chunks]
+    parts = [_click_stack(covs) for covs in chunks]
     if not parts:
         return [np.empty((0, 4)) for _ in range(order + 1)]
     return [np.concatenate(stacks) for stacks in zip(*parts)]

@@ -140,7 +140,7 @@ class FockState:
         """Squared norm; 1 up to the truncation tail."""
         return float(np.vdot(self.vector, self.vector).real)
 
-    def vacuum_probability(self, eta: dict[int, float]) -> float:
+    def no_photon_probability(self, eta: dict[int, float]) -> float:
         """Probability that no photon survives on the modes keyed in ``eta``,
         mode m seen through transmission eta[m]; every other mode is summed out."""
         weights = np.abs(self.vector) ** 2
@@ -222,7 +222,7 @@ def simulate_fock(
     arm_h, arm_v = _arms(cfg)
     h = dict.fromkeys(arm_h, cfg.eta_h)
     v = dict.fromkeys(arm_v, cfg.eta_v)
-    p00 = state.vacuum_probability({**h, **v})
-    ph = state.vacuum_probability(h)
-    pv = state.vacuum_probability(v)
+    p00 = state.no_photon_probability({**h, **v})
+    ph = state.no_photon_probability(h)
+    pv = state.no_photon_probability(v)
     return ClickDistribution(p00=p00, p01=ph - p00, p10=pv - p00, p11=1.0 - ph - pv + p00)

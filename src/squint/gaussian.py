@@ -72,11 +72,6 @@ class GaussianState:
         cov.setflags(write=False)
         object.__setattr__(self, "covariance", cov)
 
-    def reduced(self, modes: Sequence[int]) -> np.ndarray:
-        """Covariance of the selected modes (marginal of a zero-mean state)."""
-        idx = _quad_indices(modes, self.num_modes)
-        return self.covariance[np.ix_(idx, idx)]
-
     def symplectic_eigenvalues(self) -> np.ndarray:
         """Symplectic spectrum; physical states have all values >= 1/2."""
         m = 1j * symplectic_form(self.num_modes) @ self.covariance

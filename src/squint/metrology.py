@@ -25,7 +25,6 @@ from .gaussian import InterferometerConfig, PhaseFactors, interferometer_factors
 
 __all__ = [
     "FisherReport",
-    "NoonBaseline",
     "BracketError",
     "ACCOUNTINGS",
     "fisher_per_trial",
@@ -64,25 +63,6 @@ class FisherReport:
     fisher_per_photon: float
     snl_per_photon: float
     enhancement_db: float
-
-
-@dataclass(frozen=True)
-class NoonBaseline:
-    """Ideal N-photon NOON-state benchmark under the N/2 photon accounting."""
-
-    n_photons: int
-    eta: float
-    fisher_per_photon: float
-    threshold: float
-
-    @classmethod
-    def build(cls, n_photons: int, eta: float) -> "NoonBaseline":
-        return cls(
-            n_photons=n_photons,
-            eta=eta,
-            fisher_per_photon=noon_fisher_per_photon(n_photons, eta),
-            threshold=threshold_noon(n_photons),
-        )
 
 
 def _fisher(factors: PhaseFactors, phis) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .detection import fringe, interferometer_clicks
-from .estimation import CalibrationModel, _cramer_rao, estimate_phases, write_json
+from .estimation import CalibrationModel, _check_branch, _cramer_rao, estimate_phases, write_json
 from .gaussian import InterferometerConfig
 from .metrology import ACCOUNTINGS, photons_through_sample
 
@@ -43,9 +43,6 @@ CSV_COLUMNS = (
     "phi_est",
     "low_information",
 )
-
-_HALF_PERIOD = math.pi / 2.0
-
 
 def _stream(seed: int, index: int) -> np.random.Generator:
     """RNG stream keyed by (seed, stream index)."""
@@ -95,19 +92,11 @@ class TrackingScenario:
 
     def resolved_branch(self) -> tuple[float, float]:
         if self.branch is not None:
-            lo, hi = float(self.branch[0]), float(self.branch[1])
-        else:
-            phases = [p for p, d in self.phase_schedule if d > 0]
-            if not phases:
-                raise ValueError("cannot resolve a branch for an empty schedule")
-            lo = min(phases) - self.branch_margin
-            hi = max(phases) + self.branch_margin
-        if hi - lo > _HALF_PERIOD + 1e-9:
-            raise ValueError(
-                f"branch [{lo:.4f}, {hi:.4f}] wider than the half period pi/2; "
-                "narrow the schedule or pass an explicit branch"
-            )
-        return lo, hi
+            return _check_branch(self.branch)
+        phases = [p for p, d in self.phase_schedule if d > 0]
+        if not phases:
+            raise ValueError("cannot resolve a branch for an empty schedule")
+        return _check_branch((min(phases) - self.branch_margin, max(phases) + self.branch_margin))
 
 
 @dataclass(frozen=True)

@@ -273,6 +273,9 @@ class TestValidate:
         assert code == 3
 
 
+ESTIMATE_INPUTS = ["--counts", "n.csv", "--calibration", "c.json", "--branch-lo", "0.4", "--branch-hi", "1.2"]
+
+
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"interferometer": {"r1": 0.3, "r2": 0.3, "gain": 2}})
@@ -289,6 +292,12 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, {"interferometer": {"r1": 0.3, "r2": 0.3}})
         assert main(["sweep", "--preset", "fig3", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("argv", [["fisher", "--preset", "fig1b"], ["track", "--preset", "fig4"]])
+    def test_preset_and_config_conflict_on_every_command(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, {"interferometer": {"r1": 0.3, "r2": 0.3}})
+        assert main([*argv, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "not both" in capsys.readouterr().err
+
     def test_invalid_parameter_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"interferometer": {"r1": -0.3, "r2": 0.3}})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -299,7 +308,44 @@ class TestConfigHandling:
         assert exc.value.code == 2
 
     def test_unknown_preset_rejected(self, tmp_path, capsys):
-        assert main(["sweep", "--preset", "fig9", "--out", str(tmp_path)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--preset", "fig9", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["thresholds", "--config", "c.json"],
+            ["estimate", *ESTIMATE_INPUTS, "--config", "c.json"],
+            ["estimate", *ESTIMATE_INPUTS, "--preset", "fig4"],
+            ["validate", "--config", "c.json"],
+            ["validate", "--preset", "fig3"],
+            ["track", "--preset", "fig4", "--format", "json"],
+        ],
+    )
+    def test_flag_not_read_is_rejected(self, tmp_path, capsys, argv):
+        # each command declares only the flags it reads
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_validate_grid_needs_two_points(self, tmp_path, capsys, steps):
+        assert main(["validate", "--phi-steps", steps, "--out", str(tmp_path)]) == 2
+        assert "at least 2 grid points" in capsys.readouterr().err
+
+    def test_negative_mean_photon_number_rejected(self, tmp_path, capsys):
+        assert main(["thresholds", "--nbar", "-1", "--skip-numeric", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("branch", [[1.0, 0.5], [0.0, 2.0]])
+    def test_invalid_scenario_branch_rejected(self, tmp_path, capsys, branch):
+        payload = {
+            "interferometer": {"r1": 0.43, "r2": 0.43},
+            "scenario": {"phase_schedule": [[0.5, 0.2]], "repetition_rate": 5e4, "repeats": 1, "branch": branch},
+        }
+        assert main(["track", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]) == 2
+        assert "invalid scenario section" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # branch wider than the half period trips the estimator's validation

@@ -4,27 +4,26 @@ import numpy as np
 import pytest
 
 from squint.detection import (
-    ArmAssignment,
     ClickDistribution,
-    click_distribution,
+    clicks,
     fringe,
     fringe_visibility,
-    interferometer_arms,
     interferometer_clicks,
     overlap_for_visibility,
-    vacuum_probability,
 )
 from squint.gaussian import (
     InterferometerConfig,
     InvalidStateError,
-    apply_loss,
+    PhaseFactors,
     apply_two_mode_squeezer,
     vacuum,
 )
 
 
-def tmss(r):
-    return apply_two_mode_squeezer(vacuum(2), 0, 1, r)
+def fixed_covariance(cov):
+    """PhaseFactors whose output covariance is ``cov`` at every phase."""
+    zero = np.zeros_like(cov)
+    return PhaseFactors(harmonics=np.array([cov, zero, zero]), phase_offset=0.0)
 
 
 def lossy_tmss_clicks(r, eta, phi):
@@ -45,30 +44,30 @@ def lossy_tmss_clicks(r, eta, phi):
 
 class TestVacuumProbability:
     def test_vacuum_gives_one(self):
-        s = vacuum(3)
-        assert vacuum_probability(s, [0]) == 1.0
-        assert vacuum_probability(s, [0, 1, 2]) == 1.0
+        table = fringe(InterferometerConfig(r1=0.0, r2=0.0), np.linspace(0.0, math.pi, 5))
+        assert np.array_equal(table, np.tile([1.0, 0.0, 0.0, 0.0], (5, 1)))
 
     def test_tmss_both_modes(self):
-        # 1/cosh^2(2r) at r = 0.59; perfect photon correlation makes the
-        # single-mode marginal (thermal, n = sinh^2) give the same value
+        # at phi = 0 the two passes add up to a two-mode squeezed vacuum of 2r
         expected = 1.0 / math.cosh(1.18) ** 2
-        s = tmss(1.18)
-        assert vacuum_probability(s, [0, 1]) == pytest.approx(expected, abs=1e-12)
+        p00 = fringe(InterferometerConfig(r1=0.59, r2=0.59), [0.0])[0, 0]
+        assert p00 == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.3153238314399897, abs=1e-12)
 
     def test_tmss_single_mode_is_thermal(self):
+        # a two-mode squeezed vacuum on (a, b): arm H alone is thermal with
+        # n = sinh^2(1.18), and photon-number correlation makes vacuum on H
+        # (p00 + p01) equal to vacuum on both arms
+        cov = apply_two_mode_squeezer(vacuum(4), 0, 1, 1.18).covariance
+        p = clicks(fixed_covariance(cov), [0.0])[0][0]
         n_thermal = math.sinh(1.18) ** 2
-        assert vacuum_probability(tmss(1.18), [0]) == pytest.approx(
-            1.0 / (1.0 + n_thermal), abs=1e-12
-        )
+        assert p[0] + p[1] == pytest.approx(1.0 / (1.0 + n_thermal), abs=1e-12)
+        assert p[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_invalid_state_rejected(self):
-        from squint.gaussian import GaussianState
-
-        bad = GaussianState(1, -np.eye(2))  # symmetric but unphysical
+        bad = fixed_covariance(-np.eye(8))  # symmetric but unphysical
         with pytest.raises(InvalidStateError):
-            vacuum_probability(bad, [0])
+            clicks(bad, [0.0])
 
 
 class TestClickDistribution:
@@ -117,15 +116,6 @@ class TestClickDistribution:
             assert p00 >= last - 1e-12
             last = p00
 
-    def test_dark_counts_fold_in(self):
-        s = apply_loss(tmss(0.8), 0, 0.7)
-        arms = ArmAssignment((0,), (1,))
-        base = click_distribution(s, arms)
-        dark = click_distribution(s, arms, dark_h=0.01, dark_v=0.02)
-        assert dark.p00 == pytest.approx(base.p00 * 0.99 * 0.98, abs=1e-12)
-        assert sum(dark.as_array()) == pytest.approx(1.0, abs=1e-12)
-        assert dark.p11 > base.p11
-
     def test_clamping_policy(self):
         d = ClickDistribution(p00=1.0 + 5e-13, p01=0.0, p10=-5e-13, p11=0.0)
         assert d.p00 == 1.0
@@ -136,19 +126,17 @@ class TestClickDistribution:
             ClickDistribution(p00=0.6, p01=0.3, p10=0.2, p11=0.1)
 
 
-class TestArmAssignment:
-    def test_default_layout(self):
-        arms = interferometer_arms()
-        assert arms.arm_h == (0, 2)
-        assert arms.arm_v == (1, 3)
-
-    def test_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            ArmAssignment((0, 1), (1, 2))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ArmAssignment((), (1,))
+class TestLayout:
+    def test_each_detector_sees_both_modes_of_its_arm(self):
+        # arm V fully lost: V never clicks, while H clicks on its matched and
+        # mismatched modes everywhere except at the dark fringe pi/2
+        cfg = InterferometerConfig(r1=0.59, r2=0.59, eta_v=0.0, overlap=0.97)
+        phis = np.linspace(0.0, math.pi, 37)
+        table = fringe(cfg, phis)
+        assert np.all(table[:, 1] == 0.0)
+        assert np.all(table[:, 3] == 0.0)
+        away = np.abs(phis - math.pi / 2) > 0.1
+        assert np.all(table[away, 2] > 0.0)
 
 
 class TestVisibility:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squint.detection import click_distribution, clicks, fringe, interferometer_arms
+from squint.detection import clicks, fringe
 from squint.gaussian import (
     InterferometerConfig,
+    PhaseFactors,
     apply_beamsplitter,
     apply_loss,
     apply_phase,
@@ -18,7 +19,6 @@ from squint.gaussian import (
 from squint.metrology import (
     ACCOUNTINGS,
     BracketError,
-    NoonBaseline,
     fisher_max_ideal,
     fisher_per_trial,
     fisher_sweep,
@@ -47,7 +47,8 @@ def op_by_op_clicks(cfg, phi):
     s = apply_beamsplitter(apply_beamsplitter(s, 0, 2, -theta), 1, 3, -theta)
     for mode, eta in ((0, cfg.eta_h), (2, cfg.eta_h), (1, cfg.eta_v), (3, cfg.eta_v)):
         s = apply_loss(s, mode, eta)
-    return click_distribution(s, interferometer_arms()).as_array()
+    zero = np.zeros_like(s.covariance)
+    return clicks(PhaseFactors(np.array([s.covariance, zero, zero]), 0.0), [0.0])[0][0]
 
 
 random_configs = st.builds(
@@ -89,6 +90,28 @@ class TestFisherPerTrial:
             assert fisher_per_trial(ideal(r), math.pi / 2) == pytest.approx(
                 fisher_max_ideal(r), abs=1e-9
             )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="open defect: near a fringe zero p01, p10 and p11 carry about 1e-16 absolute "
+        "roundoff from inclusion-exclusion of vacuum overlaps close to 1, which the 1e-12 "
+        "guard does not cover",
+    )
+    @pytest.mark.parametrize("delta", [1e-6, 1e-5])
+    def test_fisher_near_fringe_zero_is_exact(self, delta):
+        # closed form for symmetric loss without cancellation, n = sinh^2(2r) cos^2(phi):
+        # p00 = 1/(1 + kappa n), p01 = p10 = eta(1-eta) n/D, p11 = eta n (eta + kappa n)/D,
+        # kappa = eta(2-eta), D = (1 + eta n)(1 + kappa n); dp by complex step
+        r, eta = 0.59, 0.75
+        kappa = eta * (2.0 - eta)
+        phi = math.pi / 2 - delta
+        n = math.sinh(2 * r) ** 2 * np.cos(phi + 1e-20j) ** 2
+        d = (1 + eta * n) * (1 + kappa * n)
+        p = np.array([1 / (1 + kappa * n), eta * (1 - eta) * n / d, eta * (1 - eta) * n / d,
+                      eta * n * (eta + kappa * n) / d])
+        reference = float(np.sum((p.imag / 1e-20) ** 2 / p.real))
+        cfg = InterferometerConfig(r1=r, r2=r, eta_h=eta, eta_v=eta)
+        assert fisher_per_trial(cfg, phi) == pytest.approx(reference, rel=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(random_configs, phase_lists)
@@ -183,11 +206,6 @@ class TestClosedForms:
         # 2N eta^N = 2 exactly at eta = (1/N)^(1/N)
         for n in (1, 2, 5, 11, 20):
             assert noon_fisher_per_photon(n, threshold_noon(n)) == pytest.approx(2.0, rel=1e-12)
-
-    def test_noon_baseline_build(self):
-        b = NoonBaseline.build(5, 0.9)
-        assert b.fisher_per_photon == pytest.approx(10 * 0.9**5, rel=1e-12)
-        assert b.threshold == pytest.approx(threshold_noon(5), abs=0)
 
 
 class TestThresholdNumeric:
