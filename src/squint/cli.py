@@ -187,6 +187,8 @@ def cmd_fisher(args) -> int:
 def cmd_thresholds(args) -> int:
     if min(args.nbar) < 0:
         raise ConfigError(f"mean photon numbers must be >= 0, got {min(args.nbar)}")
+    if min(args.nbar) == 0 and not args.skip_numeric:
+        raise ConfigError("the numeric threshold needs mean photon numbers > 0 (or --skip-numeric)")
     base = InterferometerConfig(r1=0.0, r2=0.0)
     tm_rows = []
     for n_bar in args.nbar:
@@ -207,7 +209,10 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    branch = _check_branch((args.branch_lo, args.branch_hi))
+    try:
+        branch = _check_branch((args.branch_lo, args.branch_hi))
+    except ValueError as exc:
+        raise ConfigError(f"invalid branch: {exc}") from exc
     try:
         cal = CalibrationModel.from_json(args.calibration)
     except (OSError, KeyError, TypeError, ValueError) as exc:

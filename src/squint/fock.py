@@ -3,14 +3,14 @@
 This is the independent verification path. The state is one pure vector
 from start to finish. Squeezers and beamsplitters are matrix exponentials of
 truncated generators; each conserves a photon-number label (n_a - n_b for a
-squeezer, n_a + n_b for a beamsplitter), so the exponential is one
-eigendecomposition per conserved sector. The phase is the diagonal
-e^{i n phi}. Internal loss is a beamsplitter onto an environment mode in
-vacuum, summed out at detection. External loss is a weight at detection:
-"mode m empty after transmission eta" has the POVM element
-sum_n (1 - eta)^n |n><n|, so the vacuum probabilities are exact, and the
-clicks follow from the same inclusion-exclusion as the Gaussian path. The
-mode-mismatch tier runs at reduced truncation with a looser budget.
+squeezer, n_a + n_b for a beamsplitter), so the unitary is kept as one
+(indices, block) pair per conserved sector, each from one eigendecomposition,
+and applied block by block: no (n_max+1)^2-square matrix is built. The phase
+is the diagonal e^{i n phi}. Internal loss is a beamsplitter onto an
+environment mode in vacuum, summed out at detection. External loss is a
+weight at detection: "mode m empty after transmission eta" has the POVM
+element sum_n (1 - eta)^n |n><n|, so the vacuum probabilities are exact, and
+the clicks follow from the same inclusion-exclusion as the Gaussian path.
 """
 
 from __future__ import annotations
@@ -71,35 +71,36 @@ def _destroy(d: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, d)), 1)
 
 
-def _expm_skew(generator: np.ndarray, sectors: np.ndarray) -> np.ndarray:
-    """exp of a skew-Hermitian matrix that is block diagonal in ``sectors``
-    (a conserved label per basis index): one eigh of i*generator per block."""
-    u = np.zeros(generator.shape, dtype=complex)
-    for label in np.unique(sectors):
-        idx = np.flatnonzero(sectors == label)
-        block = np.ix_(idx, idx)
-        w, v = np.linalg.eigh(1j * generator[block])
-        u[block] = (v * np.exp(-1j * w)) @ v.conj().T
-    return u
-
-
-def _two_mode_unitary(generator, sign: int, n_max: int) -> np.ndarray:
-    """exp(g - g†) on the (n_max+1)^2 two-mode space, with n_a + sign*n_b conserved."""
-    n = np.arange(n_max + 1)
-    u = _expm_skew(generator - generator.T, (n[:, None] + sign * n[None, :]).ravel())
-    u.setflags(write=False)
-    return u
+def _pair_blocks(hop1: np.ndarray, hop2: np.ndarray, scale: float, sign: int) -> tuple:
+    """exp(g - g†), g = scale * hop1 ⊗ hop2, on the two-mode space of the
+    (n_max+1)-square ladder matrices, as one (flat indices, unitary block)
+    pair per sector of the conserved n_1 + sign*n_2: one eigh per block."""
+    d = hop1.shape[0]
+    n1, n2 = np.divmod(np.arange(d * d), d)
+    labels = n1 + sign * n2
+    blocks = []
+    for label in np.unique(labels):
+        idx = np.flatnonzero(labels == label)
+        m, n = n1[idx], n2[idx]
+        g = scale * (hop1[np.ix_(m, m)] * hop2[np.ix_(n, n)])
+        w, v = np.linalg.eigh(1j * (g - g.T))
+        u = (v * np.exp(-1j * w)) @ v.conj().T
+        for arr in (idx, u):
+            arr.setflags(write=False)
+        blocks.append((idx, u))
+    return tuple(blocks)
 
 
 @lru_cache(maxsize=4)
-def _squeezer_unitary_cached(r: float, n_max: int) -> np.ndarray:
+def _squeezer_unitary_cached(r: float, n_max: int) -> tuple:
     a = _destroy(n_max + 1)
-    return _two_mode_unitary(r * np.kron(a, a), -1, n_max)
+    return _pair_blocks(a, a, r, -1)
 
 
 def squeezer_unitary(r: float, n_max: int, budget: float | None = None) -> np.ndarray:
     """Truncated unitary of exp[r(ab - a†b†)] on the (n_max+1)^2 two-mode space.
 
+    Dense, assembled from the sector blocks that the oracle applies directly.
     If ``budget`` is given, raises TruncationError when the truncation bound
     for this squeezing exceeds it (reporting the achieved bound).
     """
@@ -112,14 +113,17 @@ def squeezer_unitary(r: float, n_max: int, budget: float | None = None) -> np.nd
                 f"truncation bound {achieved:.3e} exceeds budget {budget:.3e} "
                 f"at n_max={n_max}"
             )
-    return _squeezer_unitary_cached(float(r), int(n_max))
+    u = np.zeros(((n_max + 1) ** 2,) * 2, dtype=complex)
+    for idx, block in _squeezer_unitary_cached(float(r), int(n_max)):
+        u[np.ix_(idx, idx)] = block
+    return u
 
 
 @lru_cache(maxsize=4)
-def _beamsplitter_unitary(theta: float, n_max: int) -> np.ndarray:
+def _beamsplitter_unitary(theta: float, n_max: int) -> tuple:
     """exp[theta(a†b - a b†)]: a -> a cos(theta) + b sin(theta)."""
     a = _destroy(n_max + 1)
-    return _two_mode_unitary(theta * np.kron(a.T, a), 1, n_max)
+    return _pair_blocks(a.T, a, theta, 1)
 
 
 @dataclass(frozen=True)
@@ -150,12 +154,16 @@ class FockState:
         return float(weights.sum())
 
 
-def _apply_pair_unitary(tensor: np.ndarray, u: np.ndarray, ax1: int, ax2: int) -> np.ndarray:
-    """Apply a two-mode operator (row-major (n1, n2) index) on two tensor axes."""
+def _apply_pair_unitary(tensor: np.ndarray, blocks: tuple, ax1: int, ax2: int) -> np.ndarray:
+    """Apply a two-mode operator, given as sector blocks over the row-major
+    (n1, n2) index, on two tensor axes."""
     d = tensor.shape[ax1]
     work = np.moveaxis(tensor, (ax1, ax2), (0, 1))
-    out = (u @ work.reshape(d * d, -1)).reshape(work.shape)
-    return np.moveaxis(out, (0, 1), (ax1, ax2))
+    flat = work.reshape(d * d, -1)
+    out = np.empty_like(flat)  # the sectors partition the d*d rows
+    for idx, u in blocks:
+        out[idx] = u @ flat[idx]
+    return np.moveaxis(out.reshape(work.shape), (0, 1), (ax1, ax2))
 
 
 def _arms(cfg: InterferometerConfig) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -177,8 +185,8 @@ def evolve_fock(cfg: InterferometerConfig, phi: float, n_max: int) -> FockState:
     system = len(arm_h) + len(arm_v)
     lossy = cfg.eta_internal < 1.0
     num_modes = system + 2 * lossy
-    u1 = squeezer_unitary(cfg.r1, n_max)
-    u2 = u1 if cfg.r2 == cfg.r1 else squeezer_unitary(cfg.r2, n_max)
+    u1 = _squeezer_unitary_cached(cfg.r1, n_max)
+    u2 = _squeezer_unitary_cached(cfg.r2, n_max)
 
     vec = np.zeros((d,) * num_modes, dtype=complex)
     vec[(0,) * num_modes] = 1.0
@@ -210,8 +218,7 @@ def simulate_fock(
     """Click probabilities from the truncated Fock evolution.
 
     Raises TruncationError when the worst-case bound (total squeezing r1+r2)
-    exceeds ``budget``; the four-mode mismatch tier is usually run with the
-    looser budget 1e-4.
+    exceeds ``budget``.
     """
     achieved = truncation_error_bound(cfg.r1 + cfg.r2, n_max)
     if achieved > budget:

@@ -173,8 +173,8 @@ def threshold_tm_numeric(cfg: InterferometerConfig, n_bar: float) -> float:
     then finds the arm efficiency where max_phi Fisher-per-photon crosses the
     shot-noise baseline carried by ``cfg``.
     """
-    if n_bar < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {n_bar}")
+    if n_bar <= 0:
+        raise ValueError(f"mean photon number must be > 0, got {n_bar}")
     snl = cfg.snl_per_photon
     if snl <= 0.0:
         return 0.0

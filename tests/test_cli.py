@@ -347,8 +347,13 @@ class TestConfigHandling:
         assert main(["track", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]) == 2
         assert "invalid scenario section" in capsys.readouterr().err
 
-    def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        # branch wider than the half period trips the estimator's validation
+    def test_zero_mean_photon_number_needs_skip_numeric(self, tmp_path, capsys):
+        assert main(["thresholds", "--nbar", "0", "--out", str(tmp_path)]) == 2
+        assert "numeric threshold" in capsys.readouterr().err
+        assert main(["thresholds", "--nbar", "0", "--skip-numeric", "--out", str(tmp_path)]) == 0
+        assert read_csv(tmp_path / "thresholds_tm.csv")[0]["eta_tm"] == "0.133974596216"
+
+    def test_wide_estimate_branch_rejected(self, tmp_path, capsys):
         (tmp_path / "cal.json").write_text("{}")
         code = main(
             [
@@ -358,4 +363,11 @@ class TestConfigHandling:
                 "--out", str(tmp_path),
             ]
         )
+        assert code == 2
+        assert "half period" in capsys.readouterr().err
+
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # no cutoff up to n_max = 400 meets a 1e-300 truncation budget
+        code = main(["validate", "--budget", "1e-300", "--phi-steps", "3", "--out", str(tmp_path)])
         assert code == 4
+        assert "no feasible cutoff" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from hypothesis import strategies as st
 from squint.detection import fringe, interferometer_clicks
 from squint.fock import (
     FockState,
+    _apply_pair_unitary,
+    _beamsplitter_unitary,
+    _squeezer_unitary_cached,
     TruncationError,
     evolve_fock,
     required_n_max,
@@ -87,6 +91,41 @@ class TestSqueezerUnitary:
             squeezer_unitary(1.18, 10, budget=1e-8)
 
 
+class TestSectorBlocks:
+    def test_blocks_match_dense_unitary(self):
+        n_max = 6
+        rng = np.random.default_rng(7)
+        vec = rng.normal(size=(n_max + 1) ** 2) + 1j * rng.normal(size=(n_max + 1) ** 2)
+        blocks = _squeezer_unitary_cached(0.37, n_max)
+        applied = _apply_pair_unitary(vec.reshape(n_max + 1, n_max + 1), blocks, 0, 1)
+        dense = squeezer_unitary(0.37, n_max) @ vec
+        assert np.abs(applied.ravel() - dense).max() <= 1e-14
+
+    def test_charge_is_conserved(self):
+        # modes a, b, a', b', e_a, e_b: arm H carries charge +1, arm V charge -1
+        cfg = InterferometerConfig(
+            r1=0.3, r2=0.45, eta_internal=0.8, eta_h=0.9, eta_v=0.7, overlap=0.9, phase_offset=0.4
+        )
+        state = evolve_fock(cfg, 0.7, 5)
+        n = np.indices(state.vector.shape)
+        charge = n[0] + n[2] + n[4] - n[1] - n[3] - n[5]
+        assert state.num_modes == 6
+        assert np.sum(np.abs(state.vector[charge != 0]) ** 2) == 0.0
+
+    def test_cold_oracle_builds_no_dense_unitary(self):
+        # a dense 2401-square unitary alone would take 92 MB
+        _squeezer_unitary_cached.cache_clear()
+        _beamsplitter_unitary.cache_clear()
+        cfg = InterferometerConfig(r1=0.59, r2=0.59, eta_h=0.75, eta_v=0.75)
+        tracemalloc.start()
+        try:
+            simulate_fock(cfg, 0.4, 48)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+
+
 class TestSimulateFock:
     def test_ideal_quarter_period(self):
         cfg = InterferometerConfig(r1=0.59, r2=0.59)
@@ -154,36 +193,33 @@ class TestSimulateFock:
 
 
 class TestMismatchTier:
-    # four-mode oracle runs at reduced cutoff and the documented looser 1e-4 budget
+    # four- and six-mode oracle at the full 1e-8 budget
+
+    @staticmethod
+    def assert_matches_gaussian(cfg, phis):
+        n_max = required_n_max(cfg.r1 + cfg.r2, 1e-8)
+        for phi in phis:
+            fock = simulate_fock(cfg, phi, n_max).as_array()
+            gauss = interferometer_clicks(cfg, phi).as_array()
+            assert np.abs(fock - gauss).max() < 1e-6
 
     def test_lossless_mismatch_matches_gaussian(self):
         cfg = InterferometerConfig(r1=0.3, r2=0.3, overlap=0.98)
-        n_max = 8
-        assert truncation_error_bound(0.6, n_max) < 1e-4
-        for phi in (0.0, 0.9, math.pi / 2):
-            fock = simulate_fock(cfg, phi, n_max, budget=1e-4).as_array()
-            gauss = interferometer_clicks(cfg, phi).as_array()
-            assert np.abs(fock - gauss).max() < 1e-4
+        self.assert_matches_gaussian(cfg, (0.0, 0.9, math.pi / 2))
 
     def test_lossy_mismatch_matches_gaussian(self):
         cfg = InterferometerConfig(r1=0.25, r2=0.25, eta_h=0.8, eta_v=0.8, overlap=0.95)
-        n_max = 6
-        assert truncation_error_bound(0.5, n_max) < 1e-4
-        fock = simulate_fock(cfg, 0.7, n_max, budget=1e-4).as_array()
-        gauss = interferometer_clicks(cfg, 0.7).as_array()
-        assert np.abs(fock - gauss).max() < 1e-4
+        self.assert_matches_gaussian(cfg, (0.7,))
 
     def test_internal_loss_mismatch_asymmetric_matches_gaussian(self):
         # six modes: a, b, a', b' and one environment mode per sample mode
         cfg = InterferometerConfig(
             r1=0.2, r2=0.3, eta_internal=0.9, eta_h=0.85, eta_v=0.7, overlap=0.96, phase_offset=0.3
         )
-        n_max = 6
-        assert truncation_error_bound(0.5, n_max) < 1e-4
-        for phi in (0.2, 1.0):
-            fock = simulate_fock(cfg, phi, n_max, budget=1e-4).as_array()
-            gauss = interferometer_clicks(cfg, phi).as_array()
-            assert np.abs(fock - gauss).max() < 1e-4
+        self.assert_matches_gaussian(cfg, (0.2, 1.0))
+
+    def test_tracking_preset_matches_gaussian(self, tracking_cfg):
+        self.assert_matches_gaussian(tracking_cfg, (0.58, 1.2))
 
 
 class TestFockStateInvariants:

@@ -215,6 +215,10 @@ class TestThresholdNumeric:
             numeric = threshold_tm_numeric(base, n_bar)
             assert abs(numeric - threshold_tm(n_bar)) < 1e-3
 
+    def test_zero_mean_photon_number_rejected(self):
+        with pytest.raises(ValueError):
+            threshold_tm_numeric(InterferometerConfig(r1=0.0, r2=0.0), 0.0)
+
     def test_zero_snl_guard(self):
         base = InterferometerConfig(r1=0.0, r2=0.0, snl_per_photon=0.0)
         assert threshold_tm_numeric(base, 0.78) == 0.0
