@@ -28,18 +28,7 @@ from .fock import (
     tmss_amplitudes,
     truncation_error_bound,
 )
-from .gaussian import (
-    GaussianState,
-    InterferometerConfig,
-    InvalidStateError,
-    apply_loss,
-    apply_phase,
-    apply_two_mode_squeezer,
-    build_interferometer,
-    interferometer_factors,
-    mean_photon,
-    vacuum,
-)
+from .gaussian import InterferometerConfig, InvalidStateError
 from .metrology import (
     BracketError,
     FisherReport,

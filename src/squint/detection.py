@@ -1,20 +1,22 @@
 """Threshold-detector click statistics of the interferometer output.
 
-The experiment has one detection layout: detector H sees the matched and the
-mismatched mode of arm a (MODE_A, MODE_A_ANC), detector V those of arm b
-(MODE_B, MODE_B_ANC). The four outcome probabilities are obtained by
-inclusion-exclusion over vacuum overlaps of the arms' reduced states, which
-is exact for zero-mean Gaussian inputs and needs no Fock truncation:
+Detector H sees the matched and the mismatched mode of arm a, (a, a'),
+detector V those of arm b, (b, b'). With each arm written as b = U(t) a +
+V(t) a† (``gaussian.bogoliubov_factors``), U and V are evaluated at each
+phase first and then multiplied into the arm moments N = V* V^T, Hermitian
+2x2 because every operation conserves n_a - n_b. Near a fringe zero V is
+small and these products stay accurate relative to their size. With
+e(A) = det(I + A) - 1 = tr A + det A, c = e/(1 + e), P_X = 1/(1 + e(N_X))
+the vacuum probability of arm X and G_X its moments given vacuum on the
+other arm, the two-detector Torontonian (Quesada et al., PRA 98, 062322
+(2018)) reads
 
-    p00 = Pr(vacuum on both arms)
-    p01 = Pr(vacuum on arm H) - p00      (click on V only)
-    p10 = Pr(vacuum on arm V) - p00      (click on H only)
-    p11 = 1 - p00 - p01 - p10
+    p00 = P_H / (1 + e(G_V)),  p01 = P_H c(G_V),  p10 = P_V c(G_H),
+    p11 = c(N_H) c(N_V) + P_H P_V (e(N_H) - e(G_H)) / (1 + e(G_H)),
 
-A vacuum overlap is P = det(M)^(-1/2) with M = sigma_sub + I/2, the
-two-detector case of the Torontonian (Quesada et al., PRA 98, 062322 (2018)).
-With d log det M = tr(M^-1 dM), X = M^-1 M' and t = tr X, its phase
-derivatives are P' = -P t/2 and P'' = P (t^2/4 + tr(X X)/2 - tr(M^-1 M'')/2).
+products and sums of non-negative terms, none a difference of larger
+numbers. p and dp/dphi (by the product rule) thus keep their relative
+accuracy where an outcome vanishes, and F = sum dp^2/p needs no guard.
 """
 
 from __future__ import annotations
@@ -24,17 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (
-    MODE_A,
-    MODE_A_ANC,
-    MODE_B,
-    MODE_B_ANC,
-    InterferometerConfig,
-    InvalidStateError,
-    PhaseFactors,
-    _quad_indices,
-    interferometer_factors,
-)
+from .gaussian import InterferometerConfig, InvalidStateError, bogoliubov_factors
 
 __all__ = [
     "ClickDistribution",
@@ -49,17 +41,12 @@ __all__ = [
 # indicates a model bug and raises.
 _CLAMP_TOL = 1e-12
 _SUM_TOL = 1e-10
-# Phases per batch: bounds the scratch memory of long phase arrays.
-_CHUNK = 128
 _OUTCOMES = ("p00", "p01", "p10", "p11")
+# Phases per batch: bounds the scratch memory of long phase arrays.
+_CHUNK = 256
 # fringe_visibility grid over one period; overlap_for_visibility bisection
 _VISIBILITY_POINTS = 721
 _OVERLAP_MIN, _OVERLAP_TOL = 0.5, 1e-6
-# Quadratures of both arms (H then V), of arm H and of arm V: the three
-# vacuum overlaps of the inclusion-exclusion.
-_ARM_H = _quad_indices((MODE_A, MODE_A_ANC), 4)
-_ARM_V = _quad_indices((MODE_B, MODE_B_ANC), 4)
-_OVERLAP_QUADS = tuple(np.array(idx) for idx in (_ARM_H + _ARM_V, _ARM_H, _ARM_V))
 
 
 def _checked(p: np.ndarray) -> np.ndarray:
@@ -93,67 +80,120 @@ class ClickDistribution:
         return np.array([self.p00, self.p01, self.p10, self.p11])
 
 
-def _vacuum_overlaps(subs: list[np.ndarray]) -> list[np.ndarray]:
-    """P (N,) for a stack of reduced covariances (N, d, d), then P' and P''
-    when ``subs`` also holds the stack's phase derivatives."""
-    m = subs[0] + np.eye(subs[0].shape[-1]) / 2.0
-    if not np.all(np.isfinite(m)):
-        raise InvalidStateError("reduced covariance contains non-finite entries")
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise InvalidStateError("reduced covariance + I/2 is not positive definite") from exc
-    p = 1.0 / np.prod(np.diagonal(chol, axis1=-2, axis2=-1), axis=-1)
-    bad = ~((p >= 0.0) & (p <= 1.0 + _CLAMP_TOL))
-    if bad.any():
-        raise InvalidStateError(f"vacuum probability {p[bad][0]} outside [0, 1]")
-    out = [np.minimum(p, 1.0)]
-    if len(subs) > 1:
-        m_inv = np.linalg.inv(m)
-        x = m_inv @ subs[1]
-        t1 = np.trace(x, axis1=-2, axis2=-1)
-        out.append(-0.5 * out[0] * t1)
-        if len(subs) > 2:
-            t2 = np.einsum("nij,nji->n", x, x)
-            t3 = np.einsum("nij,nji->n", m_inv, subs[2])
-            out.append(out[0] * (0.25 * t1 * t1 + 0.5 * t2 - 0.5 * t3))
+# A jet holds one quantity and, if asked for, its phase derivative on an axis
+# of length 1 or 2 just before the last, the phase. Leading axes index small
+# matrices, vectors or scalars, so linear maps act on a jet as a whole.
+
+
+def _leibniz(f, x, y):
+    """Jet of f(x, y) for a bilinear f."""
+    out = f(x[..., :1, :], y)
+    if x.shape[-2] > 1:
+        out[..., 1:, :] += f(x[..., 1:, :], y[..., :1, :])
     return out
 
 
-def _click_stack(covs: list[np.ndarray]) -> list[np.ndarray]:
-    """Inclusion-exclusion over a stack of output covariances (N, 8, 8): p (N, 4),
-    validated and clamped, then dp and d2p when ``covs`` carries the derivative
-    stacks."""
-    overlaps = [_vacuum_overlaps([c[:, idx[:, None], idx] for c in covs]) for idx in _OVERLAP_QUADS]
-    out = []
-    for k, (p00, ph, pv) in enumerate(zip(*overlaps)):
-        p01 = ph - p00
-        p10 = pv - p00
-        p11 = (1.0 if k == 0 else 0.0) - p00 - p01 - p10
-        out.append(np.stack([p00, p01, p10, p11], axis=-1))
-    out[0] = _checked(out[0])
+def _mm(x, y):
+    """Matrix product of stacks (k, m, ...) and (m, l, ...)."""
+    return np.add.reduce(x[:, :, None] * y[None], axis=1)
+
+
+def _tr_adj(x, y):
+    """tr(adj(x) y) = det(x + y) - det x - det y for 2x2 stacks; 2 det x at y = x."""
+    return x[1, 1] * y[0, 0] + x[0, 0] * y[1, 1] - x[0, 1] * y[1, 0] - x[1, 0] * y[0, 1]
+
+
+def _e(a):
+    """Jet of e(A) = det(I + A) - 1 = tr A + det A of a Hermitian 2x2 jet."""
+    return (a[0, 0] + a[1, 1] + 0.5 * _leibniz(_tr_adj, a, a)).real
+
+
+def _q(e):
+    """Jet of 1/(1 + e)."""
+    q = 1.0 / (1.0 + e[..., :1, :])
+    out = -e * q * q
+    out[..., :1, :] = q
     return out
 
 
-def clicks(factors: PhaseFactors, phis, order: int = 0) -> list[np.ndarray]:
-    """Click probabilities p (N, 4) of the pipeline over an array of phases,
-    then dp/dphi and d2p/dphi2 up to ``order`` (at most 2), in chunks."""
+def _given_vacuum(v, n, m, u_o, n_o, p_o, eta_o):
+    """Jet of G = n - m^dag (I + n_o*)^-1 m: the moments n = v* v^T of an arm
+    given vacuum on the other arm o, coupled to it through m = U_o v^T.
+
+    The commutators of arm o give U_o U_o^dag = eta_o I + n_o*, so with
+    lam = 1 - eta_o, G = lam v* (lam I + U_o^dag U_o)^-1 v^T. U_o^dag U_o is
+    3x3 of rank 2 with adjugate w w^dag, w = u_0 x u_1 its rows' cross
+    product, so G = P_o [lam^2 n + lam ((2 eta_o + tr n_o) n - m^dag m) + z* z^T]
+    with z = v w*. At lam = 0 only the Gram form z* z^T is left, which is
+    exactly 0 where G vanishes identically (the subtraction leaves roundoff).
+    """
+    lam = 1.0 - eta_o
+    w = _leibniz(lambda a, b: np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                                        a[0] * b[1] - a[1] * b[0]]), u_o[0], u_o[1])
+    z = _leibniz(lambda x, y: np.add.reduce(x * y.conj(), axis=1), v, w)
+    tr = n_o[0, 0] + n_o[1, 1]
+    tr[..., :1, :] += 2.0 * eta_o
+    g = lam * lam * n + lam * (_leibniz(np.multiply, tr, n) - _leibniz(_mm, m.conj().swapaxes(0, 1), m))
+    g += _leibniz(lambda x, y: x.conj()[:, None] * y[None], z, z)
+    return _leibniz(np.multiply, p_o, g)
+
+
+def clicks(cfg: InterferometerConfig, phis, order: int = 0) -> list[np.ndarray]:
+    """Click probabilities p (N, 4) of a config over an array of phases, then
+    dp/dphi when ``order`` is 1, in chunks of _CHUNK phases."""
+    if order not in (0, 1):
+        raise ValueError(f"order must be 0 or 1, got {order}")
     phis = np.asarray(phis, dtype=float).reshape(-1)
-    chunks = (factors.covariances(phis[k: k + _CHUNK], order) for k in range(0, phis.size, _CHUNK))
-    parts = [_click_stack(covs) for covs in chunks]
-    if not parts:
-        return [np.empty((0, 4)) for _ in range(order + 1)]
-    return [np.concatenate(stacks) for stacks in zip(*parts)]
+    parts = [_clicks(cfg, phis[k: k + _CHUNK], order) for k in range(0, phis.size, _CHUNK)]
+    p = np.concatenate(parts, axis=-1) if parts else np.empty((4, order + 1, 0))
+    return [_checked(p[:, 0].T)] + [p[:, 1].T for _ in range(order)]
+
+
+def _clicks(cfg, phis, order):
+    """(p, dp/dphi) of a chunk of phases as a jet of shape (4, order + 1, N)."""
+    w = np.exp(1j * (phis + cfg.phase_offset))
+    x, y = bogoliubov_factors(cfg)[..., None]
+    plus, minus = x * w, y * w.conj()
+    jets = [plus + minus]
+    if order:
+        # every moment is unchanged by U -> e^{is} U, V -> e^{-is} V, so the
+        # derivative may drop that part: U' - iU = -2i U_-, V' + iV = 2i V_+,
+        # which are exactly 0 when the phase cannot act (r1 = 0)
+        jets.append(2j * np.stack([-minus[0], plus[1]]))
+    # U and V of both arms at once: H, then V on the third axis from the end
+    u, v = np.stack(jets, axis=-2)
+    vt, o = v.swapaxes(0, 1), slice(None, None, -1)
+    n = _leibniz(_mm, v.conj(), vt)
+    e = _e(n)
+    p_vac = _q(e)
+    u_o, n_o, p_o = u[..., o, :, :], n[..., o, :, :], p_vac[o]
+    m = _leibniz(_mm, u_o, vt)
+    g = _given_vacuum(v, n, m, u_o, n_o, p_o, np.array([cfg.eta_v, cfg.eta_h])[:, None, None])
+    # p11 = c(N_H) c(N_V) + P_H P_V (e(N_H) - e(G_H)) / (1 + e(G_H)), the
+    # difference taken as e(D) + tr(adj(G) D) from D = N - G =
+    # P_o m^dag adj(I + n_o*) m >= 0: a form in V_H, like c(N_H) and p10
+    adj = np.array([[n_o[1, 1], -n_o[0, 1]], [-n_o[1, 0], n_o[0, 0]]]).conj()
+    adj[[0, 1], [0, 1], ..., :1, :] += 1.0
+    d = _leibniz(np.multiply, p_o, _leibniz(_mm, _leibniz(_mm, m.conj().swapaxes(0, 1), adj), m))
+    e_g, e_d = _e(np.stack([g, d], axis=2))
+    ee = np.array([e, e_g])
+    q = _q(ee)
+    (p_h, p_v), ((c_h, c_v), (c_gh, c_gv)), (q_gh, q_gv) = p_vac, _leibniz(np.multiply, ee, q), q[1]
+    gain_h = e_d[0] + _leibniz(_tr_adj, g, d)[0].real
+    # rows p00, p01, p10, c(N_H) c(N_V) and P_V / (1 + e(G_H))
+    p = _leibniz(np.multiply, np.array([p_h, p_h, p_v, c_h, p_v]), np.array([q_gv, c_gv, c_gh, c_v, q_gh]))
+    p[3] += _leibniz(np.multiply, p[4], _leibniz(np.multiply, p_h, gain_h))
+    return p[:4]
 
 
 def interferometer_clicks(cfg: InterferometerConfig, phi: float) -> ClickDistribution:
     """Click distribution of the full pipeline at probe phase ``phi``."""
-    return ClickDistribution(*clicks(interferometer_factors(cfg), [phi])[0][0])
+    return ClickDistribution(*clicks(cfg, [phi])[0][0])
 
 
 def fringe(cfg: InterferometerConfig, phi_grid) -> np.ndarray:
     """Tabulate the four outcome probabilities over a phase grid, shape (N, 4)."""
-    return clicks(interferometer_factors(cfg), phi_grid)[0]
+    return clicks(cfg, phi_grid)[0]
 
 
 def fringe_visibility(cfg: InterferometerConfig) -> float:

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .detection import _SUM_TOL, fringe
-from .gaussian import InterferometerConfig, interferometer_factors
+from .gaussian import InterferometerConfig
 from .metrology import _fisher
 
 __all__ = [
@@ -310,7 +310,7 @@ def estimate_phases(
     phi_est[dead] = objective[dead] = math.nan
     info = np.zeros(totals.size)
     if not dead.all():
-        info[~dead] = _fisher(interferometer_factors(cal.config), phi_est[~dead])
+        info[~dead] = _fisher(cal.config, phi_est[~dead])
     window_trials = _window_trials(totals, trials)
     low_information = np.where(window_trials > 0, window_trials * info < 1.0, info < 1e-9) | dead
     return phi_est, objective, low_information
@@ -367,7 +367,7 @@ def bootstrap_sigma(
 
 def _cramer_rao(cfg: InterferometerConfig, phis, trials: int) -> np.ndarray:
     """Bound 1/sqrt(trials * F) at each phase; inf where F = 0."""
-    info = _fisher(interferometer_factors(cfg), phis)
+    info = _fisher(cfg, phis)
     with np.errstate(divide="ignore"):
         return 1.0 / np.sqrt(trials * info)
 

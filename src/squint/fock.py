@@ -10,7 +10,7 @@ is the diagonal e^{i n phi}. Internal loss is a beamsplitter onto an
 environment mode in vacuum, summed out at detection. External loss is a
 weight at detection: "mode m empty after transmission eta" has the POVM
 element sum_n (1 - eta)^n |n><n|, so the vacuum probabilities are exact, and
-the clicks follow from the same inclusion-exclusion as the Gaussian path.
+the clicks follow from them by inclusion-exclusion.
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
-"""Zero-mean multimode Gaussian states and the two-squeezer interferometer model.
+"""The two-squeezer interferometer model as a Bogoliubov map of its modes.
 
-States are covariance matrices in the interleaved quadrature ordering
-(x1, p1, x2, p2, ...) with hbar-free units, so the vacuum covariance is I/2.
-The two-mode squeezer follows the convention S(r) = exp[r(ab - a†b†)], whose
-action on vacuum has Fock amplitudes (1/cosh r)(-tanh r)^n; all other modules
-share this convention and the Fock oracle pins it.
-
-Everything here is a pure function on immutable values: operations return new
-``GaussianState`` instances and never mutate their inputs.
+Each detected mode is b = U(t) a + V(t) a† over the six input modes (a, b,
+a', b', e_a, e_b): the squeezed pair, the mismatched ancilla pair and the
+environment of the internal loss. The squeezer S(r) = exp[r(ab - a†b†)] maps
+a -> a cosh r - b† sinh r, so its vacuum amplitudes are (1/cosh r)(-tanh r)^n,
+the convention the Fock oracle pins. The phase t = phi + phase_offset is the
+only rotation, so U(t) = e^{it} X_U + e^{-it} Y_U and likewise V(t) (Yurke,
+McCall & Klauder, PRA 33, 4033 (1986)). External loss scales an arm's rows by
+sqrt(eta); its environment drops out of every normal-ordered moment.
 """
 
 from __future__ import annotations
@@ -15,176 +15,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "GaussianState",
     "InterferometerConfig",
     "InvalidStateError",
-    "vacuum",
-    "apply_two_mode_squeezer",
-    "apply_phase",
-    "apply_beamsplitter",
-    "apply_loss",
-    "mean_photon",
-    "build_interferometer",
-    "interferometer_factors",
-    "PhaseFactors",
-    "symplectic_form",
+    "bogoliubov_factors",
 ]
-
-_SYMMETRY_RTOL = 1e-12
 
 
 class InvalidStateError(ValueError):
-    """A covariance matrix violates the physicality requirements."""
-
-
-def symplectic_form(num_modes: int) -> np.ndarray:
-    """Symplectic form Omega for the interleaved (x1, p1, ...) ordering."""
-    omega = np.zeros((2 * num_modes, 2 * num_modes))
-    for m in range(num_modes):
-        omega[2 * m, 2 * m + 1] = 1.0
-        omega[2 * m + 1, 2 * m] = -1.0
-    return omega
-
-
-@dataclass(frozen=True)
-class GaussianState:
-    """Zero-mean Gaussian state of ``num_modes`` modes as a covariance matrix."""
-
-    num_modes: int
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        if self.num_modes < 1:
-            raise ValueError(f"num_modes must be >= 1, got {self.num_modes}")
-        cov = np.array(self.covariance, dtype=float)
-        d = 2 * self.num_modes
-        if cov.shape != (d, d):
-            raise ValueError(f"covariance must be {d}x{d}, got {cov.shape}")
-        scale = max(1.0, float(np.abs(cov).max()))
-        if np.abs(cov - cov.T).max() > _SYMMETRY_RTOL * scale:
-            raise InvalidStateError("covariance is not symmetric")
-        cov = 0.5 * (cov + cov.T)
-        cov.setflags(write=False)
-        object.__setattr__(self, "covariance", cov)
-
-    def symplectic_eigenvalues(self) -> np.ndarray:
-        """Symplectic spectrum; physical states have all values >= 1/2."""
-        m = 1j * symplectic_form(self.num_modes) @ self.covariance
-        ev = np.linalg.eigvals(m)
-        return np.sort(np.abs(ev.real))[self.num_modes:]
-
-    def is_physical(self, atol: float = 1e-9) -> bool:
-        """Check sigma + (i/2) Omega >= 0 via its (Hermitian) eigenvalues."""
-        m = self.covariance + 0.5j * symplectic_form(self.num_modes)
-        return bool(np.linalg.eigvalsh(m).min() >= -atol)
-
-    def purity(self) -> float:
-        """1/sqrt(det(2 sigma)); equals 1 for pure states."""
-        sign, logdet = np.linalg.slogdet(2.0 * self.covariance)
-        if sign <= 0:
-            raise InvalidStateError("covariance has non-positive determinant")
-        return float(math.exp(-0.5 * logdet))
-
-
-def _quad_indices(modes: Iterable[int], num_modes: int) -> list[int]:
-    idx = []
-    for m in modes:
-        if not 0 <= m < num_modes:
-            raise ValueError(f"mode index {m} out of range for {num_modes} modes")
-        idx += [2 * m, 2 * m + 1]
-    if not idx:
-        raise ValueError("mode subset must be nonempty")
-    return idx
-
-
-def vacuum(num_modes: int) -> GaussianState:
-    """The ``num_modes``-mode vacuum, covariance I/2."""
-    if num_modes < 1:
-        raise ValueError(f"num_modes must be >= 1, got {num_modes}")
-    return GaussianState(num_modes, np.eye(2 * num_modes) / 2.0)
-
-
-def _embed(block: np.ndarray, modes: Sequence[int], num_modes: int) -> np.ndarray:
-    """Embed a symplectic acting on ``modes`` into the full 2M x 2M identity."""
-    full = np.eye(2 * num_modes)
-    idx = _quad_indices(modes, num_modes)
-    full[np.ix_(idx, idx)] = block
-    return full
-
-
-def two_mode_squeezer_symplectic(r: float) -> np.ndarray:
-    """4x4 symplectic of exp[r(ab - a†b†)] on quadratures (xa, pa, xb, pb)."""
-    c, s = math.cosh(r), math.sinh(r)
-    return np.array(
-        [
-            [c, 0.0, -s, 0.0],
-            [0.0, c, 0.0, s],
-            [-s, 0.0, c, 0.0],
-            [0.0, s, 0.0, c],
-        ]
-    )
-
-
-def apply_two_mode_squeezer(state: GaussianState, i: int, j: int, r: float) -> GaussianState:
-    """Apply the two-mode squeezer S(r) = exp[r(ab - a†b†)] to modes (i, j)."""
-    if i == j:
-        raise ValueError("two-mode squeezer needs two distinct modes")
-    if not math.isfinite(r):
-        raise ValueError(f"squeezing parameter must be finite, got {r}")
-    s = _embed(two_mode_squeezer_symplectic(r), [i, j], state.num_modes)
-    return GaussianState(state.num_modes, s @ state.covariance @ s.T)
-
-
-def apply_phase(state: GaussianState, modes: Sequence[int], phi: float) -> GaussianState:
-    """Rotate each selected mode by phi: a -> a e^{i phi}."""
-    modes = list(modes)
-    if not modes:
-        raise ValueError("mode subset must be nonempty")
-    c, s = math.cos(phi), math.sin(phi)
-    rot = np.array([[c, -s], [s, c]])
-    full = np.eye(2 * state.num_modes)
-    for m in set(modes):
-        if not 0 <= m < state.num_modes:
-            raise ValueError(f"mode index {m} out of range")
-        full[2 * m: 2 * m + 2, 2 * m: 2 * m + 2] = rot
-    return GaussianState(state.num_modes, full @ state.covariance @ full.T)
-
-
-def apply_beamsplitter(state: GaussianState, i: int, j: int, theta: float) -> GaussianState:
-    """Passive rotation mixing modes (i, j): a -> a cos(theta) + a' sin(theta)."""
-    if i == j:
-        raise ValueError("beamsplitter needs two distinct modes")
-    c, s = math.cos(theta), math.sin(theta)
-    i2 = np.eye(2)
-    block = np.block([[c * i2, s * i2], [-s * i2, c * i2]])
-    full = _embed(block, [i, j], state.num_modes)
-    return GaussianState(state.num_modes, full @ state.covariance @ full.T)
-
-
-def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
-    """Pure-loss channel with transmission eta: sigma -> eta sigma + (1-eta) I/2."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmission must be in [0, 1], got {eta}")
-    idx = _quad_indices([mode], state.num_modes)
-    t = np.eye(2 * state.num_modes)
-    t[idx, idx] = math.sqrt(eta)
-    cov = t @ state.covariance @ t.T
-    cov[idx, idx] += (1.0 - eta) / 2.0
-    return GaussianState(state.num_modes, cov)
-
-
-def mean_photon(state: GaussianState, modes: Sequence[int] | None = None) -> float:
-    """Total mean photon number in the selected modes (all modes by default)."""
-    if modes is None:
-        modes = range(state.num_modes)
-    idx = _quad_indices(modes, state.num_modes)
-    # per mode: (<x^2> + <p^2> - 1)/2, zero for vacuum
-    return 0.5 * (float(np.sum(state.covariance[idx, idx])) - len(idx) / 2.0)
+    """Click probabilities that no physical state produces."""
 
 
 @dataclass(frozen=True)
@@ -225,79 +67,43 @@ class InterferometerConfig:
         return replace(self, **kwargs)
 
 
-# Mode layout of build_interferometer: 0 = a, 1 = b (matched pair),
-# 2 = a', 3 = b' (mismatched ancilla pair). Arm H sees {0, 2}, arm V {1, 3}.
-MODE_A, MODE_B, MODE_A_ANC, MODE_B_ANC = 0, 1, 2, 3
-
-
-def _before_phase(cfg: InterferometerConfig) -> GaussianState:
-    """First squeezer on (a, b), then the internal loss."""
-    state = apply_two_mode_squeezer(vacuum(4), MODE_A, MODE_B, cfg.r1)
-    if cfg.eta_internal < 1.0:
-        state = apply_loss(state, MODE_A, cfg.eta_internal)
-        state = apply_loss(state, MODE_B, cfg.eta_internal)
-    return state
-
-
-def _after_phase(cfg: InterferometerConfig, state: GaussianState) -> GaussianState:
-    """Second squeezer acting on the rotated modes (xi a + sqrt(1-xi^2) a',
-    xi b + sqrt(1-xi^2) b'), then the external arm losses applied to both
-    components of each arm."""
-    theta = math.acos(min(1.0, cfg.overlap))
-    mismatched = theta != 0.0
-    if mismatched:
-        state = apply_beamsplitter(state, MODE_A, MODE_A_ANC, theta)
-        state = apply_beamsplitter(state, MODE_B, MODE_B_ANC, theta)
-    state = apply_two_mode_squeezer(state, MODE_A, MODE_B, cfg.r2)
-    if mismatched:
-        state = apply_beamsplitter(state, MODE_A, MODE_A_ANC, -theta)
-        state = apply_beamsplitter(state, MODE_B, MODE_B_ANC, -theta)
-    h, v = cfg.eta_h, cfg.eta_v
-    for m, eta in ((MODE_A, h), (MODE_A_ANC, h), (MODE_B, v), (MODE_B_ANC, v)):
-        if eta < 1.0:
-            state = apply_loss(state, m, eta)
-    return state
-
-
-@dataclass(frozen=True)
-class PhaseFactors:
-    """Output covariance of one config as a function of the probe phase.
-
-    With Sigma1 = _before_phase(cfg), _after_phase(cfg, .) = A (.) A^T + N and
-    the phase rotating every mode by R(t), t = phi + phase_offset, the output
-    sigma(t) = A R(t) Sigma1 R(t)^T A^T + N is quadratic in (cos t, sin t):
-    sigma(t) = H0 + H1 cos(2t) + H2 sin(2t), ``harmonics`` = (H0, H1, H2).
-    """
-
-    harmonics: np.ndarray
-    phase_offset: float
-
-    def covariances(self, phis, order: int = 0) -> list[np.ndarray]:
-        """sigma(phi) and its first ``order`` phase derivatives, each (N, 8, 8)."""
-        t = 2.0 * (np.asarray(phis, dtype=float).reshape(-1) + self.phase_offset)
-        c, s = np.cos(t)[:, None, None], np.sin(t)[:, None, None]
-        h0, h1, h2 = self.harmonics
-        out = [h0 + c * h1 + s * h2]
-        if order >= 1:
-            out.append(2.0 * (c * h2 - s * h1))
-        if order >= 2:
-            out.append(-4.0 * (c * h1 + s * h2))
-        return out
+# Rows (a, b, a', b'), columns (a, b, a', b', e_a, e_b). Every operation
+# conserves n_a - n_b, so U of arm H = (a, a') and V of arm V = (b, b') see
+# only the charge +1 inputs (a, a', e_a), U_V and V_H only (b, b', e_b):
+_PLUS, _MINUS = [0, 2, 4], [1, 3, 5]
+_BLOCKS = [np.ix_([0, 2], _PLUS), np.ix_([1, 3], _MINUS), np.ix_([0, 2], _MINUS), np.ix_([1, 3], _PLUS)]
 
 
 @lru_cache(maxsize=64)
-def interferometer_factors(cfg: InterferometerConfig) -> PhaseFactors:
-    """PhaseFactors of a config (cached), fixed by the pipeline run once at
-    each of t = 0, pi/2 and pi/4."""
-    before = _before_phase(cfg)
-    phases = (0.0, math.pi / 2, math.pi / 4)
-    s0, s90, s45 = (_after_phase(cfg, apply_phase(before, range(4), t)).covariance for t in phases)
-    h0 = (s0 + s90) / 2.0
-    harmonics = np.array([h0, (s0 - s90) / 2.0, s45 - h0])
-    harmonics.setflags(write=False)
-    return PhaseFactors(harmonics=harmonics, phase_offset=cfg.phase_offset)
+def bogoliubov_factors(cfg: InterferometerConfig) -> np.ndarray:
+    """X and Y of U and V, 2x3 per arm on the input columns of its charge:
+    shape (2, 2, 2, 3, 2) for (X|Y, U|V, row, column, arm H|V).
 
-
-def build_interferometer(cfg: InterferometerConfig, phi: float) -> GaussianState:
-    """4-mode output state at probe phase ``phi``: one phase of interferometer_factors."""
-    return GaussianState(4, interferometer_factors(cfg).covariances([phi])[0][0])
+    Before the phase: the first squeezer on (a, b) and the internal loss onto
+    (e_a, e_b). After it: the mismatch rotation of each arm by acos(overlap),
+    the second squeezer on (a, b), the rotation back and the arm losses.
+    """
+    # modes (a, b, a', b') before the phase as g (pair a + v0 a†) + rest a, the
+    # map after it as m -> sqrt(eta) (alpha m + beta m†); g and the arm losses
+    # scale last, so X_V and Y_V stay equal where the two squeezers cancel
+    c1, s1 = math.cosh(cfg.r1), math.sinh(cfg.r1)
+    g, leak = math.sqrt(cfg.eta_internal), math.sqrt(1.0 - cfg.eta_internal)
+    pair, rest, v0 = np.zeros((3, 4, 6))
+    pair[[0, 1], [0, 1]] = c1
+    rest[[2, 3, 0, 1], [2, 3, 4, 5]] = [1.0, 1.0, leak, leak]
+    v0[[0, 1], [1, 0]] = -s1
+    c = cfg.overlap
+    s = math.sqrt((1.0 - c) * (1.0 + c))  # 1 - c is exact near c = 1
+    rot = np.array([[c, 0, s, 0], [0, c, 0, s], [-s, 0, c, 0], [0, -s, 0, c]])
+    c2, s2 = math.cosh(cfg.r2), math.sinh(cfg.r2)
+    alpha = rot.T @ np.diag([c2, c2, 1.0, 1.0]) @ rot
+    beta = rot.T @ np.array([[0, -s2, 0, 0], [-s2, 0, 0, 0], [0] * 4, [0] * 4]) @ rot
+    scale = np.sqrt([cfg.eta_h, cfg.eta_v, cfg.eta_h, cfg.eta_v])[:, None]
+    # the phase multiplies the part before it by e^{it}; beta takes its adjoint, e^{-it}
+    x_u, x_v = scale * (g * (alpha @ pair) + alpha @ rest), scale * (g * (alpha @ v0))
+    y_u, y_v = scale * (g * (beta @ v0)), scale * (g * (beta @ pair) + beta @ rest)
+    out = np.array([[u[k] for k in _BLOCKS[:2]] + [v[k] for k in _BLOCKS[2:]]
+                    for u, v in ((x_u, x_v), (y_u, y_v))])
+    out = np.moveaxis(out.reshape(2, 2, 2, 2, 3), 2, -1)
+    out.setflags(write=False)
+    return out

@@ -1,9 +1,9 @@
 """Fisher information of the four-outcome measurement and loss thresholds.
 
 The per-trial Fisher information is F(phi) = sum_ij (d p_ij/d phi)^2 / p_ij,
-computed from the analytic phase derivatives of the batched click core. Where
-an outcome's probability vanishes (a fringe zero) its term takes the limit
-2 d^2p_ij/dphi^2, so F stays exact there. Per-photon quantities divide by
+computed from the analytic phase derivatives of the click core. Both p and dp
+keep their relative accuracy next to a fringe zero, so the plain sum is exact
+there; an outcome with p = 0 adds 0. Per-photon quantities divide by
 the mean photon number that passes through the sample, 2 sinh^2(r1) per trial
 under the default single-pass accounting.
 
@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .detection import clicks
-from .gaussian import InterferometerConfig, PhaseFactors, interferometer_factors
+from .gaussian import InterferometerConfig
 
 __all__ = [
     "FisherReport",
@@ -41,9 +41,6 @@ __all__ = [
 
 ACCOUNTINGS = ("single-pass", "double-pass")
 
-# Outcomes at or below this probability contribute their limit 2 p'' instead
-# of (dp)^2 / p: near a zero p ~ p'' dphi^2 / 2 and dp ~ p'' dphi.
-_P_GUARD = 1e-12
 # max_fisher coarse grid over [0, pi]; threshold_tm_numeric bisection width
 _COARSE_POINTS = 721
 _THRESHOLD_TOL = 1e-4
@@ -65,16 +62,16 @@ class FisherReport:
     enhancement_db: float
 
 
-def _fisher(factors: PhaseFactors, phis) -> np.ndarray:
-    """Per-trial Fisher information at each phase, from analytic derivatives."""
-    p, dp, d2p = clicks(factors, phis, order=2)
-    terms = np.where(p > _P_GUARD, dp * dp / np.maximum(p, _P_GUARD), 2.0 * d2p)
-    return np.maximum(terms.sum(axis=-1), 0.0)
+def _fisher(cfg: InterferometerConfig, phis) -> np.ndarray:
+    """Per-trial Fisher information at each phase, from analytic derivatives;
+    an outcome with p = 0 adds 0."""
+    p, dp = clicks(cfg, phis, order=1)
+    return np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0.0).sum(axis=-1)
 
 
 def fisher_per_trial(cfg: InterferometerConfig, phi: float) -> float:
     """Four-outcome Fisher information per trial at probe phase ``phi``."""
-    return float(_fisher(interferometer_factors(cfg), [phi])[0])
+    return float(_fisher(cfg, [phi])[0])
 
 
 def fisher_max_ideal(r: float) -> float:
@@ -151,16 +148,15 @@ def _golden_min(
 def max_fisher(cfg: InterferometerConfig, tol: float = 1e-6) -> tuple[float, float]:
     """(phi*, F*) maximizing the per-trial Fisher information on [0, pi].
 
-    One batched coarse grid, then golden-section refinement on the same
-    pipeline factors to width ``tol``; returns the best point seen.
+    One batched coarse grid, then golden-section refinement to width
+    ``tol``; returns the best point seen.
     """
-    factors = interferometer_factors(cfg)
     grid = np.linspace(0.0, math.pi, _COARSE_POINTS)
-    vals = _fisher(factors, grid)
+    vals = _fisher(cfg, grid)
     i = int(np.argmax(vals))
     a = grid[max(0, i - 1)]
     b = grid[min(_COARSE_POINTS - 1, i + 1)]
-    x, neg_fx = _golden_min(lambda p: -float(_fisher(factors, [p])[0]), a, b, tol)
+    x, neg_fx = _golden_min(lambda p: -float(_fisher(cfg, [p])[0]), a, b, tol)
     if vals[i] >= -neg_fx:
         return float(grid[i]), float(vals[i])
     return float(x), -neg_fx
@@ -211,7 +207,7 @@ def fisher_sweep(
         raise ValueError("phase grid must lie within [0, pi]")
     n_through = photons_through_sample(cfg, accounting)
     reports = []
-    for p, f_trial in zip(phis, _fisher(interferometer_factors(cfg), phis).tolist()):
+    for p, f_trial in zip(phis, _fisher(cfg, phis).tolist()):
         f_photon = f_trial / n_through
         db = 10.0 * math.log10(f_photon / cfg.snl_per_photon) if f_photon > 0.0 else -math.inf
         reports.append(FisherReport(p, f_trial, n_through, f_photon, cfg.snl_per_photon, db))

@@ -10,12 +10,13 @@ import math
 import numpy as np
 import pytest
 
+from reference_chain import apply_two_mode_squeezer, mean_photon, vacuum
 from squint import presets
 from squint.cli import main
 from squint.detection import fringe, interferometer_clicks
 from squint.estimation import bootstrap_sigma, crlb, estimate_phases
 from squint.fock import required_n_max, simulate_fock, truncation_error_bound
-from squint.gaussian import InterferometerConfig, apply_two_mode_squeezer, mean_photon, vacuum
+from squint.gaussian import InterferometerConfig
 from squint.metrology import (
     fisher_max_ideal,
     max_fisher,

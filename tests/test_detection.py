@@ -11,19 +11,7 @@ from squint.detection import (
     interferometer_clicks,
     overlap_for_visibility,
 )
-from squint.gaussian import (
-    InterferometerConfig,
-    InvalidStateError,
-    PhaseFactors,
-    apply_two_mode_squeezer,
-    vacuum,
-)
-
-
-def fixed_covariance(cov):
-    """PhaseFactors whose output covariance is ``cov`` at every phase."""
-    zero = np.zeros_like(cov)
-    return PhaseFactors(harmonics=np.array([cov, zero, zero]), phase_offset=0.0)
+from squint.gaussian import InterferometerConfig, InvalidStateError
 
 
 def lossy_tmss_clicks(r, eta, phi):
@@ -55,19 +43,22 @@ class TestVacuumProbability:
         assert expected == pytest.approx(0.3153238314399897, abs=1e-12)
 
     def test_tmss_single_mode_is_thermal(self):
-        # a two-mode squeezed vacuum on (a, b): arm H alone is thermal with
-        # n = sinh^2(1.18), and photon-number correlation makes vacuum on H
-        # (p00 + p01) equal to vacuum on both arms
-        cov = apply_two_mode_squeezer(vacuum(4), 0, 1, 1.18).covariance
-        p = clicks(fixed_covariance(cov), [0.0])[0][0]
+        # at phi = 0 the output is a two-mode squeezed vacuum of 1.18 on (a, b):
+        # arm H alone is thermal with n = sinh^2(1.18), and photon-number
+        # correlation makes vacuum on H (p00 + p01) equal to vacuum on both arms
+        p = clicks(InterferometerConfig(r1=0.59, r2=0.59), [0.0])[0][0]
         n_thermal = math.sinh(1.18) ** 2
         assert p[0] + p[1] == pytest.approx(1.0 / (1.0 + n_thermal), abs=1e-12)
         assert p[1] == pytest.approx(0.0, abs=1e-12)
 
+    def test_order_above_one_rejected(self):
+        with pytest.raises(ValueError):
+            clicks(InterferometerConfig(r1=0.5, r2=0.5), [0.0], order=2)
+
     def test_invalid_state_rejected(self):
-        bad = fixed_covariance(-np.eye(8))  # symmetric but unphysical
-        with pytest.raises(InvalidStateError):
-            clicks(bad, [0.0])
+        # squeezing this large overflows the moments: rejected, never returned as NaN
+        with np.errstate(all="ignore"), pytest.raises(InvalidStateError):
+            clicks(InterferometerConfig(r1=400.0, r2=400.0), [0.0])
 
 
 class TestClickDistribution:

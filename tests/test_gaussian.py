@@ -5,20 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squint.detection import fringe
-from squint.fock import tmss_amplitudes
-from squint.gaussian import (
+from reference_chain import (
     GaussianState,
-    InterferometerConfig,
-    InvalidStateError,
     apply_beamsplitter,
     apply_loss,
     apply_phase,
     apply_two_mode_squeezer,
-    build_interferometer,
     mean_photon,
+    op_by_op_state,
     vacuum,
 )
+from squint.detection import fringe
+from squint.fock import tmss_amplitudes
+from squint.gaussian import InterferometerConfig, InvalidStateError, bogoliubov_factors
+from test_metrology import random_configs
 
 
 def tmss(r, num_modes=2):
@@ -133,28 +133,28 @@ class TestMeanPhoton:
 class TestBuildInterferometer:
     def test_vacuum_at_quarter_period(self):
         cfg = InterferometerConfig(r1=0.59, r2=0.59)
-        out = build_interferometer(cfg, math.pi / 2)
+        out = op_by_op_state(cfg, math.pi / 2)
         assert np.abs(out.covariance - np.eye(8) / 2).max() < 1e-12
 
     def test_tmss_of_double_r_at_zero_phase(self):
         cfg = InterferometerConfig(r1=0.59, r2=0.59)
-        out = build_interferometer(cfg, 0.0)
+        out = op_by_op_state(cfg, 0.0)
         assert np.abs(out.covariance[:4, :4] - tmss(1.18).covariance).max() < 1e-12
 
     def test_asymmetric_gains_supported(self):
         cfg = InterferometerConfig(r1=0.5, r2=0.7)
-        out = build_interferometer(cfg, 0.0)
+        out = op_by_op_state(cfg, 0.0)
         assert mean_photon(out, [0, 1]) == pytest.approx(2 * math.sinh(1.2) ** 2, abs=1e-10)
 
     def test_phase_covariance_period_pi(self, tracking_cfg):
         for phi in (0.0, 0.37, 1.1, 2.5):
-            a = build_interferometer(tracking_cfg, phi)
-            b = build_interferometer(tracking_cfg, phi + math.pi)
+            a = op_by_op_state(tracking_cfg, phi)
+            b = op_by_op_state(tracking_cfg, phi + math.pi)
             assert np.abs(a.covariance - b.covariance).max() < 1e-12
 
     def test_internal_loss_applied_between_squeezers(self):
         cfg = InterferometerConfig(r1=0.4, r2=0.4, eta_internal=0.8)
-        out = build_interferometer(cfg, math.pi / 2)
+        out = op_by_op_state(cfg, math.pi / 2)
         # internal loss breaks the perfect cancellation
         assert mean_photon(out) > 1e-3
 
@@ -227,3 +227,37 @@ class TestStateInvariants:
         bad[0, 1] = 1e-3
         with pytest.raises(InvalidStateError):
             GaussianState(2, bad)
+
+
+def arm_matrices(cfg, phi):
+    """U and V of each arm at one phase, (2, 3) each, from bogoliubov_factors."""
+    x, y = bogoliubov_factors(cfg)
+    w = np.exp(1j * (phi + cfg.phase_offset))
+    (u_h, u_v), (v_h, v_v) = np.moveaxis(x * w + y * np.conj(w), -1, 1)
+    return u_h, u_v, v_h, v_v
+
+
+class TestBogoliubovFactors:
+    @settings(max_examples=40, deadline=None)
+    @given(random_configs, st.floats(-math.pi, math.pi))
+    def test_commutators_per_arm(self, cfg, phi):
+        # [b_k, b_l^dag] = delta_kl before the arm loss: U U^dag - V V^dag = eta I
+        u_h, u_v, v_h, v_v = arm_matrices(cfg, phi)
+        for u, v, eta in ((u_h, v_h, cfg.eta_h), (u_v, v_v, cfg.eta_v)):
+            assert np.abs(u @ u.conj().T - v @ v.conj().T - eta * np.eye(2)).max() < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_configs, st.floats(-math.pi, math.pi))
+    def test_arm_photon_numbers_match_op_by_op_chain(self, cfg, phi):
+        # tr N = tr(V* V^T) is the mean photon number of the arm's two modes
+        u_h, u_v, v_h, v_v = arm_matrices(cfg, phi)
+        state = op_by_op_state(cfg, phi)
+        for v, modes in ((v_h, [0, 2]), (v_v, [1, 3])):
+            assert np.sum(np.abs(v) ** 2) == pytest.approx(mean_photon(state, modes), abs=1e-12)
+
+    def test_factors_are_cached_and_read_only(self):
+        cfg = InterferometerConfig(r1=0.43, r2=0.43, eta_h=0.75, eta_v=0.75)
+        factors = bogoliubov_factors(cfg)
+        assert bogoliubov_factors(cfg) is factors
+        with pytest.raises(ValueError):
+            factors[0, 0, 0, 0, 0] = 1.0
