@@ -24,6 +24,7 @@ from .fock import TruncationError, required_n_max, simulate_fock
 from .gaussian import InterferometerConfig, InvalidStateError
 from .metrology import (
     ACCOUNTINGS,
+    SNL_PER_PHOTON,
     BracketError,
     FisherReport,
     fisher_sweep,
@@ -179,7 +180,7 @@ def cmd_fisher(args) -> int:
     n_through = photons_through_sample(cfg, args.accounting)
     print(f"wrote {path}")
     print(f"max Fisher per photon: {f_star / n_through:.4f} rad^-2 at phi = {phi_star:.4f}")
-    print(f"SNL baseline: {cfg.snl_per_photon:.4f} rad^-2 per photon")
+    print(f"SNL baseline: {SNL_PER_PHOTON:.4f} rad^-2 per photon")
     print(f"ideal 5-photon NOON baseline: {noon_fisher_per_photon(5, 1.0):.4f} rad^-2 per photon")
     return EXIT_OK
 
@@ -189,11 +190,10 @@ def cmd_thresholds(args) -> int:
         raise ConfigError(f"mean photon numbers must be >= 0, got {min(args.nbar)}")
     if min(args.nbar) == 0 and not args.skip_numeric:
         raise ConfigError("the numeric threshold needs mean photon numbers > 0 (or --skip-numeric)")
-    base = InterferometerConfig(r1=0.0, r2=0.0)
     tm_rows = []
     for n_bar in args.nbar:
         closed = threshold_tm(n_bar)
-        numeric = threshold_tm_numeric(base, n_bar) if not args.skip_numeric else math.nan
+        numeric = threshold_tm_numeric(n_bar) if not args.skip_numeric else math.nan
         tm_rows.append([n_bar, closed, numeric])
     out = Path(args.out)
     path_tm = _write_table(out, "thresholds_tm", args.format, ("n_bar", "eta_tm", "eta_tm_numeric"), tm_rows)

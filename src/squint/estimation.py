@@ -10,16 +10,18 @@ u* = clip((f - a).d / |d|^2, 0, 1). ``estimate_phases`` takes the best
 segment for a whole batch of windows at once; every other estimate is a view
 of it.
 
-Calibration fits the interferometer parameters (r1, r2, eta_h, eta_v, overlap,
-phase_offset) to observed fringes with a derivative-free coordinate descent
-with shrinking steps, bounded at 10^4 objective evaluations.
+Calibration fits (r, eta_h, eta_v, overlap, phase_offset) to observed fringes
+by a bounded Levenberg-Marquardt fit (More, LNM 630 (1978)) of residuals
+weighted by the multinomial variance. It fits one gain r = r1 = r2: where the
+two are equal the click statistics have a null direction along r1 - r2.
+Standard errors come from the inverse Fisher matrix at the fit.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -40,12 +42,21 @@ __all__ = [
     "crlb",
 ]
 
-CALIBRATION_SCHEMA = "squint-calibration/1"
+CALIBRATION_SCHEMA = "squint-calibration/2"
 
 _HALF_PERIOD = math.pi / 2.0
-# calibration tabulation: intervals over [0, pi]; calibrate's evaluation budget
+# calibration tabulation: intervals over [0, pi]
 _CAL_INTERVALS = 2048
-_MAX_EVALS = 10_000
+# calibrate: fitted parameters, bounds, Jacobian steps, damping (start, and the
+# cap past which no step lowers the cost), the relative cost gain that ends the
+# fit, the iteration cap, and the eigenvalue floor of the Fisher correlations
+_FIT_NAMES = ("r", "eta_h", "eta_v", "overlap", "phase_offset")
+_FIT_BOUNDS = np.array([[0.0, 0.0, 0.0, 0.0, -2.0 * math.pi], [4.0, 1.0, 1.0, 1.0, 2.0 * math.pi]])
+_JAC_STEPS = 1e-6 * np.eye(len(_FIT_NAMES))
+_DAMPING, _MAX_DAMPING = 1e-3, 1e10
+_REL_GAIN = 1e-12
+_MAX_ITER = 100
+_SINGULAR = 1e-12
 # estimate_phases: windows x nodes per batch, which bounds its scratch near 1 MB
 _BATCH_CELLS = 8192
 # an objective varying less than this over the branch nodes carries no phase
@@ -87,7 +98,8 @@ class CalibrationModel:
     """Fitted interferometer parameters plus tabulated p_ij(phi) curves.
 
     ``curves`` has shape (points, 4) on the inclusive grid ``phi_tab`` over
-    [0, pi]; the model is pi-periodic so curves[0] == curves[-1].
+    [0, pi]; the model is pi-periodic so curves[0] == curves[-1]. A fitted
+    model carries ``fit_residual``, ``degraded`` and ``sigma`` (see calibrate).
     """
 
     config: InterferometerConfig
@@ -95,6 +107,7 @@ class CalibrationModel:
     curves: np.ndarray
     fit_residual: float = 0.0
     degraded: bool = False
+    sigma: dict = field(default_factory=dict)
 
     @classmethod
     def from_config(cls, config: InterferometerConfig) -> "CalibrationModel":
@@ -113,6 +126,7 @@ class CalibrationModel:
             "config": asdict(self.config),
             "fit_residual": self.fit_residual,
             "degraded": self.degraded,
+            "sigma": self.sigma,
             "tabulation": {
                 "phi_min": float(self.phi_tab[0]),
                 "phi_max": float(self.phi_tab[-1]),
@@ -123,9 +137,17 @@ class CalibrationModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CalibrationModel":
-        """Load, requiring probability curves on a pi-periodic [0, pi] grid."""
+        """Load, requiring probability curves on a pi-periodic [0, pi] grid and
+        standard errors of fitted parameters that are finite and >= 0 (null
+        only in a degraded fit)."""
         if data.get("schema") != CALIBRATION_SCHEMA:
             raise ValueError(f"unsupported calibration schema: {data.get('schema')!r}")
+        degraded, sigma = bool(data["degraded"]), data["sigma"]
+        if not isinstance(sigma, dict) or not set(sigma) <= set(_FIT_NAMES):
+            raise ValueError(f"sigma must map fitted parameters {_FIT_NAMES} to standard errors")
+        if not all((v is None and degraded) or (type(v) in (int, float) and math.isfinite(v) and v >= 0.0)
+                   for v in sigma.values()):
+            raise ValueError(f"sigma values must be finite and >= 0 (null only when degraded): {sigma}")
         tab = data["tabulation"]
         if tab["phi_min"] != 0.0 or abs(tab["phi_max"] - math.pi) > 1e-12 or tab["points"] < 2:
             raise ValueError("calibration grid must cover [0, pi] with at least 2 points")
@@ -144,7 +166,8 @@ class CalibrationModel:
             phi_tab=phi_tab,
             curves=curves,
             fit_residual=float(data["fit_residual"]),
-            degraded=bool(data["degraded"]),
+            degraded=degraded,
+            sigma={name: None if v is None else float(v) for name, v in sigma.items()},
         )
 
     def to_json(self, path) -> None:
@@ -178,29 +201,24 @@ def _window_trials(totals, trials: int):
     return trials if trials else np.where(totals > 1.5, np.rint(totals), 0.0)
 
 
-_PARAM_NAMES = ("r1", "r2", "eta_h", "eta_v", "overlap", "phase_offset")
-_PARAM_BOUNDS = {
-    "r1": (0.0, 4.0),
-    "r2": (0.0, 4.0),
-    "eta_h": (0.0, 1.0),
-    "eta_v": (0.0, 1.0),
-    "overlap": (0.0, 1.0),
-    "phase_offset": (-2.0 * math.pi, 2.0 * math.pi),
-}
-_INITIAL_STEPS = (0.05, 0.05, 0.02, 0.02, 0.005, 0.02)
-_STEP_FLOOR = 1e-7
+def _fitted_config(initial: InterferometerConfig, theta) -> InterferometerConfig:
+    """``initial`` with the fitted parameters theta as plain floats and r1 = r2 = r."""
+    r, eta_h, eta_v, overlap, phase_offset = (float(v) for v in theta)
+    return initial.with_updates(r1=r, r2=r, eta_h=eta_h, eta_v=eta_v, overlap=overlap, phase_offset=phase_offset)
 
 
 def calibrate(
     samples: Sequence[tuple[float, Sequence[int]]],
     initial: InterferometerConfig,
 ) -> CalibrationModel:
-    """Least-squares fit of the pipeline parameters to observed click counts.
+    """Weighted least-squares fit of (r, eta_h, eta_v, overlap, phase_offset).
 
     ``samples`` is a list of (phi, counts) with counts in (n00, n01, n10, n11)
-    order. Needs at least 8 distinct phases spanning half a period. On hitting
-    the evaluation budget before the steps shrink out, the best-so-far model
-    is returned with ``degraded=True``.
+    order, at least 8 distinct phases spanning half a period. The fit starts
+    from ``initial`` with r at the mean of its r1 and r2, and sets r1 = r2 = r.
+    ``fit_residual`` is the minimized weighted sum of squares, ``sigma`` each
+    parameter's standard error from the inverse Fisher matrix; ``degraded``
+    means the iteration cap was hit or that matrix is singular (sigma null).
     """
     phis = np.array([float(p) for p, _ in samples])
     if np.unique(np.round(phis, 12)).size < 8:
@@ -211,48 +229,55 @@ def calibrate(
     if not totals.all():
         raise UnidentifiableError("a calibration sample has no counts")
 
-    evals = 0
+    lo, hi = _FIT_BOUNDS
+    theta = np.clip([0.5 * (initial.r1 + initial.r2), initial.eta_h, initial.eta_v, initial.overlap,
+                     initial.phase_offset], lo, hi)
+    n = totals[:, None]
+    # multinomial weights, fixed at the start point
+    weight = np.sqrt(n / np.maximum(fringe(_fitted_config(initial, theta), phis), 1.0 / n))
 
-    def objective(values: np.ndarray) -> float:
-        nonlocal evals
-        evals += 1
-        cfg = initial.with_updates(**dict(zip(_PARAM_NAMES, values)))
-        model_curves = fringe(cfg, phis)
-        return float(np.sum((model_curves - freqs.T) ** 2))
+    def residual(t: np.ndarray) -> np.ndarray:
+        return ((fringe(_fitted_config(initial, t), phis) - freqs.T) * weight).ravel()
 
-    current = np.array([getattr(initial, name) for name in _PARAM_NAMES], dtype=float)
-    best = objective(current)
-    steps = np.array(_INITIAL_STEPS)
-    degraded = False
-    while evals < _MAX_EVALS:
-        improved = False
-        for k, name in enumerate(_PARAM_NAMES):
-            lo, hi = _PARAM_BOUNDS[name]
-            for direction in (+1.0, -1.0):
-                # walk while this direction keeps improving
-                while evals < _MAX_EVALS:
-                    candidate = current.copy()
-                    candidate[k] = min(hi, max(lo, candidate[k] + direction * steps[k]))
-                    if candidate[k] == current[k]:
-                        break
-                    val = objective(candidate)
-                    if val < best - 1e-15:
-                        current, best = candidate, val
-                        improved = True
-                    else:
-                        break
-        if not improved:
-            steps /= 2.0
-            if np.all(steps < _STEP_FLOOR):
+    def jacobian(t: np.ndarray) -> np.ndarray:
+        # central differences, one-sided at a bound
+        up, down = np.minimum(t + _JAC_STEPS, hi), np.maximum(t - _JAC_STEPS, lo)
+        return np.stack([residual(u) - residual(d) for u, d in zip(up, down)], axis=1) / np.diag(up - down)
+
+    res = residual(theta)
+    cost = float(res @ res)
+    damping = _DAMPING
+    for _ in range(_MAX_ITER):
+        jac = jacobian(theta)
+        fisher, grad = jac.T @ jac, jac.T @ res
+        # a parameter at a bound whose descent direction points outward stays put
+        free = (np.diag(fisher) > 0.0) & ~(((theta <= lo) & (grad > 0.0)) | ((theta >= hi) & (grad < 0.0)))
+        block = fisher[np.ix_(free, free)]
+        gain = 0.0
+        while free.any() and damping < _MAX_DAMPING:
+            step = np.zeros_like(theta)
+            step[free] = np.linalg.solve(block + damping * np.diag(np.diag(block)), -grad[free])
+            trial = np.clip(theta + step, lo, hi)
+            trial_res = residual(trial)
+            trial_cost = float(trial_res @ trial_res)
+            if trial_cost < cost:
+                gain = cost - trial_cost
+                theta, res, cost = trial, trial_res, trial_cost
+                damping /= 10.0
                 break
-    else:
-        degraded = True
+            damping *= 10.0
+        if gain <= _REL_GAIN * cost:
+            break
+    degraded = gain > _REL_GAIN * cost  # the iteration cap ended the fit
 
-    fitted = initial.with_updates(**dict(zip(_PARAM_NAMES, current)))
-    model = CalibrationModel.from_config(fitted)
-    model.fit_residual = best
-    model.degraded = degraded
-    return model
+    scale = np.sqrt(np.diag(fisher))
+    if scale.all() and np.linalg.eigvalsh(fisher / np.outer(scale, scale))[0] > _SINGULAR:
+        sigma = dict(zip(_FIT_NAMES, np.sqrt(np.diag(np.linalg.inv(fisher))).tolist()))
+    else:
+        sigma, degraded = dict.fromkeys(_FIT_NAMES), True
+    fitted = CalibrationModel.from_config(_fitted_config(initial, theta))
+    fitted.fit_residual, fitted.degraded, fitted.sigma = cost, degraded, sigma
+    return fitted
 
 
 def _check_branch(branch: tuple[float, float]) -> tuple[float, float]:

@@ -38,8 +38,6 @@ class InterferometerConfig:
     ``eta_internal`` an optional loss between the squeezers, ``overlap`` the
     mode-overlap amplitude between the seed and the second squeezing process,
     and ``phase_offset`` a constant phase bias added to the probe phase.
-    ``snl_per_photon`` is the shot-noise-limit Fisher-per-photon baseline
-    (2 rad^-2 under the photons-through-the-sample accounting).
     """
 
     r1: float
@@ -49,7 +47,6 @@ class InterferometerConfig:
     eta_internal: float = 1.0
     overlap: float = 1.0
     phase_offset: float = 0.0
-    snl_per_photon: float = 2.0
 
     def __post_init__(self):
         if self.r1 < 0 or self.r2 < 0:

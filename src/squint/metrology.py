@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "FisherReport",
     "BracketError",
     "ACCOUNTINGS",
+    "SNL_PER_PHOTON",
     "fisher_per_trial",
     "fisher_max_ideal",
     "heisenberg_sensitivity",
@@ -41,8 +42,11 @@ __all__ = [
 
 ACCOUNTINGS = ("single-pass", "double-pass")
 
-# max_fisher coarse grid over [0, pi]; threshold_tm_numeric bisection width
+# shot-noise-limit Fisher information per photon through the sample, rad^-2
+SNL_PER_PHOTON = 2.0
+# max_fisher coarse grid over [0, pi] and refinement grid; threshold_tm_numeric bisection width
 _COARSE_POINTS = 721
+_REFINE_POINTS = 65
 _THRESHOLD_TOL = 1e-4
 
 
@@ -120,66 +124,40 @@ def photons_through_sample(cfg: InterferometerConfig, accounting: str = "single-
     return 2.0 * n_bar if accounting == "double-pass" else n_bar
 
 
-def _golden_min(
-    f: Callable[[float], float], a: float, b: float, tol: float
-) -> tuple[float, float]:
-    """(x, f(x)) of the smallest value golden-section search sees on [a, b]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    while b - a > tol:
-        if fc > fd:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        if fc < best_f:
-            best_x, best_f = c, fc
-        if fd < best_f:
-            best_x, best_f = d, fd
-    return best_x, best_f
-
-
 def max_fisher(cfg: InterferometerConfig, tol: float = 1e-6) -> tuple[float, float]:
     """(phi*, F*) maximizing the per-trial Fisher information on [0, pi].
 
-    One batched coarse grid, then golden-section refinement to width
+    One batched coarse grid, then batched grids over one spacing either side
+    of the best point, each 32 times finer, until the spacing is below
     ``tol``; returns the best point seen.
     """
     grid = np.linspace(0.0, math.pi, _COARSE_POINTS)
-    vals = _fisher(cfg, grid)
-    i = int(np.argmax(vals))
-    a = grid[max(0, i - 1)]
-    b = grid[min(_COARSE_POINTS - 1, i + 1)]
-    x, neg_fx = _golden_min(lambda p: -float(_fisher(cfg, [p])[0]), a, b, tol)
-    if vals[i] >= -neg_fx:
-        return float(grid[i]), float(vals[i])
-    return float(x), -neg_fx
+    best_x, best_f, spacing = 0.0, -math.inf, grid[1]
+    while True:
+        vals = _fisher(cfg, grid)
+        i = int(np.argmax(vals))
+        if vals[i] > best_f:
+            best_x, best_f = float(grid[i]), float(vals[i])
+        if spacing < tol:
+            return best_x, best_f
+        grid = np.clip(best_x + np.linspace(-spacing, spacing, _REFINE_POINTS), 0.0, math.pi)
+        spacing /= (_REFINE_POINTS - 1) / 2
 
 
-def threshold_tm_numeric(cfg: InterferometerConfig, n_bar: float) -> float:
+def threshold_tm_numeric(n_bar: float) -> float:
     """Rediscover the loss threshold by bisecting the full pipeline.
 
     Builds the symmetric lossless config at the squeezing giving ``n_bar``,
     then finds the arm efficiency where max_phi Fisher-per-photon crosses the
-    shot-noise baseline carried by ``cfg``.
+    shot-noise baseline ``SNL_PER_PHOTON``.
     """
     if n_bar <= 0:
         raise ValueError(f"mean photon number must be > 0, got {n_bar}")
-    snl = cfg.snl_per_photon
-    if snl <= 0.0:
-        return 0.0
     r = math.asinh(math.sqrt(n_bar / 2.0))
-    base = cfg.with_updates(r1=r, r2=r, eta_internal=1.0, overlap=1.0)
 
     def excess(eta: float) -> float:
-        _, fmax = max_fisher(base.with_updates(eta_h=eta, eta_v=eta), tol=_THRESHOLD_TOL)
-        return fmax / n_bar - snl
+        cfg = InterferometerConfig(r1=r, r2=r, eta_h=eta, eta_v=eta)
+        return max_fisher(cfg, tol=_THRESHOLD_TOL)[1] / n_bar - SNL_PER_PHOTON
 
     lo, hi = 1e-6, 1.0 - 1e-9
     f_lo, f_hi = excess(lo), excess(hi)
@@ -209,6 +187,6 @@ def fisher_sweep(
     reports = []
     for p, f_trial in zip(phis, _fisher(cfg, phis).tolist()):
         f_photon = f_trial / n_through
-        db = 10.0 * math.log10(f_photon / cfg.snl_per_photon) if f_photon > 0.0 else -math.inf
-        reports.append(FisherReport(p, f_trial, n_through, f_photon, cfg.snl_per_photon, db))
+        db = 10.0 * math.log10(f_photon / SNL_PER_PHOTON) if f_photon > 0.0 else -math.inf
+        reports.append(FisherReport(p, f_trial, n_through, f_photon, SNL_PER_PHOTON, db))
     return reports

@@ -16,7 +16,7 @@ import numpy as np
 from .detection import fringe, interferometer_clicks
 from .estimation import CalibrationModel, _check_branch, _cramer_rao, estimate_phases, write_json
 from .gaussian import InterferometerConfig
-from .metrology import ACCOUNTINGS, photons_through_sample
+from .metrology import ACCOUNTINGS, SNL_PER_PHOTON, photons_through_sample
 
 __all__ = [
     "TrackingScenario",
@@ -258,7 +258,7 @@ def sensitivity_report(run: TrackingRun, accounting: str = "single-pass") -> Sen
     """Compare per-phase tracking noise with the CRLB and the SNL.
 
     The SNL sensitivity matches the photon budget actually spent per window:
-    dphi_SNL = 1/sqrt(cfg.snl_per_photon * trials * photons_through_sample), and
+    dphi_SNL = 1/sqrt(SNL_PER_PHOTON * trials * photons_through_sample), and
     the enhancement is 20 log10(dphi_SNL / dphi). The absolute scale depends
     on the assumed repetition rate, which is always reported alongside.
     """
@@ -267,14 +267,13 @@ def sensitivity_report(run: TrackingRun, accounting: str = "single-pass") -> Sen
     if accounting not in ACCOUNTINGS:
         raise ValueError(f"accounting must be one of {ACCOUNTINGS}, got {accounting!r}")
     cfg = run.config
-    snl = cfg.snl_per_photon
     trials = run.trials_per_window
     n_through = photons_through_sample(cfg, accounting)
-    snl_dphi = 1.0 / math.sqrt(snl * trials * n_through) if snl > 0 else math.inf
+    snl_dphi = 1.0 / math.sqrt(SNL_PER_PHOTON * trials * n_through)
     rows = []
     bounds = _cramer_rao(cfg, [agg.phi_set for agg in run.aggregates], trials)
     for agg, bound in zip(run.aggregates, bounds.tolist()):
-        if agg.std_phi_est > 0 and math.isfinite(snl_dphi):
+        if agg.std_phi_est > 0:
             db = 20.0 * math.log10(snl_dphi / agg.std_phi_est)
         else:
             db = math.inf if agg.std_phi_est == 0 else -math.inf
@@ -292,6 +291,6 @@ def sensitivity_report(run: TrackingRun, accounting: str = "single-pass") -> Sen
         rows=rows,
         trials_per_window=trials,
         photons_through_sample=n_through,
-        snl_per_photon=snl,
+        snl_per_photon=SNL_PER_PHOTON,
         accounting=accounting,
     )

@@ -278,8 +278,9 @@ ESTIMATE_INPUTS = ["--counts", "n.csv", "--calibration", "c.json", "--branch-lo"
 
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"interferometer": {"r1": 0.3, "r2": 0.3, "gain": 2}})
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        for key in ("gain", "snl_per_photon"):
+            cfg = write_config(tmp_path, {"interferometer": {"r1": 0.3, "r2": 0.3, key: 2}})
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"laser": {}})

@@ -60,6 +60,7 @@ class TestCalibrationModel:
         assert np.array_equal(loaded.curves, tracking_cal.curves)
         assert np.allclose(loaded.phi_tab, tracking_cal.phi_tab, atol=1e-15)
         assert loaded.fit_residual == tracking_cal.fit_residual
+        assert loaded.sigma == tracking_cal.sigma == {}
 
     def test_schema_guard(self, tracking_cal):
         data = tracking_cal.to_dict()
@@ -89,10 +90,33 @@ class TestCalibrationModel:
             d["curves"]["p00"][-1] += 0.01
             d["curves"]["p11"][-1] -= 0.01
 
-        for edit in (out_of_range, not_normalized, not_finite, wrong_grid, open_period):
+        def old_schema(d):
+            d["schema"] = "squint-calibration/1"
+
+        def sigma_of_unfitted_name(d):
+            d["sigma"]["r1"] = 1e-5
+
+        def negative_sigma(d):
+            d["sigma"]["r"] = -1e-5
+
+        def infinite_sigma(d):
+            d["sigma"]["eta_h"] = math.inf
+
+        def null_sigma_of_sound_fit(d):
+            d["sigma"]["overlap"] = None
+
+        edits = (out_of_range, not_normalized, not_finite, wrong_grid, open_period, old_schema,
+                 sigma_of_unfitted_name, negative_sigma, infinite_sigma, null_sigma_of_sound_fit)
+        for edit in edits:
             with pytest.raises(ValueError):
                 CalibrationModel.from_dict(broken(edit))
         assert CalibrationModel.from_dict(broken(lambda d: None)).config == tracking_cal.config
+
+        def degraded_null_sigma(d):
+            d["degraded"] = True
+            d["sigma"] = {"r": None, "eta_h": 1e-4}
+
+        assert CalibrationModel.from_dict(broken(degraded_null_sigma)).sigma == {"r": None, "eta_h": 1e-4}
 
 
 def synthetic_samples(cfg, phases, trials, seed):
@@ -118,9 +142,10 @@ class TestCalibrate:
         )
         model = calibrate(samples, initial)
         assert not model.degraded
-        # the click statistics are swap-symmetric in (r1, r2), so the
-        # identified gain is their mean; the split itself sits in a flat
-        # valley at the statistical noise floor
+        # the click statistics cannot tell r1 from r2 where they are equal,
+        # so calibrate fits one gain
+        assert model.config.r1 == model.config.r2
+        assert all(type(v) is float for v in vars(model.config).values())
         mean_r = 0.5 * (model.config.r1 + model.config.r2)
         assert abs(mean_r - tracking_cfg.r1) <= 0.01
         assert abs(model.config.r1 - tracking_cfg.r1) <= 0.05
@@ -136,8 +161,36 @@ class TestCalibrate:
         samples = synthetic_samples(truth, phases, 10_000_000, seed=3)
         initial = truth.with_updates(eta_h=0.97, eta_v=0.96, r1=0.52, r2=0.49)
         model = calibrate(samples, initial)
+        assert not model.degraded
         assert model.config.eta_h >= 0.995
         assert model.config.eta_v >= 0.995
+
+    def test_fit_within_four_sigma_over_seeds(self, tracking_cfg):
+        phases = np.linspace(0.1, 3.0, 16)
+        initial = tracking_cfg.with_updates(
+            r1=tracking_cfg.r1 + 0.03, r2=tracking_cfg.r2 - 0.02, eta_h=tracking_cfg.eta_h + 0.04,
+            eta_v=tracking_cfg.eta_v - 0.03, overlap=tracking_cfg.overlap + 0.004, phase_offset=0.02,
+        )
+        truth = {"r": tracking_cfg.r1, "eta_h": tracking_cfg.eta_h, "eta_v": tracking_cfg.eta_v,
+                 "overlap": tracking_cfg.overlap, "phase_offset": 0.0}
+        for seed in range(20):
+            model = calibrate(synthetic_samples(tracking_cfg, phases, 10_000_000, seed), initial)
+            assert not model.degraded
+            assert set(model.sigma) == set(truth)
+            fitted = dict(vars(model.config), r=model.config.r1)
+            for name, value in truth.items():
+                assert abs(fitted[name] - value) <= 4.0 * model.sigma[name], (seed, name)
+
+    def test_singular_fisher_matrix_is_degraded(self, tmp_path):
+        # with both arms dark every trial gives 00 and nothing but the
+        # efficiencies is identifiable
+        truth = InterferometerConfig(r1=0.5, r2=0.5, eta_h=0.0, eta_v=0.0)
+        samples = synthetic_samples(truth, np.linspace(0.1, 3.0, 16), 1_000_000, seed=0)
+        model = calibrate(samples, truth.with_updates(eta_h=0.01, eta_v=0.02))
+        assert model.degraded
+        assert model.sigma == dict.fromkeys(("r", "eta_h", "eta_v", "overlap", "phase_offset"))
+        model.to_json(tmp_path / "cal.json")
+        assert CalibrationModel.from_json(tmp_path / "cal.json").sigma == model.sigma
 
     def test_needs_enough_phases(self, tracking_cfg):
         samples = synthetic_samples(tracking_cfg, [0.5], 10_000, seed=0)

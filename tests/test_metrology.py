@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from reference_chain import op_by_op_clicks
 from squint.detection import clicks, fringe
+from squint import metrology
 from squint.gaussian import InterferometerConfig
 from squint.metrology import (
     ACCOUNTINGS,
@@ -146,6 +147,26 @@ class TestFisherPerTrial:
             assert fmax <= last + 1e-9
             last = fmax
 
+    # Loss never raises the quantum Fisher information (every loss here is
+    # phase-covariant; Braunstein & Caves, PRL 72, 3439 (1994)), but threshold
+    # clicks are a different measurement at every efficiency, so loss can raise
+    # the click Fisher information. Pinned so that nobody "fixes" it.
+    def test_internal_loss_can_raise_click_fisher(self):
+        cfg = InterferometerConfig(r1=0.519, r2=0.169, eta_h=0.979, eta_v=0.944, overlap=0.966)
+        lossless = max_fisher(cfg)[1]
+        lossy = max_fisher(cfg.with_updates(eta_internal=0.535))[1]
+        assert lossless == pytest.approx(0.32262, abs=1e-5)
+        assert lossy == pytest.approx(0.35592, abs=1e-5)
+        assert lossy / lossless - 1 == pytest.approx(0.103, abs=1e-3)
+
+    def test_arm_loss_can_raise_click_fisher(self):
+        cfg = InterferometerConfig(r1=1.497, r2=1.497, overlap=0.930, eta_v=0.211)
+        before = max_fisher(cfg.with_updates(eta_h=0.889))[1]
+        after = max_fisher(cfg.with_updates(eta_h=0.319))[1]
+        assert before == pytest.approx(18.337, abs=1e-3)
+        assert after == pytest.approx(22.432, abs=1e-3)
+        assert after / before - 1 == pytest.approx(0.223, abs=1e-3)
+
 
 class TestClosedForms:
     def test_fisher_max_ideal(self):
@@ -206,23 +227,18 @@ class TestClosedForms:
 
 class TestThresholdNumeric:
     def test_cross_validation(self):
-        base = InterferometerConfig(r1=0.0, r2=0.0)
         for n_bar in (0.1, 0.78):
-            numeric = threshold_tm_numeric(base, n_bar)
+            numeric = threshold_tm_numeric(n_bar)
             assert abs(numeric - threshold_tm(n_bar)) < 1e-3
 
     def test_zero_mean_photon_number_rejected(self):
         with pytest.raises(ValueError):
-            threshold_tm_numeric(InterferometerConfig(r1=0.0, r2=0.0), 0.0)
+            threshold_tm_numeric(0.0)
 
-    def test_zero_snl_guard(self):
-        base = InterferometerConfig(r1=0.0, r2=0.0, snl_per_photon=0.0)
-        assert threshold_tm_numeric(base, 0.78) == 0.0
-
-    def test_bracket_failure_reported(self):
-        base = InterferometerConfig(r1=0.0, r2=0.0, snl_per_photon=1e6)
+    def test_bracket_failure_reported(self, monkeypatch):
+        monkeypatch.setattr(metrology, "SNL_PER_PHOTON", 1e6)
         with pytest.raises(BracketError):
-            threshold_tm_numeric(base, 0.78)
+            threshold_tm_numeric(0.78)
 
 
 class TestFisherSweep:
