@@ -1,26 +1,17 @@
 """squint: click statistics, Fisher information, and phase estimation for a
 stimulated two-mode-squeezing interferometer with threshold detectors."""
 
-from .detection import (
-    ClickDistribution,
-    clicks,
-    fringe,
-    fringe_visibility,
-    interferometer_clicks,
-    overlap_for_visibility,
-)
+from .detection import clicks, fringe, fringe_visibility, overlap_for_visibility
 from .estimation import (
     CalibrationModel,
     PhaseEstimate,
     UnidentifiableError,
     bootstrap_sigma,
     calibrate,
-    crlb,
     estimate_phase,
     estimate_phases,
 )
 from .fock import (
-    FockState,
     TruncationError,
     required_n_max,
     simulate_fock,
@@ -32,8 +23,9 @@ from .gaussian import InterferometerConfig, InvalidStateError
 from .metrology import (
     BracketError,
     FisherReport,
+    crlb,
+    fisher,
     fisher_max_ideal,
-    fisher_per_trial,
     fisher_sweep,
     heisenberg_sensitivity,
     max_fisher,
@@ -50,7 +42,6 @@ from .simkit import (
     TrackingScenario,
     WindowRecord,
     run_tracking,
-    sample_clicks,
     sensitivity_report,
 )
 

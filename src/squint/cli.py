@@ -44,9 +44,6 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
-_CONFIG_KEYS = tuple(f.name for f in fields(InterferometerConfig))
-_SCENARIO_KEYS = tuple(f.name for f in fields(TrackingScenario))
-
 
 class ConfigError(Exception):
     pass
@@ -84,30 +81,26 @@ def _load_config_file(path: str):
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config file must hold a JSON object")
     unknown = set(data) - {"interferometer", "scenario"}
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
+    for name, section in data.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section {name!r} must be a JSON object")
     cfg = None
     scenario = None
     if "interferometer" in data:
-        section = data["interferometer"]
-        bad = set(section) - set(_CONFIG_KEYS)
-        if bad:
-            raise ConfigError(f"unknown interferometer keys: {sorted(bad)}")
         try:
-            cfg = InterferometerConfig(**section)
+            cfg = InterferometerConfig(**data["interferometer"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid interferometer section: {exc}") from exc
     if "scenario" in data:
-        section = dict(data["scenario"])
-        bad = set(section) - set(_SCENARIO_KEYS)
-        if bad:
-            raise ConfigError(f"unknown scenario keys: {sorted(bad)}")
-        if "phase_schedule" in section:
-            section["phase_schedule"] = tuple(tuple(item) for item in section["phase_schedule"])
-        if "branch" in section and section["branch"] is not None:
-            section["branch"] = tuple(section["branch"])
-        try:
+        section = data["scenario"]
+        try:  # TrackingScenario makes the schedule a tuple of (phase, duration) pairs itself
+            if section.get("branch") is not None:
+                section["branch"] = tuple(section["branch"])
             scenario = TrackingScenario(**section)
             if scenario.windows_per_repeat:
                 scenario.resolved_branch()
@@ -124,6 +117,12 @@ def _resolve_config(args) -> InterferometerConfig:
             raise ConfigError("config file has no 'interferometer' section")
         return cfg
     return presets.fringe_config() if args.preset else InterferometerConfig(r1=0.59, r2=0.59)
+
+
+def _check_per_photon(cfg: InterferometerConfig) -> None:
+    """Per-photon reports divide by the photons through the sample, 0 at r1 = 0."""
+    if photons_through_sample(cfg) == 0.0:
+        raise ConfigError("per-photon reports need r1 > 0: at r1 = 0 no photons pass the sample")
 
 
 def _phi_grid(args) -> np.ndarray:
@@ -171,6 +170,7 @@ def cmd_fisher(args) -> int:
         print(f"wrote {path}")
         return EXIT_OK
     cfg = _resolve_config(args)
+    _check_per_photon(cfg)
     grid = _phi_grid(args)
     reports = fisher_sweep(cfg, grid, accounting=args.accounting)
     columns = tuple(f.name for f in fields(FisherReport))
@@ -257,6 +257,7 @@ def cmd_track(args) -> int:
             raise ConfigError("track config must contain interferometer and scenario sections")
         if args.seed is not None and args.seed != scenario.seed:
             scenario = replace(scenario, seed=args.seed)
+    _check_per_photon(cfg)
     cal = CalibrationModel.from_config(cfg)
     run = run_tracking(scenario, cfg, cal)
     out = Path(args.out)
@@ -289,7 +290,7 @@ def cmd_validate(args) -> int:
     for r, eta in cases:
         cfg = InterferometerConfig(r1=r, r2=r, eta_h=eta, eta_v=eta)
         n_max = required_n_max(2 * r, args.budget)
-        fock = np.array([simulate_fock(cfg, phi, n_max, budget=args.budget).as_array() for phi in grid])
+        fock = np.array([simulate_fock(cfg, phi, n_max, budget=args.budget) for phi in grid])
         dev = float(np.abs(fringe(cfg, grid) - fock).max())
         rows.append([r, eta, n_max, dev])
         worst = max(worst, dev)

@@ -22,16 +22,13 @@ accuracy where an outcome vanishes, and F = sum dp^2/p needs no guard.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .gaussian import InterferometerConfig, InvalidStateError, bogoliubov_factors
 
 __all__ = [
-    "ClickDistribution",
     "clicks",
-    "interferometer_clicks",
     "fringe",
     "fringe_visibility",
     "overlap_for_visibility",
@@ -60,24 +57,6 @@ def _checked(p: np.ndarray) -> np.ndarray:
     if np.any(np.abs(total - 1.0) > _SUM_TOL):
         raise InvalidStateError(f"outcome probabilities sum to {total.min()}..{total.max()}, not 1")
     return p
-
-
-@dataclass(frozen=True)
-class ClickDistribution:
-    """Probabilities of the four threshold-detector outcomes."""
-
-    p00: float
-    p01: float
-    p10: float
-    p11: float
-
-    def __post_init__(self):
-        row = _checked(np.array([[self.p00, self.p01, self.p10, self.p11]], dtype=float))[0]
-        for name, v in zip(_OUTCOMES, row):
-            object.__setattr__(self, name, float(v))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p00, self.p01, self.p10, self.p11])
 
 
 # A jet holds one quantity and, if asked for, its phase derivative on an axis
@@ -184,11 +163,6 @@ def _clicks(cfg, phis, order):
     p = _leibniz(np.multiply, np.array([p_h, p_h, p_v, c_h, p_v]), np.array([q_gv, c_gv, c_gh, c_v, q_gh]))
     p[3] += _leibniz(np.multiply, p[4], _leibniz(np.multiply, p_h, gain_h))
     return p[:4]
-
-
-def interferometer_clicks(cfg: InterferometerConfig, phi: float) -> ClickDistribution:
-    """Click distribution of the full pipeline at probe phase ``phi``."""
-    return ClickDistribution(*clicks(cfg, [phi])[0][0])
 
 
 def fringe(cfg: InterferometerConfig, phi_grid) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Calibration curves, least-squares phase estimation, bootstrap, and CRLB.
+"""Calibration curves, least-squares phase estimation, and bootstrap.
 
 The estimator follows the measurement protocol: a window's observed outcome
 frequencies f are matched against the calibrated p_ij(phi) curves by
@@ -29,7 +29,7 @@ import numpy as np
 
 from .detection import _SUM_TOL, fringe
 from .gaussian import InterferometerConfig
-from .metrology import _fisher
+from .metrology import fisher
 
 __all__ = [
     "CalibrationModel",
@@ -39,7 +39,6 @@ __all__ = [
     "estimate_phase",
     "estimate_phases",
     "bootstrap_sigma",
-    "crlb",
 ]
 
 CALIBRATION_SCHEMA = "squint-calibration/2"
@@ -249,10 +248,10 @@ def calibrate(
     damping = _DAMPING
     for _ in range(_MAX_ITER):
         jac = jacobian(theta)
-        fisher, grad = jac.T @ jac, jac.T @ res
+        info, grad = jac.T @ jac, jac.T @ res
         # a parameter at a bound whose descent direction points outward stays put
-        free = (np.diag(fisher) > 0.0) & ~(((theta <= lo) & (grad > 0.0)) | ((theta >= hi) & (grad < 0.0)))
-        block = fisher[np.ix_(free, free)]
+        free = (np.diag(info) > 0.0) & ~(((theta <= lo) & (grad > 0.0)) | ((theta >= hi) & (grad < 0.0)))
+        block = info[np.ix_(free, free)]
         gain = 0.0
         while free.any() and damping < _MAX_DAMPING:
             step = np.zeros_like(theta)
@@ -270,9 +269,9 @@ def calibrate(
             break
     degraded = gain > _REL_GAIN * cost  # the iteration cap ended the fit
 
-    scale = np.sqrt(np.diag(fisher))
-    if scale.all() and np.linalg.eigvalsh(fisher / np.outer(scale, scale))[0] > _SINGULAR:
-        sigma = dict(zip(_FIT_NAMES, np.sqrt(np.diag(np.linalg.inv(fisher))).tolist()))
+    scale = np.sqrt(np.diag(info))
+    if scale.all() and np.linalg.eigvalsh(info / np.outer(scale, scale))[0] > _SINGULAR:
+        sigma = dict(zip(_FIT_NAMES, np.sqrt(np.diag(np.linalg.inv(info))).tolist()))
     else:
         sigma, degraded = dict.fromkeys(_FIT_NAMES), True
     fitted = CalibrationModel.from_config(_fitted_config(initial, theta))
@@ -335,7 +334,7 @@ def estimate_phases(
     phi_est[dead] = objective[dead] = math.nan
     info = np.zeros(totals.size)
     if not dead.all():
-        info[~dead] = _fisher(cal.config, phi_est[~dead])
+        info[~dead] = fisher(cal.config, phi_est[~dead])
     window_trials = _window_trials(totals, trials)
     low_information = np.where(window_trials > 0, window_trials * info < 1.0, info < 1e-9) | dead
     return phi_est, objective, low_information
@@ -388,17 +387,3 @@ def bootstrap_sigma(
     if np.isnan(estimates).any():
         raise UnidentifiableError("objective is flat on the branch")
     return float(np.std(estimates, ddof=1))
-
-
-def _cramer_rao(cfg: InterferometerConfig, phis, trials: int) -> np.ndarray:
-    """Bound 1/sqrt(trials * F) at each phase; inf where F = 0."""
-    info = _fisher(cfg, phis)
-    with np.errstate(divide="ignore"):
-        return 1.0 / np.sqrt(trials * info)
-
-
-def crlb(cal: CalibrationModel, phi: float, trials: int) -> float:
-    """Cramer-Rao bound 1/sqrt(trials * F) of the calibrated model at phi."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    return float(_cramer_rao(cal.config, [phi], trials)[0])

@@ -16,16 +16,14 @@ the clicks follow from them by inclusion-exclusion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .detection import ClickDistribution
+from .detection import _checked
 from .gaussian import InterferometerConfig
 
 __all__ = [
-    "FockState",
     "TruncationError",
     "tmss_amplitudes",
     "truncation_error_bound",
@@ -126,32 +124,14 @@ def _beamsplitter_unitary(theta: float, n_max: int) -> tuple:
     return _pair_blocks(a.T, a, theta, 1)
 
 
-@dataclass(frozen=True)
-class FockState:
-    """Pure truncated state: one amplitude per product-basis index, shape
-    (n_max+1,) * num_modes."""
-
-    num_modes: int
-    n_max: int
-    vector: np.ndarray
-
-    def __post_init__(self):
-        shape = (self.n_max + 1,) * self.num_modes
-        if np.shape(self.vector) != shape:
-            raise ValueError(f"vector has shape {np.shape(self.vector)}, expected {shape}")
-
-    def norm(self) -> float:
-        """Squared norm; 1 up to the truncation tail."""
-        return float(np.vdot(self.vector, self.vector).real)
-
-    def no_photon_probability(self, eta: dict[int, float]) -> float:
-        """Probability that no photon survives on the modes keyed in ``eta``,
-        mode m seen through transmission eta[m]; every other mode is summed out."""
-        weights = np.abs(self.vector) ** 2
-        n = np.arange(self.n_max + 1)
-        for mode, e in eta.items():  # (1 - eta)^n, with 0^0 = 1 at eta = 1
-            weights = np.moveaxis(np.moveaxis(weights, mode, -1) * (1.0 - e) ** n, -1, mode)
-        return float(weights.sum())
+def _no_photon_probability(vec: np.ndarray, eta: dict[int, float]) -> float:
+    """Probability that no photon survives on the modes keyed in ``eta``,
+    mode m seen through transmission eta[m]; every other mode is summed out."""
+    weights = np.abs(vec) ** 2
+    n = np.arange(vec.shape[0])
+    for mode, e in eta.items():  # (1 - eta)^n, with 0^0 = 1 at eta = 1
+        weights = np.moveaxis(np.moveaxis(weights, mode, -1) * (1.0 - e) ** n, -1, mode)
+    return float(weights.sum())
 
 
 def _apply_pair_unitary(tensor: np.ndarray, blocks: tuple, ax1: int, ax2: int) -> np.ndarray:
@@ -172,11 +152,12 @@ def _arms(cfg: InterferometerConfig) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return ((0, 2), (1, 3)) if cfg.overlap < 1.0 else ((0,), (1,))
 
 
-def evolve_fock(cfg: InterferometerConfig, phi: float, n_max: int) -> FockState:
+def evolve_fock(cfg: InterferometerConfig, phi: float, n_max: int) -> np.ndarray:
     """Run the interferometer pipeline up to, not including, the external loss.
 
-    The arm modes come first (see ``_arms``); internal loss appends one
-    environment mode per sample mode, so the state has at most six modes.
+    Returns the pure state's amplitudes, shape (n_max+1,) * modes. The arm
+    modes come first (see ``_arms``); internal loss appends one environment
+    mode per sample mode, so the state has at most six modes.
     The internal-loss beamsplitter is exact under truncation: with the
     environment empty, each (n_a + n_e) sector it touches is complete.
     """
@@ -209,13 +190,11 @@ def evolve_fock(cfg: InterferometerConfig, phi: float, n_max: int) -> FockState:
     vec = _apply_pair_unitary(vec, u2, 0, 1)
     for arm in mixed:
         vec = _apply_pair_unitary(vec, _beamsplitter_unitary(-theta, n_max), *arm)
-    return FockState(num_modes, n_max, vec)
+    return vec
 
 
-def simulate_fock(
-    cfg: InterferometerConfig, phi: float, n_max: int, budget: float = 1e-8
-) -> ClickDistribution:
-    """Click probabilities from the truncated Fock evolution.
+def simulate_fock(cfg: InterferometerConfig, phi: float, n_max: int, budget: float = 1e-8) -> np.ndarray:
+    """Click probabilities (p00, p01, p10, p11) from the truncated Fock evolution.
 
     Raises TruncationError when the worst-case bound (total squeezing r1+r2)
     exceeds ``budget``.
@@ -225,11 +204,11 @@ def simulate_fock(
         raise TruncationError(
             f"truncation bound {achieved:.3e} exceeds budget {budget:.3e} at n_max={n_max}"
         )
-    state = evolve_fock(cfg, phi, n_max)
+    vec = evolve_fock(cfg, phi, n_max)
     arm_h, arm_v = _arms(cfg)
     h = dict.fromkeys(arm_h, cfg.eta_h)
     v = dict.fromkeys(arm_v, cfg.eta_v)
-    p00 = state.no_photon_probability({**h, **v})
-    ph = state.no_photon_probability(h)
-    pv = state.no_photon_probability(v)
-    return ClickDistribution(p00=p00, p01=ph - p00, p10=pv - p00, p11=1.0 - ph - pv + p00)
+    p00 = _no_photon_probability(vec, {**h, **v})
+    ph = _no_photon_probability(vec, h)
+    pv = _no_photon_probability(vec, v)
+    return _checked(np.array([[p00, ph - p00, pv - p00, 1.0 - ph - pv + p00]]))[0]

@@ -3,9 +3,11 @@
 The per-trial Fisher information is F(phi) = sum_ij (d p_ij/d phi)^2 / p_ij,
 computed from the analytic phase derivatives of the click core. Both p and dp
 keep their relative accuracy next to a fringe zero, so the plain sum is exact
-there; an outcome with p = 0 adds 0. Per-photon quantities divide by
-the mean photon number that passes through the sample, 2 sinh^2(r1) per trial
-under the default single-pass accounting.
+there; an outcome with p = 0 adds 0. ``fisher`` and the Cramer-Rao bound
+``crlb`` take an array of phases and return one value per phase. Per-photon
+quantities divide by the mean photon number that passes through the sample,
+2 sinh^2(r1) per trial under the default single-pass accounting, so they need
+r1 > 0.
 
 Closed forms for the ideal scheme and for the NOON-state baselines live here
 alongside their numeric rediscovery (threshold_tm_numeric), which bisects the
@@ -28,7 +30,8 @@ __all__ = [
     "BracketError",
     "ACCOUNTINGS",
     "SNL_PER_PHOTON",
-    "fisher_per_trial",
+    "fisher",
+    "crlb",
     "fisher_max_ideal",
     "heisenberg_sensitivity",
     "threshold_tm",
@@ -66,16 +69,19 @@ class FisherReport:
     enhancement_db: float
 
 
-def _fisher(cfg: InterferometerConfig, phis) -> np.ndarray:
+def fisher(cfg: InterferometerConfig, phis) -> np.ndarray:
     """Per-trial Fisher information at each phase, from analytic derivatives;
     an outcome with p = 0 adds 0."""
     p, dp = clicks(cfg, phis, order=1)
     return np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0.0).sum(axis=-1)
 
 
-def fisher_per_trial(cfg: InterferometerConfig, phi: float) -> float:
-    """Four-outcome Fisher information per trial at probe phase ``phi``."""
-    return float(_fisher(cfg, [phi])[0])
+def crlb(cfg: InterferometerConfig, phis, trials: int) -> np.ndarray:
+    """Cramer-Rao bound 1/sqrt(trials * F) at each phase; inf where F = 0."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    with np.errstate(divide="ignore"):
+        return 1.0 / np.sqrt(trials * fisher(cfg, phis))
 
 
 def fisher_max_ideal(r: float) -> float:
@@ -134,7 +140,7 @@ def max_fisher(cfg: InterferometerConfig, tol: float = 1e-6) -> tuple[float, flo
     grid = np.linspace(0.0, math.pi, _COARSE_POINTS)
     best_x, best_f, spacing = 0.0, -math.inf, grid[1]
     while True:
-        vals = _fisher(cfg, grid)
+        vals = fisher(cfg, grid)
         i = int(np.argmax(vals))
         if vals[i] > best_f:
             best_x, best_f = float(grid[i]), float(vals[i])
@@ -184,8 +190,10 @@ def fisher_sweep(
     if any(p < 0.0 or p > math.pi + 1e-12 for p in phis):
         raise ValueError("phase grid must lie within [0, pi]")
     n_through = photons_through_sample(cfg, accounting)
+    if n_through == 0.0:
+        raise ValueError("Fisher information per photon needs r1 > 0: at r1 = 0 no photons pass the sample")
     reports = []
-    for p, f_trial in zip(phis, _fisher(cfg, phis).tolist()):
+    for p, f_trial in zip(phis, fisher(cfg, phis).tolist()):
         f_photon = f_trial / n_through
         db = 10.0 * math.log10(f_photon / SNL_PER_PHOTON) if f_photon > 0.0 else -math.inf
         reports.append(FisherReport(p, f_trial, n_through, f_photon, SNL_PER_PHOTON, db))

@@ -1,4 +1,4 @@
-"""Monte Carlo experiment engine: click sampling, phase tracking, sensitivity.
+"""Monte Carlo experiment engine: phase tracking and sensitivity.
 
 Randomness uses counter-based Philox streams keyed by (seed, stream index),
 one stream per window, so serial and parallel executions of the same scenario
@@ -13,10 +13,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .detection import fringe, interferometer_clicks
-from .estimation import CalibrationModel, _check_branch, _cramer_rao, estimate_phases, write_json
+from .detection import fringe
+from .estimation import CalibrationModel, _check_branch, estimate_phases, write_json
 from .gaussian import InterferometerConfig
-from .metrology import ACCOUNTINGS, SNL_PER_PHOTON, photons_through_sample
+from .metrology import SNL_PER_PHOTON, crlb, photons_through_sample
 
 __all__ = [
     "TrackingScenario",
@@ -24,7 +24,6 @@ __all__ = [
     "PhaseAggregate",
     "TrackingRun",
     "SensitivityReport",
-    "sample_clicks",
     "run_tracking",
     "sensitivity_report",
 ]
@@ -73,6 +72,9 @@ class TrackingScenario:
         object.__setattr__(self, "phase_schedule", schedule)
         if self.window <= 0 or self.repetition_rate <= 0:
             raise ValueError("window and repetition_rate must be > 0")
+        if self.trials_per_window < 1:
+            raise ValueError(f"repetition_rate * window = {self.repetition_rate * self.window:g} "
+                             "rounds to no trials per window")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         for phi, duration in schedule:
@@ -169,14 +171,6 @@ class TrackingRun:
         write_json(path, self.summary_dict())
 
 
-def sample_clicks(cfg: InterferometerConfig, phi: float, trials: int, seed: int) -> np.ndarray:
-    """Multinomial draw of the four outcome counts; deterministic given seed."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    probs = interferometer_clicks(cfg, phi).as_array()
-    return _stream(seed, 0).multinomial(trials, probs)
-
-
 def run_tracking(
     scenario: TrackingScenario,
     cfg: InterferometerConfig,
@@ -264,14 +258,14 @@ def sensitivity_report(run: TrackingRun, accounting: str = "single-pass") -> Sen
     """
     if not run.records:
         raise ValueError("sensitivity_report needs a nonempty run")
-    if accounting not in ACCOUNTINGS:
-        raise ValueError(f"accounting must be one of {ACCOUNTINGS}, got {accounting!r}")
     cfg = run.config
     trials = run.trials_per_window
     n_through = photons_through_sample(cfg, accounting)
+    if n_through == 0.0:
+        raise ValueError("sensitivity per photon needs r1 > 0: at r1 = 0 no photons pass the sample")
     snl_dphi = 1.0 / math.sqrt(SNL_PER_PHOTON * trials * n_through)
     rows = []
-    bounds = _cramer_rao(cfg, [agg.phi_set for agg in run.aggregates], trials)
+    bounds = crlb(cfg, [agg.phi_set for agg in run.aggregates], trials)
     for agg, bound in zip(run.aggregates, bounds.tolist()):
         if agg.std_phi_est > 0:
             db = 20.0 * math.log10(snl_dphi / agg.std_phi_est)

@@ -281,6 +281,25 @@ class TestConfigHandling:
         for key in ("gain", "snl_per_photon"):
             cfg = write_config(tmp_path, {"interferometer": {"r1": 0.3, "r2": 0.3, key: 2}})
             assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+            assert key in capsys.readouterr().err
+        payload = {"interferometer": {"r1": 0.3, "r2": 0.3},
+                   "scenario": {"phase_schedule": [[0.5, 0.2]], "repetition_rate": 5e4, "pulses": 3}}
+        assert main(["track", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]) == 2
+        assert "pulses" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            5,
+            {"interferometer": 5},
+            {"interferometer": {"r1": 0.3, "r2": 0.3}, "scenario": 5},
+            {"interferometer": {"r1": 0.3, "r2": 0.3}, "scenario": {"phase_schedule": 3}},
+        ],
+    )
+    def test_malformed_structure_rejected(self, tmp_path, capsys, payload):
+        assert main(["track", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"laser": {}})
@@ -347,6 +366,27 @@ class TestConfigHandling:
         }
         assert main(["track", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]) == 2
         assert "invalid scenario section" in capsys.readouterr().err
+
+    def test_window_without_trials_rejected(self, tmp_path, capsys):
+        payload = {
+            "interferometer": {"r1": 0.43, "r2": 0.43},
+            "scenario": {"phase_schedule": [[0.5, 0.2]], "window": 0.2, "repetition_rate": 1.0},
+        }
+        assert main(["track", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "no trials per window" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["fisher", "track"])
+    def test_per_photon_reports_need_squeezing(self, tmp_path, capsys, command):
+        # at r1 = 0 no photons pass the sample: F and the SNL per photon are undefined
+        payload = {
+            "interferometer": {"r1": 0.0, "r2": 0.0},
+            "scenario": {"phase_schedule": [[0.5, 0.2]], "window": 0.2, "repetition_rate": 5e4, "repeats": 2},
+        }
+        argv = [command, "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "r1 = 0" in err and err.count("\n") == 1
 
     def test_zero_mean_photon_number_needs_skip_numeric(self, tmp_path, capsys):
         assert main(["thresholds", "--nbar", "0", "--out", str(tmp_path)]) == 2

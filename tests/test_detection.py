@@ -3,14 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from squint.detection import (
-    ClickDistribution,
-    clicks,
-    fringe,
-    fringe_visibility,
-    interferometer_clicks,
-    overlap_for_visibility,
-)
+from squint.detection import _checked, clicks, fringe, fringe_visibility, overlap_for_visibility
 from squint.gaussian import InterferometerConfig, InvalidStateError
 
 
@@ -62,59 +55,59 @@ class TestVacuumProbability:
 
 
 class TestClickDistribution:
+    """The four outcome probabilities (p00, p01, p10, p11) at given phases."""
+
     def test_ideal_quarter_period_is_silent(self):
         cfg = InterferometerConfig(r1=0.59, r2=0.59)
-        d = interferometer_clicks(cfg, math.pi / 2)
-        assert d.as_array() == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-12)
+        assert fringe(cfg, [math.pi / 2])[0] == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-12)
 
     def test_ideal_zero_phase(self):
         cfg = InterferometerConfig(r1=0.59, r2=0.59)
-        d = interferometer_clicks(cfg, 0.0)
-        p00 = 1.0 / math.cosh(1.18) ** 2
-        assert d.p00 == pytest.approx(p00, abs=1e-12)
-        assert d.p01 == pytest.approx(0.0, abs=1e-12)
-        assert d.p10 == pytest.approx(0.0, abs=1e-12)
-        assert d.p11 == pytest.approx(1.0 - p00, abs=1e-12)
+        p00, p01, p10, p11 = fringe(cfg, [0.0])[0]
+        closed = 1.0 / math.cosh(1.18) ** 2
+        assert p00 == pytest.approx(closed, abs=1e-12)
+        assert p01 == pytest.approx(0.0, abs=1e-12)
+        assert p10 == pytest.approx(0.0, abs=1e-12)
+        assert p11 == pytest.approx(1.0 - closed, abs=1e-12)
 
     def test_lossy_singles_appear_symmetrically(self):
         cfg = InterferometerConfig(r1=0.59, r2=0.59, eta_h=0.75, eta_v=0.75)
-        d = interferometer_clicks(cfg, 0.0)
-        assert d.p01 > 0.01
-        assert d.p01 == pytest.approx(d.p10, abs=1e-10)
+        _, p01, p10, _ = fringe(cfg, [0.0])[0]
+        assert p01 > 0.01
+        assert p01 == pytest.approx(p10, abs=1e-10)
 
     def test_matches_closed_form_lossy_oracle(self):
+        phis = np.linspace(0.0, math.pi, 13)
         for r, eta in [(0.3, 0.9), (0.59, 0.75), (0.5, 0.5)]:
-            cfg = InterferometerConfig(r1=r, r2=r, eta_h=eta, eta_v=eta)
-            for phi in np.linspace(0.0, math.pi, 13):
-                got = interferometer_clicks(cfg, phi).as_array()
-                assert got == pytest.approx(lossy_tmss_clicks(r, eta, phi), abs=1e-12)
+            got = fringe(InterferometerConfig(r1=r, r2=r, eta_h=eta, eta_v=eta), phis)
+            for phi, row in zip(phis, got):
+                assert row == pytest.approx(lossy_tmss_clicks(r, eta, phi), abs=1e-12)
 
     def test_normalization_across_configs(self, tracking_cfg):
         for cfg in (
             tracking_cfg,
             InterferometerConfig(r1=0.6, r2=0.4, eta_h=0.3, eta_v=0.9, eta_internal=0.8),
         ):
-            for phi in np.linspace(0, math.pi, 17):
-                d = interferometer_clicks(cfg, phi)
-                assert abs(sum(d.as_array()) - 1.0) < 1e-10
+            totals = fringe(cfg, np.linspace(0, math.pi, 17)).sum(axis=1)
+            assert np.abs(totals - 1.0).max() < 1e-10
 
     def test_monotone_loss_raises_p00(self):
         phi = 0.7
         last = 0.0
         for loss in np.linspace(0.0, 1.0, 11):
             cfg = InterferometerConfig(r1=0.5, r2=0.5, eta_h=1 - loss, eta_v=1 - loss)
-            p00 = interferometer_clicks(cfg, phi).p00
+            p00 = fringe(cfg, [phi])[0, 0]
             assert p00 >= last - 1e-12
             last = p00
 
     def test_clamping_policy(self):
-        d = ClickDistribution(p00=1.0 + 5e-13, p01=0.0, p10=-5e-13, p11=0.0)
-        assert d.p00 == 1.0
-        assert d.p10 == 0.0
+        p = _checked(np.array([[1.0 + 5e-13, 0.0, -5e-13, 0.0]]))[0]
+        assert p[0] == 1.0
+        assert p[2] == 0.0
         with pytest.raises(InvalidStateError):
-            ClickDistribution(p00=1.0 + 1e-6, p01=0.0, p10=0.0, p11=0.0)
+            _checked(np.array([[1.0 + 1e-6, 0.0, 0.0, 0.0]]))
         with pytest.raises(InvalidStateError):
-            ClickDistribution(p00=0.6, p01=0.3, p10=0.2, p11=0.1)
+            _checked(np.array([[0.6, 0.3, 0.2, 0.1]]))
 
 
 class TestLayout:

@@ -6,18 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squint.detection import interferometer_clicks
+from squint.detection import fringe
 from squint.estimation import (
     CalibrationModel,
     UnidentifiableError,
     bootstrap_sigma,
     calibrate,
-    crlb,
     estimate_phase,
     estimate_phases,
 )
 from squint.gaussian import InterferometerConfig
-from squint.metrology import fisher_max_ideal, max_fisher
+from squint.metrology import crlb, fisher, fisher_max_ideal, max_fisher
 
 BRANCH = (0.3, 0.9)
 
@@ -121,11 +120,7 @@ class TestCalibrationModel:
 
 def synthetic_samples(cfg, phases, trials, seed):
     rng = np.random.default_rng(seed)
-    out = []
-    for phi in phases:
-        probs = interferometer_clicks(cfg, phi).as_array()
-        out.append((phi, rng.multinomial(trials, probs)))
-    return out
+    return [(phi, rng.multinomial(trials, probs)) for phi, probs in zip(phases, fringe(cfg, phases))]
 
 
 class TestCalibrate:
@@ -238,7 +233,7 @@ class TestEstimatePhase:
 
     def test_estimates_stay_in_branch(self, tracking_cal):
         rng = np.random.default_rng(5)
-        probs = interferometer_clicks(tracking_cal.config, 0.35).as_array()
+        probs = fringe(tracking_cal.config, [0.35])[0]
         for counts in rng.multinomial(200, probs, size=25):
             est = estimate_phase(counts, tracking_cal, BRANCH)
             assert BRANCH[0] <= est.phi_est <= BRANCH[1]
@@ -246,8 +241,8 @@ class TestEstimatePhase:
     def test_consistency_small_bias(self, tracking_cal):
         # bias well below the spread at T = 1e6 across three phases
         rng = np.random.default_rng(17)
-        for phi_true in (0.45, 0.58, 0.8):
-            probs = interferometer_clicks(tracking_cal.config, phi_true).as_array()
+        phis = (0.45, 0.58, 0.8)
+        for phi_true, probs in zip(phis, fringe(tracking_cal.config, phis)):
             draws = rng.multinomial(1_000_000, probs, size=200)
             ests = estimate_phases(draws, tracking_cal, BRANCH)[0]
             assert abs(ests.mean() - phi_true) < ests.std(ddof=1) / 5
@@ -308,7 +303,7 @@ class TestEstimatePhases:
 
     def test_empty_and_flat_rows_do_not_touch_others(self, tracking_cal):
         rng = np.random.default_rng(8)
-        probs = interferometer_clicks(tracking_cal.config, 0.6).as_array()
+        probs = fringe(tracking_cal.config, [0.6])[0]
         good = rng.multinomial(100_000, probs, size=3)
         alone = estimate_phases(good, tracking_cal, BRANCH)
         batch = np.insert(good, 1, 0, axis=0)  # an all-zero window
@@ -362,41 +357,39 @@ class TestBootstrapAndCrlb:
     def test_bootstrap_vanishing_noise_limit(self, tracking_cal):
         # high-information phase so the T = 1e8 bound sits below 1e-4 rad
         phi0, branch = 1.25, (0.9, 1.5)
-        probs = interferometer_clicks(tracking_cal.config, phi0).as_array()
+        probs = fringe(tracking_cal.config, [phi0])[0]
         counts = np.round(probs * 1e8).astype(int)
         sigma = bootstrap_sigma(counts, tracking_cal, branch, resamples=100, seed=2)
         assert sigma < 1e-4
 
     def test_bootstrap_tracks_crlb(self, tracking_cal):
         rng = np.random.default_rng(23)
-        probs = interferometer_clicks(tracking_cal.config, 0.58).as_array()
+        probs = fringe(tracking_cal.config, [0.58])[0]
         counts = rng.multinomial(100_000, probs)
         sigma = bootstrap_sigma(counts, tracking_cal, BRANCH, resamples=200, seed=4)
-        bound = crlb(tracking_cal, 0.58, 100_000)
+        bound = crlb(tracking_cal.config, [0.58], 100_000)[0]
         assert abs(sigma - bound) / bound < 0.2
 
     def test_crlb_value_and_scaling(self, ideal_cal):
         phi_star, fmax = max_fisher(ideal_cal.config)
-        bound1 = crlb(ideal_cal, phi_star, 1)
+        bound1, bound100 = crlb(ideal_cal.config, [phi_star], 1)[0], crlb(ideal_cal.config, [phi_star], 100)[0]
         assert bound1 == pytest.approx(1.0 / math.sqrt(fmax), rel=1e-9)
         assert bound1 == pytest.approx(1.0 / math.sqrt(fisher_max_ideal(0.59)), rel=2e-3)
-        assert crlb(ideal_cal, phi_star, 100) == pytest.approx(bound1 / 10, rel=1e-9)
+        assert bound100 == pytest.approx(bound1 / 10, rel=1e-9)
+        phis = [0.3, phi_star, 1.1]
+        assert np.array_equal(crlb(ideal_cal.config, phis, 100), 1.0 / np.sqrt(100 * fisher(ideal_cal.config, phis)))
 
     def test_crlb_back_computed_window_for_two_mrad(self, tracking_cal):
         # trial count at which the phi = 0.58 bound reaches the quoted
         # 0.002 rad; the absolute window sensitivity is rate-dependent
-        from squint.metrology import fisher_per_trial
-
-        info = fisher_per_trial(tracking_cal.config, 0.58)
+        info = fisher(tracking_cal.config, [0.58])[0]
         trials = math.ceil(1.0 / (info * 0.002**2))
-        assert crlb(tracking_cal, 0.58, trials) <= 0.002
-        assert crlb(tracking_cal, 0.58, trials - 1) > 0.002
+        assert crlb(tracking_cal.config, [0.58], trials)[0] <= 0.002
+        assert crlb(tracking_cal.config, [0.58], trials - 1)[0] > 0.002
         assert 100_000 < trials < 2_000_000
 
     def test_crlb_infinite_when_uninformative(self):
-        dead = CalibrationModel.from_config(
-            InterferometerConfig(r1=0.5, r2=0.5, eta_h=0.0, eta_v=0.0)
-        )
-        assert crlb(dead, 0.6, 1000) == math.inf
+        dead = InterferometerConfig(r1=0.5, r2=0.5, eta_h=0.0, eta_v=0.0)
+        assert crlb(dead, [0.6], 1000)[0] == math.inf
         with pytest.raises(ValueError):
-            crlb(dead, 0.6, 0)
+            crlb(dead, [0.6], 0)

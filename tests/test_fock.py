@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squint.detection import fringe, interferometer_clicks
+from squint.detection import fringe
 from squint.fock import (
-    FockState,
     _apply_pair_unitary,
     _beamsplitter_unitary,
     _squeezer_unitary_cached,
@@ -21,6 +20,11 @@ from squint.fock import (
     truncation_error_bound,
 )
 from squint.gaussian import InterferometerConfig
+
+
+def norm(vec):
+    """Squared norm of a state's amplitudes; 1 up to the truncation tail."""
+    return float(np.vdot(vec, vec).real)
 
 
 class TestTmssAmplitudes:
@@ -106,11 +110,11 @@ class TestSectorBlocks:
         cfg = InterferometerConfig(
             r1=0.3, r2=0.45, eta_internal=0.8, eta_h=0.9, eta_v=0.7, overlap=0.9, phase_offset=0.4
         )
-        state = evolve_fock(cfg, 0.7, 5)
-        n = np.indices(state.vector.shape)
+        vec = evolve_fock(cfg, 0.7, 5)
+        n = np.indices(vec.shape)
         charge = n[0] + n[2] + n[4] - n[1] - n[3] - n[5]
-        assert state.num_modes == 6
-        assert np.sum(np.abs(state.vector[charge != 0]) ** 2) == 0.0
+        assert vec.ndim == 6
+        assert np.sum(np.abs(vec[charge != 0]) ** 2) == 0.0
 
     def test_cold_oracle_builds_no_dense_unitary(self):
         # a dense 2401-square unitary alone would take 92 MB
@@ -130,44 +134,39 @@ class TestSimulateFock:
     def test_ideal_quarter_period(self):
         cfg = InterferometerConfig(r1=0.59, r2=0.59)
         n_max = required_n_max(1.18, 1e-8)
-        d = simulate_fock(cfg, math.pi / 2, n_max)
-        assert d.as_array() == pytest.approx([1, 0, 0, 0], abs=1e-8)
+        assert simulate_fock(cfg, math.pi / 2, n_max) == pytest.approx([1, 0, 0, 0], abs=1e-8)
 
     def test_ideal_zero_phase_closed_form(self):
         cfg = InterferometerConfig(r1=0.59, r2=0.59)
         n_max = required_n_max(1.18, 1e-8)
-        d = simulate_fock(cfg, 0.0, n_max)
-        assert d.p11 == pytest.approx(1.0 - 1.0 / math.cosh(1.18) ** 2, abs=1e-8)
+        p11 = simulate_fock(cfg, 0.0, n_max)[3]
+        assert p11 == pytest.approx(1.0 - 1.0 / math.cosh(1.18) ** 2, abs=1e-8)
 
     def test_parity_selection_exact(self):
         # no loss, full overlap: support only on |n,n>, so no single-sided clicks
         cfg = InterferometerConfig(r1=0.45, r2=0.45)
-        d = simulate_fock(cfg, 0.83, required_n_max(0.9, 1e-8))
-        assert abs(d.p01) < 1e-14
-        assert abs(d.p10) < 1e-14
+        _, p01, p10, _ = simulate_fock(cfg, 0.83, required_n_max(0.9, 1e-8))
+        assert abs(p01) < 1e-14
+        assert abs(p10) < 1e-14
 
     def test_lossy_matches_gaussian(self):
         cfg = InterferometerConfig(r1=0.3, r2=0.3, eta_h=0.75, eta_v=0.6)
         n_max = required_n_max(0.6, 1e-8)
-        for phi in (0.0, 0.4, 1.1, 2.0):
-            fock = simulate_fock(cfg, phi, n_max).as_array()
-            gauss = interferometer_clicks(cfg, phi).as_array()
-            assert np.abs(fock - gauss).max() < 1e-6
+        phis = (0.0, 0.4, 1.1, 2.0)
+        for phi, gauss in zip(phis, fringe(cfg, phis)):
+            assert np.abs(simulate_fock(cfg, phi, n_max) - gauss).max() < 1e-6
 
     def test_internal_loss_matches_gaussian(self):
         cfg = InterferometerConfig(r1=0.3, r2=0.3, eta_internal=0.85, eta_h=0.9, eta_v=0.9)
         n_max = required_n_max(0.6, 1e-8)
-        for phi in (0.3, 1.3):
-            fock = simulate_fock(cfg, phi, n_max).as_array()
-            gauss = interferometer_clicks(cfg, phi).as_array()
-            assert np.abs(fock - gauss).max() < 1e-6
+        phis = (0.3, 1.3)
+        for phi, gauss in zip(phis, fringe(cfg, phis)):
+            assert np.abs(simulate_fock(cfg, phi, n_max) - gauss).max() < 1e-6
 
     def test_asymmetric_gain_matches_gaussian(self):
         cfg = InterferometerConfig(r1=0.25, r2=0.45, eta_h=0.8, eta_v=0.8)
         n_max = required_n_max(0.7, 1e-8)
-        fock = simulate_fock(cfg, 0.9, n_max).as_array()
-        gauss = interferometer_clicks(cfg, 0.9).as_array()
-        assert np.abs(fock - gauss).max() < 1e-6
+        assert np.abs(simulate_fock(cfg, 0.9, n_max) - fringe(cfg, [0.9])[0]).max() < 1e-6
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -183,7 +182,7 @@ class TestSimulateFock:
         cfg = InterferometerConfig(
             r1=r1, r2=r2, eta_h=eta_h, eta_v=eta_v, eta_internal=eta_int, phase_offset=offset
         )
-        fock = simulate_fock(cfg, phi, required_n_max(r1 + r2, 1e-8), budget=1e-8).as_array()
+        fock = simulate_fock(cfg, phi, required_n_max(r1 + r2, 1e-8), budget=1e-8)
         assert np.abs(fock - fringe(cfg, [phi])[0]).max() <= 1e-6
 
     def test_budget_exceeded_raises(self):
@@ -198,10 +197,8 @@ class TestMismatchTier:
     @staticmethod
     def assert_matches_gaussian(cfg, phis):
         n_max = required_n_max(cfg.r1 + cfg.r2, 1e-8)
-        for phi in phis:
-            fock = simulate_fock(cfg, phi, n_max).as_array()
-            gauss = interferometer_clicks(cfg, phi).as_array()
-            assert np.abs(fock - gauss).max() < 1e-6
+        for phi, gauss in zip(phis, fringe(cfg, phis)):
+            assert np.abs(simulate_fock(cfg, phi, n_max) - gauss).max() < 1e-6
 
     def test_lossless_mismatch_matches_gaussian(self):
         cfg = InterferometerConfig(r1=0.3, r2=0.3, overlap=0.98)
@@ -226,9 +223,9 @@ class TestFockStateInvariants:
     def test_pure_norm_within_truncation_tail(self):
         cfg = InterferometerConfig(r1=0.4, r2=0.4)
         n_max = 14
-        state = evolve_fock(cfg, 0.6, n_max)
+        vec = evolve_fock(cfg, 0.6, n_max)
         tail = truncation_error_bound(0.8, n_max)
-        assert abs(state.norm() - 1.0) <= 4 * tail
+        assert abs(norm(vec) - 1.0) <= 4 * tail
 
     def test_trace_preserved_by_loss(self):
         # internal loss moves photons into environment modes of the state;
@@ -236,9 +233,5 @@ class TestFockStateInvariants:
         cfg = InterferometerConfig(r1=0.4, r2=0.4)
         pure = evolve_fock(cfg, 0.6, 14)
         lossy = evolve_fock(cfg.with_updates(eta_internal=0.7), 0.6, 14)
-        assert lossy.num_modes == pure.num_modes + 2
-        assert abs(lossy.norm() - pure.norm()) < 1e-10
-
-    def test_state_shape_validation(self):
-        with pytest.raises(ValueError):
-            FockState(2, 4, np.zeros((5, 4), dtype=complex))
+        assert lossy.ndim == pure.ndim + 2
+        assert abs(norm(lossy) - norm(pure)) < 1e-10

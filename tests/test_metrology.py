@@ -12,8 +12,8 @@ from squint.gaussian import InterferometerConfig
 from squint.metrology import (
     ACCOUNTINGS,
     BracketError,
+    fisher,
     fisher_max_ideal,
-    fisher_per_trial,
     fisher_sweep,
     heisenberg_sensitivity,
     max_fisher,
@@ -51,7 +51,7 @@ class TestFisherPerTrial:
 
     def test_constant_model_gives_zero(self):
         cfg = InterferometerConfig(r1=0.5, r2=0.5, eta_h=0.0, eta_v=0.0)
-        assert fisher_per_trial(cfg, 0.7) == 0.0
+        assert np.array_equal(fisher(cfg, [0.0, 0.7, 2.0]), np.zeros(3))
 
     def test_per_photon_benchmark(self):
         cfg = ideal(0.59)
@@ -65,9 +65,7 @@ class TestFisherPerTrial:
         # at phi = pi/2 every click probability but p00 vanishes; the terms
         # dp^2/p keep their limit and F reaches the maximum 4 sinh^2(2r)
         for r in (0.1, 0.3, 0.43, 0.59, 0.8):
-            assert fisher_per_trial(ideal(r), math.pi / 2) == pytest.approx(
-                fisher_max_ideal(r), abs=1e-9
-            )
+            assert fisher(ideal(r), [math.pi / 2])[0] == pytest.approx(fisher_max_ideal(r), abs=1e-9)
 
     @pytest.mark.parametrize("r", [0.35, 0.59])
     @pytest.mark.parametrize("delta", [1e-12, 1e-9, 1e-7, 1e-6, 1e-5, 1e-3])
@@ -84,7 +82,7 @@ class TestFisherPerTrial:
                       eta * n * (eta + kappa * n) / d])
         reference = float(np.sum((p.imag / 1e-20) ** 2 / p.real))
         cfg = InterferometerConfig(r1=r, r2=r, eta_h=eta, eta_v=eta)
-        assert fisher_per_trial(cfg, phi) == pytest.approx(reference, rel=1e-12)
+        assert fisher(cfg, [phi])[0] == pytest.approx(reference, rel=1e-12)
 
     @pytest.mark.parametrize("r", [*np.arange(0.11, 0.5901, 0.04), 0.2, 0.65, 0.7])
     def test_lossless_maximum_never_exceeds_closed_form(self, r):
@@ -103,7 +101,7 @@ class TestFisherPerTrial:
         # 4 sinh^2(2 r1) is the QFI of the first two-mode squeezed vacuum for the
         # generator n_a + n_b; internal loss commutes with the phase and all else
         # acts after it, so no measurement of the output can exceed it
-        f = np.array([fisher_per_trial(cfg, phi) for phi in [*phis, math.pi / 2 - cfg.phase_offset]])
+        f = fisher(cfg, [*phis, math.pi / 2 - cfg.phase_offset])
         assert np.all(np.isfinite(f))
         assert np.all(f >= 0.0)
         assert np.all(f <= fisher_max_ideal(cfg.r1) * (1 + 1e-12))
@@ -267,6 +265,11 @@ class TestFisherSweep:
             fisher_sweep(tracking_cfg, [-0.1, 0.5])
         with pytest.raises(ValueError):
             fisher_sweep(tracking_cfg, [0.5], accounting="per-pulse")
+
+    def test_per_photon_needs_photons_through_sample(self):
+        # at r1 = 0 nothing passes the sample, so F per photon is undefined
+        with pytest.raises(ValueError, match="r1 = 0"):
+            fisher_sweep(InterferometerConfig(r1=0.0, r2=0.0), [0.5])
 
     def test_accountings_registry(self):
         assert ACCOUNTINGS == ("single-pass", "double-pass")

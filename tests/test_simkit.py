@@ -4,16 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from squint.detection import interferometer_clicks
-from squint.estimation import CalibrationModel, crlb
+from squint.detection import fringe
+from squint.estimation import CalibrationModel
 from squint.gaussian import InterferometerConfig
-from squint.simkit import (
-    TrackingScenario,
-    _stream,
-    run_tracking,
-    sample_clicks,
-    sensitivity_report,
-)
+from squint.metrology import crlb
+from squint.simkit import TrackingScenario, _stream, run_tracking, sensitivity_report
 
 
 def mini_scenario(**overrides):
@@ -28,45 +23,52 @@ def mini_scenario(**overrides):
     return TrackingScenario(**defaults)
 
 
+def window_counts(cfg, phi, trials, windows=1, seed=0):
+    """Counts (windows, 4) that run_tracking draws for one set phase, one
+    window of ``trials`` trials per repeat."""
+    scn = TrackingScenario(phase_schedule=((phi, 1.0),), window=1.0, repetition_rate=trials,
+                           repeats=windows, seed=seed)
+    run = run_tracking(scn, cfg, CalibrationModel.from_config(cfg))
+    return np.array([rec.counts for rec in run.records])
+
+
 class TestSampleClicks:
+    """The per-window multinomial draw of run_tracking."""
+
     def test_deterministic(self, tracking_cfg):
-        a = sample_clicks(tracking_cfg, 0.7, 5000, seed=1)
-        b = sample_clicks(tracking_cfg, 0.7, 5000, seed=1)
+        a = window_counts(tracking_cfg, 0.7, 5000, windows=2, seed=1)
+        b = window_counts(tracking_cfg, 0.7, 5000, windows=2, seed=1)
         assert np.array_equal(a, b)
-        c = sample_clicks(tracking_cfg, 0.7, 5000, seed=2)
-        assert not np.array_equal(a, c)
+        assert not np.array_equal(a[0], a[1])
 
     def test_counts_sum_to_trials(self, tracking_cfg):
-        counts = sample_clicks(tracking_cfg, 0.3, 12345, seed=0)
+        (counts,) = window_counts(tracking_cfg, 0.3, 12345)
         assert counts.sum() == 12345
 
     def test_silent_at_ideal_quarter_period(self):
         cfg = InterferometerConfig(r1=0.59, r2=0.59)
-        counts = sample_clicks(cfg, math.pi / 2, 1000, seed=3)
+        (counts,) = window_counts(cfg, math.pi / 2, 1000, seed=3)
         assert counts[0] == 1000
 
     def test_concentration_around_model(self):
         cfg = InterferometerConfig(r1=0.59, r2=0.59)
-        p11 = interferometer_clicks(cfg, 0.0).p11
+        p11 = fringe(cfg, [0.0])[0, 3]
         trials = 1_000_000
-        counts = sample_clicks(cfg, 0.0, trials, seed=7)
+        (counts,) = window_counts(cfg, 0.0, trials, seed=7)
         sigma = math.sqrt(p11 * (1 - p11) / trials)
         assert abs(counts[3] / trials - p11) < 5 * sigma
 
     def test_rejects_zero_trials(self, tracking_cfg):
-        with pytest.raises(ValueError):
-            sample_clicks(tracking_cfg, 0.5, 0, seed=0)
+        # a rate of 0.4 per 1 s window rounds to no trials: no run draws an empty window
+        with pytest.raises(ValueError, match="no trials"):
+            window_counts(tracking_cfg, 0.5, 0.4)
 
     def test_multinomial_soundness_over_seeds(self, tracking_cfg):
-        # z-scores of hat(p11) across independent streams behave like noise
-        probs = interferometer_clicks(tracking_cfg, 0.6).as_array()
+        # z-scores of hat(p11) across independent windows behave like noise
+        probs = fringe(tracking_cfg, [0.6])[0]
         trials = 200_000
         sigma = math.sqrt(probs[3] * (1 - probs[3]) / trials)
-        zs = []
-        for seed in range(40):
-            counts = sample_clicks(tracking_cfg, 0.6, trials, seed=seed)
-            zs.append((counts[3] / trials - probs[3]) / sigma)
-        zs = np.array(zs)
+        zs = (window_counts(tracking_cfg, 0.6, trials, windows=40)[:, 3] / trials - probs[3]) / sigma
         assert np.abs(zs).max() < 5.0
         assert 0.5 < zs.std() < 1.7
 
@@ -97,6 +99,9 @@ class TestScenario:
             mini_scenario(repetition_rate=0.0)
         with pytest.raises(ValueError):
             mini_scenario(repeats=0)
+        # 0.2 s windows at 1 Hz round to 0 trials per window
+        with pytest.raises(ValueError, match="no trials per window"):
+            mini_scenario(window=0.2, repetition_rate=1.0)
 
 
 class TestRunTracking:
@@ -138,7 +143,7 @@ class TestRunTracking:
             repeats=250, seed=7,
         )
         run = run_tracking(scn, tracking_cfg, tracking_cal)
-        bound = crlb(tracking_cal, 1.2, scn.trials_per_window)
+        bound = crlb(tracking_cfg, [1.2], scn.trials_per_window)[0]
         agg = run.aggregates[0]
         assert abs(agg.std_phi_est - bound) / bound < 0.15
 
@@ -229,6 +234,13 @@ class TestSensitivityReport:
     def test_empty_run_rejected(self, tracking_cfg, tracking_cal):
         run = run_tracking(mini_scenario(phase_schedule=()), tracking_cfg, tracking_cal)
         with pytest.raises(ValueError):
+            sensitivity_report(run)
+
+    def test_per_photon_needs_photons_through_sample(self):
+        # at r1 = 0 nothing passes the sample, so the SNL reference is undefined
+        cfg = InterferometerConfig(r1=0.0, r2=0.0)
+        run = run_tracking(mini_scenario(), cfg, CalibrationModel.from_config(cfg))
+        with pytest.raises(ValueError, match="r1 = 0"):
             sensitivity_report(run)
 
     def test_report_dict_fields(self, tracking_cfg, tracking_cal):
