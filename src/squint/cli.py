@@ -257,6 +257,8 @@ def cmd_track(args) -> int:
             raise ConfigError("track config must contain interferometer and scenario sections")
         if args.seed is not None and args.seed != scenario.seed:
             scenario = replace(scenario, seed=args.seed)
+        if scenario.windows_per_repeat == 0:
+            raise ConfigError("track needs a phase schedule with at least one window")
     _check_per_photon(cfg)
     cal = CalibrationModel.from_config(cfg)
     run = run_tracking(scenario, cfg, cal)

@@ -47,8 +47,10 @@ _HALF_PERIOD = math.pi / 2.0
 # calibration tabulation: intervals over [0, pi]
 _CAL_INTERVALS = 2048
 # calibrate: fitted parameters, bounds, Jacobian steps, damping (start, and the
-# cap past which no step lowers the cost), the relative cost gain that ends the
-# fit, the iteration cap, and the eigenvalue floor of the Fisher correlations
+# cap past which no step lowers the cost), the cost gain that ends the fit,
+# relative to the cost or to 1 (the residuals are in standard deviations) if
+# that is larger, the iteration cap, and the eigenvalue floor of the Fisher
+# correlations
 _FIT_NAMES = ("r", "eta_h", "eta_v", "overlap", "phase_offset")
 _FIT_BOUNDS = np.array([[0.0, 0.0, 0.0, 0.0, -2.0 * math.pi], [4.0, 1.0, 1.0, 1.0, 2.0 * math.pi]])
 _JAC_STEPS = 1e-6 * np.eye(len(_FIT_NAMES))
@@ -92,13 +94,15 @@ class PhaseEstimate:
     low_information: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class CalibrationModel:
     """Fitted interferometer parameters plus tabulated p_ij(phi) curves.
 
     ``curves`` has shape (points, 4) on the inclusive grid ``phi_tab`` over
     [0, pi]; the model is pi-periodic so curves[0] == curves[-1]. A fitted
     model carries ``fit_residual``, ``degraded`` and ``sigma`` (see calibrate).
+    The model is immutable and holds read-only copies of both arrays, so the
+    node table ``estimate_phases`` keeps for the last branch cannot go stale.
     """
 
     config: InterferometerConfig
@@ -107,17 +111,41 @@ class CalibrationModel:
     fit_residual: float = 0.0
     degraded: bool = False
     sigma: dict = field(default_factory=dict)
+    _nodes: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("phi_tab", "curves"):
+            array = np.array(getattr(self, name), dtype=float)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @classmethod
-    def from_config(cls, config: InterferometerConfig) -> "CalibrationModel":
-        """Exact calibration curves tabulated from a known configuration."""
+    def from_config(cls, config: InterferometerConfig, **fit) -> "CalibrationModel":
+        """Exact calibration curves tabulated from a known configuration;
+        ``fit`` sets fit_residual, degraded and sigma of a fitted model."""
         phi_tab = np.linspace(0.0, math.pi, _CAL_INTERVALS + 1)
-        return cls(config=config, phi_tab=phi_tab, curves=fringe(config, phi_tab))
+        return cls(config, phi_tab, fringe(config, phi_tab), **fit)
 
     def probabilities(self, phi) -> np.ndarray:
         """Interpolated calibration curves at phi (scalar -> (4,), array -> (N, 4))."""
         wrapped = np.mod(phi, math.pi)
         return np.stack([np.interp(wrapped, self.phi_tab, self.curves[:, j]) for j in range(4)], axis=-1)
+
+    def _branch_nodes(self, lo: float, hi: float) -> tuple[np.ndarray, ...]:
+        """Nodes of the interpolated curves on the branch [lo, hi], their values
+        (4, nodes), steps (4, 1, segments) and squared step lengths, built once
+        and kept for the last branch."""
+        if self._nodes is None or self._nodes[0] != (lo, hi):
+            # the branch ends plus every calibration node strictly inside, pi-periodically
+            shifts = math.pi * np.arange(math.floor(lo / math.pi), math.floor(hi / math.pi) + 1)
+            inner = (self.phi_tab[:-1] + shifts[:, None]).ravel()
+            nodes = np.concatenate(([lo], inner[(inner > lo) & (inner < hi)], [hi]))
+            values = self.probabilities(nodes).T
+            step = np.diff(values, axis=1)[:, None]
+            length2 = _dot4(step, step)
+            length2[length2 == 0.0] = np.inf  # a segment of zero length keeps u = 0
+            object.__setattr__(self, "_nodes", ((lo, hi), nodes, values, step, length2))
+        return self._nodes[1:]
 
     def to_dict(self) -> dict:
         return {
@@ -217,7 +245,10 @@ def calibrate(
     from ``initial`` with r at the mean of its r1 and r2, and sets r1 = r2 = r.
     ``fit_residual`` is the minimized weighted sum of squares, ``sigma`` each
     parameter's standard error from the inverse Fisher matrix; ``degraded``
-    means the iteration cap was hit or that matrix is singular (sigma null).
+    means the iteration cap was hit, or that matrix is singular or gives a
+    standard error wider than a parameter's bounds (sigma null).
+    The fit ends when a step lowers the cost by at most 1e-12 of the cost, or
+    of 1 where the cost is below 1.
     """
     phis = np.array([float(p) for p, _ in samples])
     if np.unique(np.round(phis, 12)).size < 8:
@@ -265,18 +296,24 @@ def calibrate(
                 damping /= 10.0
                 break
             damping *= 10.0
-        if gain <= _REL_GAIN * cost:
+        # a data set that the model fits exactly has a cost falling toward 0,
+        # where a relative test alone would never end the fit
+        if gain <= _REL_GAIN * max(cost, 1.0):
             break
-    degraded = gain > _REL_GAIN * cost  # the iteration cap ended the fit
+    degraded = gain > _REL_GAIN * max(cost, 1.0)  # the iteration cap ended the fit
 
     scale = np.sqrt(np.diag(info))
+    sd = np.full(len(_FIT_NAMES), np.inf)
     if scale.all() and np.linalg.eigvalsh(info / np.outer(scale, scale))[0] > _SINGULAR:
-        sigma = dict(zip(_FIT_NAMES, np.sqrt(np.diag(np.linalg.inv(info))).tolist()))
+        sd = np.sqrt(np.diag(np.linalg.inv(info)))
+    if np.all(sd <= hi - lo):
+        sigma = dict(zip(_FIT_NAMES, sd.tolist()))
     else:
+        # a singular Fisher matrix, or a standard error wider than the bounds
+        # of its parameter: the data do not identify the fit
         sigma, degraded = dict.fromkeys(_FIT_NAMES), True
-    fitted = CalibrationModel.from_config(_fitted_config(initial, theta))
-    fitted.fit_residual, fitted.degraded, fitted.sigma = cost, degraded, sigma
-    return fitted
+    return CalibrationModel.from_config(_fitted_config(initial, theta), fit_residual=cost, degraded=degraded,
+                                        sigma=sigma)
 
 
 def _check_branch(branch: tuple[float, float]) -> tuple[float, float]:
@@ -304,15 +341,7 @@ def estimate_phases(
     at most pi/2) gets (nan, nan, True).
     """
     freqs, totals = _frequencies(counts)
-    lo, hi = _check_branch(branch)
-    # the branch ends plus every calibration node strictly inside, pi-periodically
-    shifts = math.pi * np.arange(math.floor(lo / math.pi), math.floor(hi / math.pi) + 1)
-    inner = (cal.phi_tab[:-1] + shifts[:, None]).ravel()
-    nodes = np.concatenate(([lo], inner[(inner > lo) & (inner < hi)], [hi]))
-    values = cal.probabilities(nodes).T  # (4, nodes)
-    step = np.diff(values, axis=1)[:, None]  # (4, 1, segments)
-    length2 = _dot4(step, step)
-    length2[length2 == 0.0] = np.inf  # a segment of zero length keeps u = 0
+    nodes, values, step, length2 = cal._branch_nodes(*_check_branch(branch))
 
     phi_est, objective = np.empty((2, totals.size))
     flat = np.empty(totals.size, dtype=bool)

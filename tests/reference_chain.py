@@ -163,3 +163,32 @@ def covariance_clicks(cov: np.ndarray) -> np.ndarray:
 
 def op_by_op_clicks(cfg, phi: float) -> np.ndarray:
     return covariance_clicks(op_by_op_state(cfg, phi).covariance)
+
+
+def overlap_one_clicks(cfg, phis) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form p (N, 4) and Fisher information (N,) at overlap 1 without
+    internal loss, where each arm is one mode and the output is fixed by its
+    photon number n = |z|^2, z = sinh(r2 - r1) - cosh r2 sinh r1 (e^{i psi} - 1),
+    psi = 2 t - pi, t = phi + phase_offset; the dark fringe is psi = 0. The
+    factor e^{i psi} - 1 = -2 cos(t) e^{it} comes from cos t, exact for the
+    rounded t. With D = 1 + (eta_h + eta_v - eta_h eta_v) n every outcome is a
+    ratio of non-negative terms in n, and dp/dn comes from a complex step in
+    n, so neither p nor F cancels next to the fringe."""
+    if cfg.overlap != 1.0 or cfg.eta_internal != 1.0:
+        raise ValueError("the closed form needs overlap 1 and eta_internal 1")
+    a, b = cfg.eta_h, cfg.eta_v
+    t = np.asarray(phis, dtype=float) + cfg.phase_offset
+    gain = math.cosh(cfg.r2) * math.sinh(cfg.r1)
+    z = math.sinh(cfg.r2 - cfg.r1) + 2.0 * gain * np.cos(t) * np.exp(1j * t)
+    n = z.real ** 2 + z.imag ** 2
+    dn = 2.0 * (z.conj() * 2j * gain * np.exp(2j * t)).real  # dn/dphi
+
+    def probabilities(n):
+        d = 1.0 + (a + b - a * b) * n
+        return np.stack([1.0 / d, b * (1.0 - a) * n / ((1.0 + a * n) * d), a * (1.0 - b) * n / ((1.0 + b * n) * d),
+                         a * b * n * (1.0 + n + n * d) / ((1.0 + a * n) * (1.0 + b * n) * d)], axis=-1)
+
+    p = probabilities(n)
+    step = 1e-20 * np.maximum(n, 1e-280)
+    dp = probabilities(n + 1j * step).imag / step[..., None] * dn[..., None]
+    return p, np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0.0).sum(axis=-1)

@@ -376,6 +376,17 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert "no trials per window" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("schedule", [[], [[0.5, 0.0]], [[0.5, 0.0], [0.8, 0.0]]])
+    def test_schedule_without_windows_rejected(self, tmp_path, capsys, schedule):
+        # rejected before the output directory is made, so no file is written
+        payload = {"interferometer": {"r1": 0.43, "r2": 0.43},
+                   "scenario": {"phase_schedule": schedule, "repetition_rate": 5e4}}
+        out = tmp_path / "out"
+        assert main(["track", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "at least one window" in err and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["fisher", "track"])
     def test_per_photon_reports_need_squeezing(self, tmp_path, capsys, command):
         # at r1 = 0 no photons pass the sample: F and the SNL per photon are undefined

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from strategies import random_configs
 from squint.detection import _checked, clicks, fringe, fringe_visibility, overlap_for_visibility
 from squint.gaussian import InterferometerConfig, InvalidStateError
 
@@ -108,6 +111,20 @@ class TestClickDistribution:
             _checked(np.array([[1.0 + 1e-6, 0.0, 0.0, 0.0]]))
         with pytest.raises(InvalidStateError):
             _checked(np.array([[0.6, 0.3, 0.2, 0.1]]))
+
+
+class TestBatchInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(random_configs, st.floats(-2 * math.pi, 2 * math.pi), st.integers(0, 599))
+    def test_one_phase_equals_its_row_of_a_long_batch(self, cfg, phi, k):
+        # one click path for every batch size: a one-phase call is bit for bit
+        # its row of a batch that spans three chunks
+        phis = np.linspace(-math.pi, math.pi, 600)
+        phis[k] = phi
+        p, dp = clicks(cfg, phis, 1)
+        one_p, one_dp = clicks(cfg, [phi], 1)
+        assert np.array_equal(one_p[0], p[k]) and np.array_equal(one_dp[0], dp[k])
+        assert np.array_equal(fringe(cfg, [phi])[0], fringe(cfg, phis)[k])
 
 
 class TestLayout:

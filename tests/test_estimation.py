@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -15,8 +16,10 @@ from squint.estimation import (
     estimate_phase,
     estimate_phases,
 )
+from squint import presets
 from squint.gaussian import InterferometerConfig
 from squint.metrology import crlb, fisher, fisher_max_ideal, max_fisher
+from squint.simkit import run_tracking
 
 BRANCH = (0.3, 0.9)
 
@@ -60,6 +63,18 @@ class TestCalibrationModel:
         assert np.allclose(loaded.phi_tab, tracking_cal.phi_tab, atol=1e-15)
         assert loaded.fit_residual == tracking_cal.fit_residual
         assert loaded.sigma == tracking_cal.sigma == {}
+
+    def test_model_is_frozen_with_read_only_copies(self, tracking_cfg):
+        tab = np.linspace(0.0, math.pi, 65)
+        curves = fringe(tracking_cfg, tab)
+        model = CalibrationModel(tracking_cfg, tab, curves)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.curves = curves
+        for array in (model.phi_tab, model.curves):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+        tab[0] = curves[0, 0] = 0.5  # the caller's arrays stay its own
+        assert model.phi_tab[0] == 0.0 and model.curves[0, 0] != 0.5
 
     def test_schema_guard(self, tracking_cal):
         data = tracking_cal.to_dict()
@@ -187,6 +202,18 @@ class TestCalibrate:
         model.to_json(tmp_path / "cal.json")
         assert CalibrationModel.from_json(tmp_path / "cal.json").sigma == model.sigma
 
+    def test_exactly_fitting_data_end_the_fit_early(self, monkeypatch):
+        # every count in 00: an r -> 0 config fits exactly and the cost falls
+        # geometrically toward 0; the parent ran to its cap with 1103 fringe calls
+        calls = []
+        monkeypatch.setattr("squint.estimation.fringe", lambda cfg, phis: calls.append(0) or fringe(cfg, phis))
+        samples = [(phi, [1_000_000, 0, 0, 0]) for phi in np.linspace(0.1, 3.0, 16)]
+        model = calibrate(samples, InterferometerConfig(r1=0.1, r2=0.1, eta_h=0.9))
+        assert len(calls) < 1103 / 3
+        assert model.fit_residual < 1e-12 and model.config.r1 < 1e-5
+        # at r -> 0 the efficiencies, overlap and offset carry no information
+        assert model.degraded and model.sigma == dict.fromkeys(("r", "eta_h", "eta_v", "overlap", "phase_offset"))
+
     def test_needs_enough_phases(self, tracking_cfg):
         samples = synthetic_samples(tracking_cfg, [0.5], 10_000, seed=0)
         with pytest.raises(ValueError):
@@ -269,6 +296,18 @@ def interpolated_objective(cal, counts, phis):
 
 
 class TestEstimatePhases:
+    def test_single_windows_match_the_batch_with_the_node_table_empty_and_filled(self, tracking_cfg):
+        scenario = dataclasses.replace(presets.fig4_scenario(seed=1), repeats=5)
+        branch, trials = scenario.resolved_branch(), scenario.trials_per_window
+        cal = CalibrationModel.from_config(tracking_cfg)
+        run = run_tracking(scenario, tracking_cfg, cal)
+        counts = np.array([rec.counts for rec in run.records[:50]])
+        phi, value, low = estimate_phases(counts, CalibrationModel.from_config(tracking_cfg), branch, trials)
+        for model in (CalibrationModel.from_config(tracking_cfg), cal):  # empty, then filled by run_tracking
+            for k, row in enumerate(counts):
+                est = estimate_phase(row, model, branch, trials=trials)
+                assert (est.phi_est, est.objective_value, est.low_information) == (phi[k], value[k], low[k])
+
     @settings(max_examples=60, deadline=None)
     @given(rows=count_rows, branch=branches())
     def test_rows_match_single_window_and_minimize(self, tracking_cal, rows, branch):

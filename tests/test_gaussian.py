@@ -18,7 +18,7 @@ from reference_chain import (
 from squint.detection import fringe
 from squint.fock import tmss_amplitudes
 from squint.gaussian import InterferometerConfig, InvalidStateError, bogoliubov_factors
-from test_metrology import random_configs
+from strategies import random_configs
 
 
 def tmss(r, num_modes=2):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from reference_chain import op_by_op_clicks
+from reference_chain import op_by_op_clicks, overlap_one_clicks
+from strategies import phase_lists, random_configs
 from squint.detection import clicks, fringe
 from squint import metrology
 from squint.gaussian import InterferometerConfig
@@ -27,19 +27,6 @@ from squint.metrology import (
 
 def ideal(r):
     return InterferometerConfig(r1=r, r2=r)
-
-
-random_configs = st.builds(
-    InterferometerConfig,
-    r1=st.floats(0.0, 1.0),
-    r2=st.floats(0.0, 1.0),
-    eta_h=st.floats(0.0, 1.0),
-    eta_v=st.floats(0.0, 1.0),
-    eta_internal=st.floats(0.3, 1.0),
-    overlap=st.floats(0.5, 1.0),
-    phase_offset=st.floats(-math.pi, math.pi),
-)
-phase_lists = st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=1, max_size=5)
 
 
 class TestFisherPerTrial:
@@ -83,6 +70,25 @@ class TestFisherPerTrial:
         reference = float(np.sum((p.imag / 1e-20) ** 2 / p.real))
         cfg = InterferometerConfig(r1=r, r2=r, eta_h=eta, eta_v=eta)
         assert fisher(cfg, [phi])[0] == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("cfg", [
+        InterferometerConfig(r1=0.59, r2=0.41, eta_h=0.744, eta_v=0.6),
+        InterferometerConfig(r1=0.59, r2=0.59, eta_h=0.75, eta_v=0.75),
+        InterferometerConfig(r1=0.35, r2=0.35),
+        InterferometerConfig(r1=1.0, r2=0.2, eta_h=0.3, eta_v=0.9, phase_offset=-1.0),
+    ])
+    def test_probabilities_match_overlap_one_closed_form(self, cfg):
+        phis = np.linspace(-math.pi, math.pi, 2001)
+        assert np.abs(fringe(cfg, phis) - overlap_one_clicks(cfg, phis)[0]).max() <= 1e-15
+
+    @pytest.mark.parametrize("r", [0.35, 0.59, 1.0])
+    @pytest.mark.parametrize("eta", [1.0, 0.75])
+    @pytest.mark.parametrize("offset", [0.0, 0.3])
+    def test_fisher_next_to_fringe_matches_overlap_one_closed_form(self, r, eta, offset):
+        cfg = InterferometerConfig(r1=r, r2=r, eta_h=eta, eta_v=eta, phase_offset=offset)
+        delta = np.array([1e-12, 1e-9, 1e-6, 1e-3])
+        phis = math.pi / 2 - offset + np.concatenate([-delta, delta])
+        assert fisher(cfg, phis) == pytest.approx(overlap_one_clicks(cfg, phis)[1], rel=1e-12)
 
     @pytest.mark.parametrize("r", [*np.arange(0.11, 0.5901, 0.04), 0.2, 0.65, 0.7])
     def test_lossless_maximum_never_exceeds_closed_form(self, r):
