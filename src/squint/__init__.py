@@ -15,14 +15,11 @@ from .fock import (
     TruncationError,
     required_n_max,
     simulate_fock,
-    squeezer_unitary,
-    tmss_amplitudes,
     truncation_error_bound,
 )
 from .gaussian import InterferometerConfig, InvalidStateError
 from .metrology import (
     BracketError,
-    FisherReport,
     crlb,
     fisher,
     fisher_max_ideal,
@@ -36,11 +33,9 @@ from .metrology import (
     threshold_tm_numeric,
 )
 from .simkit import (
-    PhaseAggregate,
     SensitivityReport,
     TrackingRun,
     TrackingScenario,
-    WindowRecord,
     run_tracking,
     sensitivity_report,
 )

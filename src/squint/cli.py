@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import astuple, fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,6 @@ from .metrology import (
     ACCOUNTINGS,
     SNL_PER_PHOTON,
     BracketError,
-    FisherReport,
     fisher_sweep,
     max_fisher,
     noon_fisher_per_photon,
@@ -44,6 +43,8 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
+COUNT_COLUMNS = ("n00", "n01", "n10", "n11")
+
 
 class ConfigError(Exception):
     pass
@@ -59,18 +60,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_table(out_dir: Path, name: str, fmt: str, columns, rows) -> Path:
+def _write_table(out_dir: Path, name: str, fmt: str, columns: dict) -> Path:
+    """Write equal-length columns, given by name in file order, as one table:
+    CSV with floats at 12 significant digits, or strict JSON. Booleans are
+    written as 0/1."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    values = [np.asarray(col) for col in columns.values()]
+    rows = list(zip(*[(col.astype(int) if col.dtype == bool else col).tolist() for col in values]))
     if fmt == "csv":
         path = out_dir / f"{name}.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            writer.writerows([_fmt(v) for v in row] for row in rows)
     else:
         path = out_dir / f"{name}.json"
-        write_json(path, {"columns": list(columns), "rows": list(rows)})
+        write_json(path, {"columns": list(columns), "rows": rows})
     return path
 
 
@@ -137,8 +142,8 @@ def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     grid = _phi_grid(args)
     probs = fringe(cfg, grid)
-    rows = [[p, *probs[i]] for i, p in enumerate(grid)]
-    path = _write_table(Path(args.out), "sweep", args.format, ("phi", "p00", "p01", "p10", "p11"), rows)
+    columns = {"phi": grid, **dict(zip(("p00", "p01", "p10", "p11"), probs.T))}
+    path = _write_table(Path(args.out), "sweep", args.format, columns)
     p11 = probs[:, 3]
     vis = (p11.max() - p11.min()) / (p11.max() + p11.min())
     print(f"wrote {path}")
@@ -146,36 +151,29 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _fisher_preset_rows(args):
+def _fisher_preset_columns(args) -> dict:
     if args.preset == "fig1b":
-        table = presets.fig1b_table()
-        return ("n_bar", "dphi_tm", "dphi_noon", "dphi_snl"), [list(r) for r in table], "fisher_fig1b"
-    rows = []  # fig3c
-    for r in np.round(np.arange(0.11, 0.5901, 0.04), 4):
-        cfg = InterferometerConfig(r1=float(r), r2=float(r))
-        n_through = photons_through_sample(cfg, args.accounting)
-        _, fmax = max_fisher(cfg)
-        rows.append([float(r), n_through, fmax, fmax / n_through])
-    return (
-        ("r", "mean_photons_through_sample", "max_fisher_per_trial", "max_fisher_per_photon"),
-        rows,
-        "fisher_fig3c",
-    )
+        return dict(zip(("n_bar", "dphi_tm", "dphi_noon", "dphi_snl"), presets.fig1b_table().T))
+    cfgs = [InterferometerConfig(r1=r, r2=r) for r in np.round(np.arange(0.11, 0.5901, 0.04), 4).tolist()]
+    n_through = np.array([photons_through_sample(cfg, args.accounting) for cfg in cfgs])
+    fmax = np.array([max_fisher(cfg)[1] for cfg in cfgs])
+    return {
+        "r": [cfg.r1 for cfg in cfgs],
+        "mean_photons_through_sample": n_through,
+        "max_fisher_per_trial": fmax,
+        "max_fisher_per_photon": fmax / n_through,
+    }
 
 
 def cmd_fisher(args) -> int:
     if args.preset in ("fig1b", "fig3c"):
-        columns, rows, name = _fisher_preset_rows(args)
-        path = _write_table(Path(args.out), name, args.format, columns, rows)
+        path = _write_table(Path(args.out), f"fisher_{args.preset}", args.format, _fisher_preset_columns(args))
         print(f"wrote {path}")
         return EXIT_OK
     cfg = _resolve_config(args)
     _check_per_photon(cfg)
     grid = _phi_grid(args)
-    reports = fisher_sweep(cfg, grid, accounting=args.accounting)
-    columns = tuple(f.name for f in fields(FisherReport))
-    rows = [astuple(rep) for rep in reports]
-    path = _write_table(Path(args.out), "fisher", args.format, columns, rows)
+    path = _write_table(Path(args.out), "fisher", args.format, fisher_sweep(cfg, grid, accounting=args.accounting))
     phi_star, f_star = max_fisher(cfg)
     n_through = photons_through_sample(cfg, args.accounting)
     print(f"wrote {path}")
@@ -186,23 +184,25 @@ def cmd_fisher(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    if min(args.nbar) < 0:
-        raise ConfigError(f"mean photon numbers must be >= 0, got {min(args.nbar)}")
+    bad = [n for n in args.nbar if not 0.0 <= n < math.inf]
+    if bad:
+        raise ConfigError(f"mean photon numbers must be finite and >= 0, got {bad[0]}")
     if min(args.nbar) == 0 and not args.skip_numeric:
         raise ConfigError("the numeric threshold needs mean photon numbers > 0 (or --skip-numeric)")
-    tm_rows = []
-    for n_bar in args.nbar:
-        closed = threshold_tm(n_bar)
-        numeric = threshold_tm_numeric(n_bar) if not args.skip_numeric else math.nan
-        tm_rows.append([n_bar, closed, numeric])
     out = Path(args.out)
-    path_tm = _write_table(out, "thresholds_tm", args.format, ("n_bar", "eta_tm", "eta_tm_numeric"), tm_rows)
-    noon_rows = [
-        [n, threshold_noon(n), noon_fisher_per_photon(n, 1.0)] for n in range(1, args.noon_max + 1)
-    ]
-    path_noon = _write_table(
-        out, "thresholds_noon", args.format, ("n_photons", "eta_noon", "fisher_per_photon_ideal"), noon_rows
-    )
+    tm = {
+        "n_bar": args.nbar,
+        "eta_tm": [threshold_tm(n) for n in args.nbar],
+        "eta_tm_numeric": [math.nan if args.skip_numeric else threshold_tm_numeric(n) for n in args.nbar],
+    }
+    path_tm = _write_table(out, "thresholds_tm", args.format, tm)
+    photons = range(1, args.noon_max + 1)
+    noon = {
+        "n_photons": photons,
+        "eta_noon": [threshold_noon(n) for n in photons],
+        "fisher_per_photon_ideal": [noon_fisher_per_photon(n, 1.0) for n in photons],
+    }
+    path_noon = _write_table(out, "thresholds_noon", args.format, noon)
     print(f"wrote {path_tm}")
     print(f"wrote {path_noon}")
     return EXIT_OK
@@ -217,14 +217,13 @@ def cmd_estimate(args) -> int:
         cal = CalibrationModel.from_json(args.calibration)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid calibration file {args.calibration}: {exc!r}") from exc
-    keys = ("n00", "n01", "n10", "n11")
     try:
         with open(args.counts, newline="") as fh:
             reader = csv.DictReader(fh)
-            needed = {"window_index", *keys}
+            needed = {"window_index", *COUNT_COLUMNS}
             if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
                 raise ConfigError(f"counts file must have columns {sorted(needed)}")
-            windows = [(int(rec["window_index"]), [int(rec[k]) for k in keys]) for rec in reader]
+            windows = [(int(rec["window_index"]), [int(rec[k]) for k in COUNT_COLUMNS]) for rec in reader]
     except OSError as exc:
         raise ConfigError(f"cannot read counts file {args.counts}: {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -233,14 +232,13 @@ def cmd_estimate(args) -> int:
     if np.any(counts < 0):
         raise ConfigError(f"negative count in counts file {args.counts}")
     phi_est, objective, low_info = estimate_phases(counts, cal, branch)
-    rows = zip([i for i, _ in windows], phi_est.tolist(), objective.tolist(), low_info.astype(int).tolist())
-    path = _write_table(
-        Path(args.out),
-        "estimates",
-        args.format,
-        ("window_index", "phi_est", "objective_value", "low_information"),
-        rows,
-    )
+    columns = {
+        "window_index": [i for i, _ in windows],
+        "phi_est": phi_est,
+        "objective_value": objective,
+        "low_information": low_info,
+    }
+    path = _write_table(Path(args.out), "estimates", args.format, columns)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -262,10 +260,13 @@ def cmd_track(args) -> int:
     _check_per_photon(cfg)
     cal = CalibrationModel.from_config(cfg)
     run = run_tracking(scenario, cfg, cal)
+    rec = run.records
+    columns = {name: rec[name] for name in ("repeat", "window_index", "phase_index", "phi_set")}
+    columns.update(zip(COUNT_COLUMNS, rec.counts.T))
+    columns.update(phi_est=rec.phi_est, low_information=rec.low_information)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    run.to_csv(out / "tracking.csv")
-    run.to_json(out / "tracking_summary.json")
+    _write_table(out, "tracking", "csv", columns)
+    write_json(out / "tracking_summary.json", run.summary_dict())
     cal.to_json(out / "calibration.json")
     report = sensitivity_report(run, accounting=args.accounting)
     write_json(out / "sensitivity.json", report.to_dict())
@@ -285,21 +286,24 @@ def cmd_track(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    for flag, value in (("--budget", args.budget), ("--tol", args.tol)):
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{flag} must be finite and > 0, got {value}")
     grid = _phi_grid(args)
     cases = [(0.3, 1.0), (0.3, 0.75), (0.59, 1.0), (0.59, 0.75)]
     rows = []
-    worst = 0.0
     for r, eta in cases:
         cfg = InterferometerConfig(r1=r, r2=r, eta_h=eta, eta_v=eta)
         n_max = required_n_max(2 * r, args.budget)
         fock = np.array([simulate_fock(cfg, phi, n_max, budget=args.budget) for phi in grid])
         dev = float(np.abs(fringe(cfg, grid) - fock).max())
-        rows.append([r, eta, n_max, dev])
-        worst = max(worst, dev)
+        rows.append((r, eta, n_max, dev))
         print(f"r={r} eta={eta} n_max={n_max}: max |delta p| = {dev:.3e}")
-    _write_table(Path(args.out), "validate", args.format, ("r", "eta", "n_max", "max_delta_p"), rows)
+    columns = dict(zip(("r", "eta", "n_max", "max_delta_p"), zip(*rows)))
+    _write_table(Path(args.out), "validate", args.format, columns)
+    worst = float(np.max(columns["max_delta_p"]))
     print(f"overall max |delta p| = {worst:.3e} (tolerance {args.tol:.1e})")
-    if worst > args.tol:
+    if not worst <= args.tol:
         raise ValidationFailure(f"oracle deviation {worst:.3e} exceeds tolerance {args.tol:.1e}")
     return EXIT_OK
 

@@ -70,7 +70,11 @@ class UnidentifiableError(ValueError):
 
 
 def _finite_or_null(value):
-    """Strict JSON has no NaN or infinities: they are written as null."""
+    """Strict JSON has no NaN or infinities: they are written as null. An array
+    is written as a list, a record array as one object per row."""
+    if isinstance(value, np.ndarray):
+        names = value.dtype.names
+        value = [dict(zip(names, row)) for row in value.tolist()] if names else value.tolist()
     if isinstance(value, dict):
         return {k: _finite_or_null(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

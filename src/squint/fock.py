@@ -25,10 +25,8 @@ from .gaussian import InterferometerConfig
 
 __all__ = [
     "TruncationError",
-    "tmss_amplitudes",
     "truncation_error_bound",
     "required_n_max",
-    "squeezer_unitary",
     "evolve_fock",
     "simulate_fock",
 ]
@@ -36,14 +34,6 @@ __all__ = [
 
 class TruncationError(RuntimeError):
     """The requested truncation cannot meet the accuracy budget."""
-
-
-def tmss_amplitudes(r: float, n_max: int) -> np.ndarray:
-    """Fock amplitudes c_n = (1/cosh r)(-tanh r)^n of the two-mode squeezed vacuum."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    n = np.arange(n_max + 1)
-    return (1.0 / math.cosh(r)) * (-math.tanh(r)) ** n
 
 
 def truncation_error_bound(r_total: float, n_max: int) -> float:
@@ -93,28 +83,6 @@ def _pair_blocks(hop1: np.ndarray, hop2: np.ndarray, scale: float, sign: int) ->
 def _squeezer_unitary_cached(r: float, n_max: int) -> tuple:
     a = _destroy(n_max + 1)
     return _pair_blocks(a, a, r, -1)
-
-
-def squeezer_unitary(r: float, n_max: int, budget: float | None = None) -> np.ndarray:
-    """Truncated unitary of exp[r(ab - a†b†)] on the (n_max+1)^2 two-mode space.
-
-    Dense, assembled from the sector blocks that the oracle applies directly.
-    If ``budget`` is given, raises TruncationError when the truncation bound
-    for this squeezing exceeds it (reporting the achieved bound).
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    if budget is not None:
-        achieved = truncation_error_bound(r, n_max)
-        if achieved > budget:
-            raise TruncationError(
-                f"truncation bound {achieved:.3e} exceeds budget {budget:.3e} "
-                f"at n_max={n_max}"
-            )
-    u = np.zeros(((n_max + 1) ** 2,) * 2, dtype=complex)
-    for idx, block in _squeezer_unitary_cached(float(r), int(n_max)):
-        u[np.ix_(idx, idx)] = block
-    return u
 
 
 @lru_cache(maxsize=4)

@@ -4,7 +4,8 @@ The per-trial Fisher information is F(phi) = sum_ij (d p_ij/d phi)^2 / p_ij,
 computed from the analytic phase derivatives of the click core. Both p and dp
 keep their relative accuracy next to a fringe zero, so the plain sum is exact
 there; an outcome with p = 0 adds 0. ``fisher`` and the Cramer-Rao bound
-``crlb`` take an array of phases and return one value per phase. Per-photon
+``crlb`` take an array of phases and return one value per phase, and
+``fisher_sweep`` returns the columns of ``fisher.csv`` by name. Per-photon
 quantities divide by the mean photon number that passes through the sample,
 2 sinh^2(r1) per trial under the default single-pass accounting, so they need
 r1 > 0.
@@ -17,7 +18,6 @@ full lossy pipeline against the shot-noise baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -26,7 +26,6 @@ from .detection import clicks
 from .gaussian import InterferometerConfig
 
 __all__ = [
-    "FisherReport",
     "BracketError",
     "ACCOUNTINGS",
     "SNL_PER_PHOTON",
@@ -55,18 +54,6 @@ _THRESHOLD_TOL = 1e-4
 
 class BracketError(RuntimeError):
     """A root search found no sign change over the allowed bracket."""
-
-
-@dataclass(frozen=True)
-class FisherReport:
-    """Per-phase Fisher information with the per-photon normalization."""
-
-    phi: float
-    fisher_per_trial: float
-    mean_photons_through_sample: float
-    fisher_per_photon: float
-    snl_per_photon: float
-    enhancement_db: float
 
 
 def fisher(cfg: InterferometerConfig, phis) -> np.ndarray:
@@ -184,17 +171,26 @@ def fisher_sweep(
     cfg: InterferometerConfig,
     phi_grid: Iterable[float],
     accounting: str = "single-pass",
-) -> list[FisherReport]:
-    """Per-phase Fisher reports over a grid in [0, pi]."""
-    phis = [float(p) for p in phi_grid]
-    if any(p < 0.0 or p > math.pi + 1e-12 for p in phis):
+) -> dict[str, np.ndarray]:
+    """The columns of ``fisher.csv`` by name, in file order, over a phase grid
+    in [0, pi]: phi, fisher_per_trial, mean_photons_through_sample,
+    fisher_per_photon, snl_per_photon and enhancement_db (10 log10 of the
+    per-photon ratio to the SNL, -inf where F = 0)."""
+    phis = np.array([float(p) for p in phi_grid])
+    if np.any((phis < 0.0) | (phis > math.pi + 1e-12)):
         raise ValueError("phase grid must lie within [0, pi]")
     n_through = photons_through_sample(cfg, accounting)
     if n_through == 0.0:
         raise ValueError("Fisher information per photon needs r1 > 0: at r1 = 0 no photons pass the sample")
-    reports = []
-    for p, f_trial in zip(phis, fisher(cfg, phis).tolist()):
-        f_photon = f_trial / n_through
-        db = 10.0 * math.log10(f_photon / SNL_PER_PHOTON) if f_photon > 0.0 else -math.inf
-        reports.append(FisherReport(p, f_trial, n_through, f_photon, SNL_PER_PHOTON, db))
-    return reports
+    f_trial = fisher(cfg, phis)
+    f_photon = f_trial / n_through
+    # math.log10 per value: np.log10 can differ from it in the last place
+    db = [10.0 * math.log10(f / SNL_PER_PHOTON) if f > 0.0 else -math.inf for f in f_photon.tolist()]
+    return {
+        "phi": phis,
+        "fisher_per_trial": f_trial,
+        "mean_photons_through_sample": np.full(phis.size, n_through),
+        "fisher_per_photon": f_photon,
+        "snl_per_photon": np.full(phis.size, SNL_PER_PHOTON),
+        "enhancement_db": np.array(db),
+    }

@@ -3,25 +3,30 @@
 Randomness uses counter-based Philox streams keyed by (seed, stream index),
 one stream per window, so serial and parallel executions of the same scenario
 produce bit-identical runs.
+
+Reports are NumPy record arrays: named columns of equal length that also read
+row by row. ``TrackingRun.records`` has one row per window (fields of
+``RECORD_DTYPE``; ``counts`` is (W, 4) as a column), ``TrackingRun.aggregates``
+one per phase and ``SensitivityReport.rows`` one per aggregated phase. The
+field ``repeat`` is shadowed by ``ndarray.repeat``: read it as
+``records["repeat"]``.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import asdict, dataclass, field
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .detection import fringe
-from .estimation import CalibrationModel, _check_branch, estimate_phases, write_json
+from .estimation import CalibrationModel, _check_branch, estimate_phases
 from .gaussian import InterferometerConfig
 from .metrology import SNL_PER_PHOTON, crlb, photons_through_sample
 
 __all__ = [
     "TrackingScenario",
-    "WindowRecord",
-    "PhaseAggregate",
     "TrackingRun",
     "SensitivityReport",
     "run_tracking",
@@ -30,18 +35,23 @@ __all__ = [
 
 TRACKING_SCHEMA = "squint-tracking/1"
 
-CSV_COLUMNS = (
-    "repeat",
-    "window_index",
-    "phase_index",
-    "phi_set",
-    "n00",
-    "n01",
-    "n10",
-    "n11",
-    "phi_est",
-    "low_information",
-)
+RECORD_DTYPE = np.dtype([
+    ("repeat", np.int64),
+    ("window_index", np.int64),
+    ("phase_index", np.int64),
+    ("phi_set", np.float64),
+    ("counts", np.int64, (4,)),
+    ("phi_est", np.float64),
+    ("low_information", np.bool_),
+])
+AGGREGATE_DTYPE = np.dtype([
+    ("phase_index", np.int64),
+    ("phi_set", np.float64),
+    ("n_estimates", np.int64),
+    ("mean_phi_est", np.float64),
+    ("std_phi_est", np.float64),
+])
+
 
 def _stream(seed: int, index: int) -> np.random.Generator:
     """RNG stream keyed by (seed, stream index)."""
@@ -68,18 +78,23 @@ class TrackingScenario:
     branch_margin: float = 0.1
 
     def __post_init__(self):
+        for name in ("repeats", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         schedule = tuple((float(p), float(d)) for p, d in self.phase_schedule)
         object.__setattr__(self, "phase_schedule", schedule)
-        if self.window <= 0 or self.repetition_rate <= 0:
-            raise ValueError("window and repetition_rate must be > 0")
+        if not (0 < self.window < math.inf and 0 < self.repetition_rate < math.inf):
+            raise ValueError("window and repetition_rate must be finite and > 0")
         if self.trials_per_window < 1:
             raise ValueError(f"repetition_rate * window = {self.repetition_rate * self.window:g} "
                              "rounds to no trials per window")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         for phi, duration in schedule:
-            if duration < 0:
-                raise ValueError("durations must be >= 0")
+            if not (math.isfinite(phi) and 0 <= duration < math.inf):
+                raise ValueError(f"phases must be finite and durations finite and >= 0, got ({phi}, {duration})")
             n = duration / self.window
             if abs(n - round(n)) > 1e-9:
                 raise ValueError(f"duration {duration} is not a multiple of window {self.window}")
@@ -101,57 +116,19 @@ class TrackingScenario:
         return _check_branch((min(phases) - self.branch_margin, max(phases) + self.branch_margin))
 
 
-@dataclass(frozen=True)
-class WindowRecord:
-    repeat: int
-    window_index: int
-    phase_index: int
-    phi_set: float
-    counts: tuple[int, int, int, int]
-    phi_est: float
-    low_information: bool
-
-
-@dataclass(frozen=True)
-class PhaseAggregate:
-    phase_index: int
-    phi_set: float
-    n_estimates: int
-    mean_phi_est: float
-    std_phi_est: float
-
-
 @dataclass
 class TrackingRun:
-    """Window-level records plus per-phase aggregates of a tracking scenario."""
+    """Window records plus per-phase aggregates of a tracking scenario."""
 
     scenario: TrackingScenario
     config: InterferometerConfig
     branch: tuple[float, float]
-    records: list[WindowRecord] = field(default_factory=list)
-    aggregates: list[PhaseAggregate] = field(default_factory=list)
+    records: np.recarray = field(default_factory=lambda: np.recarray(0, RECORD_DTYPE))
+    aggregates: np.recarray = field(default_factory=lambda: np.recarray(0, AGGREGATE_DTYPE))
 
     @property
     def trials_per_window(self) -> int:
         return self.scenario.trials_per_window
-
-    def to_csv(self, path) -> None:
-        """One row per window; schema in CSV_COLUMNS, floats at 12 significant digits."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for rec in self.records:
-                writer.writerow(
-                    [
-                        rec.repeat,
-                        rec.window_index,
-                        rec.phase_index,
-                        f"{rec.phi_set:.12g}",
-                        *rec.counts,
-                        f"{rec.phi_est:.12g}",
-                        int(rec.low_information),
-                    ]
-                )
 
     def summary_dict(self) -> dict:
         scn = self.scenario
@@ -164,11 +141,8 @@ class TrackingRun:
             "repeats": scn.repeats,
             "branch": [self.branch[0], self.branch[1]],
             "phases": [p for p, _ in scn.phase_schedule],
-            "aggregates": [asdict(agg) for agg in self.aggregates],
+            "aggregates": self.aggregates,
         }
-
-    def to_json(self, path) -> None:
-        write_json(path, self.summary_dict())
 
 
 def run_tracking(
@@ -178,73 +152,60 @@ def run_tracking(
 ) -> TrackingRun:
     """Replay the schedule: sample every window's counts, estimate all phases
     in one batch, record. Windows without phase information are flagged."""
-    if not scenario.phase_schedule or scenario.windows_per_repeat == 0:
+    if scenario.windows_per_repeat == 0:
         return TrackingRun(scenario=scenario, config=cfg, branch=(0.0, 0.0))
     branch = scenario.resolved_branch()
     trials = scenario.trials_per_window
-    one_repeat = [
-        (phase_index, phi_set)
-        for phase_index, (phi_set, duration) in enumerate(scenario.phase_schedule)
-        for _ in range(int(round(duration / scenario.window)))
-    ]
-    probs = fringe(cfg, [phi_set for phi_set, _ in scenario.phase_schedule])
-    windows = one_repeat * scenario.repeats
+    phis = np.array([phi_set for phi_set, _ in scenario.phase_schedule])
+    per_phase = [int(round(duration / scenario.window)) for _, duration in scenario.phase_schedule]
+    phase_of = np.tile(np.repeat(np.arange(len(phis)), per_phase), scenario.repeats)
+    probs = fringe(cfg, phis)
     counts = np.array([
         _stream(scenario.seed, index).multinomial(trials, probs[phase_index])
-        for index, (phase_index, _) in enumerate(windows)
+        for index, phase_index in enumerate(phase_of.tolist())
     ])
     phi_est, _, low_info = estimate_phases(counts, cal, branch, trials)
-
-    run = TrackingRun(scenario=scenario, config=cfg, branch=branch)
-    run.records = [
-        WindowRecord(index // len(one_repeat), index, phase_index, phi_set, tuple(n), phi, low)
-        for index, ((phase_index, phi_set), n, phi, low) in enumerate(
-            zip(windows, counts.tolist(), phi_est.tolist(), low_info.tolist())
-        )
-    ]
-    phase_of = np.array([phase_index for phase_index, _ in windows])
-    for phase_index, (phi_set, _) in enumerate(scenario.phase_schedule):
+    index = np.arange(len(phase_of))
+    records = np.rec.fromarrays(
+        [index // scenario.windows_per_repeat, index, phase_of, phis[phase_of], counts, phi_est, low_info],
+        dtype=RECORD_DTYPE,
+    )
+    aggregates = []
+    for phase_index, phi_set in enumerate(phis.tolist()):
         ests = phi_est[(phase_of == phase_index) & np.isfinite(phi_est)]
         if ests.size:
             std = float(ests.std(ddof=1)) if ests.size > 1 else 0.0
-            run.aggregates.append(PhaseAggregate(phase_index, phi_set, ests.size, float(ests.mean()), std))
-    return run
-
-
-@dataclass(frozen=True)
-class SensitivityRow:
-    phi_set: float
-    n_estimates: int
-    dphi: float
-    crlb: float
-    snl_dphi: float
-    enhancement_db: float
+            aggregates.append((phase_index, phi_set, ests.size, float(ests.mean()), std))
+    return TrackingRun(scenario, cfg, branch, records, np.rec.fromrecords(aggregates, dtype=AGGREGATE_DTYPE))
 
 
 @dataclass
 class SensitivityReport:
-    """Per-phase sensitivity versus the photon-budget-matched shot-noise limit."""
+    """Per-phase sensitivity versus the photon-budget-matched shot-noise limit;
+    ``rows`` has the fields phi_set, n_estimates, dphi, crlb, snl_dphi and
+    enhancement_db."""
 
-    rows: list[SensitivityRow]
+    rows: np.recarray
     trials_per_window: int
     photons_through_sample: float
-    snl_per_photon: float
     accounting: str
 
-    def best(self) -> SensitivityRow | None:
-        finite = [r for r in self.rows if math.isfinite(r.enhancement_db)]
-        return max(finite, key=lambda r: r.enhancement_db) if finite else None
+    def best(self) -> np.record | None:
+        """The row with the largest finite enhancement, None if there is none."""
+        db = self.rows.enhancement_db
+        finite = np.flatnonzero(np.isfinite(db))
+        return self.rows[finite[np.argmax(db[finite])]] if finite.size else None
 
     def to_dict(self) -> dict:
         best = self.best()
         return {
             "trials_per_window": self.trials_per_window,
             "photons_through_sample_per_trial": self.photons_through_sample,
-            "snl_per_photon": self.snl_per_photon,
+            "snl_per_photon": SNL_PER_PHOTON,
             "accounting": self.accounting,
-            "rows": [asdict(r) for r in self.rows],
-            "best_phase": None if best is None else best.phi_set,
-            "best_enhancement_db": None if best is None else best.enhancement_db,
+            "rows": self.rows,
+            "best_phase": None if best is None else float(best.phi_set),
+            "best_enhancement_db": None if best is None else float(best.enhancement_db),
         }
 
 
@@ -256,7 +217,7 @@ def sensitivity_report(run: TrackingRun, accounting: str = "single-pass") -> Sen
     the enhancement is 20 log10(dphi_SNL / dphi). The absolute scale depends
     on the assumed repetition rate, which is always reported alongside.
     """
-    if not run.records:
+    if len(run.records) == 0:
         raise ValueError("sensitivity_report needs a nonempty run")
     cfg = run.config
     trials = run.trials_per_window
@@ -264,27 +225,15 @@ def sensitivity_report(run: TrackingRun, accounting: str = "single-pass") -> Sen
     if n_through == 0.0:
         raise ValueError("sensitivity per photon needs r1 > 0: at r1 = 0 no photons pass the sample")
     snl_dphi = 1.0 / math.sqrt(SNL_PER_PHOTON * trials * n_through)
-    rows = []
-    bounds = crlb(cfg, [agg.phi_set for agg in run.aggregates], trials)
-    for agg, bound in zip(run.aggregates, bounds.tolist()):
-        if agg.std_phi_est > 0:
-            db = 20.0 * math.log10(snl_dphi / agg.std_phi_est)
-        else:
-            db = math.inf if agg.std_phi_est == 0 else -math.inf
-        rows.append(
-            SensitivityRow(
-                phi_set=agg.phi_set,
-                n_estimates=agg.n_estimates,
-                dphi=agg.std_phi_est,
-                crlb=bound,
-                snl_dphi=snl_dphi,
-                enhancement_db=db,
-            )
-        )
-    return SensitivityReport(
-        rows=rows,
-        trials_per_window=trials,
-        photons_through_sample=n_through,
-        snl_per_photon=SNL_PER_PHOTON,
-        accounting=accounting,
+    agg = run.aggregates
+    # math.log10 per value: np.log10 can differ from it in the last place
+    db = [
+        20.0 * math.log10(snl_dphi / std) if std > 0 else (math.inf if std == 0 else -math.inf)
+        for std in agg.std_phi_est.tolist()
+    ]
+    rows = np.rec.fromarrays(
+        [agg.phi_set, agg.n_estimates, agg.std_phi_est, crlb(cfg, agg.phi_set, trials),
+         np.full(len(agg), snl_dphi), db],
+        names="phi_set, n_estimates, dphi, crlb, snl_dphi, enhancement_db",
     )
+    return SensitivityReport(rows, trials, n_through, accounting)

@@ -2,9 +2,13 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from squint.cli import main
+from squint.estimation import CalibrationModel
+from squint.gaussian import InterferometerConfig
+from squint.simkit import TrackingScenario, run_tracking
 
 
 def read_csv(path):
@@ -150,20 +154,22 @@ class TestStrictJson:
         strict_json(tmp_path / "thresholds_noon.json")
 
 
+TRACK_PAYLOAD = {
+    "interferometer": {"r1": 0.43, "r2": 0.43, "eta_h": 0.75, "eta_v": 0.75, "overlap": 0.986},
+    "scenario": {
+        "phase_schedule": [[0.5, 0.4], [0.8, 0.2], [1.1, 0.2]],
+        "window": 0.2,
+        "repetition_rate": 5e4,
+        "repeats": 4,
+        "seed": 9,
+    },
+}
+
+
 @pytest.fixture(scope="module")
 def track_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("track")
-    payload = {
-        "interferometer": {"r1": 0.43, "r2": 0.43, "eta_h": 0.75, "eta_v": 0.75, "overlap": 0.986},
-        "scenario": {
-            "phase_schedule": [[0.5, 0.4], [0.8, 0.2], [1.1, 0.2]],
-            "window": 0.2,
-            "repetition_rate": 5e4,
-            "repeats": 4,
-            "seed": 9,
-        },
-    }
-    cfg = write_config(out, payload)
+    cfg = write_config(out, TRACK_PAYLOAD)
     assert main(["track", "--config", cfg, "--seed", "9", "--out", str(out)]) == 0
     return out
 
@@ -178,6 +184,26 @@ class TestTrackAndEstimate:
         sens = json.loads((track_dir / "sensitivity.json").read_text())
         assert len(sens["rows"]) == 3
         assert (track_dir / "calibration.json").exists()
+
+    def test_tracking_csv_holds_the_records(self, track_dir):
+        cfg = InterferometerConfig(**TRACK_PAYLOAD["interferometer"])
+        scenario = TrackingScenario(**TRACK_PAYLOAD["scenario"])
+        rec = run_tracking(scenario, cfg, CalibrationModel.from_config(cfg)).records
+        with open(track_dir / "tracking.csv", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == [
+            "repeat", "window_index", "phase_index", "phi_set",
+            "n00", "n01", "n10", "n11", "phi_est", "low_information",
+        ]
+        assert len(rows) == len(rec)
+        for name in ("repeat", "window_index", "phase_index"):
+            assert [int(row[name]) for row in rows] == rec[name].tolist()
+        counts = [[int(row[k]) for k in ("n00", "n01", "n10", "n11")] for row in rows]
+        assert np.array_equal(counts, rec.counts)
+        assert [float(row["phi_set"]) for row in rows] == rec.phi_set.tolist()
+        assert np.allclose([float(row["phi_est"]) for row in rows], rec.phi_est, rtol=1e-11, atol=0)
+        assert [row["low_information"] for row in rows] == [str(int(low)) for low in rec.low_information]
 
     def test_estimate_round_trip(self, track_dir, tmp_path):
         summary = json.loads((track_dir / "tracking_summary.json").read_text())
@@ -355,8 +381,35 @@ class TestConfigHandling:
         assert main(["validate", "--phi-steps", steps, "--out", str(tmp_path)]) == 2
         assert "at least 2 grid points" in capsys.readouterr().err
 
-    def test_negative_mean_photon_number_rejected(self, tmp_path, capsys):
-        assert main(["thresholds", "--nbar", "-1", "--skip-numeric", "--out", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("skip", [["--skip-numeric"], []])
+    @pytest.mark.parametrize("nbar", ["-1", "nan", "inf"])
+    def test_mean_photon_number_must_be_finite_and_nonnegative(self, tmp_path, capsys, nbar, skip):
+        assert main(["thresholds", "--nbar", "0.5", nbar, *skip, "--out", str(tmp_path)]) == 2
+        assert "finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "thresholds_tm.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"], ["--tol=-1e-6"],
+         ["--budget", "nan"], ["--budget", "inf"], ["--budget", "0"], ["--budget", "-1"]],
+    )
+    def test_validate_budget_and_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, flags):
+        argv = ["validate", "--phi-steps", "3", "--budget", "1e-4", "--tol", "1e-3", *flags]
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert "must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "validate.csv").exists()
+
+    @pytest.mark.parametrize("key, value", [("repeats", 2.5), ("seed", 1.5), ("repeats", "2")])
+    def test_non_integer_scenario_count_rejected(self, tmp_path, capsys, key, value):
+        payload = {
+            "interferometer": {"r1": 0.43, "r2": 0.43},
+            "scenario": {"phase_schedule": [[0.5, 0.2]], "repetition_rate": 5e4, "repeats": 2, key: value},
+        }
+        out = tmp_path / "out"
+        assert main(["track", "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{key} must be an integer" in err and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("branch", [[1.0, 0.5], [0.0, 2.0]])
     def test_invalid_scenario_branch_rejected(self, tmp_path, capsys, branch):

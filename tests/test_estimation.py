@@ -301,7 +301,7 @@ class TestEstimatePhases:
         branch, trials = scenario.resolved_branch(), scenario.trials_per_window
         cal = CalibrationModel.from_config(tracking_cfg)
         run = run_tracking(scenario, tracking_cfg, cal)
-        counts = np.array([rec.counts for rec in run.records[:50]])
+        counts = run.records.counts[:50]
         phi, value, low = estimate_phases(counts, CalibrationModel.from_config(tracking_cfg), branch, trials)
         for model in (CalibrationModel.from_config(tracking_cfg), cal):  # empty, then filled by run_tracking
             for k, row in enumerate(counts):

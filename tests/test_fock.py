@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fock_reference import squeezer_unitary, tmss_amplitudes
 from squint.detection import fringe
 from squint.fock import (
     _apply_pair_unitary,
@@ -15,8 +16,6 @@ from squint.fock import (
     evolve_fock,
     required_n_max,
     simulate_fock,
-    squeezer_unitary,
-    tmss_amplitudes,
     truncation_error_bound,
 )
 from squint.gaussian import InterferometerConfig

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fock_reference import tmss_amplitudes
 from reference_chain import (
     GaussianState,
     apply_beamsplitter,
@@ -16,7 +17,6 @@ from reference_chain import (
     vacuum,
 )
 from squint.detection import fringe
-from squint.fock import tmss_amplitudes
 from squint.gaussian import InterferometerConfig, InvalidStateError, bogoliubov_factors
 from strategies import random_configs
 

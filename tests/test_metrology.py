@@ -248,23 +248,31 @@ class TestThresholdNumeric:
 class TestFisherSweep:
     def test_report_consistency(self, tracking_cfg):
         grid = np.linspace(0.2, 1.4, 7)
-        reports = fisher_sweep(tracking_cfg, grid)
+        sweep = fisher_sweep(tracking_cfg, grid)
         n_bar = photons_through_sample(tracking_cfg)
-        for rep in reports:
-            assert rep.mean_photons_through_sample == pytest.approx(n_bar, abs=0)
-            assert rep.fisher_per_photon == pytest.approx(
-                rep.fisher_per_trial / n_bar, rel=1e-12
+        assert list(sweep) == [
+            "phi", "fisher_per_trial", "mean_photons_through_sample",
+            "fisher_per_photon", "snl_per_photon", "enhancement_db",
+        ]
+        assert all(col.shape == grid.shape for col in sweep.values())
+        assert np.array_equal(sweep["phi"], grid)
+        assert np.array_equal(sweep["fisher_per_trial"], fisher(tracking_cfg, grid))
+        for row in zip(*sweep.values()):
+            rep = dict(zip(sweep, row))
+            assert rep["mean_photons_through_sample"] == pytest.approx(n_bar, abs=0)
+            assert rep["fisher_per_photon"] == pytest.approx(
+                rep["fisher_per_trial"] / n_bar, rel=1e-12
             )
-            if rep.fisher_per_photon > 0:
-                assert rep.enhancement_db == pytest.approx(
-                    10 * math.log10(rep.fisher_per_photon / rep.snl_per_photon), rel=1e-12
+            if rep["fisher_per_photon"] > 0:
+                assert rep["enhancement_db"] == pytest.approx(
+                    10 * math.log10(rep["fisher_per_photon"] / rep["snl_per_photon"]), rel=1e-12
                 )
 
     def test_double_pass_accounting_halves_per_photon(self, tracking_cfg):
         grid = [0.6]
-        single = fisher_sweep(tracking_cfg, grid, accounting="single-pass")[0]
-        double = fisher_sweep(tracking_cfg, grid, accounting="double-pass")[0]
-        assert double.fisher_per_photon == pytest.approx(single.fisher_per_photon / 2, rel=1e-12)
+        single = fisher_sweep(tracking_cfg, grid, accounting="single-pass")["fisher_per_photon"][0]
+        double = fisher_sweep(tracking_cfg, grid, accounting="double-pass")["fisher_per_photon"][0]
+        assert double == pytest.approx(single / 2, rel=1e-12)
 
     def test_grid_validation(self, tracking_cfg):
         with pytest.raises(ValueError):

@@ -1,11 +1,11 @@
-import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
 from squint.detection import fringe
-from squint.estimation import CalibrationModel
+from squint.estimation import CalibrationModel, write_json
 from squint.gaussian import InterferometerConfig
 from squint.metrology import crlb
 from squint.simkit import TrackingScenario, _stream, run_tracking, sensitivity_report
@@ -29,7 +29,7 @@ def window_counts(cfg, phi, trials, windows=1, seed=0):
     scn = TrackingScenario(phase_schedule=((phi, 1.0),), window=1.0, repetition_rate=trials,
                            repeats=windows, seed=seed)
     run = run_tracking(scn, cfg, CalibrationModel.from_config(cfg))
-    return np.array([rec.counts for rec in run.records])
+    return run.records.counts
 
 
 class TestSampleClicks:
@@ -102,34 +102,46 @@ class TestScenario:
         # 0.2 s windows at 1 Hz round to 0 trials per window
         with pytest.raises(ValueError, match="no trials per window"):
             mini_scenario(window=0.2, repetition_rate=1.0)
+        with pytest.raises(ValueError, match="repeats must be an integer"):
+            mini_scenario(repeats=2.5)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            mini_scenario(seed=1.5)
+        for bad in (dict(repetition_rate=math.inf), dict(window=math.nan),
+                    dict(phase_schedule=((0.5, math.inf),)), dict(phase_schedule=((math.nan, 0.2),))):
+            with pytest.raises(ValueError, match="must be finite"):
+                mini_scenario(**bad)
 
 
 class TestRunTracking:
     def test_empty_schedule_gives_empty_run(self, tracking_cfg, tracking_cal):
         run = run_tracking(mini_scenario(phase_schedule=()), tracking_cfg, tracking_cal)
-        assert run.records == []
-        assert run.aggregates == []
+        assert len(run.records) == 0
+        assert len(run.aggregates) == 0
 
     def test_zero_duration_gives_empty_run(self, tracking_cfg, tracking_cal):
         scn = mini_scenario(phase_schedule=((0.5, 0.0),))
         run = run_tracking(scn, tracking_cfg, tracking_cal)
-        assert run.records == []
+        assert len(run.records) == 0
 
     def test_record_layout(self, tracking_cfg, tracking_cal):
         run = run_tracking(mini_scenario(), tracking_cfg, tracking_cal)
-        assert len(run.records) == 15  # 5 windows x 3 repeats
-        assert [r.window_index for r in run.records] == list(range(15))
-        for rec in run.records:
-            assert sum(rec.counts) == 10_000
-            assert run.branch[0] <= rec.phi_est <= run.branch[1]
-        assert {a.phase_index for a in run.aggregates} == {0, 1, 2}
+        rec = run.records
+        assert len(rec) == 15  # 5 windows x 3 repeats
+        assert rec.window_index.tolist() == list(range(15))
+        assert rec["repeat"].tolist() == [0] * 5 + [1] * 5 + [2] * 5
+        assert rec.phase_index.tolist() == [0, 0, 1, 1, 2] * 3
+        assert rec.phi_set.tolist() == [0.5, 0.5, 0.8, 0.8, 1.1] * 3
+        assert rec.counts.shape == (15, 4)
+        assert np.all(rec.counts.sum(axis=1) == 10_000)
+        assert np.all((run.branch[0] <= rec.phi_est) & (rec.phi_est <= run.branch[1]))
+        assert run.aggregates.phase_index.tolist() == [0, 1, 2]
         assert run.aggregates[0].n_estimates == 6
 
     def test_bit_identical_reruns(self, tracking_cfg, tracking_cal):
         a = run_tracking(mini_scenario(), tracking_cfg, tracking_cal)
         b = run_tracking(mini_scenario(), tracking_cfg, tracking_cal)
-        assert a.records == b.records
-        assert a.aggregates == b.aggregates
+        assert np.array_equal(a.records, b.records)
+        assert np.array_equal(a.aggregates, b.aggregates)
 
     def test_estimates_track_set_phases(self, tracking_cfg, tracking_cal):
         scn = mini_scenario(repeats=20, repetition_rate=5e5)
@@ -153,8 +165,8 @@ class TestRunTracking:
             repetition_rate=5e4, repeats=2, seed=5, branch=(-0.3, 0.9),
         )
         run = run_tracking(scn, tracking_cfg, tracking_cal)
-        flagged = [r for r in run.records if r.phase_index == 0]
-        assert all(r.low_information for r in flagged)
+        flagged = run.records[run.records.phase_index == 0]
+        assert len(flagged) == 2 and flagged.low_information.all()
         assert len(run.records) == 4
 
 
@@ -165,26 +177,17 @@ class TestStreams:
         assert np.array_equal(_stream(42, 5).integers(0, 2**63, size=8), plain)
 
 
-class TestCsvAndSummary:
-    def test_csv_round_trip(self, tracking_cfg, tracking_cal, tmp_path):
-        run = run_tracking(mini_scenario(), tracking_cfg, tracking_cal)
-        path = tmp_path / "tracking.csv"
-        run.to_csv(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == len(run.records)
-        first = rows[0]
-        assert int(first["n00"]) == run.records[0].counts[0]
-        assert float(first["phi_est"]) == pytest.approx(run.records[0].phi_est, abs=1e-11)
-
+class TestSummary:
     def test_summary_schema(self, tracking_cfg, tracking_cal, tmp_path):
         run = run_tracking(mini_scenario(), tracking_cfg, tracking_cal)
         summary = run.summary_dict()
         assert summary["schema"] == "squint-tracking/1"
         assert summary["trials_per_window"] == 10_000
         assert len(summary["aggregates"]) == 3
-        run.to_json(tmp_path / "summary.json")
-        assert (tmp_path / "summary.json").exists()
+        write_json(tmp_path / "summary.json", summary)
+        written = json.loads((tmp_path / "summary.json").read_text())["aggregates"]
+        assert [row["n_estimates"] for row in written] == [6, 6, 3]
+        assert [row["phi_set"] for row in written] == [0.5, 0.8, 1.1]
 
 
 class TestSensitivityReport:
