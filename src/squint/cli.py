@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import presets
-from .detection import fringe
+from .detection import _OUTCOMES, fringe
 from .estimation import CalibrationModel, _check_branch, estimate_phases, write_json
 from .fock import TruncationError, required_n_max, simulate_fock
 from .gaussian import InterferometerConfig, InvalidStateError
@@ -142,7 +142,7 @@ def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     grid = _phi_grid(args)
     probs = fringe(cfg, grid)
-    columns = {"phi": grid, **dict(zip(("p00", "p01", "p10", "p11"), probs.T))}
+    columns = {"phi": grid, **dict(zip(_OUTCOMES, probs.T))}
     path = _write_table(Path(args.out), "sweep", args.format, columns)
     p11 = probs[:, 3]
     vis = (p11.max() - p11.min()) / (p11.max() + p11.min())

@@ -1,11 +1,12 @@
 """Threshold-detector click statistics of the interferometer output.
 
 Detector H sees the matched and the mismatched mode of arm a, (a, a'),
-detector V those of arm b, (b, b'). With each arm written as b = U(t) a +
-V(t) a† (``gaussian.bogoliubov_factors``), U and V are evaluated at each
-phase first and then multiplied into the arm moments N = V* V^T, Hermitian
-2x2 because every operation conserves n_a - n_b. Near a fringe zero V is
-small and these products stay accurate relative to their size. With
+detector V those of arm b, (b, b'). Arm X's U and V in b = U(t) a + V(t) a†
+are sqrt(eta_X) times one arm map (``gaussian.bogoliubov_factors``), evaluated
+at each phase first and multiplied, for both arms at once, into N0 = V* V^T
+(Hermitian 2x2: every operation conserves n_a - n_b) and M0 = U V^T. Each
+arm's moments weight these by eta_h and eta_v. Near a fringe zero V is small
+and these products stay accurate relative to their size. With
 e(A) = det(I + A) - 1 = tr A + det A, c = e/(1 + e), P_X = 1/(1 + e(N_X))
 the vacuum probability of arm X and G_X its moments given vacuum on the
 other arm, the two-detector Torontonian (Quesada et al., PRA 98, 062322
@@ -42,9 +43,8 @@ _SUM_TOL = 1e-10
 _OUTCOMES = ("p00", "p01", "p10", "p11")
 # Phases per batch: bounds the scratch memory of long phase arrays.
 _CHUNK = 256
-# click core: the diagonal of a 2x2 block
-_DIAGONAL = np.eye(2, dtype=bool)[:, :, None, None]
-_OFF_DIAGONAL = ~_DIAGONAL
+# click core: the off-diagonal of a 2x2 block
+_OFF_DIAGONAL = ~np.eye(2, dtype=bool)[:, :, None, None]
 # fringe_visibility grid over one period; overlap_for_visibility bisection
 _VISIBILITY_POINTS = 721
 _OVERLAP_MIN, _OVERLAP_TOL = 0.5, 1e-6
@@ -124,14 +124,14 @@ def _tr_adj(a, b):
     return [(f"{a}11", f"{b}00"), (f"{a}00", f"{b}11"), (f"{a}01", f"-{b}10"), (f"{a}10", f"-{b}01")]
 
 
-# table entries (row and column last): V*, U_o and V; N and m; w*; P_o; the
+# table entries (row and column last): V*, U and V; N0 and M0; w*; P_o; the
 # bracket g of G and d of D; G and D; then q = 1/(1 + e) and c = e q of N_H,
 # N_V, G_H and G_V, and the gain P_H (e(N_H) - e(G_H))
 _IJ = ("00", "01", "10", "11")
-_T = [f"{name}{i}{c}" for name in ("vc", "uo", "v") for i in range(2) for c in range(3)]
+_T = [f"{name}{i}{c}" for name in ("vc", "u", "v") for i in range(2) for c in range(3)]
 _NM, _GD = [f"n{e}" for e in _IJ] + [f"m{e}" for e in _IJ], [f"g{e}" for e in _IJ] + [f"d{e}" for e in _IJ]
 _QC = [f"{f}{a}{x}" for f in "qc" for a in "NG" for x in "HV"] + ["gain"]
-_CROSS = _stage(_T, _T, [(c, [(f"uo0{(c + 1) % 3}", f"uo1{(c + 2) % 3}"), (f"uo0{(c + 2) % 3}", f"-uo1{(c + 1) % 3}")])
+_CROSS = _stage(_T, _T, [(c, [(f"u0{(c + 1) % 3}", f"u1{(c + 2) % 3}"), (f"u0{(c + 2) % 3}", f"-u1{(c + 1) % 3}")])
                          for c in range(3)])
 _Z = _stage(_T, ["wc0", "wc1", "wc2"], [(i, [(f"v{i}{c}", f"wc{c}") for c in range(3)]) for i in range(2)])
 _DET = _stage(_NM, _NM, [("n", _tr_adj("n", "n"))])
@@ -145,19 +145,22 @@ _ROWS = _stage(_QC, _QC, [(k, [pair]) for k, pair in enumerate(
 
 @lru_cache(maxsize=64)
 def _jet_factors(cfg: InterferometerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coefficients of e^{it} and of e^{-it} in the jets of V*, U of the other
-    arm and V, each (2, 3, 2, 3, 2, 1) for (jet, block, row, column, arm,
-    phase), and the other arm's efficiency per arm."""
+    """Coefficients of e^{it} and of e^{-it} in the jets of V*, U and V of one
+    arm before its loss, each (2, 3, 2, 3, 1, 1) for (jet, block, row, column,
+    arm, phase), and the weights (6, 2, 1) of the arm moments (see _clicks)."""
     (x_u, x_v), (y_u, y_v) = bogoliubov_factors(cfg)
     zero = np.zeros_like(x_v)
     # every moment is unchanged by U -> e^{is} U, V -> e^{-is} V, so the
     # derivative may drop that part: U' - iU = -2i U_-, V' + iV = 2i V_+,
     # which are exactly 0 when the phase cannot act (r1 = 0)
-    at_w = np.array([[y_v.conj(), x_u[..., ::-1], x_v], [zero, zero, 2j * x_v]])[..., None]
-    at_wc = np.array([[x_v.conj(), y_u[..., ::-1], y_v], [(2j * x_v).conj(), -2j * y_u[..., ::-1], zero]])[..., None]
-    at_w.setflags(write=False)
-    at_wc.setflags(write=False)
-    return at_w, at_wc, np.array([[cfg.eta_v], [cfg.eta_h]])
+    at_w = np.array([[y_v.conj(), x_u, x_v], [zero, zero, 2j * x_v]])[..., None, None]
+    at_wc = np.array([[x_v.conj(), y_u, y_v], [(2j * x_v).conj(), -2j * y_u, zero]])[..., None, None]
+    eta, eta_o = np.array([[cfg.eta_h, cfg.eta_v], [cfg.eta_v, cfg.eta_h]])[..., None]
+    lam = 1.0 - eta_o
+    weights = np.array([eta, eta * eta, eta * lam * (1 + eta_o), eta * lam * eta_o, eta * eta_o * eta_o, eta * eta_o])
+    for array in (at_w, at_wc, weights):
+        array.setflags(write=False)
+    return at_w, at_wc, weights
 
 
 def clicks(cfg: InterferometerConfig, phis, order: int = 0) -> list[np.ndarray]:
@@ -177,44 +180,42 @@ def _clicks(cfg, phis, order):
     """(p, dp/dphi) of a chunk of phases as a jet of shape (order + 1, 4, N)."""
     jets, size = order + 1, phis.size
     w = np.exp(1j * (phis + cfg.phase_offset))
-    at_w, at_wc, eta_o = _jet_factors(cfg)
-    # V*, U_o and V of both arms at once, arms on the second axis from the end
+    at_w, at_wc, (e_tr, e_det, g_n, g_b, g_z, d_b) = _jet_factors(cfg)
+    # V*, U and V of one arm before its loss, with an arm axis of length 1
     t = at_w[:jets] * w + at_wc[:jets] * w.conj()
     v = t[:, 2]
-    # N = V* V^T and the coupling m = U_o V^T from one product
-    nm = _leibniz(_mm, t[:, :2].reshape(jets, 4, 3, 2, size), v.swapaxes(1, 2))
+    # N0 = V* V^T and M0 = U V^T from one product
+    nm = _leibniz(_mm, t[:, :2].reshape(jets, 4, 3, 1, size), v.swapaxes(1, 2))
     n, m = nm[:, :2], nm[:, 2:]
-    n_o = n[..., ::-1, :]
-    ee = np.empty((jets, 2, 2, size))  # e(N), e(G)
-    ee[:, 0] = (n[:, 0, 0] + n[:, 1, 1] + 0.5 * _forms(nm, nm, _DET)[:, 0]).real
+    tr = (n[:, 0, 0] + n[:, 1, 1]).real
+    ee = np.empty((jets, 2, 2, size))  # e(N), e(G); e(N) = eta tr N0 + eta^2 det N0
+    ee[:, 0] = e_tr * tr + e_det * (0.5 * _forms(nm, nm, _DET)[:, 0].real)
     p_vac = _q(ee[:, 0])
-    # G = n - m^dag (I + n_o*)^-1 m, the moments n = v* v^T of an arm given
-    # vacuum on the other arm o. The commutators of arm o give U_o U_o^dag =
-    # eta_o I + n_o*, so with lam = 1 - eta_o, G = lam v* (lam I + U_o^dag
-    # U_o)^-1 v^T. U_o^dag U_o is 3x3 of rank 2 with adjugate w w^dag, w = u_0 x
-    # u_1 its rows' cross product, so G = P_o g, g = lam^2 n + lam ((2 eta_o +
-    # tr n_o) n - m^dag m) + z* z^T with z = v w*. At lam = 0 only the Gram
-    # form z* z^T is left, which is exactly 0 where G vanishes identically (the
-    # subtraction leaves roundoff).
-    lam = 1.0 - eta_o
+    # G = N - m^dag (I + N_o*)^-1 m are the moments of arm X given vacuum on
+    # the other arm o, with N = eta N0 and m = U_o V^T = sqrt(eta eta_o) M0. The
+    # commutators give U_o U_o^dag = eta_o I + N_o*, so with lam = 1 - eta_o,
+    # G = lam V* (lam I + U_o^dag U_o)^-1 V^T. U^dag U is 3x3 of rank 2 with
+    # adjugate w w^dag, w = u_0 x u_1 its rows' cross product, so G = P_o g,
+    #   g = eta [(1 - eta_o^2) N0 + lam eta_o (tr N0 N0 - B) + eta_o^2 z* z^T]
+    # with B = M0^dag M0 and z = V w*. At lam = 0 only the Gram form is left,
+    # exactly 0 where G vanishes identically (the subtraction leaves roundoff).
     z = _forms(t, _forms(t, t, _CROSS).conj(), _Z)
-    tr = n_o[:, 0, 0] + n_o[:, 1, 1]
-    tr[:1] += 2.0 * eta_o
-    # m^dag m and m^dag adj(I + n_o*) from one product
-    ma = np.empty((jets, 2, 4, 2, size), dtype=complex)
+    # B and M0^dag adj(N0*) from one product
+    ma = np.empty((jets, 2, 4, 1, size), dtype=complex)
     ma[:, :, :2] = m
     adj = ma[:, :, 2:]
-    np.conjugate(n_o[:, ::-1, ::-1].swapaxes(1, 2), out=adj)
+    np.conjugate(n[:, ::-1, ::-1].swapaxes(1, 2), out=adj)
     np.negative(adj, out=adj, where=_OFF_DIAGONAL)
-    np.add(adj[:1], 1.0, out=adj[:1], where=_DIAGONAL)
     mm = _leibniz(_mm, m.conj().swapaxes(1, 2), ma)
+    b = mm[:, :, :2]
     gd = np.empty((jets, 2, 2, 2, 2, size), dtype=complex)
-    np.add(lam * lam * n, lam * (_leibniz(np.multiply, tr[:, None, None], n) - mm[:, :, :2]), out=gd[:, 0])
-    gd[:, 0] += _forms(z.conj(), z, _OUTER).reshape(jets, 2, 2, 2, size)
+    gd[:, 0] = g_n * n + g_b * (_leibniz(np.multiply, tr[:, None, None], n) - b)
+    gd[:, 0] += g_z * _forms(z.conj(), z, _OUTER).reshape(jets, 2, 2, 1, size)
     # p11 = c(N_H) c(N_V) + P_H P_V (e(N_H) - e(G_H)) / (1 + e(G_H)), the
-    # difference taken as e(D) + tr(adj(G) D) from D = N - G =
-    # P_o m^dag adj(I + n_o*) m >= 0: a form in V_H, like c(N_H) and p10
-    gd[:, 1] = _leibniz(_mm, mm[:, :, 2:], m)
+    # difference taken as e(D) + tr(adj(G) D) from D = N - G = P_o d >= 0,
+    # d = m^dag adj(I + N_o*) m = eta eta_o (B + eta_o M0^dag adj(N0*) M0)
+    # (adj(I + A) = I + adj A for 2x2 A): a form in V_H, like c(N_H) and p10
+    gd[:, 1] = d_b * b + g_z * _leibniz(_mm, mm[:, :, 2:], m)
     # G = P_o g and D = P_o d, then 2 det G, 2 det D and tr(adj(G) D)
     scaled = _forms(p_vac[:, None, ::-1], gd, _SCALE)
     dets = _forms(scaled, scaled, _DETS)

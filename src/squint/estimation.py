@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .detection import _SUM_TOL, fringe
+from .detection import _OUTCOMES, _SUM_TOL, fringe
 from .gaussian import InterferometerConfig
 from .metrology import fisher
 
@@ -62,7 +62,6 @@ _SINGULAR = 1e-12
 _BATCH_CELLS = 8192
 # an objective varying less than this over the branch nodes carries no phase
 _FLAT = 1e-15
-_OUTCOMES = ("p00", "p01", "p10", "p11")
 
 
 class UnidentifiableError(ValueError):
@@ -168,19 +167,21 @@ class CalibrationModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CalibrationModel":
-        """Load, requiring probability curves on a pi-periodic [0, pi] grid and
-        standard errors of fitted parameters that are finite and >= 0 (null
-        only in a degraded fit)."""
+        """Load, requiring probability curves on a pi-periodic [0, pi] grid, a
+        boolean ``degraded``, and a fit residual and standard errors that are
+        finite numbers >= 0 (a standard error null only in a degraded fit)."""
         if data.get("schema") != CALIBRATION_SCHEMA:
             raise ValueError(f"unsupported calibration schema: {data.get('schema')!r}")
-        degraded, sigma = bool(data["degraded"]), data["sigma"]
+        degraded, residual, sigma = data["degraded"], data["fit_residual"], data["sigma"]
+        if type(degraded) is not bool or not (type(residual) in (int, float) and 0.0 <= residual < math.inf):
+            raise ValueError(f"need a boolean degraded and a finite fit_residual >= 0: {degraded!r}, {residual!r}")
         if not isinstance(sigma, dict) or not set(sigma) <= set(_FIT_NAMES):
             raise ValueError(f"sigma must map fitted parameters {_FIT_NAMES} to standard errors")
         if not all((v is None and degraded) or (type(v) in (int, float) and math.isfinite(v) and v >= 0.0)
                    for v in sigma.values()):
             raise ValueError(f"sigma values must be finite and >= 0 (null only when degraded): {sigma}")
         tab = data["tabulation"]
-        if tab["phi_min"] != 0.0 or abs(tab["phi_max"] - math.pi) > 1e-12 or tab["points"] < 2:
+        if tab["phi_min"] != 0.0 or not abs(tab["phi_max"] - math.pi) <= 1e-12 or tab["points"] < 2:
             raise ValueError("calibration grid must cover [0, pi] with at least 2 points")
         phi_tab = np.linspace(tab["phi_min"], tab["phi_max"], tab["points"])
         curves = np.stack([np.asarray(data["curves"][name], dtype=float) for name in _OUTCOMES], axis=-1)
@@ -196,7 +197,7 @@ class CalibrationModel:
             config=InterferometerConfig(**data["config"]),
             phi_tab=phi_tab,
             curves=curves,
-            fit_residual=float(data["fit_residual"]),
+            fit_residual=float(residual),
             degraded=degraded,
             sigma={name: None if v is None else float(v) for name, v in sigma.items()},
         )
@@ -206,7 +207,12 @@ class CalibrationModel:
 
     @classmethod
     def from_json(cls, path) -> "CalibrationModel":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """Load a strict JSON file: NaN and Infinity tokens are refused."""
+        return cls.from_dict(json.loads(Path(path).read_text(), parse_constant=_refuse_constant))
+
+
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not strict JSON")
 
 
 def _dot4(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,20 +1,20 @@
-"""The two-squeezer interferometer model as a Bogoliubov map of its modes.
+"""The two-squeezer interferometer model as a Bogoliubov map of one detector arm.
 
-Each detected mode is b = U(t) a + V(t) a† over the six input modes (a, b,
-a', b', e_a, e_b): the squeezed pair, the mismatched ancilla pair and the
-environment of the internal loss. The squeezer S(r) = exp[r(ab - a†b†)] maps
-a -> a cosh r - b† sinh r, so its vacuum amplitudes are (1/cosh r)(-tanh r)^n,
-the convention the Fock oracle pins. The phase t = phi + phase_offset is the
-only rotation, so U(t) = e^{it} X_U + e^{-it} Y_U and likewise V(t) (Yurke,
-McCall & Klauder, PRA 33, 4033 (1986)). External loss scales an arm's rows by
-sqrt(eta); its environment drops out of every normal-ordered moment.
+Each detected mode is b = U(t) a + V(t) a† over the input modes: the squeezed
+pair (a, b), the mismatched ancilla pair (a', b') and the environment (e_a,
+e_b) of the internal loss. The squeezer S(r) = exp[r(ab - a†b†)] maps a -> a
+cosh r - b† sinh r, so its vacuum amplitudes are (1/cosh r)(-tanh r)^n, the
+convention the Fock oracle pins. The phase t = phi + phase_offset is the only
+rotation, so U(t) = e^{it} X_U + e^{-it} Y_U and likewise V(t) (Yurke, McCall
+& Klauder, PRA 33, 4033 (1986)). The arms differ only in their external loss,
+which scales an arm's map by sqrt(eta); its environment drops out of every
+normal-ordered moment.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -64,43 +64,30 @@ class InterferometerConfig:
         return replace(self, **kwargs)
 
 
-# Rows (a, b, a', b'), columns (a, b, a', b', e_a, e_b). Every operation
-# conserves n_a - n_b, so U of arm H = (a, a') and V of arm V = (b, b') see
-# only the charge +1 inputs (a, a', e_a), U_V and V_H only (b, b', e_b):
-_PLUS, _MINUS = [0, 2, 4], [1, 3, 5]
-_BLOCKS = [np.ix_([0, 2], _PLUS), np.ix_([1, 3], _MINUS), np.ix_([0, 2], _MINUS), np.ix_([1, 3], _PLUS)]
-
-
-@lru_cache(maxsize=64)
 def bogoliubov_factors(cfg: InterferometerConfig) -> np.ndarray:
-    """X and Y of U and V, 2x3 per arm on the input columns of its charge:
-    shape (2, 2, 2, 3, 2) for (X|Y, U|V, row, column, arm H|V).
+    """X and Y of U and V of one arm before its external loss, shape (2, 2,
+    2, 3) for (X|Y, U|V, row, column): rows the arm's modes (m, m'), U on
+    (m, m', e_m) and V on the partner arm's. Arm X's are sqrt(eta_X) times
+    these, as the model has no per-arm internal loss and no per-arm overlap.
 
-    Before the phase: the first squeezer on (a, b) and the internal loss onto
-    (e_a, e_b). After it: the mismatch rotation of each arm by acos(overlap),
-    the second squeezer on (a, b), the rotation back and the arm losses.
+    Before the phase: the first squeezer pairs m with its partner and the
+    internal loss mixes in e_m. After it: the mismatch rotation by
+    acos(overlap), the second squeezer and the rotation back.
     """
-    # modes (a, b, a', b') before the phase as g (pair a + v0 a†) + rest a, the
-    # map after it as m -> sqrt(eta) (alpha m + beta m†); g and the arm losses
-    # scale last, so X_V and Y_V stay equal where the two squeezers cancel
+    # the arm before the phase as g (pair m + v0 m_partner^dag) + rest m, the
+    # map after it as m -> alpha m + beta m_partner^dag; g scales last, so X_V
+    # and Y_V stay equal where the two squeezers cancel
     c1, s1 = math.cosh(cfg.r1), math.sinh(cfg.r1)
     g, leak = math.sqrt(cfg.eta_internal), math.sqrt(1.0 - cfg.eta_internal)
-    pair, rest, v0 = np.zeros((3, 4, 6))
-    pair[[0, 1], [0, 1]] = c1
-    rest[[2, 3, 0, 1], [2, 3, 4, 5]] = [1.0, 1.0, leak, leak]
-    v0[[0, 1], [1, 0]] = -s1
+    pair, rest, v0 = np.zeros((3, 2, 3))
+    pair[0, 0], rest[1, 1], rest[0, 2], v0[0, 0] = c1, 1.0, leak, -s1
     c = cfg.overlap
     s = math.sqrt((1.0 - c) * (1.0 + c))  # 1 - c is exact near c = 1
-    rot = np.array([[c, 0, s, 0], [0, c, 0, s], [-s, 0, c, 0], [0, -s, 0, c]])
+    rot = np.array([[c, s], [-s, c]])
     c2, s2 = math.cosh(cfg.r2), math.sinh(cfg.r2)
-    alpha = rot.T @ np.diag([c2, c2, 1.0, 1.0]) @ rot
-    beta = rot.T @ np.array([[0, -s2, 0, 0], [-s2, 0, 0, 0], [0] * 4, [0] * 4]) @ rot
-    scale = np.sqrt([cfg.eta_h, cfg.eta_v, cfg.eta_h, cfg.eta_v])[:, None]
+    alpha = rot.T @ np.diag([c2, 1.0]) @ rot
+    beta = rot.T @ np.diag([-s2, 0.0]) @ rot
     # the phase multiplies the part before it by e^{it}; beta takes its adjoint, e^{-it}
-    x_u, x_v = scale * (g * (alpha @ pair) + alpha @ rest), scale * (g * (alpha @ v0))
-    y_u, y_v = scale * (g * (beta @ v0)), scale * (g * (beta @ pair) + beta @ rest)
-    out = np.array([[u[k] for k in _BLOCKS[:2]] + [v[k] for k in _BLOCKS[2:]]
-                    for u, v in ((x_u, x_v), (y_u, y_v))])
-    out = np.moveaxis(out.reshape(2, 2, 2, 2, 3), 2, -1)
-    out.setflags(write=False)
-    return out
+    x_u, x_v = g * (alpha @ pair) + alpha @ rest, g * (alpha @ v0)
+    y_u, y_v = g * (beta @ v0), g * (beta @ pair) + beta @ rest
+    return np.array([[x_u, x_v], [y_u, y_v]])

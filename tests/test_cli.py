@@ -234,6 +234,19 @@ class TestTrackAndEstimate:
         ]
         assert main(argv) == 2
 
+    @pytest.mark.parametrize("field, value", [("fit_residual", -1.0), ("fit_residual", math.nan), ("degraded", "no")])
+    def test_non_strict_calibration_is_config_error(self, track_dir, tmp_path, capsys, field, value):
+        # json.dumps writes math.nan as the NaN token, which strict JSON lacks
+        data = json.loads((track_dir / "calibration.json").read_text())
+        data[field] = value
+        bad = write_config(tmp_path, data, name="bad_calibration.json")
+        argv = [
+            "estimate", "--counts", str(track_dir / "tracking.csv"), "--calibration", bad,
+            "--branch-lo", "0.4", "--branch-hi", "1.2", "--out", str(tmp_path),
+        ]
+        assert main(argv) == 2
+        assert "invalid calibration file" in capsys.readouterr().err
+
     @staticmethod
     def estimate_argv(track_dir, tmp_path, counts):
         return [

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strategies import random_configs
-from squint.detection import _checked, clicks, fringe, fringe_visibility, overlap_for_visibility
+from strategies import phase_lists, random_configs
+from squint.detection import _checked, _jet_factors, clicks, fringe, fringe_visibility, overlap_for_visibility
 from squint.gaussian import InterferometerConfig, InvalidStateError
 
 
@@ -125,6 +125,27 @@ class TestBatchInvariance:
         one_p, one_dp = clicks(cfg, [phi], 1)
         assert np.array_equal(one_p[0], p[k]) and np.array_equal(one_dp[0], dp[k])
         assert np.array_equal(fringe(cfg, [phi])[0], fringe(cfg, phis)[k])
+
+
+class TestArmSymmetry:
+    @settings(max_examples=200, deadline=None)
+    @given(random_configs, phase_lists)
+    def test_swapping_arm_efficiencies_swaps_single_clicks(self, cfg, phis):
+        # the arms differ only in their efficiencies, so swapping eta_h and
+        # eta_v swaps p01 and p10 and leaves p00 and p11
+        p, dp = clicks(cfg, phis, 1)
+        q, dq = clicks(cfg.with_updates(eta_h=cfg.eta_v, eta_v=cfg.eta_h), phis, 1)
+        swap = [0, 2, 1, 3]
+        assert np.abs(q[:, swap] - p).max() <= 1e-15
+        assert np.abs(dq[:, swap] - dp).max() <= 1e-15
+
+    def test_factors_are_cached_and_read_only(self):
+        cfg = InterferometerConfig(r1=0.43, r2=0.43, eta_h=0.75, eta_v=0.75)
+        factors = _jet_factors(cfg)
+        assert _jet_factors(cfg) is factors
+        for array in factors:
+            with pytest.raises(ValueError):
+                array.flat[0] = 1.0
 
 
 class TestLayout:

@@ -100,6 +100,9 @@ class TestCalibrationModel:
         def wrong_grid(d):
             d["tabulation"]["phi_max"] = math.pi / 2
 
+        def nan_grid(d):
+            d["tabulation"]["phi_max"] = math.nan
+
         def open_period(d):
             d["curves"]["p00"][-1] += 0.01
             d["curves"]["p11"][-1] -= 0.01
@@ -119,7 +122,7 @@ class TestCalibrationModel:
         def null_sigma_of_sound_fit(d):
             d["sigma"]["overlap"] = None
 
-        edits = (out_of_range, not_normalized, not_finite, wrong_grid, open_period, old_schema,
+        edits = (out_of_range, not_normalized, not_finite, wrong_grid, nan_grid, open_period, old_schema,
                  sigma_of_unfitted_name, negative_sigma, infinite_sigma, null_sigma_of_sound_fit)
         for edit in edits:
             with pytest.raises(ValueError):
@@ -131,6 +134,26 @@ class TestCalibrationModel:
             d["sigma"] = {"r": None, "eta_h": 1e-4}
 
         assert CalibrationModel.from_dict(broken(degraded_null_sigma)).sigma == {"r": None, "eta_h": 1e-4}
+
+    @pytest.mark.parametrize("field, value", [
+        ("fit_residual", -1.0), ("fit_residual", math.nan), ("fit_residual", math.inf), ("fit_residual", "0.5"),
+        ("fit_residual", True), ("degraded", "no"), ("degraded", 0), ("degraded", None),
+    ])
+    def test_fit_fields_are_strict(self, tracking_cal, field, value):
+        data = tracking_cal.to_dict()
+        data[field] = value
+        with pytest.raises(ValueError):
+            CalibrationModel.from_dict(data)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_from_json_refuses_non_strict_tokens(self, tracking_cal, tmp_path, token):
+        path = tmp_path / "cal.json"
+        tracking_cal.to_json(path)
+        text = path.read_text()
+        assert '"fit_residual": 0.0' in text
+        path.write_text(text.replace('"fit_residual": 0.0', f'"fit_residual": {token}'))
+        with pytest.raises(ValueError, match="strict JSON"):
+            CalibrationModel.from_json(path)
 
 
 def synthetic_samples(cfg, phases, trials, seed):

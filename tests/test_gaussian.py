@@ -230,11 +230,13 @@ class TestStateInvariants:
 
 
 def arm_matrices(cfg, phi):
-    """U and V of each arm at one phase, (2, 3) each, from bogoliubov_factors."""
+    """U and V of each arm at one phase, (2, 3) each: sqrt(eta) times the one
+    arm map of bogoliubov_factors."""
     x, y = bogoliubov_factors(cfg)
     w = np.exp(1j * (phi + cfg.phase_offset))
-    (u_h, u_v), (v_h, v_v) = np.moveaxis(x * w + y * np.conj(w), -1, 1)
-    return u_h, u_v, v_h, v_v
+    u, v = x * w + y * np.conj(w)
+    scale_h, scale_v = math.sqrt(cfg.eta_h), math.sqrt(cfg.eta_v)
+    return scale_h * u, scale_v * u, scale_h * v, scale_v * v
 
 
 class TestBogoliubovFactors:
@@ -255,9 +257,8 @@ class TestBogoliubovFactors:
         for v, modes in ((v_h, [0, 2]), (v_v, [1, 3])):
             assert np.sum(np.abs(v) ** 2) == pytest.approx(mean_photon(state, modes), abs=1e-12)
 
-    def test_factors_are_cached_and_read_only(self):
-        cfg = InterferometerConfig(r1=0.43, r2=0.43, eta_h=0.75, eta_v=0.75)
+    def test_one_arm_map(self):
+        cfg = InterferometerConfig(r1=0.43, r2=0.5, eta_h=0.75, eta_v=0.6, eta_internal=0.9, overlap=0.97)
         factors = bogoliubov_factors(cfg)
-        assert bogoliubov_factors(cfg) is factors
-        with pytest.raises(ValueError):
-            factors[0, 0, 0, 0, 0] = 1.0
+        assert factors.shape == (2, 2, 2, 3)
+        assert np.array_equal(factors, bogoliubov_factors(cfg.with_updates(eta_h=1.0, eta_v=0.1)))
