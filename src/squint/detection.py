@@ -237,23 +237,26 @@ def fringe(cfg: InterferometerConfig, phi_grid) -> np.ndarray:
 
 
 def fringe_visibility(cfg: InterferometerConfig) -> float:
-    """(max - min)/(max + min) of the coincidence fringe p11 over one period."""
+    """(max - min)/(max + min) of the coincidence fringe p11 over one period;
+    0 where there is no coincidence fringe (p11 = 0 throughout, as at r = 0)."""
     p11 = fringe(cfg, np.linspace(0.0, math.pi, _VISIBILITY_POINTS))[:, 3]
     hi, lo = float(p11.max()), float(p11.min())
-    return (hi - lo) / (hi + lo)
+    return (hi - lo) / (hi + lo) if hi > 0.0 else 0.0
 
 
 def overlap_for_visibility(cfg: InterferometerConfig, target: float) -> float:
     """Mode-overlap amplitude reproducing a target p11 fringe visibility.
 
-    Visibility is 1 at overlap 1 and decreases as the overlap shrinks, so a
-    bisection on [0.5, 1] recovers the overlap for any reachable target.
+    Visibility decreases as the overlap shrinks from 1, where it is 1 only if
+    r1 = r2, so a bisection on [0.5, 1] recovers the overlap for a target
+    between the visibilities at its two ends, and any other target raises.
     """
     if not 0.0 < target <= 1.0:
         raise ValueError("target visibility must be in (0, 1]")
     lo, hi = _OVERLAP_MIN, 1.0
-    if fringe_visibility(cfg.with_updates(overlap=lo)) > target:
-        raise ValueError(f"target visibility {target} not reachable above overlap {lo}")
+    ends = [fringe_visibility(cfg.with_updates(overlap=end)) for end in (lo, hi)]
+    if not ends[0] <= target <= ends[1]:
+        raise ValueError(f"target visibility {target} not reachable: {ends} at overlap {lo} and {hi}")
     while hi - lo > _OVERLAP_TOL:
         mid = 0.5 * (lo + hi)
         if fringe_visibility(cfg.with_updates(overlap=mid)) < target:

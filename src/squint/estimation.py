@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .detection import _OUTCOMES, _SUM_TOL, fringe
+from .detection import fringe
 from .gaussian import InterferometerConfig
 from .metrology import fisher
 
@@ -41,11 +42,13 @@ __all__ = [
     "bootstrap_sigma",
 ]
 
-CALIBRATION_SCHEMA = "squint-calibration/2"
+CALIBRATION_SCHEMA = "squint-calibration/3"
+_CALIBRATION_KEYS = {"schema", "config", "fit_residual", "degraded", "sigma"}
 
 _HALF_PERIOD = math.pi / 2.0
-# calibration tabulation: intervals over [0, pi]
-_CAL_INTERVALS = 2048
+# the grid of every model's curves: 2048 intervals over [0, pi]
+_PHI_TAB = np.linspace(0.0, math.pi, 2049)
+_PHI_TAB.setflags(write=False)
 # calibrate: fitted parameters, bounds, Jacobian steps, damping (start, and the
 # cap past which no step lowers the cost), the cost gain that ends the fit,
 # relative to the cost or to 1 (the residuals are in standard deviations) if
@@ -99,35 +102,43 @@ class PhaseEstimate:
 
 @dataclass(frozen=True)
 class CalibrationModel:
-    """Fitted interferometer parameters plus tabulated p_ij(phi) curves.
+    """Fitted interferometer parameters and the p_ij(phi) curves they give.
 
-    ``curves`` has shape (points, 4) on the inclusive grid ``phi_tab`` over
-    [0, pi]; the model is pi-periodic so curves[0] == curves[-1]. A fitted
-    model carries ``fit_residual``, ``degraded`` and ``sigma`` (see calibrate).
-    The model is immutable and holds read-only copies of both arrays, so the
-    node table ``estimate_phases`` keeps for the last branch cannot go stale.
+    A fitted model carries ``fit_residual`` (finite, >= 0), ``degraded`` (a
+    boolean) and ``sigma`` (standard errors of fitted parameters, finite and
+    >= 0, or None in a degraded fit); see calibrate. ``curves`` is derived,
+    read-only ``fringe(config, phi_tab)`` on the grid ``phi_tab`` of 2049
+    points over [0, pi] shared by all models, so ``==`` compares the fit alone
+    and the node table ``estimate_phases`` keeps cannot go stale.
     """
 
     config: InterferometerConfig
-    phi_tab: np.ndarray
-    curves: np.ndarray
     fit_residual: float = 0.0
     degraded: bool = False
     sigma: dict = field(default_factory=dict)
+    phi_tab: ClassVar[np.ndarray] = _PHI_TAB
+    curves: np.ndarray = field(init=False, repr=False, compare=False)
     _nodes: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("phi_tab", "curves"):
-            array = np.array(getattr(self, name), dtype=float)
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        degraded, residual, sigma = self.degraded, self.fit_residual, self.sigma
+        if type(degraded) is not bool or not (type(residual) in (int, float) and 0.0 <= residual < math.inf):
+            raise ValueError(f"need a boolean degraded and a finite fit_residual >= 0: {degraded!r}, {residual!r}")
+        if not isinstance(sigma, dict) or not set(sigma) <= set(_FIT_NAMES):
+            raise ValueError(f"sigma must map fitted parameters {_FIT_NAMES} to standard errors")
+        if not all((v is None and degraded) or (type(v) in (int, float) and math.isfinite(v) and v >= 0.0)
+                   for v in sigma.values()):
+            raise ValueError(f"sigma values must be finite and >= 0 (null only when degraded): {sigma}")
+        curves = fringe(self.config, _PHI_TAB)
+        curves.setflags(write=False)
+        object.__setattr__(self, "fit_residual", float(residual))
+        object.__setattr__(self, "sigma", {name: None if v is None else float(v) for name, v in sigma.items()})
+        object.__setattr__(self, "curves", curves)
 
     @classmethod
     def from_config(cls, config: InterferometerConfig, **fit) -> "CalibrationModel":
-        """Exact calibration curves tabulated from a known configuration;
-        ``fit`` sets fit_residual, degraded and sigma of a fitted model."""
-        phi_tab = np.linspace(0.0, math.pi, _CAL_INTERVALS + 1)
-        return cls(config, phi_tab, fringe(config, phi_tab), **fit)
+        """The model of a known configuration; ``fit`` as for the constructor."""
+        return cls(config, **fit)
 
     def probabilities(self, phi) -> np.ndarray:
         """Interpolated calibration curves at phi (scalar -> (4,), array -> (N, 4))."""
@@ -157,50 +168,17 @@ class CalibrationModel:
             "fit_residual": self.fit_residual,
             "degraded": self.degraded,
             "sigma": self.sigma,
-            "tabulation": {
-                "phi_min": float(self.phi_tab[0]),
-                "phi_max": float(self.phi_tab[-1]),
-                "points": int(self.phi_tab.size),
-            },
-            "curves": {name: self.curves[:, j].tolist() for j, name in enumerate(_OUTCOMES)},
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "CalibrationModel":
-        """Load, requiring probability curves on a pi-periodic [0, pi] grid, a
-        boolean ``degraded``, and a fit residual and standard errors that are
-        finite numbers >= 0 (a standard error null only in a degraded fit)."""
-        if data.get("schema") != CALIBRATION_SCHEMA:
-            raise ValueError(f"unsupported calibration schema: {data.get('schema')!r}")
-        degraded, residual, sigma = data["degraded"], data["fit_residual"], data["sigma"]
-        if type(degraded) is not bool or not (type(residual) in (int, float) and 0.0 <= residual < math.inf):
-            raise ValueError(f"need a boolean degraded and a finite fit_residual >= 0: {degraded!r}, {residual!r}")
-        if not isinstance(sigma, dict) or not set(sigma) <= set(_FIT_NAMES):
-            raise ValueError(f"sigma must map fitted parameters {_FIT_NAMES} to standard errors")
-        if not all((v is None and degraded) or (type(v) in (int, float) and math.isfinite(v) and v >= 0.0)
-                   for v in sigma.values()):
-            raise ValueError(f"sigma values must be finite and >= 0 (null only when degraded): {sigma}")
-        tab = data["tabulation"]
-        if tab["phi_min"] != 0.0 or not abs(tab["phi_max"] - math.pi) <= 1e-12 or tab["points"] < 2:
-            raise ValueError("calibration grid must cover [0, pi] with at least 2 points")
-        phi_tab = np.linspace(tab["phi_min"], tab["phi_max"], tab["points"])
-        curves = np.stack([np.asarray(data["curves"][name], dtype=float) for name in _OUTCOMES], axis=-1)
-        if curves.shape != (tab["points"], 4):
-            raise ValueError("curve arrays inconsistent with tabulation metadata")
-        if not (np.all(np.isfinite(curves)) and np.all((curves >= 0.0) & (curves <= 1.0))):
-            raise ValueError("calibration curves must be finite probabilities in [0, 1]")
-        if np.abs(curves.sum(axis=1) - 1.0).max() > _SUM_TOL:
-            raise ValueError("calibration curves do not sum to 1 at every phase")
-        if np.abs(curves[0] - curves[-1]).max() > _SUM_TOL:
-            raise ValueError("calibration curves differ at phi = 0 and phi = pi")
-        return cls(
-            config=InterferometerConfig(**data["config"]),
-            phi_tab=phi_tab,
-            curves=curves,
-            fit_residual=float(residual),
-            degraded=degraded,
-            sigma={name: None if v is None else float(v) for name, v in sigma.items()},
-        )
+        """Load the keys ``to_dict`` writes, and no others; the constructor
+        checks the config and the fit."""
+        schema = data.get("schema") if isinstance(data, dict) else None
+        if schema != CALIBRATION_SCHEMA or set(data) != _CALIBRATION_KEYS:
+            raise ValueError(f"need a {CALIBRATION_SCHEMA} object with the keys {sorted(_CALIBRATION_KEYS)}, "
+                             f"got schema {schema!r}")
+        return cls(InterferometerConfig(**data["config"]), data["fit_residual"], data["degraded"], data["sigma"])
 
     def to_json(self, path) -> None:
         write_json(path, self.to_dict())
@@ -350,6 +328,8 @@ def estimate_phases(
     A window without counts or with an objective flat over ``branch`` (width
     at most pi/2) gets (nan, nan, True).
     """
+    if not (isinstance(trials, numbers.Integral) and trials >= 0):
+        raise ValueError(f"trials must be an integer >= 0 (0: each row's total), got {trials!r}")
     freqs, totals = _frequencies(counts)
     nodes, values, step, length2 = cal._branch_nodes(*_check_branch(branch))
 

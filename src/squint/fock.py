@@ -161,18 +161,14 @@ def evolve_fock(cfg: InterferometerConfig, phi: float, n_max: int) -> np.ndarray
     return vec
 
 
-def simulate_fock(cfg: InterferometerConfig, phi: float, n_max: int, budget: float = 1e-8) -> np.ndarray:
+def simulate_fock(cfg: InterferometerConfig, phi: float, budget: float = 1e-8) -> np.ndarray:
     """Click probabilities (p00, p01, p10, p11) from the truncated Fock evolution.
 
-    Raises TruncationError when the worst-case bound (total squeezing r1+r2)
-    exceeds ``budget``.
+    The cutoff is the smallest whose worst-case bound (total squeezing r1+r2)
+    meets ``budget``, ``required_n_max(r1 + r2, budget)``; raises
+    TruncationError when no cutoff does.
     """
-    achieved = truncation_error_bound(cfg.r1 + cfg.r2, n_max)
-    if achieved > budget:
-        raise TruncationError(
-            f"truncation bound {achieved:.3e} exceeds budget {budget:.3e} at n_max={n_max}"
-        )
-    vec = evolve_fock(cfg, phi, n_max)
+    vec = evolve_fock(cfg, phi, required_n_max(cfg.r1 + cfg.r2, budget))
     arm_h, arm_v = _arms(cfg)
     h = dict.fromkeys(arm_h, cfg.eta_h)
     v = dict.fromkeys(arm_v, cfg.eta_v)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,10 +63,10 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 class TrackingScenario:
     """Phase-tracking schedule: a staircase of set phases sampled in windows.
 
-    Each repeat replays the whole schedule; ``duration`` of every entry must
-    be a multiple of the sampling ``window``. The estimation branch defaults
-    to the scheduled phase range widened by ``branch_margin`` and must stay
-    within the half period pi/2.
+    Each repeat replays the whole schedule, which needs at least one window;
+    ``duration`` of every entry must be a multiple of the sampling ``window``.
+    The estimation branch defaults to the scheduled phase range widened by
+    ``branch_margin`` and must stay within the half period pi/2.
     """
 
     phase_schedule: tuple[tuple[float, float], ...]
@@ -98,6 +98,9 @@ class TrackingScenario:
             n = duration / self.window
             if abs(n - round(n)) > 1e-9:
                 raise ValueError(f"duration {duration} is not a multiple of window {self.window}")
+        if self.windows_per_repeat == 0:
+            raise ValueError("the phase schedule needs at least one window")
+        self.resolved_branch()  # raises for a reversed branch or one wider than pi/2
 
     @property
     def windows_per_repeat(self) -> int:
@@ -111,8 +114,6 @@ class TrackingScenario:
         if self.branch is not None:
             return _check_branch(self.branch)
         phases = [p for p, d in self.phase_schedule if d > 0]
-        if not phases:
-            raise ValueError("cannot resolve a branch for an empty schedule")
         return _check_branch((min(phases) - self.branch_margin, max(phases) + self.branch_margin))
 
 
@@ -123,8 +124,8 @@ class TrackingRun:
     scenario: TrackingScenario
     config: InterferometerConfig
     branch: tuple[float, float]
-    records: np.recarray = field(default_factory=lambda: np.recarray(0, RECORD_DTYPE))
-    aggregates: np.recarray = field(default_factory=lambda: np.recarray(0, AGGREGATE_DTYPE))
+    records: np.recarray
+    aggregates: np.recarray
 
     @property
     def trials_per_window(self) -> int:
@@ -152,8 +153,6 @@ def run_tracking(
 ) -> TrackingRun:
     """Replay the schedule: sample every window's counts, estimate all phases
     in one batch, record. Windows without phase information are flagged."""
-    if scenario.windows_per_repeat == 0:
-        return TrackingRun(scenario=scenario, config=cfg, branch=(0.0, 0.0))
     branch = scenario.resolved_branch()
     trials = scenario.trials_per_window
     phis = np.array([phi_set for phi_set, _ in scenario.phase_schedule])
@@ -217,8 +216,6 @@ def sensitivity_report(run: TrackingRun, accounting: str = "single-pass") -> Sen
     the enhancement is 20 log10(dphi_SNL / dphi). The absolute scale depends
     on the assumed repetition rate, which is always reported alongside.
     """
-    if len(run.records) == 0:
-        raise ValueError("sensitivity_report needs a nonempty run")
     cfg = run.config
     trials = run.trials_per_window
     n_through = photons_through_sample(cfg, accounting)

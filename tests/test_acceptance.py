@@ -103,7 +103,7 @@ def test_criterion_5_oracle_equivalence():
         for eta in (1.0, 0.75):
             cfg = InterferometerConfig(r1=r, r2=r, eta_h=eta, eta_v=eta)
             for phi, gauss in zip(grid, fringe(cfg, grid)):
-                fock = simulate_fock(cfg, phi, n_max, budget=budget)
+                fock = simulate_fock(cfg, phi, budget=budget)
                 dev = float(np.abs(gauss - fock).max())
                 worst = max(worst, dev)
                 assert dev < 1e-6, f"(r={r}, eta={eta}, phi={phi}): |dp| = {dev:.2e}"

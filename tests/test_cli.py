@@ -46,6 +46,11 @@ class TestSweep:
         vis = float(capsys.readouterr().out.split("visibility:")[1].strip())
         assert vis == pytest.approx(1.0, abs=1e-6)
 
+    def test_visibility_without_a_fringe_is_zero(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"interferometer": {"r1": 0.0, "r2": 0.0}})
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.endswith("p11 fringe visibility: 0.0000\n")
+
     def test_single_point_grid_rejected(self, tmp_path, capsys):
         assert main(["sweep", "--out", str(tmp_path), "--phi-steps", "1"]) == 2
 
@@ -183,7 +188,9 @@ class TestTrackAndEstimate:
         assert summary["trials_per_window"] == 10000
         sens = json.loads((track_dir / "sensitivity.json").read_text())
         assert len(sens["rows"]) == 3
-        assert (track_dir / "calibration.json").exists()
+        cal = strict_json(track_dir / "calibration.json")
+        assert set(cal) == {"schema", "config", "fit_residual", "degraded", "sigma"}
+        assert cal["schema"] == "squint-calibration/3"
 
     def test_tracking_csv_holds_the_records(self, track_dir):
         cfg = InterferometerConfig(**TRACK_PAYLOAD["interferometer"])
@@ -225,14 +232,24 @@ class TestTrackAndEstimate:
 
     def test_invalid_calibration_is_config_error(self, track_dir, tmp_path, capsys):
         data = json.loads((track_dir / "calibration.json").read_text())
-        data["curves"]["p00"][3] = 1.7
-        data["curves"]["p11"][3] = -0.4
+        data["config"]["eta_h"] = 1.7
         bad = write_config(tmp_path, data, name="bad_calibration.json")
         argv = [
             "estimate", "--counts", str(track_dir / "tracking.csv"), "--calibration", bad,
             "--branch-lo", "0.4", "--branch-hi", "1.2", "--out", str(tmp_path),
         ]
         assert main(argv) == 2
+
+    def test_tabulated_calibration_is_config_error(self, track_dir, tmp_path, capsys):
+        # a file in the earlier format, whose curves the model now derives from its config
+        data = json.loads((track_dir / "calibration.json").read_text())
+        curves = CalibrationModel.from_dict(data).curves
+        data.update(schema="squint-calibration/2", tabulation={"phi_min": 0.0, "phi_max": math.pi, "points": 2049},
+                    curves=dict(zip(("p00", "p01", "p10", "p11"), curves.T.tolist())))
+        argv = self.estimate_argv(track_dir, tmp_path, track_dir / "tracking.csv")
+        argv[argv.index("--calibration") + 1] = write_config(tmp_path, data, name="old_calibration.json")
+        assert main(argv) == 2
+        assert "squint-calibration/2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [("fit_residual", -1.0), ("fit_residual", math.nan), ("degraded", "no")])
     def test_non_strict_calibration_is_config_error(self, track_dir, tmp_path, capsys, field, value):

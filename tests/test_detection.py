@@ -148,6 +148,28 @@ class TestArmSymmetry:
                 array.flat[0] = 1.0
 
 
+class TestPhaseSymmetry:
+    # the phase enters only as t = phi + phase_offset, and the click
+    # statistics are even in t with period pi. The bounds are roundoff: over
+    # 20 000 random configs x 5 phases the largest deviations were 2.0e-15
+    # in p and 5.2e-15 in dp/dphi, part of them from rounding phi + pi
+    @settings(max_examples=200, deadline=None)
+    @given(random_configs, phase_lists)
+    def test_period_is_pi(self, cfg, phis):
+        p, dp = clicks(cfg, phis, 1)
+        q, dq = clicks(cfg, np.add(phis, math.pi), 1)
+        assert np.abs(q - p).max() <= 4e-15
+        assert np.abs(dq - dp).max() <= 1e-14
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_configs, phase_lists)
+    def test_even_about_the_offset(self, cfg, phis):
+        p, dp = clicks(cfg, phis, 1)
+        q, dq = clicks(cfg, -np.asarray(phis) - 2 * cfg.phase_offset, 1)
+        assert np.abs(q - p).max() <= 4e-15
+        assert np.abs(dq + dp).max() <= 1e-14
+
+
 class TestLayout:
     def test_each_detector_sees_both_modes_of_its_arm(self):
         # arm V fully lost: V never clicks, while H clicks on its matched and
@@ -184,6 +206,21 @@ class TestVisibility:
             overlap_for_visibility(base, 0.1)
         with pytest.raises(ValueError):
             overlap_for_visibility(base, 1.5)
+
+    def test_target_above_full_overlap_rejected(self):
+        # r1 != r2: the fringe is not dark even at overlap 1, so its
+        # visibility tops out below 1
+        base = InterferometerConfig(r1=0.3, r2=0.5)
+        top = fringe_visibility(base)
+        assert top == pytest.approx(0.8376, abs=1e-4)
+        with pytest.raises(ValueError, match="not reachable"):
+            overlap_for_visibility(base, 0.999)
+        xi = overlap_for_visibility(base, 0.8)
+        assert fringe_visibility(base.with_updates(overlap=xi)) == pytest.approx(0.8, abs=1e-4)
+
+    def test_no_fringe_has_zero_visibility(self):
+        # at r = 0 nothing clicks: p11 = 0 at every phase
+        assert fringe_visibility(InterferometerConfig(r1=0.0, r2=0.0)) == 0.0
 
     def test_fringe_shape(self, fringe_cfg):
         grid = np.linspace(0, math.pi, 9)

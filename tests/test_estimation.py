@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squint.detection import fringe
+from squint import estimation
 from squint.estimation import (
     CalibrationModel,
     UnidentifiableError,
@@ -58,6 +59,7 @@ class TestCalibrationModel:
         path = tmp_path / "cal.json"
         tracking_cal.to_json(path)
         loaded = CalibrationModel.from_json(path)
+        assert loaded == tracking_cal
         assert loaded.config == tracking_cal.config
         assert np.array_equal(loaded.curves, tracking_cal.curves)
         assert np.allclose(loaded.phi_tab, tracking_cal.phi_tab, atol=1e-15)
@@ -65,22 +67,28 @@ class TestCalibrationModel:
         assert loaded.sigma == tracking_cal.sigma == {}
 
     def test_model_is_frozen_with_read_only_copies(self, tracking_cfg):
-        tab = np.linspace(0.0, math.pi, 65)
-        curves = fringe(tracking_cfg, tab)
-        model = CalibrationModel(tracking_cfg, tab, curves)
+        model = CalibrationModel(tracking_cfg)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            model.curves = curves
+            model.curves = model.curves
         for array in (model.phi_tab, model.curves):
             with pytest.raises(ValueError):
                 array[0] = 0.5
-        tab[0] = curves[0, 0] = 0.5  # the caller's arrays stay its own
-        assert model.phi_tab[0] == 0.0 and model.curves[0, 0] != 0.5
+        assert np.array_equal(model.phi_tab, np.linspace(0.0, math.pi, 2049))
+        assert np.array_equal(model.curves, fringe(tracking_cfg, model.phi_tab))
+        assert model == CalibrationModel(tracking_cfg) == CalibrationModel.from_config(tracking_cfg)
+        assert model != CalibrationModel(tracking_cfg, fit_residual=1.0)
+        # the curves derive from the config: no table can be passed in
+        with pytest.raises(ValueError):
+            CalibrationModel(tracking_cfg, model.phi_tab, model.curves)
 
     def test_schema_guard(self, tracking_cal):
         data = tracking_cal.to_dict()
         data["schema"] = "something-else/9"
         with pytest.raises(ValueError):
             CalibrationModel.from_dict(data)
+        for not_an_object in ([1, 2], "squint-calibration/3", None):
+            with pytest.raises(ValueError, match="schema None"):
+                CalibrationModel.from_dict(not_an_object)
 
     def test_invalid_curves_rejected_on_load(self, tracking_cal):
         def broken(edit):
@@ -88,27 +96,17 @@ class TestCalibrationModel:
             edit(data)
             return data
 
-        def out_of_range(d):
-            d["curves"]["p00"][5], d["curves"]["p11"][5] = 1.7, -0.4
-
-        def not_normalized(d):
-            d["curves"]["p01"][7] += 0.1
-
-        def not_finite(d):
-            d["curves"]["p10"][9] = math.nan
-
-        def wrong_grid(d):
-            d["tabulation"]["phi_max"] = math.pi / 2
-
-        def nan_grid(d):
-            d["tabulation"]["phi_max"] = math.nan
-
-        def open_period(d):
-            d["curves"]["p00"][-1] += 0.01
-            d["curves"]["p11"][-1] -= 0.01
+        def unphysical_config(d):
+            d["config"]["eta_h"] = 1.7
 
         def old_schema(d):
             d["schema"] = "squint-calibration/1"
+
+        def tabulated_schema(d):
+            d["schema"] = "squint-calibration/2"
+
+        def curves_given(d):
+            d["curves"] = {"p00": [1.0]}
 
         def sigma_of_unfitted_name(d):
             d["sigma"]["r1"] = 1e-5
@@ -122,8 +120,8 @@ class TestCalibrationModel:
         def null_sigma_of_sound_fit(d):
             d["sigma"]["overlap"] = None
 
-        edits = (out_of_range, not_normalized, not_finite, wrong_grid, nan_grid, open_period, old_schema,
-                 sigma_of_unfitted_name, negative_sigma, infinite_sigma, null_sigma_of_sound_fit)
+        edits = (unphysical_config, old_schema, tabulated_schema, curves_given, sigma_of_unfitted_name,
+                 negative_sigma, infinite_sigma, null_sigma_of_sound_fit)
         for edit in edits:
             with pytest.raises(ValueError):
                 CalibrationModel.from_dict(broken(edit))
@@ -144,6 +142,8 @@ class TestCalibrationModel:
         data[field] = value
         with pytest.raises(ValueError):
             CalibrationModel.from_dict(data)
+        with pytest.raises(ValueError):  # a fitted or built model passes the same checks
+            CalibrationModel(tracking_cal.config, **{field: value})
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_from_json_refuses_non_strict_tokens(self, tracking_cal, tmp_path, token):
@@ -265,6 +265,15 @@ class TestEstimatePhase:
         with pytest.raises(ValueError):
             estimate_phase([0.5, 0.2, 0.2, 0.1], tracking_cal, (0.0, 2.0))
 
+    @pytest.mark.parametrize("trials", [-5, 2.5, math.nan, "1000"])
+    def test_trials_must_be_an_integer_at_least_zero(self, tracking_cal, trials):
+        counts = np.array([600, 150, 150, 100])
+        with pytest.raises(ValueError, match="trials"):
+            estimate_phases(counts[None], tracking_cal, BRANCH, trials)
+        with pytest.raises(ValueError, match="trials"):
+            estimate_phase(counts, tracking_cal, BRANCH, trials)
+        assert estimate_phase(counts, tracking_cal, BRANCH, np.int64(0)).window_trials == 1000
+
     def test_flat_objective_unidentifiable(self):
         dead = CalibrationModel.from_config(
             InterferometerConfig(r1=0.5, r2=0.5, eta_h=0.0, eta_v=0.0)
@@ -363,7 +372,7 @@ class TestEstimatePhases:
         assert value.max() < 1e-20
         assert not low.any()
 
-    def test_empty_and_flat_rows_do_not_touch_others(self, tracking_cal):
+    def test_empty_and_flat_rows_do_not_touch_others(self, tracking_cal, monkeypatch):
         rng = np.random.default_rng(8)
         probs = fringe(tracking_cal.config, [0.6])[0]
         good = rng.multinomial(100_000, probs, size=3)
@@ -380,7 +389,9 @@ class TestEstimatePhases:
         e1, e2 = np.array([1.0, -1.0, 0, 0]) / math.sqrt(2), np.array([0, 0, 1.0, -1.0]) / math.sqrt(2)
         tab = np.linspace(0.0, math.pi, 2049)
         curves = c + 0.05 * (np.cos(2 * tab)[:, None] * e1 + np.sin(2 * tab)[:, None] * e2)
-        circle = CalibrationModel(tracking_cal.config, tab, curves)
+        monkeypatch.setattr(estimation, "fringe", lambda cfg, phis: curves)
+        circle = CalibrationModel(tracking_cal.config)
+        monkeypatch.undo()
         branch = (tab[200], tab[800])
         others = curves[[300, 500, 700]]
         phi, value, low = estimate_phases(np.insert(others, 1, c, axis=0), circle, branch)

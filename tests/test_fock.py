@@ -122,7 +122,7 @@ class TestSectorBlocks:
         cfg = InterferometerConfig(r1=0.59, r2=0.59, eta_h=0.75, eta_v=0.75)
         tracemalloc.start()
         try:
-            simulate_fock(cfg, 0.4, 48)
+            simulate_fock(cfg, 0.4)  # n_max 48
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -132,40 +132,35 @@ class TestSectorBlocks:
 class TestSimulateFock:
     def test_ideal_quarter_period(self):
         cfg = InterferometerConfig(r1=0.59, r2=0.59)
-        n_max = required_n_max(1.18, 1e-8)
-        assert simulate_fock(cfg, math.pi / 2, n_max) == pytest.approx([1, 0, 0, 0], abs=1e-8)
+        assert simulate_fock(cfg, math.pi / 2) == pytest.approx([1, 0, 0, 0], abs=1e-8)
 
     def test_ideal_zero_phase_closed_form(self):
         cfg = InterferometerConfig(r1=0.59, r2=0.59)
-        n_max = required_n_max(1.18, 1e-8)
-        p11 = simulate_fock(cfg, 0.0, n_max)[3]
+        p11 = simulate_fock(cfg, 0.0)[3]
         assert p11 == pytest.approx(1.0 - 1.0 / math.cosh(1.18) ** 2, abs=1e-8)
 
     def test_parity_selection_exact(self):
         # no loss, full overlap: support only on |n,n>, so no single-sided clicks
         cfg = InterferometerConfig(r1=0.45, r2=0.45)
-        _, p01, p10, _ = simulate_fock(cfg, 0.83, required_n_max(0.9, 1e-8))
+        _, p01, p10, _ = simulate_fock(cfg, 0.83)
         assert abs(p01) < 1e-14
         assert abs(p10) < 1e-14
 
     def test_lossy_matches_gaussian(self):
         cfg = InterferometerConfig(r1=0.3, r2=0.3, eta_h=0.75, eta_v=0.6)
-        n_max = required_n_max(0.6, 1e-8)
         phis = (0.0, 0.4, 1.1, 2.0)
         for phi, gauss in zip(phis, fringe(cfg, phis)):
-            assert np.abs(simulate_fock(cfg, phi, n_max) - gauss).max() < 1e-6
+            assert np.abs(simulate_fock(cfg, phi) - gauss).max() < 1e-6
 
     def test_internal_loss_matches_gaussian(self):
         cfg = InterferometerConfig(r1=0.3, r2=0.3, eta_internal=0.85, eta_h=0.9, eta_v=0.9)
-        n_max = required_n_max(0.6, 1e-8)
         phis = (0.3, 1.3)
         for phi, gauss in zip(phis, fringe(cfg, phis)):
-            assert np.abs(simulate_fock(cfg, phi, n_max) - gauss).max() < 1e-6
+            assert np.abs(simulate_fock(cfg, phi) - gauss).max() < 1e-6
 
     def test_asymmetric_gain_matches_gaussian(self):
         cfg = InterferometerConfig(r1=0.25, r2=0.45, eta_h=0.8, eta_v=0.8)
-        n_max = required_n_max(0.7, 1e-8)
-        assert np.abs(simulate_fock(cfg, 0.9, n_max) - fringe(cfg, [0.9])[0]).max() < 1e-6
+        assert np.abs(simulate_fock(cfg, 0.9) - fringe(cfg, [0.9])[0]).max() < 1e-6
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -181,13 +176,14 @@ class TestSimulateFock:
         cfg = InterferometerConfig(
             r1=r1, r2=r2, eta_h=eta_h, eta_v=eta_v, eta_internal=eta_int, phase_offset=offset
         )
-        fock = simulate_fock(cfg, phi, required_n_max(r1 + r2, 1e-8), budget=1e-8)
+        fock = simulate_fock(cfg, phi, budget=1e-8)
         assert np.abs(fock - fringe(cfg, [phi])[0]).max() <= 1e-6
 
     def test_budget_exceeded_raises(self):
+        # tanh(1.18)^(2(n_max + 1)) reaches 1e-300 only past n_max = 1800
         cfg = InterferometerConfig(r1=0.59, r2=0.59)
         with pytest.raises(TruncationError):
-            simulate_fock(cfg, 0.1, 12)
+            simulate_fock(cfg, 0.1, budget=1e-300)
 
 
 class TestMismatchTier:
@@ -195,9 +191,8 @@ class TestMismatchTier:
 
     @staticmethod
     def assert_matches_gaussian(cfg, phis):
-        n_max = required_n_max(cfg.r1 + cfg.r2, 1e-8)
         for phi, gauss in zip(phis, fringe(cfg, phis)):
-            assert np.abs(simulate_fock(cfg, phi, n_max) - gauss).max() < 1e-6
+            assert np.abs(simulate_fock(cfg, phi) - gauss).max() < 1e-6
 
     def test_lossless_mismatch_matches_gaussian(self):
         cfg = InterferometerConfig(r1=0.3, r2=0.3, overlap=0.98)
