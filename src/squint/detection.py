@@ -18,6 +18,7 @@ other arm, the two-detector Torontonian (Quesada et al., PRA 98, 062322
 products and sums of non-negative terms, none a difference of larger
 numbers. p and dp/dphi (by the product rule) thus keep their relative
 accuracy where an outcome vanishes, and F = sum dp^2/p needs no guard.
+``clicks`` returns both on its one path, and ``fringe`` is its p.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ _OUTCOMES = ("p00", "p01", "p10", "p11")
 _CHUNK = 256
 # click core: the off-diagonal of a 2x2 block
 _OFF_DIAGONAL = ~np.eye(2, dtype=bool)[:, :, None, None]
-# fringe_visibility grid over one period; overlap_for_visibility bisection
-_VISIBILITY_POINTS = 721
+# overlap_for_visibility bisection
 _OVERLAP_MIN, _OVERLAP_TOL = 0.5, 1e-6
 
 
@@ -63,17 +63,16 @@ def _checked(p: np.ndarray) -> np.ndarray:
     return p
 
 
-# A jet holds one quantity and, if asked for, its phase derivative on the
-# leading axis, of length 1 or 2, so x[:1] is the value. The phase is the last
-# axis and the arm (H, V) the one before it; small matrices, vectors or
-# scalars sit between, so linear maps act on a jet as a whole.
+# A jet holds one quantity and its phase derivative on the leading axis, so
+# x[:1] is the value. The phase is the last axis and the arm (H, V) the one
+# before it; small matrices, vectors or scalars sit between, so linear maps
+# act on a jet as a whole.
 
 
 def _leibniz(f, x, y):
     """Jet of f(x, y) for a bilinear f."""
     out = f(x[:1], y)
-    if len(x) > 1:
-        out[1:] += f(x[1:], y[:1])
+    out[1:] += f(x[1:], y[:1])
     return out
 
 
@@ -95,28 +94,24 @@ def _q(e):
 # output of a step is a sum of products x[a] y[b], "-b" for a negative term.
 def _stage(x_names, y_names, forms):
     """For ``forms``, a list of (output, [(a, b), ...]) whose sums share one
-    pattern of signs: the signs of the terms and, per order, the flat table
-    indices of each term's a and b, shape (terms, jet pairs (0, 0) [, (0, 1),
-    (1, 0)], outputs)."""
+    pattern of signs: the signs of the terms and the flat table indices of
+    each term's a and b for the jet pairs (0, 0), (0, 1) and (1, 0), shape
+    (terms, 3, outputs)."""
     terms = [[(x_names.index(a), y_names.index(b.lstrip("-"))) for a, b in sum_] for _, sum_ in forms]
-    pairs = np.array(terms).T[..., None, :]
-    return [b.startswith("-") for _, b in forms[0][1]], [
-        tuple(jets[:, k, None] * len(names) + pairs[k] for k, names in enumerate((x_names, y_names)))
-        for jets in (np.array([[0, 0]]), np.array([[0, 0], [0, 1], [1, 0]]))]
+    jets = np.array([[0, 0, 1], [0, 1, 0]]) * [[len(x_names)], [len(y_names)]]
+    return [b.startswith("-") for _, b in forms[0][1]], tuple(np.array(terms).T[..., None, :] + jets[:, None, :, None])
 
 
 def _forms(x, y, stage):
-    """Jets (J, outputs, ...) of a step: the value, then the derivative by the
+    """Jets (2, outputs, ...) of a step: the value, then the derivative by the
     product rule, f(x0, y1) + f(x1, y0)."""
-    negative, index = stage
-    ix, iy = index[len(x) - 1]
+    negative, (ix, iy) = stage
     terms = x.reshape((-1,) + x.shape[-2:]).take(ix, 0) * y.reshape((-1,) + y.shape[-2:]).take(iy, 0)
     total = terms[0]
     for term, minus in zip(terms[1:], negative[1:]):
         (np.subtract if minus else np.add)(total, term, out=total)
-    if len(x) > 1:
-        total[1] += total[2]
-    return total[:len(x)]
+    total[1] += total[2]
+    return total[:2]
 
 
 def _tr_adj(a, b):
@@ -163,32 +158,26 @@ def _jet_factors(cfg: InterferometerConfig) -> tuple[np.ndarray, np.ndarray, np.
     return at_w, at_wc, weights
 
 
-def clicks(cfg: InterferometerConfig, phis, order: int = 0) -> list[np.ndarray]:
-    """Click probabilities p (N, 4) of a config over an array of phases, then
-    dp/dphi when ``order`` is 1, in chunks of _CHUNK phases."""
-    if order not in (0, 1):
-        raise ValueError(f"order must be 0 or 1, got {order}")
+def clicks(cfg: InterferometerConfig, phis) -> tuple[np.ndarray, np.ndarray]:
+    """Click probabilities p (N, 4) of a config over an array of phases and
+    their derivatives dp/dphi (N, 4), in chunks of _CHUNK phases."""
     phis = np.asarray(phis, dtype=float).reshape(-1)
-    if phis.size <= _CHUNK:
-        p = _clicks(cfg, phis, order)
-    else:
-        p = np.concatenate([_clicks(cfg, phis[k: k + _CHUNK], order) for k in range(0, phis.size, _CHUNK)], axis=-1)
-    return [_checked(p[0].T)] + [p[1].T for _ in range(order)]
+    p = np.concatenate([_clicks(cfg, phis[k: k + _CHUNK]) for k in range(0, max(phis.size, 1), _CHUNK)], axis=-1)
+    return _checked(p[0].T), p[1].T
 
 
-def _clicks(cfg, phis, order):
-    """(p, dp/dphi) of a chunk of phases as a jet of shape (order + 1, 4, N)."""
-    jets, size = order + 1, phis.size
+def _clicks(cfg, phis):
+    """(p, dp/dphi) of a chunk of phases as a jet of shape (2, 4, N)."""
     w = np.exp(1j * (phis + cfg.phase_offset))
     at_w, at_wc, (e_tr, e_det, g_n, g_b, g_z, d_b) = _jet_factors(cfg)
     # V*, U and V of one arm before its loss, with an arm axis of length 1
-    t = at_w[:jets] * w + at_wc[:jets] * w.conj()
+    t = at_w * w + at_wc * w.conj()
     v = t[:, 2]
     # N0 = V* V^T and M0 = U V^T from one product
-    nm = _leibniz(_mm, t[:, :2].reshape(jets, 4, 3, 1, size), v.swapaxes(1, 2))
+    nm = _leibniz(_mm, t[:, :2].reshape(2, 4, 3, 1, phis.size), v.swapaxes(1, 2))
     n, m = nm[:, :2], nm[:, 2:]
     tr = (n[:, 0, 0] + n[:, 1, 1]).real
-    ee = np.empty((jets, 2, 2, size))  # e(N), e(G); e(N) = eta tr N0 + eta^2 det N0
+    ee = np.empty((2, 2, 2, phis.size))  # e(N), e(G); e(N) = eta tr N0 + eta^2 det N0
     ee[:, 0] = e_tr * tr + e_det * (0.5 * _forms(nm, nm, _DET)[:, 0].real)
     p_vac = _q(ee[:, 0])
     # G = N - m^dag (I + N_o*)^-1 m are the moments of arm X given vacuum on
@@ -201,16 +190,16 @@ def _clicks(cfg, phis, order):
     # exactly 0 where G vanishes identically (the subtraction leaves roundoff).
     z = _forms(t, _forms(t, t, _CROSS).conj(), _Z)
     # B and M0^dag adj(N0*) from one product
-    ma = np.empty((jets, 2, 4, 1, size), dtype=complex)
+    ma = np.empty((2, 2, 4, 1, phis.size), dtype=complex)
     ma[:, :, :2] = m
     adj = ma[:, :, 2:]
     np.conjugate(n[:, ::-1, ::-1].swapaxes(1, 2), out=adj)
     np.negative(adj, out=adj, where=_OFF_DIAGONAL)
     mm = _leibniz(_mm, m.conj().swapaxes(1, 2), ma)
     b = mm[:, :, :2]
-    gd = np.empty((jets, 2, 2, 2, 2, size), dtype=complex)
+    gd = np.empty((2, 2, 2, 2, 2, phis.size), dtype=complex)
     gd[:, 0] = g_n * n + g_b * (_leibniz(np.multiply, tr[:, None, None], n) - b)
-    gd[:, 0] += g_z * _forms(z.conj(), z, _OUTER).reshape(jets, 2, 2, 1, size)
+    gd[:, 0] += g_z * _forms(z.conj(), z, _OUTER).reshape(2, 2, 2, 1, phis.size)
     # p11 = c(N_H) c(N_V) + P_H P_V (e(N_H) - e(G_H)) / (1 + e(G_H)), the
     # difference taken as e(D) + tr(adj(G) D) from D = N - G = P_o d >= 0,
     # d = m^dag adj(I + N_o*) m = eta eta_o (B + eta_o M0^dag adj(N0*) M0)
@@ -221,10 +210,10 @@ def _clicks(cfg, phis, order):
     dets = _forms(scaled, scaled, _DETS)
     e_gd = (scaled[:, 0:5:4] + scaled[:, 3:8:4] + 0.5 * dets[:, :2]).real
     ee[:, 1] = e_gd[:, 0]
-    qc = np.empty((jets, len(_QC), 1, size))
+    qc = np.empty((2, len(_QC), 1, phis.size))
     q = _q(ee)
-    qc[:, :4, 0] = q.reshape(jets, 4, size)
-    qc[:, 4:8, 0] = _leibniz(np.multiply, ee, q).reshape(jets, 4, size)
+    qc[:, :4, 0] = q.reshape(2, 4, phis.size)
+    qc[:, 4:8, 0] = _leibniz(np.multiply, ee, q).reshape(2, 4, phis.size)
     qc[:, 8, 0] = e_gd[:, 1, 0] + dets[:, 2, 0].real
     p = _forms(qc, qc, _ROWS)[:, :, 0]
     p[:, 3] += _leibniz(np.multiply, p[:, 4], p[:, 5])
@@ -237,11 +226,23 @@ def fringe(cfg: InterferometerConfig, phi_grid) -> np.ndarray:
 
 
 def fringe_visibility(cfg: InterferometerConfig) -> float:
-    """(max - min)/(max + min) of the coincidence fringe p11 over one period;
-    0 where there is no coincidence fringe (p11 = 0 throughout, as at r = 0)."""
-    p11 = fringe(cfg, np.linspace(0.0, math.pi, _VISIBILITY_POINTS))[:, 3]
+    """(max - min)/(max + min) of the coincidence fringe p11 over one period,
+    0 where p11 = 0 throughout (as at r = 0). p11 is read at t = phi +
+    phase_offset = 0 and pi/2: every outcome is even in t with period pi, so
+    both are stationary; at overlap 1 p11 is monotone between them (n is affine
+    in cos 2t), and test_p11_extremes_at_the_symmetry_points checks mismatch."""
+    p11 = fringe(cfg, np.array([0.0, 0.5 * math.pi]) - cfg.phase_offset)[:, 3]
     hi, lo = float(p11.max()), float(p11.min())
     return (hi - lo) / (hi + lo) if hi > 0.0 else 0.0
+
+
+def _bisect(above, lo: float, hi: float, tol: float) -> float:
+    """Halve [lo, hi] to width ``tol`` or less, moving hi to each midpoint
+    where ``above`` holds and lo to each other one; return the midpoint."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    return 0.5 * (lo + hi)
 
 
 def overlap_for_visibility(cfg: InterferometerConfig, target: float) -> float:
@@ -257,10 +258,4 @@ def overlap_for_visibility(cfg: InterferometerConfig, target: float) -> float:
     ends = [fringe_visibility(cfg.with_updates(overlap=end)) for end in (lo, hi)]
     if not ends[0] <= target <= ends[1]:
         raise ValueError(f"target visibility {target} not reachable: {ends} at overlap {lo} and {hi}")
-    while hi - lo > _OVERLAP_TOL:
-        mid = 0.5 * (lo + hi)
-        if fringe_visibility(cfg.with_updates(overlap=mid)) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda xi: fringe_visibility(cfg.with_updates(overlap=xi)) >= target, lo, hi, _OVERLAP_TOL)

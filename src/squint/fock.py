@@ -45,6 +45,8 @@ def truncation_error_bound(r_total: float, n_max: int) -> float:
 
 def required_n_max(r_total: float, budget: float = 1e-8) -> int:
     """Smallest per-mode cutoff whose truncation bound is below ``budget``."""
+    if not 0.0 < budget < math.inf:
+        raise ValueError(f"budget must be finite and > 0, got {budget}")
     n_max = 1
     while truncation_error_bound(r_total, n_max) > budget:
         n_max += 1

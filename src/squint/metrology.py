@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .detection import clicks
+from .detection import _bisect, clicks
 from .gaussian import InterferometerConfig
 
 __all__ = [
@@ -59,7 +59,7 @@ class BracketError(RuntimeError):
 def fisher(cfg: InterferometerConfig, phis) -> np.ndarray:
     """Per-trial Fisher information at each phase, from analytic derivatives;
     an outcome with p = 0 adds 0."""
-    p, dp = clicks(cfg, phis, order=1)
+    p, dp = clicks(cfg, phis)
     return np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0.0).sum(axis=-1)
 
 
@@ -124,6 +124,8 @@ def max_fisher(cfg: InterferometerConfig, tol: float = 1e-6) -> tuple[float, flo
     of the best point, each 32 times finer, until the spacing is below
     ``tol``; returns the best point seen.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     grid = np.linspace(0.0, math.pi, _COARSE_POINTS)
     best_x, best_f, spacing = 0.0, -math.inf, grid[1]
     while True:
@@ -158,13 +160,7 @@ def threshold_tm_numeric(n_bar: float) -> float:
         raise BracketError(
             f"no threshold bracket in (0, 1): excess({lo})={f_lo:.3g}, excess(1)={f_hi:.3g}"
         )
-    while hi - lo > _THRESHOLD_TOL:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda eta: excess(eta) > 0, lo, hi, _THRESHOLD_TOL)
 
 
 def fisher_sweep(

@@ -47,10 +47,6 @@ class TestVacuumProbability:
         assert p[0] + p[1] == pytest.approx(1.0 / (1.0 + n_thermal), abs=1e-12)
         assert p[1] == pytest.approx(0.0, abs=1e-12)
 
-    def test_order_above_one_rejected(self):
-        with pytest.raises(ValueError):
-            clicks(InterferometerConfig(r1=0.5, r2=0.5), [0.0], order=2)
-
     def test_invalid_state_rejected(self):
         # squeezing this large overflows the moments: rejected, never returned as NaN
         with np.errstate(all="ignore"), pytest.raises(InvalidStateError):
@@ -121,8 +117,8 @@ class TestBatchInvariance:
         # its row of a batch that spans three chunks
         phis = np.linspace(-math.pi, math.pi, 600)
         phis[k] = phi
-        p, dp = clicks(cfg, phis, 1)
-        one_p, one_dp = clicks(cfg, [phi], 1)
+        p, dp = clicks(cfg, phis)
+        one_p, one_dp = clicks(cfg, [phi])
         assert np.array_equal(one_p[0], p[k]) and np.array_equal(one_dp[0], dp[k])
         assert np.array_equal(fringe(cfg, [phi])[0], fringe(cfg, phis)[k])
 
@@ -133,8 +129,8 @@ class TestArmSymmetry:
     def test_swapping_arm_efficiencies_swaps_single_clicks(self, cfg, phis):
         # the arms differ only in their efficiencies, so swapping eta_h and
         # eta_v swaps p01 and p10 and leaves p00 and p11
-        p, dp = clicks(cfg, phis, 1)
-        q, dq = clicks(cfg.with_updates(eta_h=cfg.eta_v, eta_v=cfg.eta_h), phis, 1)
+        p, dp = clicks(cfg, phis)
+        q, dq = clicks(cfg.with_updates(eta_h=cfg.eta_v, eta_v=cfg.eta_h), phis)
         swap = [0, 2, 1, 3]
         assert np.abs(q[:, swap] - p).max() <= 1e-15
         assert np.abs(dq[:, swap] - dp).max() <= 1e-15
@@ -156,16 +152,16 @@ class TestPhaseSymmetry:
     @settings(max_examples=200, deadline=None)
     @given(random_configs, phase_lists)
     def test_period_is_pi(self, cfg, phis):
-        p, dp = clicks(cfg, phis, 1)
-        q, dq = clicks(cfg, np.add(phis, math.pi), 1)
+        p, dp = clicks(cfg, phis)
+        q, dq = clicks(cfg, np.add(phis, math.pi))
         assert np.abs(q - p).max() <= 4e-15
         assert np.abs(dq - dp).max() <= 1e-14
 
     @settings(max_examples=200, deadline=None)
     @given(random_configs, phase_lists)
     def test_even_about_the_offset(self, cfg, phis):
-        p, dp = clicks(cfg, phis, 1)
-        q, dq = clicks(cfg, -np.asarray(phis) - 2 * cfg.phase_offset, 1)
+        p, dp = clicks(cfg, phis)
+        q, dq = clicks(cfg, -np.asarray(phis) - 2 * cfg.phase_offset)
         assert np.abs(q - p).max() <= 4e-15
         assert np.abs(dq + dp).max() <= 1e-14
 
@@ -187,6 +183,25 @@ class TestVisibility:
     def test_ideal_visibility_is_one(self):
         cfg = InterferometerConfig(r1=0.59, r2=0.59)
         assert fringe_visibility(cfg) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("offset", [math.pi / 1440, 0.001, 0.3])
+    def test_visibility_does_not_depend_on_the_offset(self, offset):
+        # the dark fringe is read where it is, not at the nearest grid node
+        ideal = InterferometerConfig(r1=0.59, r2=0.59, phase_offset=offset)
+        assert fringe_visibility(ideal) == 1.0
+        base = InterferometerConfig(r1=0.59, r2=0.59, eta_h=0.75, eta_v=0.75)
+        xi = overlap_for_visibility(base, 0.966)
+        assert overlap_for_visibility(base.with_updates(phase_offset=offset), 0.966) == xi
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_configs)
+    def test_p11_extremes_at_the_symmetry_points(self, cfg):
+        # fringe_visibility reads p11 at t = phi + offset = 0 and pi/2 only:
+        # p11 over a whole period stays between those two values
+        ends = fringe(cfg, np.array([0.0, 0.5 * math.pi]) - cfg.phase_offset)[:, 3]
+        p11 = fringe(cfg, np.linspace(0.0, math.pi, 257))[:, 3]
+        slack = 1e-14 * ends.max()
+        assert ends.min() - slack <= p11.min() and p11.max() <= ends.max() + slack
 
     def test_mismatch_reduces_visibility(self):
         cfg = InterferometerConfig(r1=0.59, r2=0.59, eta_h=0.75, eta_v=0.75, overlap=0.97)

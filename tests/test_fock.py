@@ -63,6 +63,14 @@ class TestTruncationBound:
         assert truncation_error_bound(1.18, n) < 1e-8
         assert truncation_error_bound(1.18, n - 1) >= 1e-8
 
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0, -1e-8])
+    def test_budget_must_be_finite_and_positive(self, budget):
+        # the rule of squint validate; a NaN or infinite budget gave n_max = 1
+        with pytest.raises(ValueError, match="budget"):
+            required_n_max(1.18, budget)
+        with pytest.raises(ValueError, match="budget"):
+            simulate_fock(InterferometerConfig(r1=0.59, r2=0.59), 0.3, budget=budget)
+
 
 class TestSqueezerUnitary:
     def test_identity_at_zero(self):

@@ -36,6 +36,12 @@ class TestFisherPerTrial:
         _, fmax = max_fisher(ideal(r))
         assert fmax == pytest.approx(fisher_max_ideal(r), rel=1e-3)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, math.nan, math.inf])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # at tol 0, below 0 or NaN the refinement never stopped
+        with pytest.raises(ValueError, match="tol"):
+            max_fisher(ideal(0.59), tol=tol)
+
     def test_constant_model_gives_zero(self):
         cfg = InterferometerConfig(r1=0.5, r2=0.5, eta_h=0.0, eta_v=0.0)
         assert np.array_equal(fisher(cfg, [0.0, 0.7, 2.0]), np.zeros(3))
@@ -129,7 +135,7 @@ class TestFisherPerTrial:
     def test_analytic_derivatives_match_central_differences(self, cfg, phis):
         phis = np.array(phis)
         h = 2e-6  # truncation and roundoff both stay near 1e-10
-        _, dp = clicks(cfg, phis, order=1)
+        _, dp = clicks(cfg, phis)
         central = (fringe(cfg, phis + h) - fringe(cfg, phis - h)) / (2 * h)
         assert np.abs(dp - central).max() < 1e-8
 
