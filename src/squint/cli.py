@@ -185,6 +185,8 @@ def cmd_thresholds(args) -> int:
         raise ConfigError(f"mean photon numbers must be finite and >= 0, got {bad[0]}")
     if min(args.nbar) == 0 and not args.skip_numeric:
         raise ConfigError("the numeric threshold needs mean photon numbers > 0 (or --skip-numeric)")
+    if args.noon_max < 1:
+        raise ConfigError(f"--noon-max must be >= 1, got {args.noon_max}")
     out = Path(args.out)
     tm = {
         "n_bar": args.nbar,
@@ -265,7 +267,7 @@ def cmd_track(args) -> int:
     report = sensitivity_report(run, accounting=args.accounting)
     write_json(out / "sensitivity.json", report.to_dict())
     print(f"wrote {out / 'tracking.csv'}")
-    print(f"trials per window (assumed repetition rate): {run.trials_per_window}")
+    print(f"trials per window (assumed repetition rate): {run.scenario.trials_per_window}")
     best = report.best()
     if best is not None:
         print(
@@ -289,8 +291,7 @@ def cmd_validate(args) -> int:
     for r, eta in cases:
         cfg = InterferometerConfig(r1=r, r2=r, eta_h=eta, eta_v=eta)
         n_max = required_n_max(2 * r, args.budget)  # the cutoff simulate_fock derives
-        fock = np.array([simulate_fock(cfg, phi, budget=args.budget) for phi in grid])
-        dev = float(np.abs(fringe(cfg, grid) - fock).max())
+        dev = float(np.abs(fringe(cfg, grid) - simulate_fock(cfg, grid, budget=args.budget)).max())
         rows.append((r, eta, n_max, dev))
         print(f"r={r} eta={eta} n_max={n_max}: max |delta p| = {dev:.3e}")
     columns = dict(zip(("r", "eta", "n_max", "max_delta_p"), zip(*rows)))

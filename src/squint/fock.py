@@ -11,12 +11,18 @@ environment mode in vacuum, summed out at detection. External loss is a
 weight at detection: "mode m empty after transmission eta" has the POVM
 element sum_n (1 - eta)^n |n><n|, so the vacuum probabilities are exact, and
 the clicks follow from them by inclusion-exclusion.
+
+``simulate_fock(cfg, phis)`` takes an array of phases, as ``clicks`` does,
+and returns one (p00, p01, p10, p11) row per phase. Each call evolves the
+part before the phase and builds the detection weights once, then runs the
+rest one phase at a time, so memory does not grow with the number of phases.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -94,16 +100,6 @@ def _beamsplitter_unitary(theta: float, n_max: int) -> tuple:
     return _pair_blocks(a.T, a, theta, 1)
 
 
-def _no_photon_probability(vec: np.ndarray, eta: dict[int, float]) -> float:
-    """Probability that no photon survives on the modes keyed in ``eta``,
-    mode m seen through transmission eta[m]; every other mode is summed out."""
-    weights = np.abs(vec) ** 2
-    n = np.arange(vec.shape[0])
-    for mode, e in eta.items():  # (1 - eta)^n, with 0^0 = 1 at eta = 1
-        weights = np.moveaxis(np.moveaxis(weights, mode, -1) * (1.0 - e) ** n, -1, mode)
-    return float(weights.sum())
-
-
 def _apply_pair_unitary(tensor: np.ndarray, blocks: tuple, ax1: int, ax2: int) -> np.ndarray:
     """Apply a two-mode operator, given as sector blocks over the row-major
     (n1, n2) index, on two tensor axes."""
@@ -116,65 +112,70 @@ def _apply_pair_unitary(tensor: np.ndarray, blocks: tuple, ax1: int, ax2: int) -
     return np.moveaxis(out.reshape(work.shape), (0, 1), (ax1, ax2))
 
 
-def _arms(cfg: InterferometerConfig) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Modes of the H and V arms: (a, a') and (b, b') under mode mismatch,
-    else (a,) and (b,), mirroring the Gaussian model's mode layout."""
-    return ((0, 2), (1, 3)) if cfg.overlap < 1.0 else ((0,), (1,))
+def _layout(cfg: InterferometerConfig) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Modes of the H and V arms, (a, a') and (b, b') under mode mismatch,
+    else (a,) and (b,) as in the Gaussian model, and the number of modes: two
+    more under internal loss, one environment mode per sample mode."""
+    arm_h, arm_v = ((0, 2), (1, 3)) if cfg.overlap < 1.0 else ((0,), (1,))
+    return arm_h, arm_v, len(arm_h) + len(arm_v) + 2 * (cfg.eta_internal < 1.0)
 
 
-def evolve_fock(cfg: InterferometerConfig, phi: float, n_max: int) -> np.ndarray:
+def evolve_fock(cfg: InterferometerConfig, phis, n_max: int) -> Iterator[np.ndarray]:
     """Run the interferometer pipeline up to, not including, the external loss.
 
-    Returns the pure state's amplitudes, shape (n_max+1,) * modes. The arm
-    modes come first (see ``_arms``); internal loss appends one environment
-    mode per sample mode, so the state has at most six modes.
-    The internal-loss beamsplitter is exact under truncation: with the
-    environment empty, each (n_a + n_e) sector it touches is complete.
+    Yields the pure state's amplitudes, shape (n_max+1,) * modes (see
+    ``_layout``), at each of the phases ``phis`` (any array-like, flattened)
+    in turn. The part before the phase (vacuum, first squeezer, internal
+    loss) is evolved once per call. The internal-loss beamsplitter is exact
+    under truncation: with the environment empty, each (n_a + n_e) sector it
+    touches is complete.
     """
     d = n_max + 1
-    arm_h, arm_v = _arms(cfg)
-    system = len(arm_h) + len(arm_v)
-    lossy = cfg.eta_internal < 1.0
-    num_modes = system + 2 * lossy
-    u1 = _squeezer_unitary_cached(cfg.r1, n_max)
-    u2 = _squeezer_unitary_cached(cfg.r2, n_max)
-
-    vec = np.zeros((d,) * num_modes, dtype=complex)
-    vec[(0,) * num_modes] = 1.0
-    vec = _apply_pair_unitary(vec, u1, 0, 1)
-    if lossy:
+    arm_h, arm_v, num_modes = _layout(cfg)
+    start = np.zeros((d,) * num_modes, dtype=complex)
+    start[(0,) * num_modes] = 1.0
+    start = _apply_pair_unitary(start, _squeezer_unitary_cached(cfg.r1, n_max), 0, 1)
+    if cfg.eta_internal < 1.0:
         loss = _beamsplitter_unitary(math.acos(math.sqrt(cfg.eta_internal)), n_max)
-        vec = _apply_pair_unitary(vec, loss, 0, system)
-        vec = _apply_pair_unitary(vec, loss, 1, system + 1)
+        start = _apply_pair_unitary(start, loss, 0, num_modes - 2)
+        start = _apply_pair_unitary(start, loss, 1, num_modes - 1)
 
-    # phase: diagonal e^{i n phi} over the photon number of the sample modes a, b
+    # phase: diagonal e^{i n t} over the photon number of the sample modes a, b
     n = np.arange(d)
-    phase = np.exp(1j * (n[:, None] + n[None, :]) * (phi + cfg.phase_offset))
-    vec = vec * phase.reshape((d, d) + (1,) * (num_modes - 2))
-
+    phase = 1j * (n[:, None] + n[None, :]).reshape((d, d) + (1,) * (num_modes - 2))
     # mode mismatch: the second squeezer sees a, b rotated by theta into a', b'
     mixed = (arm_h, arm_v) if cfg.overlap < 1.0 else ()
     theta = math.acos(cfg.overlap)
-    for arm in mixed:
-        vec = _apply_pair_unitary(vec, _beamsplitter_unitary(theta, n_max), *arm)
-    vec = _apply_pair_unitary(vec, u2, 0, 1)
-    for arm in mixed:
-        vec = _apply_pair_unitary(vec, _beamsplitter_unitary(-theta, n_max), *arm)
-    return vec
+    for t in np.asarray(phis, dtype=float).reshape(-1) + cfg.phase_offset:
+        vec = start * np.exp(phase * t)
+        for arm in mixed:
+            vec = _apply_pair_unitary(vec, _beamsplitter_unitary(theta, n_max), *arm)
+        vec = _apply_pair_unitary(vec, _squeezer_unitary_cached(cfg.r2, n_max), 0, 1)
+        for arm in mixed:
+            vec = _apply_pair_unitary(vec, _beamsplitter_unitary(-theta, n_max), *arm)
+        yield vec
 
 
-def simulate_fock(cfg: InterferometerConfig, phi: float, budget: float = 1e-8) -> np.ndarray:
-    """Click probabilities (p00, p01, p10, p11) from the truncated Fock evolution.
+def simulate_fock(cfg: InterferometerConfig, phis, budget: float = 1e-8) -> np.ndarray:
+    """Click probabilities (N, 4), columns (p00, p01, p10, p11), from the
+    truncated Fock evolution at the phases ``phis``, flattened as by ``clicks``.
 
     The cutoff is the smallest whose worst-case bound (total squeezing r1+r2)
     meets ``budget``, ``required_n_max(r1 + r2, budget)``; raises
     TruncationError when no cutoff does.
     """
-    vec = evolve_fock(cfg, phi, required_n_max(cfg.r1 + cfg.r2, budget))
-    arm_h, arm_v = _arms(cfg)
-    h = dict.fromkeys(arm_h, cfg.eta_h)
-    v = dict.fromkeys(arm_v, cfg.eta_v)
-    p00 = _no_photon_probability(vec, {**h, **v})
-    ph = _no_photon_probability(vec, h)
-    pv = _no_photon_probability(vec, v)
-    return _checked(np.array([[p00, ph - p00, pv - p00, 1.0 - ph - pv + p00]]))[0]
+    n_max = required_n_max(cfg.r1 + cfg.r2, budget)
+    arm_h, arm_v, num_modes = _layout(cfg)
+    n = np.arange(n_max + 1)
+    # "mode m empty": weight (1 - eta)^n on axis m, with 0^0 = 1 at eta = 1;
+    # every other mode is summed out
+    h, v = ([((1.0 - eta) ** n).reshape((-1,) + (1,) * (num_modes - 1 - m)) for m in arm]
+            for eta, arm in ((cfg.eta_h, arm_h), (cfg.eta_v, arm_v)))
+
+    def detect(vec):
+        w = np.abs(vec) ** 2
+        p00, ph, pv = (math.prod(weights, start=w).sum() for weights in (h + v, h, v))
+        return p00, ph - p00, pv - p00, 1.0 - ph - pv + p00
+
+    # map, unlike a loop variable, drops each state before the next one is evolved
+    return _checked(np.array(list(map(detect, evolve_fock(cfg, phis, n_max)))).reshape(-1, 4))

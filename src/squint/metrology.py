@@ -65,44 +65,44 @@ def fisher(cfg: InterferometerConfig, phis) -> np.ndarray:
 
 def crlb(cfg: InterferometerConfig, phis, trials: int) -> np.ndarray:
     """Cramer-Rao bound 1/sqrt(trials * F) at each phase; inf where F = 0."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials < math.inf:
+        raise ValueError(f"trials must be finite and >= 1, got {trials}")
     with np.errstate(divide="ignore"):
         return 1.0 / np.sqrt(trials * fisher(cfg, phis))
 
 
 def fisher_max_ideal(r: float) -> float:
     """Optimal per-trial Fisher information of the lossless scheme: 4 sinh^2(2r)."""
-    if r < 0:
-        raise ValueError(f"squeezing parameter must be >= 0, got {r}")
+    if not 0 <= r < math.inf:
+        raise ValueError(f"squeezing parameter must be finite and >= 0, got {r}")
     return 4.0 * math.sinh(2.0 * r) ** 2
 
 
 def heisenberg_sensitivity(n_bar: float) -> float:
     """Optimal phase uncertainty per trial, 1/(2 sqrt(nbar(nbar+2)))."""
-    if n_bar <= 0:
-        raise ValueError(f"mean photon number must be > 0, got {n_bar}")
+    if not 0 < n_bar < math.inf:
+        raise ValueError(f"mean photon number must be finite and > 0, got {n_bar}")
     return 1.0 / (2.0 * math.sqrt(n_bar * (n_bar + 2.0)))
 
 
 def threshold_tm(n_bar: float) -> float:
     """Detection efficiency above which the scheme beats the shot-noise limit."""
-    if n_bar < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {n_bar}")
+    if not 0 <= n_bar < math.inf:
+        raise ValueError(f"mean photon number must be finite and >= 0, got {n_bar}")
     return 1.0 - math.sqrt(1.0 - 1.0 / (2.0 * (n_bar + 2.0)))
 
 
 def threshold_noon(n_photons: int) -> float:
     """NOON-state efficiency threshold (1/N)^(1/N); tends to 1 as N grows."""
-    if n_photons < 1:
-        raise ValueError(f"photon number must be >= 1, got {n_photons}")
+    if not 1 <= n_photons < math.inf:
+        raise ValueError(f"photon number must be finite and >= 1, got {n_photons}")
     return (1.0 / n_photons) ** (1.0 / n_photons)
 
 
 def noon_fisher_per_photon(n_photons: int, eta: float) -> float:
     """2N eta^N: ideal NOON fringe F = N^2 eta^N per state over N/2 photons."""
-    if n_photons < 1:
-        raise ValueError(f"photon number must be >= 1, got {n_photons}")
+    if not 1 <= n_photons < math.inf:
+        raise ValueError(f"photon number must be finite and >= 1, got {n_photons}")
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"efficiency must be in [0, 1], got {eta}")
     return 2.0 * n_photons * eta**n_photons
@@ -146,8 +146,8 @@ def threshold_tm_numeric(n_bar: float) -> float:
     then finds the arm efficiency where max_phi Fisher-per-photon crosses the
     shot-noise baseline ``SNL_PER_PHOTON``.
     """
-    if n_bar <= 0:
-        raise ValueError(f"mean photon number must be > 0, got {n_bar}")
+    if not 0 < n_bar < math.inf:
+        raise ValueError(f"mean photon number must be finite and > 0, got {n_bar}")
     r = math.asinh(math.sqrt(n_bar / 2.0))
 
     def excess(eta: float) -> float:

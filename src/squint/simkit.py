@@ -127,10 +127,6 @@ class TrackingRun:
     records: np.recarray
     aggregates: np.recarray
 
-    @property
-    def trials_per_window(self) -> int:
-        return self.scenario.trials_per_window
-
     def summary_dict(self) -> dict:
         scn = self.scenario
         return {
@@ -138,7 +134,7 @@ class TrackingRun:
             "seed": scn.seed,
             "window_s": scn.window,
             "repetition_rate": scn.repetition_rate,
-            "trials_per_window": self.trials_per_window,
+            "trials_per_window": scn.trials_per_window,
             "repeats": scn.repeats,
             "branch": [self.branch[0], self.branch[1]],
             "phases": [p for p, _ in scn.phase_schedule],
@@ -217,7 +213,7 @@ def sensitivity_report(run: TrackingRun, accounting: str = "single-pass") -> Sen
     on the assumed repetition rate, which is always reported alongside.
     """
     cfg = run.config
-    trials = run.trials_per_window
+    trials = run.scenario.trials_per_window
     n_through = photons_through_sample(cfg, accounting)
     if n_through == 0.0:
         raise ValueError("sensitivity per photon needs r1 > 0: at r1 = 0 no photons pass the sample")

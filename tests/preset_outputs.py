@@ -28,6 +28,7 @@ COMMANDS = [
     ("estimate", ["estimate", "--counts", "{track_fig4}/tracking.csv", "--calibration",
                   "{track_fig4}/calibration.json", "--branch-lo", "0.25", "--branch-hi", "1.45"]),
     ("validate", ["validate", "--phi-steps", "7"]),
+    ("validate_default", ["validate"]),
 ]
 
 

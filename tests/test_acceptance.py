@@ -102,11 +102,10 @@ def test_criterion_5_oracle_equivalence():
         assert truncation_error_bound(2 * r, n_max) < budget
         for eta in (1.0, 0.75):
             cfg = InterferometerConfig(r1=r, r2=r, eta_h=eta, eta_v=eta)
-            for phi, gauss in zip(grid, fringe(cfg, grid)):
-                fock = simulate_fock(cfg, phi, budget=budget)
-                dev = float(np.abs(gauss - fock).max())
-                worst = max(worst, dev)
-                assert dev < 1e-6, f"(r={r}, eta={eta}, phi={phi}): |dp| = {dev:.2e}"
+            dev = np.abs(fringe(cfg, grid) - simulate_fock(cfg, grid, budget=budget)).max(axis=1)
+            i = int(np.argmax(dev))
+            worst = max(worst, float(dev[i]))
+            assert dev[i] < 1e-6, f"(r={r}, eta={eta}, phi={grid[i]}): |dp| = {dev[i]:.2e}"
     report(f"5 (Gaussian/Fock oracle equivalence, 73-point grid): max |dp| {worst:.2e} PASS")
 
 

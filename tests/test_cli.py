@@ -418,6 +418,13 @@ class TestConfigHandling:
         assert "finite and >= 0" in capsys.readouterr().err
         assert not (tmp_path / "thresholds_tm.csv").exists()
 
+    @pytest.mark.parametrize("noon_max", ["0", "-3"])
+    def test_noon_max_must_be_positive(self, tmp_path, capsys, noon_max):
+        # an empty NOON table was written, with exit 0
+        assert main(["thresholds", "--skip-numeric", "--noon-max", noon_max, "--out", str(tmp_path)]) == 2
+        assert "--noon-max must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "flags",
         [["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"], ["--tol=-1e-6"],

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fock_reference import squeezer_unitary, tmss_amplitudes
+from strategies import phase_lists
 from squint.detection import fringe
 from squint.fock import (
     _apply_pair_unitary,
@@ -69,7 +70,7 @@ class TestTruncationBound:
         with pytest.raises(ValueError, match="budget"):
             required_n_max(1.18, budget)
         with pytest.raises(ValueError, match="budget"):
-            simulate_fock(InterferometerConfig(r1=0.59, r2=0.59), 0.3, budget=budget)
+            simulate_fock(InterferometerConfig(r1=0.59, r2=0.59), [0.3], budget=budget)
 
 
 class TestSqueezerUnitary:
@@ -117,7 +118,7 @@ class TestSectorBlocks:
         cfg = InterferometerConfig(
             r1=0.3, r2=0.45, eta_internal=0.8, eta_h=0.9, eta_v=0.7, overlap=0.9, phase_offset=0.4
         )
-        vec = evolve_fock(cfg, 0.7, 5)
+        (vec,) = evolve_fock(cfg, [0.7], 5)
         n = np.indices(vec.shape)
         charge = n[0] + n[2] + n[4] - n[1] - n[3] - n[5]
         assert vec.ndim == 6
@@ -140,35 +141,33 @@ class TestSectorBlocks:
 class TestSimulateFock:
     def test_ideal_quarter_period(self):
         cfg = InterferometerConfig(r1=0.59, r2=0.59)
-        assert simulate_fock(cfg, math.pi / 2) == pytest.approx([1, 0, 0, 0], abs=1e-8)
+        assert simulate_fock(cfg, [math.pi / 2])[0] == pytest.approx([1, 0, 0, 0], abs=1e-8)
 
     def test_ideal_zero_phase_closed_form(self):
         cfg = InterferometerConfig(r1=0.59, r2=0.59)
-        p11 = simulate_fock(cfg, 0.0)[3]
+        p11 = simulate_fock(cfg, [0.0])[0, 3]
         assert p11 == pytest.approx(1.0 - 1.0 / math.cosh(1.18) ** 2, abs=1e-8)
 
     def test_parity_selection_exact(self):
         # no loss, full overlap: support only on |n,n>, so no single-sided clicks
         cfg = InterferometerConfig(r1=0.45, r2=0.45)
-        _, p01, p10, _ = simulate_fock(cfg, 0.83)
+        _, p01, p10, _ = simulate_fock(cfg, [0.83])[0]
         assert abs(p01) < 1e-14
         assert abs(p10) < 1e-14
 
     def test_lossy_matches_gaussian(self):
         cfg = InterferometerConfig(r1=0.3, r2=0.3, eta_h=0.75, eta_v=0.6)
         phis = (0.0, 0.4, 1.1, 2.0)
-        for phi, gauss in zip(phis, fringe(cfg, phis)):
-            assert np.abs(simulate_fock(cfg, phi) - gauss).max() < 1e-6
+        assert np.abs(simulate_fock(cfg, phis) - fringe(cfg, phis)).max() < 1e-6
 
     def test_internal_loss_matches_gaussian(self):
         cfg = InterferometerConfig(r1=0.3, r2=0.3, eta_internal=0.85, eta_h=0.9, eta_v=0.9)
         phis = (0.3, 1.3)
-        for phi, gauss in zip(phis, fringe(cfg, phis)):
-            assert np.abs(simulate_fock(cfg, phi) - gauss).max() < 1e-6
+        assert np.abs(simulate_fock(cfg, phis) - fringe(cfg, phis)).max() < 1e-6
 
     def test_asymmetric_gain_matches_gaussian(self):
         cfg = InterferometerConfig(r1=0.25, r2=0.45, eta_h=0.8, eta_v=0.8)
-        assert np.abs(simulate_fock(cfg, 0.9) - fringe(cfg, [0.9])[0]).max() < 1e-6
+        assert np.abs(simulate_fock(cfg, [0.9]) - fringe(cfg, [0.9])).max() < 1e-6
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -178,20 +177,35 @@ class TestSimulateFock:
         st.floats(0.0, 1.0),
         st.floats(0.0, 1.0),
         st.floats(-math.pi, math.pi),
-        st.floats(0.0, math.pi),
+        phase_lists,
     )
-    def test_random_lossy_configs_match_gaussian(self, r1, r2, eta_h, eta_v, eta_int, offset, phi):
+    def test_random_lossy_configs_match_gaussian(self, r1, r2, eta_h, eta_v, eta_int, offset, phis):
         cfg = InterferometerConfig(
             r1=r1, r2=r2, eta_h=eta_h, eta_v=eta_v, eta_internal=eta_int, phase_offset=offset
         )
-        fock = simulate_fock(cfg, phi, budget=1e-8)
-        assert np.abs(fock - fringe(cfg, [phi])[0]).max() <= 1e-6
+        fock = simulate_fock(cfg, phis, budget=1e-8)
+        assert np.abs(fock - fringe(cfg, phis)).max() <= 1e-6
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            InterferometerConfig(r1=0.3, r2=0.4, eta_h=0.8, eta_v=0.6, phase_offset=0.2),
+            InterferometerConfig(r1=0.2, r2=0.3, eta_internal=0.9, eta_h=0.85, overlap=0.96),
+        ],
+        ids=["two-mode", "six-mode"],
+    )
+    def test_batch_rows_equal_one_phase_calls(self, cfg):
+        phis = np.array([[0.0, 0.4, 1.1], [2.0, -0.7, 5.3]])
+        batch = simulate_fock(cfg, phis, budget=1e-6)
+        assert batch.shape == (6, 4)
+        for phi, row in zip(phis.ravel(), batch):
+            assert np.array_equal(simulate_fock(cfg, [phi], budget=1e-6)[0], row)
 
     def test_budget_exceeded_raises(self):
         # tanh(1.18)^(2(n_max + 1)) reaches 1e-300 only past n_max = 1800
         cfg = InterferometerConfig(r1=0.59, r2=0.59)
         with pytest.raises(TruncationError):
-            simulate_fock(cfg, 0.1, budget=1e-300)
+            simulate_fock(cfg, [0.1], budget=1e-300)
 
 
 class TestMismatchTier:
@@ -199,8 +213,7 @@ class TestMismatchTier:
 
     @staticmethod
     def assert_matches_gaussian(cfg, phis):
-        for phi, gauss in zip(phis, fringe(cfg, phis)):
-            assert np.abs(simulate_fock(cfg, phi) - gauss).max() < 1e-6
+        assert np.abs(simulate_fock(cfg, phis) - fringe(cfg, phis)).max() < 1e-6
 
     def test_lossless_mismatch_matches_gaussian(self):
         cfg = InterferometerConfig(r1=0.3, r2=0.3, overlap=0.98)
@@ -225,7 +238,7 @@ class TestFockStateInvariants:
     def test_pure_norm_within_truncation_tail(self):
         cfg = InterferometerConfig(r1=0.4, r2=0.4)
         n_max = 14
-        vec = evolve_fock(cfg, 0.6, n_max)
+        (vec,) = evolve_fock(cfg, [0.6], n_max)
         tail = truncation_error_bound(0.8, n_max)
         assert abs(norm(vec) - 1.0) <= 4 * tail
 
@@ -233,7 +246,7 @@ class TestFockStateInvariants:
         # internal loss moves photons into environment modes of the state;
         # external loss is a weight at detection and leaves the state alone
         cfg = InterferometerConfig(r1=0.4, r2=0.4)
-        pure = evolve_fock(cfg, 0.6, 14)
-        lossy = evolve_fock(cfg.with_updates(eta_internal=0.7), 0.6, 14)
+        (pure,) = evolve_fock(cfg, [0.6], 14)
+        (lossy,) = evolve_fock(cfg.with_updates(eta_internal=0.7), [0.6], 14)
         assert lossy.ndim == pure.ndim + 2
         assert abs(norm(lossy) - norm(pure)) < 1e-10

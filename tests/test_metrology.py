@@ -12,6 +12,7 @@ from squint.gaussian import InterferometerConfig
 from squint.metrology import (
     ACCOUNTINGS,
     BracketError,
+    crlb,
     fisher,
     fisher_max_ideal,
     fisher_sweep,
@@ -228,6 +229,25 @@ class TestClosedForms:
         assert noon_fisher_per_photon(5, 1.0) == 10.0
         with pytest.raises(ValueError):
             noon_fisher_per_photon(0, 0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "closed_form",
+        [
+            threshold_tm,
+            heisenberg_sensitivity,
+            fisher_max_ideal,
+            threshold_noon,
+            lambda n: noon_fisher_per_photon(n, 1.0),
+            threshold_tm_numeric,
+            lambda trials: crlb(ideal(0.59), [0.7], trials=trials),
+        ],
+        ids=["threshold_tm", "heisenberg", "fisher_max_ideal", "threshold_noon", "noon_fisher", "numeric", "crlb"],
+    )
+    def test_non_finite_input_rejected(self, closed_form, value):
+        # a bare x < 0 check lets NaN through, and inf gave 0.0 or 1.0
+        with pytest.raises(ValueError, match="finite"):
+            closed_form(value)
 
     def test_noon_threshold_crossing_identity(self):
         # 2N eta^N = 2 exactly at eta = (1/N)^(1/N)
