@@ -103,9 +103,7 @@ def _load_config_file(path: str):
             raise ConfigError(f"invalid interferometer section: {exc}") from exc
     if "scenario" in data:
         section = data["scenario"]
-        try:  # TrackingScenario makes the schedule a tuple of (phase, duration) pairs itself
-            if section.get("branch") is not None:
-                section["branch"] = tuple(section["branch"])
+        try:  # TrackingScenario makes the schedule and the branch tuples itself
             scenario = TrackingScenario(**section)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid scenario section: {exc}") from exc
@@ -149,7 +147,7 @@ def cmd_sweep(args) -> int:
 
 def _fisher_preset_columns(args) -> dict:
     if args.preset == "fig1b":
-        return dict(zip(("n_bar", "dphi_tm", "dphi_noon", "dphi_snl"), presets.fig1b_table().T))
+        return presets.fig1b_table()
     cfgs = [InterferometerConfig(r1=r, r2=r) for r in np.round(np.arange(0.11, 0.5901, 0.04), 4).tolist()]
     n_through = np.array([photons_through_sample(cfg, args.accounting) for cfg in cfgs])
     fmax = np.array([max_fisher(cfg)[1] for cfg in cfgs])

@@ -162,7 +162,9 @@ def clicks(cfg: InterferometerConfig, phis) -> tuple[np.ndarray, np.ndarray]:
     """Click probabilities p (N, 4) of a config over an array of phases and
     their derivatives dp/dphi (N, 4), in chunks of _CHUNK phases."""
     phis = np.asarray(phis, dtype=float).reshape(-1)
-    p = np.concatenate([_clicks(cfg, phis[k: k + _CHUNK]) for k in range(0, max(phis.size, 1), _CHUNK)], axis=-1)
+    if not phis.size:
+        return np.zeros((0, 4)), np.zeros((0, 4))
+    p = np.concatenate([_clicks(cfg, phis[k: k + _CHUNK]) for k in range(0, phis.size, _CHUNK)], axis=-1)
     return _checked(p[0].T), p[1].T
 
 

@@ -1,7 +1,7 @@
 """Calibration curves, least-squares phase estimation, and bootstrap.
 
-The estimator follows the measurement protocol: a window's observed outcome
-frequencies f are matched against the calibrated p_ij(phi) curves by
+The estimator follows the measurement protocol: a window's whole click counts,
+as frequencies f, are matched against the calibrated p_ij(phi) curves by
 minimizing the unweighted squared difference sum_k (p_k(phi) - f_k)^2 over a
 half-period branch. The curves interpolate linearly between calibration
 nodes, so on the segment from node value a to a + d the objective is an exact
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import ClassVar, Sequence
@@ -200,20 +199,16 @@ def _dot4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _frequencies(counts) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (W, 4) of counts or frequencies -> frequencies (4, W) and totals (W,)."""
+    """Rows (W, 4) of whole counts -> frequencies (4, W) and totals (W,); the
+    one check of click data."""
     obs = np.asarray(counts, dtype=float)
     if obs.ndim != 2 or obs.shape[1] != 4:
         raise ValueError(f"counts must have shape (windows, 4), got {obs.shape}")
-    if np.any(obs < 0) or not np.all(np.isfinite(obs)):
-        raise ValueError("counts must be finite and non-negative")
+    if not np.all(np.isfinite(obs) & (obs >= 0) & (obs == np.rint(obs))):
+        raise ValueError("counts must be finite, whole and non-negative")
     obs = obs.T
     totals = obs[0] + obs[1] + obs[2] + obs[3]
     return np.divide(obs, totals, out=np.zeros_like(obs), where=totals > 0), totals
-
-
-def _window_trials(totals, trials: int):
-    """``trials`` if given, else each row's total when it holds counts (> 1.5)."""
-    return trials if trials else np.where(totals > 1.5, np.rint(totals), 0.0)
 
 
 def _fitted_config(initial: InterferometerConfig, theta) -> InterferometerConfig:
@@ -228,13 +223,13 @@ def calibrate(
 ) -> CalibrationModel:
     """Weighted least-squares fit of (r, eta_h, eta_v, overlap, phase_offset).
 
-    ``samples`` is a list of (phi, counts) with counts in (n00, n01, n10, n11)
-    order, at least 8 distinct phases spanning half a period. The fit starts
-    from ``initial`` with r at the mean of its r1 and r2, and sets r1 = r2 = r.
-    ``fit_residual`` is the minimized weighted sum of squares, ``sigma`` each
-    parameter's standard error from the inverse Fisher matrix; ``degraded``
-    means the iteration cap was hit, or that matrix is singular or gives a
-    standard error wider than a parameter's bounds (sigma null).
+    ``samples`` is a list of (phi, counts) with whole counts in (n00, n01,
+    n10, n11) order, at least 8 distinct phases spanning half a period. The
+    fit starts from ``initial`` with r at the mean of its r1 and r2, and sets
+    r1 = r2 = r. ``fit_residual`` is the minimized weighted sum of squares,
+    ``sigma`` each parameter's standard error from the inverse Fisher matrix;
+    ``degraded`` means the iteration cap was hit, or that matrix is singular
+    or gives a standard error wider than a parameter's bounds (sigma null).
     The fit ends when a step lowers the cost by at most 1e-12 of the cost, or
     of 1 where the cost is below 1.
     """
@@ -305,7 +300,11 @@ def calibrate(
 
 
 def _check_branch(branch: tuple[float, float]) -> tuple[float, float]:
-    lo, hi = float(branch[0]), float(branch[1])
+    """The branch (lo, hi) as a float pair, hi > lo and at most pi/2 wide."""
+    pair = tuple(branch)
+    if len(pair) != 2:
+        raise ValueError(f"branch must be a pair (lo, hi), got {branch!r}")
+    lo, hi = float(pair[0]), float(pair[1])
     if not hi > lo:
         raise ValueError(f"branch must satisfy hi > lo, got {branch}")
     if hi - lo > _HALF_PERIOD + 1e-9:
@@ -317,19 +316,16 @@ def estimate_phases(
     counts,
     cal: CalibrationModel,
     branch: tuple[float, float],
-    trials: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least-squares phase of every window, exact on the interpolated curves.
 
-    ``counts`` has one row (n00, n01, n10, n11) of counts or frequencies per
-    window; returns ``phi_est``, ``objective_value`` and ``low_information``,
-    each of shape (windows,). Low information is trials * F(phi_est) < 1,
-    trials defaulting to a row's total of counts (F < 1e-9 for frequencies).
-    A window without counts or with an objective flat over ``branch`` (width
-    at most pi/2) gets (nan, nan, True).
+    ``counts`` has one row (n00, n01, n10, n11) of whole counts per window;
+    returns ``phi_est``, ``objective_value`` and ``low_information``, each of
+    shape (windows,). A window's trials n are its total of counts, and it has
+    low information when n * F(phi_est) < 1. A window without counts or with
+    an objective flat over ``branch`` (width at most pi/2) gets (nan, nan,
+    True).
     """
-    if not (isinstance(trials, numbers.Integral) and trials >= 0):
-        raise ValueError(f"trials must be an integer >= 0 (0: each row's total), got {trials!r}")
     freqs, totals = _frequencies(counts)
     nodes, values, step, length2 = cal._branch_nodes(*_check_branch(branch))
 
@@ -351,12 +347,10 @@ def estimate_phases(
 
     dead = flat | (totals <= 0)
     phi_est[dead] = objective[dead] = math.nan
-    info = np.zeros(totals.size)
+    info = np.zeros(totals.size)  # 0 on a dead window, which is so flagged
     if not dead.all():
         info[~dead] = fisher(cal.config, phi_est[~dead])
-    window_trials = _window_trials(totals, trials)
-    low_information = np.where(window_trials > 0, window_trials * info < 1.0, info < 1e-9) | dead
-    return phi_est, objective, low_information
+    return phi_est, objective, totals * info < 1.0
 
 
 def estimate_phase(
@@ -365,17 +359,20 @@ def estimate_phase(
     branch: tuple[float, float],
     trials: int = 0,
 ) -> PhaseEstimate:
-    """One window of ``estimate_phases``: (n00, n01, n10, n11) as counts or
-    frequencies (counts set ``window_trials``). Raises UnidentifiableError
+    """One window of ``estimate_phases``: whole counts (n00, n01, n10, n11),
+    whose total is ``window_trials``. A nonzero ``trials`` is checked against
+    that total and raises ValueError if it differs. Raises UnidentifiableError
     when the window carries no phase information on the branch.
     """
-    obs = np.asarray(observed, dtype=float)
-    (phi,), (value,), (low,) = estimate_phases(obs[None], cal, branch, trials)
+    (phi,), (value,), (low,) = estimate_phases([observed], cal, branch)
+    total = int(np.sum(observed))
+    if trials and trials != total:
+        raise ValueError(f"trials {trials!r} differs from the window's total of counts {total}")
     if math.isnan(phi):
         raise UnidentifiableError("no phase information on the branch: empty data or a flat objective")
     return PhaseEstimate(
         phi_est=float(phi),
-        window_trials=int(_window_trials(float(obs.sum()), trials)),
+        window_trials=total,
         objective_value=float(value),
         low_information=bool(low),
     )
@@ -388,21 +385,21 @@ def bootstrap_sigma(
     resamples: int = 200,
     seed: int | np.random.Generator = 0,
 ) -> float:
-    """Std of the phase estimate over multinomial resamples of the counts.
+    """Std of the phase estimate over multinomial resamples of one window's
+    whole counts (n00, n01, n10, n11), each resample of the window's total.
 
     ``seed`` is an integer seed or a ready generator, used as given.
     """
-    counts = np.asarray(counts)
+    freqs, (total,) = _frequencies([counts])
     if resamples < 100:
         raise ValueError(f"need at least 100 resamples, got {resamples}")
-    total = int(counts.sum())
     if total < 1000:
-        raise ValueError(f"need at least 1000 total counts, got {total}")
-    if np.count_nonzero(counts) < 2:
+        raise ValueError(f"need at least 1000 total counts, got {total:.0f}")
+    if np.count_nonzero(freqs) < 2:
         raise UnidentifiableError("all counts fall in a single outcome")
     rng = np.random.default_rng(seed)
-    draws = rng.multinomial(total, counts / total, size=resamples)
-    estimates = estimate_phases(draws, cal, branch, trials=total)[0]
+    draws = rng.multinomial(int(total), freqs[:, 0], size=resamples)
+    estimates = estimate_phases(draws, cal, branch)[0]
     if np.isnan(estimates).any():
         raise UnidentifiableError("objective is flat on the branch")
     return float(np.std(estimates, ddof=1))

@@ -57,17 +57,13 @@ def fig4_scenario(seed: int = 0) -> TrackingScenario:
     )
 
 
-def fig1b_table() -> np.ndarray:
-    """Columns (n_bar, dphi_tm, dphi_noon, dphi_snl): per-trial sensitivities
+def fig1b_table() -> dict[str, np.ndarray]:
+    """Columns n_bar, dphi_tm, dphi_noon and dphi_snl: per-trial sensitivities
     at 100 mean photon numbers from 0.05 to 5."""
-    rows = []
-    for n_bar in np.linspace(0.05, 5.0, 100):
-        rows.append(
-            [
-                n_bar,
-                heisenberg_sensitivity(n_bar),
-                1.0 / (2.0 * n_bar),
-                1.0 / np.sqrt(2.0 * n_bar),
-            ]
-        )
-    return np.array(rows)
+    n_bar = np.linspace(0.05, 5.0, 100)
+    return {
+        "n_bar": n_bar,
+        "dphi_tm": np.array([heisenberg_sensitivity(n) for n in n_bar.tolist()]),
+        "dphi_noon": 1.0 / (2.0 * n_bar),
+        "dphi_snl": 1.0 / np.sqrt(2.0 * n_bar),
+    }

@@ -100,7 +100,9 @@ class TrackingScenario:
                 raise ValueError(f"duration {duration} is not a multiple of window {self.window}")
         if self.windows_per_repeat == 0:
             raise ValueError("the phase schedule needs at least one window")
-        self.resolved_branch()  # raises for a reversed branch or one wider than pi/2
+        if self.branch is not None:
+            object.__setattr__(self, "branch", _check_branch(self.branch))
+        self.resolved_branch()  # raises for a default branch wider than pi/2
 
     @property
     def windows_per_repeat(self) -> int:
@@ -112,7 +114,7 @@ class TrackingScenario:
 
     def resolved_branch(self) -> tuple[float, float]:
         if self.branch is not None:
-            return _check_branch(self.branch)
+            return self.branch
         phases = [p for p, d in self.phase_schedule if d > 0]
         return _check_branch((min(phases) - self.branch_margin, max(phases) + self.branch_margin))
 
@@ -159,7 +161,7 @@ def run_tracking(
         _stream(scenario.seed, index).multinomial(trials, probs[phase_index])
         for index, phase_index in enumerate(phase_of.tolist())
     ])
-    phi_est, _, low_info = estimate_phases(counts, cal, branch, trials)
+    phi_est, _, low_info = estimate_phases(counts, cal, branch)
     index = np.arange(len(phase_of))
     records = np.rec.fromarrays(
         [index // scenario.windows_per_repeat, index, phase_of, phis[phase_of], counts, phi_est, low_info],

@@ -124,7 +124,7 @@ def test_criterion_7_estimator_efficiency(tracking_cfg, tracking_cal):
     trials, reps, phi0, branch = 100_000, 200, 0.58, (0.3, 0.9)
     probs = fringe(tracking_cfg, [phi0])[0]
     draws = np.random.default_rng(0).multinomial(trials, probs, size=reps)
-    estimates = estimate_phases(draws, tracking_cal, branch, trials=trials)[0]
+    estimates = estimate_phases(draws, tracking_cal, branch)[0]
     mc_std = estimates.std(ddof=1)
     bound = crlb(tracking_cal.config, [phi0], trials)[0]
     ratio = mc_std / bound

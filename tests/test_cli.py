@@ -448,7 +448,7 @@ class TestConfigHandling:
         assert f"{key} must be an integer" in err and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("branch", [[1.0, 0.5], [0.0, 2.0]])
+    @pytest.mark.parametrize("branch", [[1.0, 0.5], [0.0, 2.0], [0.3], [], [0.3, 0.9, 5]])
     def test_invalid_scenario_branch_rejected(self, tmp_path, capsys, branch):
         payload = {
             "interferometer": {"r1": 0.43, "r2": 0.43},

@@ -237,6 +237,11 @@ class TestCalibrate:
         # at r -> 0 the efficiencies, overlap and offset carry no information
         assert model.degraded and model.sigma == dict.fromkeys(("r", "eta_h", "eta_v", "overlap", "phase_offset"))
 
+    def test_frequency_rows_rejected(self, tracking_cfg):
+        phases = np.linspace(0.1, 3.0, 16)
+        with pytest.raises(ValueError, match="whole"):
+            calibrate(list(zip(phases, fringe(tracking_cfg, phases))), tracking_cfg)
+
     def test_needs_enough_phases(self, tracking_cfg):
         samples = synthetic_samples(tracking_cfg, [0.5], 10_000, seed=0)
         with pytest.raises(ValueError):
@@ -251,8 +256,8 @@ class TestCalibrate:
 
 class TestEstimatePhase:
     def test_zero_noise_fixed_point(self, tracking_cal):
-        freqs = tracking_cal.probabilities(0.58)
-        est = estimate_phase(freqs, tracking_cal, BRANCH)
+        counts = np.rint(tracking_cal.probabilities(0.58) * 2**50)
+        est = estimate_phase(counts, tracking_cal, BRANCH)
         assert abs(est.phi_est - 0.58) < 1e-6
         assert est.objective_value < 1e-12
 
@@ -262,31 +267,40 @@ class TestEstimatePhase:
         assert est.window_trials == 1000
 
     def test_branch_width_validated(self, tracking_cal):
-        with pytest.raises(ValueError):
-            estimate_phase([0.5, 0.2, 0.2, 0.1], tracking_cal, (0.0, 2.0))
+        with pytest.raises(ValueError, match="half period"):
+            estimate_phase([500, 200, 200, 100], tracking_cal, (0.0, 2.0))
 
-    @pytest.mark.parametrize("trials", [-5, 2.5, math.nan, "1000"])
-    def test_trials_must_be_an_integer_at_least_zero(self, tracking_cal, trials):
+    @pytest.mark.parametrize("trials", [-5, 2.5, math.nan, "1000", 999, 1001])
+    def test_trials_must_equal_the_window_total(self, tracking_cal, trials):
         counts = np.array([600, 150, 150, 100])
         with pytest.raises(ValueError, match="trials"):
-            estimate_phases(counts[None], tracking_cal, BRANCH, trials)
-        with pytest.raises(ValueError, match="trials"):
             estimate_phase(counts, tracking_cal, BRANCH, trials)
-        assert estimate_phase(counts, tracking_cal, BRANCH, np.int64(0)).window_trials == 1000
+        est = estimate_phase(counts, tracking_cal, BRANCH)
+        assert estimate_phase(counts, tracking_cal, BRANCH, np.int64(0)) == est
+        assert estimate_phase(counts, tracking_cal, BRANCH, 1000) == est
+
+    def test_one_count_is_one_trial(self, tracking_cal):
+        # a window's trials are its total: one count carries too little
+        # information at any estimate, like two counts at the same estimate
+        branch = (0.25, 1.45)
+        one, two = (estimate_phase(c, tracking_cal, branch) for c in ([0, 0, 0, 1], [0, 1, 0, 1]))
+        assert one.phi_est == two.phi_est
+        assert (one.window_trials, two.window_trials) == (1, 2)
+        assert one.low_information and two.low_information
 
     def test_flat_objective_unidentifiable(self):
         dead = CalibrationModel.from_config(
             InterferometerConfig(r1=0.5, r2=0.5, eta_h=0.0, eta_v=0.0)
         )
         with pytest.raises(UnidentifiableError):
-            estimate_phase([0.7, 0.1, 0.1, 0.1], dead, BRANCH)
+            estimate_phase([700, 100, 100, 100], dead, BRANCH)
 
     def test_extremum_flagged_low_information(self, tracking_cal):
         # at the fringe extremum phi = 0 every dp/dphi vanishes while the
         # probabilities stay finite, so the Fisher information is zero
         branch = (-0.6, 0.3)
-        freqs = tracking_cal.probabilities(0.0)
-        est = estimate_phase(freqs, tracking_cal, branch, trials=1000)
+        counts = np.rint(tracking_cal.probabilities(0.0) * 2**50)
+        est = estimate_phase(counts, tracking_cal, branch)
         assert est.low_information
         assert abs(est.phi_est) < 1e-3
 
@@ -334,7 +348,7 @@ class TestEstimatePhases:
         cal = CalibrationModel.from_config(tracking_cfg)
         run = run_tracking(scenario, tracking_cfg, cal)
         counts = run.records.counts[:50]
-        phi, value, low = estimate_phases(counts, CalibrationModel.from_config(tracking_cfg), branch, trials)
+        phi, value, low = estimate_phases(counts, CalibrationModel.from_config(tracking_cfg), branch)
         for model in (CalibrationModel.from_config(tracking_cfg), cal):  # empty, then filled by run_tracking
             for k, row in enumerate(counts):
                 est = estimate_phase(row, model, branch, trials=trials)
@@ -367,7 +381,8 @@ class TestEstimatePhases:
 
     def test_exact_frequencies_recovered(self, tracking_cal):
         phis = np.array([0.31, 0.58, 0.72, 0.89])
-        phi, value, low = estimate_phases(tracking_cal.probabilities(phis), tracking_cal, BRANCH)
+        counts = np.rint(tracking_cal.probabilities(phis) * 2**50)
+        phi, value, low = estimate_phases(counts, tracking_cal, BRANCH)
         assert np.abs(phi - phis).max() < 1e-9
         assert value.max() < 1e-20
         assert not low.any()
@@ -393,8 +408,8 @@ class TestEstimatePhases:
         circle = CalibrationModel(tracking_cal.config)
         monkeypatch.undo()
         branch = (tab[200], tab[800])
-        others = curves[[300, 500, 700]]
-        phi, value, low = estimate_phases(np.insert(others, 1, c, axis=0), circle, branch)
+        others = np.rint(curves[[300, 500, 700]] * 2**50)
+        phi, value, low = estimate_phases(np.insert(others, 1, np.rint(c * 2**50), axis=0), circle, branch)
         assert np.isnan(phi[1]) and np.isnan(value[1]) and low[1]
         assert np.array_equal(np.delete(phi, 1), estimate_phases(others, circle, branch)[0])
         assert np.abs(np.delete(phi, 1) - tab[[300, 500, 700]]).max() < 1e-12
@@ -404,7 +419,8 @@ class TestEstimatePhases:
         assert np.isnan(phi).all() and np.isnan(value).all() and low.all()
 
     def test_invalid_batch_rejected(self, tracking_cal):
-        for bad in (np.ones((3, 3)), np.ones(4), [[1, 2, 3, -4]], [[1, 2, 3, math.inf]], [[1, 2, 3, math.nan]]):
+        for bad in (np.ones((3, 3)), np.ones(4), [[1, 2, 3, -4]], [[1, 2, 3, math.inf]], [[1, 2, 3, math.nan]],
+                    [[0.4, 0.2, 0.2, 0.2]], [[1, 2, 3, 4.5]]):
             with pytest.raises(ValueError):
                 estimate_phases(bad, tracking_cal, BRANCH)
         empty = estimate_phases(np.empty((0, 4)), tracking_cal, BRANCH)
@@ -426,6 +442,11 @@ class TestBootstrapAndCrlb:
             bootstrap_sigma(np.array([500, 200, 150, 49]), tracking_cal, BRANCH)
         with pytest.raises(UnidentifiableError):
             bootstrap_sigma([5000, 0, 0, 0], tracking_cal, BRANCH)
+
+    @pytest.mark.parametrize("counts", [[600.5, 150, 150, 100], [-5, 600, 300, 200]])
+    def test_bootstrap_needs_whole_non_negative_counts(self, tracking_cal, counts):
+        with pytest.raises(ValueError, match="counts must be"):
+            bootstrap_sigma(counts, tracking_cal, BRANCH)
 
     def test_bootstrap_vanishing_noise_limit(self, tracking_cal):
         # high-information phase so the T = 1e8 bound sits below 1e-4 rad

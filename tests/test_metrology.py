@@ -313,3 +313,18 @@ class TestFisherSweep:
 
     def test_accountings_registry(self):
         assert ACCOUNTINGS == ("single-pass", "double-pass")
+
+
+EMPTY_CALLS = {
+    "clicks": lambda cfg: clicks(cfg, []),
+    "fringe": lambda cfg: (fringe(cfg, []),),
+    "fisher": lambda cfg: (fisher(cfg, []),),
+    "crlb": lambda cfg: (crlb(cfg, [], 100),),
+    "fisher_sweep": lambda cfg: tuple(fisher_sweep(cfg, []).values()),
+}
+
+
+@pytest.mark.parametrize("name", EMPTY_CALLS)
+def test_no_phases_give_empty_results(name):
+    outputs = EMPTY_CALLS[name](ideal(0.3))
+    assert all(out.shape in ((0,), (0, 4)) for out in outputs)

@@ -89,6 +89,15 @@ class TestScenario:
         assert lo == pytest.approx(0.4)
         assert hi == pytest.approx(1.2)
 
+    def test_branch_is_a_checked_float_pair(self):
+        scenario = mini_scenario(branch=[0, 1])
+        assert scenario.branch == scenario.resolved_branch() == (0.0, 1.0)
+        assert all(type(v) is float for v in scenario.branch)
+        assert hash(scenario) == hash(mini_scenario(branch=(0.0, 1.0)))
+        for bad in ([0.3], [], [0.3, 0.9, 5]):
+            with pytest.raises(ValueError, match="pair"):
+                mini_scenario(branch=bad)
+
     def test_branch_too_wide_rejected(self):
         with pytest.raises(ValueError, match="half period"):
             mini_scenario(phase_schedule=((0.1, 0.2), (1.8, 0.2)))
