@@ -2,7 +2,9 @@
 
 Every command is deterministic given (config, seed) and writes diff-able
 CSV/JSON data files rather than rendered images. Exit codes: 0 success,
-2 configuration error, 3 validation failure, 4 numerical failure.
+2 refused input (any ValueError, or a ConfigError for a rule only the CLI
+has), 3 validation failure, 4 numerical failure (InvalidStateError,
+TruncationError, BracketError or LinAlgError).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import presets
 from .detection import _OUTCOMES, fringe, fringe_visibility
-from .estimation import CalibrationModel, _check_branch, estimate_phases, write_json
+from .estimation import CalibrationModel, _check_branch, _frequencies, estimate_phases, write_json
 from .fock import TruncationError, required_n_max, simulate_fock
 from .gaussian import InterferometerConfig, InvalidStateError
 from .metrology import (
@@ -47,7 +49,7 @@ COUNT_COLUMNS = ("n00", "n01", "n10", "n11")
 
 
 class ConfigError(Exception):
-    pass
+    """A refused input that only the CLI checks."""
 
 
 class ValidationFailure(Exception):
@@ -102,9 +104,8 @@ def _load_config_file(path: str):
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid interferometer section: {exc}") from exc
     if "scenario" in data:
-        section = data["scenario"]
         try:  # TrackingScenario makes the schedule and the branch tuples itself
-            scenario = TrackingScenario(**section)
+            scenario = TrackingScenario(**data["scenario"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid scenario section: {exc}") from exc
     return cfg, scenario
@@ -118,12 +119,6 @@ def _resolve_config(args) -> InterferometerConfig:
             raise ConfigError("config file has no 'interferometer' section")
         return cfg
     return presets.fringe_config() if args.preset else InterferometerConfig(r1=0.59, r2=0.59)
-
-
-def _check_per_photon(cfg: InterferometerConfig) -> None:
-    """Per-photon reports divide by the photons through the sample, 0 at r1 = 0."""
-    if photons_through_sample(cfg) == 0.0:
-        raise ConfigError("per-photon reports need r1 > 0: at r1 = 0 no photons pass the sample")
 
 
 def _phi_grid(args) -> np.ndarray:
@@ -165,7 +160,6 @@ def cmd_fisher(args) -> int:
         print(f"wrote {path}")
         return EXIT_OK
     cfg = _resolve_config(args)
-    _check_per_photon(cfg)
     grid = _phi_grid(args)
     path = _write_table(Path(args.out), "fisher", args.format, fisher_sweep(cfg, grid, accounting=args.accounting))
     phi_star, f_star = max_fisher(cfg)
@@ -178,11 +172,6 @@ def cmd_fisher(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    bad = [n for n in args.nbar if not 0.0 <= n < math.inf]
-    if bad:
-        raise ConfigError(f"mean photon numbers must be finite and >= 0, got {bad[0]}")
-    if min(args.nbar) == 0 and not args.skip_numeric:
-        raise ConfigError("the numeric threshold needs mean photon numbers > 0 (or --skip-numeric)")
     if args.noon_max < 1:
         raise ConfigError(f"--noon-max must be >= 1, got {args.noon_max}")
     out = Path(args.out)
@@ -205,10 +194,7 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    try:
-        branch = _check_branch((args.branch_lo, args.branch_hi))
-    except ValueError as exc:
-        raise ConfigError(f"invalid branch: {exc}") from exc
+    branch = _check_branch((args.branch_lo, args.branch_hi))
     try:
         cal = CalibrationModel.from_json(args.calibration)
     except (OSError, KeyError, TypeError, ValueError) as exc:
@@ -220,13 +206,12 @@ def cmd_estimate(args) -> int:
             if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
                 raise ConfigError(f"counts file must have columns {sorted(needed)}")
             windows = [(int(rec["window_index"]), [int(rec[k]) for k in COUNT_COLUMNS]) for rec in reader]
+        counts = np.reshape([c for _, c in windows], (-1, 4))
+        _frequencies(counts)
     except OSError as exc:
         raise ConfigError(f"cannot read counts file {args.counts}: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed row in counts file {args.counts}: {exc}") from exc
-    counts = np.reshape([c for _, c in windows], (-1, 4))
-    if np.any(counts < 0):
-        raise ConfigError(f"negative count in counts file {args.counts}")
     phi_est, objective, low_info = estimate_phases(counts, cal, branch)
     columns = {
         "window_index": [i for i, _ in windows],
@@ -251,9 +236,9 @@ def cmd_track(args) -> int:
             raise ConfigError("track config must contain interferometer and scenario sections")
         if args.seed is not None and args.seed != scenario.seed:
             scenario = replace(scenario, seed=args.seed)
-    _check_per_photon(cfg)
     cal = CalibrationModel.from_config(cfg)
     run = run_tracking(scenario, cfg, cal)
+    report = sensitivity_report(run, accounting=args.accounting)
     rec = run.records
     columns = {name: rec[name] for name in ("repeat", "window_index", "phase_index", "phi_set")}
     columns.update(zip(COUNT_COLUMNS, rec.counts.T))
@@ -262,7 +247,6 @@ def cmd_track(args) -> int:
     _write_table(out, "tracking", "csv", columns)
     write_json(out / "tracking_summary.json", run.summary_dict())
     cal.to_json(out / "calibration.json")
-    report = sensitivity_report(run, accounting=args.accounting)
     write_json(out / "sensitivity.json", report.to_dict())
     print(f"wrote {out / 'tracking.csv'}")
     print(f"trials per window (assumed repetition rate): {run.scenario.trials_per_window}")
@@ -280,9 +264,8 @@ def cmd_track(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    for flag, value in (("--budget", args.budget), ("--tol", args.tol)):
-        if not 0.0 < value < math.inf:
-            raise ConfigError(f"{flag} must be finite and > 0, got {value}")
+    if not 0.0 < args.tol < math.inf:
+        raise ConfigError(f"--tol must be finite and > 0, got {args.tol}")
     grid = _phi_grid(args)
     cases = [(0.3, 1.0), (0.3, 0.75), (0.59, 1.0), (0.59, 0.75)]
     rows = []
@@ -367,21 +350,16 @@ def main(argv=None) -> int:
         if getattr(args, "preset", None) and getattr(args, "config", None):
             raise ConfigError("give either --preset or --config, not both")
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValidationFailure as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (
-        TruncationError,
-        BracketError,
-        InvalidStateError,
-        ValueError,
-        np.linalg.LinAlgError,
-    ) as exc:
+    # InvalidStateError and LinAlgError are ValueErrors: they must come first
+    except (InvalidStateError, TruncationError, BracketError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ConfigError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -158,10 +158,18 @@ def _jet_factors(cfg: InterferometerConfig) -> tuple[np.ndarray, np.ndarray, np.
     return at_w, at_wc, weights
 
 
+def _phases(phis) -> np.ndarray:
+    """Any array-like of phases as a flat float array; refuses a non-finite one."""
+    phis = np.asarray(phis, dtype=float).reshape(-1)
+    if not np.isfinite(phis).all():
+        raise ValueError("phases must be finite")
+    return phis
+
+
 def clicks(cfg: InterferometerConfig, phis) -> tuple[np.ndarray, np.ndarray]:
     """Click probabilities p (N, 4) of a config over an array of phases and
     their derivatives dp/dphi (N, 4), in chunks of _CHUNK phases."""
-    phis = np.asarray(phis, dtype=float).reshape(-1)
+    phis = _phases(phis)
     if not phis.size:
         return np.zeros((0, 4)), np.zeros((0, 4))
     p = np.concatenate([_clicks(cfg, phis[k: k + _CHUNK]) for k in range(0, phis.size, _CHUNK)], axis=-1)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import ClassVar, Sequence
@@ -299,6 +300,14 @@ def calibrate(
                                         sigma=sigma)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a ValueError naming ``name`` if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_branch(branch: tuple[float, float]) -> tuple[float, float]:
     """The branch (lo, hi) as a float pair, hi > lo and at most pi/2 wide."""
     pair = tuple(branch)
@@ -391,7 +400,7 @@ def bootstrap_sigma(
     ``seed`` is an integer seed or a ready generator, used as given.
     """
     freqs, (total,) = _frequencies([counts])
-    if resamples < 100:
+    if _integer("resamples", resamples) < 100:
         raise ValueError(f"need at least 100 resamples, got {resamples}")
     if total < 1000:
         raise ValueError(f"need at least 1000 total counts, got {total:.0f}")

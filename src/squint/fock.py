@@ -26,7 +26,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .detection import _checked
+from .detection import _checked, _phases
 from .gaussian import InterferometerConfig
 
 __all__ = [
@@ -44,8 +44,8 @@ class TruncationError(RuntimeError):
 
 def truncation_error_bound(r_total: float, n_max: int) -> float:
     """Neglected tail weight tanh(r)^{2(n_max+1)} of a TMSS at total squeezing r."""
-    if r_total == 0.0:
-        return 0.0
+    if not math.isfinite(r_total):
+        raise ValueError(f"total squeezing must be finite, got {r_total}")
     return math.tanh(abs(r_total)) ** (2 * (n_max + 1))
 
 
@@ -124,12 +124,13 @@ def evolve_fock(cfg: InterferometerConfig, phis, n_max: int) -> Iterator[np.ndar
     """Run the interferometer pipeline up to, not including, the external loss.
 
     Yields the pure state's amplitudes, shape (n_max+1,) * modes (see
-    ``_layout``), at each of the phases ``phis`` (any array-like, flattened)
-    in turn. The part before the phase (vacuum, first squeezer, internal
-    loss) is evolved once per call. The internal-loss beamsplitter is exact
-    under truncation: with the environment empty, each (n_a + n_e) sector it
-    touches is complete.
+    ``_layout``), at each of the phases ``phis`` (any array-like, flattened;
+    ValueError if one is not finite) in turn. The part before the phase
+    (vacuum, first squeezer, internal loss) is evolved once per call. The
+    internal-loss beamsplitter is exact under truncation: with the
+    environment empty, each (n_a + n_e) sector it touches is complete.
     """
+    ts = _phases(phis) + cfg.phase_offset
     d = n_max + 1
     arm_h, arm_v, num_modes = _layout(cfg)
     start = np.zeros((d,) * num_modes, dtype=complex)
@@ -146,7 +147,7 @@ def evolve_fock(cfg: InterferometerConfig, phis, n_max: int) -> Iterator[np.ndar
     # mode mismatch: the second squeezer sees a, b rotated by theta into a', b'
     mixed = (arm_h, arm_v) if cfg.overlap < 1.0 else ()
     theta = math.acos(cfg.overlap)
-    for t in np.asarray(phis, dtype=float).reshape(-1) + cfg.phase_offset:
+    for t in ts:
         vec = start * np.exp(phase * t)
         for arm in mixed:
             vec = _apply_pair_unitary(vec, _beamsplitter_unitary(theta, n_max), *arm)

@@ -110,10 +110,13 @@ def noon_fisher_per_photon(n_photons: int, eta: float) -> float:
 
 def photons_through_sample(cfg: InterferometerConfig, accounting: str = "single-pass") -> float:
     """Mean photons crossing the sample per trial: the first-pass squeezed
-    state carries 2 sinh^2(r1); double-pass accounting counts it twice."""
+    state carries 2 sinh^2(r1); double-pass accounting counts it twice.
+    Every per-photon quantity divides by it, so it refuses r1 = 0."""
     if accounting not in ACCOUNTINGS:
         raise ValueError(f"accounting must be one of {ACCOUNTINGS}, got {accounting!r}")
     n_bar = 2.0 * math.sinh(cfg.r1) ** 2
+    if n_bar == 0.0:
+        raise ValueError("per-photon quantities need r1 > 0: at r1 = 0 no photons pass the sample")
     return 2.0 * n_bar if accounting == "double-pass" else n_bar
 
 
@@ -147,7 +150,7 @@ def threshold_tm_numeric(n_bar: float) -> float:
     shot-noise baseline ``SNL_PER_PHOTON``.
     """
     if not 0 < n_bar < math.inf:
-        raise ValueError(f"mean photon number must be finite and > 0, got {n_bar}")
+        raise ValueError(f"the numeric threshold needs a mean photon number finite and > 0, got {n_bar}")
     r = math.asinh(math.sqrt(n_bar / 2.0))
 
     def excess(eta: float) -> float:
@@ -176,8 +179,6 @@ def fisher_sweep(
     if np.any((phis < 0.0) | (phis > math.pi + 1e-12)):
         raise ValueError("phase grid must lie within [0, pi]")
     n_through = photons_through_sample(cfg, accounting)
-    if n_through == 0.0:
-        raise ValueError("Fisher information per photon needs r1 > 0: at r1 = 0 no photons pass the sample")
     f_trial = fisher(cfg, phis)
     f_photon = f_trial / n_through
     # math.log10 per value: np.log10 can differ from it in the last place

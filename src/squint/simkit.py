@@ -15,13 +15,12 @@ field ``repeat`` is shadowed by ``ndarray.repeat``: read it as
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detection import fringe
-from .estimation import CalibrationModel, _check_branch, estimate_phases
+from .estimation import CalibrationModel, _check_branch, _integer, estimate_phases
 from .gaussian import InterferometerConfig
 from .metrology import SNL_PER_PHOTON, crlb, photons_through_sample
 
@@ -79,10 +78,7 @@ class TrackingScenario:
 
     def __post_init__(self):
         for name in ("repeats", "seed"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         schedule = tuple((float(p), float(d)) for p, d in self.phase_schedule)
         object.__setattr__(self, "phase_schedule", schedule)
         if not (0 < self.window < math.inf and 0 < self.repetition_rate < math.inf):
@@ -217,8 +213,6 @@ def sensitivity_report(run: TrackingRun, accounting: str = "single-pass") -> Sen
     cfg = run.config
     trials = run.scenario.trials_per_window
     n_through = photons_through_sample(cfg, accounting)
-    if n_through == 0.0:
-        raise ValueError("sensitivity per photon needs r1 > 0: at r1 = 0 no photons pass the sample")
     snl_dphi = 1.0 / math.sqrt(SNL_PER_PHOTON * trials * n_through)
     agg = run.aggregates
     # math.log10 per value: np.log10 can differ from it in the last place

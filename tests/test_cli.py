@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from squint import cli
 from squint.cli import main
 from squint.estimation import CalibrationModel
 from squint.gaussian import InterferometerConfig
@@ -507,6 +508,23 @@ class TestConfigHandling:
         )
         assert code == 2
         assert "half period" in capsys.readouterr().err
+
+    def test_library_value_error_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # a plain ValueError from the library is a refused input, not a numerical failure
+        def refuse(cfg, phis):
+            raise ValueError("refused by the library")
+
+        monkeypatch.setattr(cli, "fringe", refuse)
+        assert main(["sweep", "--phi-steps", "3", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: refused by the library\n"
+
+    def test_invalid_state_is_numerical_failure(self, tmp_path, capsys):
+        # InvalidStateError is a ValueError too: its except clause must come first
+        cfg = write_config(tmp_path, {"interferometer": {"r1": 400.0, "r2": 400.0}})
+        with np.errstate(all="ignore"):
+            code = main(["sweep", "--config", cfg, "--phi-steps", "3", "--out", str(tmp_path)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("numerical failure: ")
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         # no cutoff up to n_max = 400 meets a 1e-300 truncation budget

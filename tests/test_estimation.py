@@ -443,6 +443,12 @@ class TestBootstrapAndCrlb:
         with pytest.raises(UnidentifiableError):
             bootstrap_sigma([5000, 0, 0, 0], tracking_cal, BRANCH)
 
+    @pytest.mark.parametrize("resamples", [150.5, math.nan, math.inf])
+    def test_bootstrap_resamples_must_be_an_integer(self, tracking_cal, resamples):
+        # numpy's multinomial ended in "'float' object is not iterable"
+        with pytest.raises(ValueError, match="resamples must be an integer"):
+            bootstrap_sigma([600, 200, 150, 50], tracking_cal, BRANCH, resamples=resamples)
+
     @pytest.mark.parametrize("counts", [[600.5, 150, 150, 100], [-5, 600, 300, 200]])
     def test_bootstrap_needs_whole_non_negative_counts(self, tracking_cal, counts):
         with pytest.raises(ValueError, match="counts must be"):

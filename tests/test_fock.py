@@ -64,6 +64,14 @@ class TestTruncationBound:
         assert truncation_error_bound(1.18, n) < 1e-8
         assert truncation_error_bound(1.18, n - 1) >= 1e-8
 
+    @pytest.mark.parametrize("r_total", [math.nan, math.inf, -math.inf])
+    def test_total_squeezing_must_be_finite(self, r_total):
+        # NaN gave cutoff 1 and a NaN bound; inf ran to n_max 400 and a TruncationError
+        with pytest.raises(ValueError, match="total squeezing must be finite"):
+            truncation_error_bound(r_total, 3)
+        with pytest.raises(ValueError, match="total squeezing must be finite"):
+            required_n_max(r_total)
+
     @pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0, -1e-8])
     def test_budget_must_be_finite_and_positive(self, budget):
         # the rule of squint validate; a NaN or infinite budget gave n_max = 1

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from reference_chain import op_by_op_clicks, overlap_one_clicks
 from strategies import phase_lists, random_configs
 from squint.detection import clicks, fringe
+from squint.fock import simulate_fock
 from squint import metrology
 from squint.gaussian import InterferometerConfig
 from squint.metrology import (
@@ -328,3 +329,12 @@ EMPTY_CALLS = {
 def test_no_phases_give_empty_results(name):
     outputs = EMPTY_CALLS[name](ideal(0.3))
     assert all(out.shape in ((0,), (0, 4)) for out in outputs)
+
+
+@pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("function", [clicks, fringe, fisher, simulate_fock])
+def test_non_finite_phases_are_refused_input(function, phase):
+    # they were blamed on the model: InvalidStateError "p00 = nan not finite"
+    with pytest.raises(ValueError, match="phases must be finite") as exc:
+        function(ideal(0.3), [0.5, phase])
+    assert type(exc.value) is ValueError
