@@ -18,7 +18,8 @@ other arm, the two-detector Torontonian (Quesada et al., PRA 98, 062322
 products and sums of non-negative terms, none a difference of larger
 numbers. p and dp/dphi (by the product rule) thus keep their relative
 accuracy where an outcome vanishes, and F = sum dp^2/p needs no guard.
-``clicks`` returns both on its one path, and ``fringe`` is its p.
+``clicks`` returns both on its one path, and ``fringe`` is its p. Both are
+carried as jets through four products: x y, matrix, cross and tr(adj(X) Y).
 """
 
 from __future__ import annotations
@@ -44,8 +45,14 @@ _SUM_TOL = 1e-10
 _OUTCOMES = ("p00", "p01", "p10", "p11")
 # Phases per batch: bounds the scratch memory of long phase arrays.
 _CHUNK = 256
-# click core: the off-diagonal of a 2x2 block
+# click core: the off-diagonal of a 2x2 block, and columns c + 1 and c + 2
+# (mod 3) at column c
 _OFF_DIAGONAL = ~np.eye(2, dtype=bool)[:, :, None, None]
+_ROLL = np.array([[1, 2, 0], [2, 0, 1]])
+# the outcome rows p00 = q(N_H) q(G_V), p01 = q(N_H) c(G_V), p10 = q(N_V) c(G_H),
+# c(N_H) c(N_V), q(N_V) q(G_H) and q(N_H) gain, as pairs of entries of the table
+# (q(N_H), q(N_V), q(G_H), q(G_V), c(N_H), c(N_V), c(G_H), c(G_V), gain)
+_ROWS = np.array([[0, 3], [0, 7], [1, 6], [4, 5], [1, 2], [0, 8]]).T
 # overlap_for_visibility bisection
 _OVERLAP_MIN, _OVERLAP_TOL = 0.5, 1e-6
 
@@ -63,22 +70,44 @@ def _checked(p: np.ndarray) -> np.ndarray:
     return p
 
 
-# A jet holds one quantity and its phase derivative on the leading axis, so
-# x[:1] is the value. The phase is the last axis and the arm (H, V) the one
-# before it; small matrices, vectors or scalars sit between, so linear maps
-# act on a jet as a whole.
+# A jet holds one quantity and its phase derivative on the leading axis. The
+# phase is the last axis and the arm (H, V) the one before it; small matrices,
+# vectors or scalars sit between. Each product below is a jet: the value
+# x0 y0, then the derivative x0 y1 + x1 y0 by the product rule.
 
 
-def _leibniz(f, x, y):
-    """Jet of f(x, y) for a bilinear f."""
-    out = f(x[:1], y)
-    out[1:] += f(x[1:], y[:1])
+def _mul(x, y):
+    """Jet of the product x y."""
+    out = x[:1] * y
+    out[1] += x[1] * y[0]
     return out
 
 
 def _mm(x, y):
-    """Matrix product of stacks (J, k, m, ...) and (J, m, l, ...)."""
-    return np.add.reduce(x[:, :, :, None] * y[:, None], axis=2)
+    """Jet of the matrix product of stacks (2, k, m, ...) and (2, m, l, ...)."""
+    out = np.add.reduce(x[:1, :, :, None] * y[:, None], axis=2)
+    out[1] += np.add.reduce(x[1, :, :, None] * y[0, None], axis=1)
+    return out
+
+
+def _cross(u):
+    """Jet of the cross product u_0 x u_1 of the rows of 2x3 blocks (2, 2, 3, ...):
+    (u_0 x u_1)_c = u_0,c+1 u_1,c+2 - u_0,c+2 u_1,c+1 (indices mod 3)."""
+    rolled = u.take(_ROLL, axis=2)
+    a, b = rolled[:, None, 0], rolled[:, 1]  # every pair (i, j) of jet entries
+    out = a[:, :, 0] * b[:, 1] - a[:, :, 1] * b[:, 0]
+    out[0, 1] += out[1, 0]
+    return out[0]
+
+
+def _tr_adj(x, y):
+    """Jet of tr(adj(X) Y) = X11 Y00 + X00 Y11 - X01 Y10 - X10 Y01 of the 2x2
+    blocks on the axes before (arm, phase); 2 det X at Y = X."""
+    a, b = x[:, None], y  # every pair (i, j) of jet entries
+    out = (a[..., 1, 1, :, :] * b[..., 0, 0, :, :] + a[..., 0, 0, :, :] * b[..., 1, 1, :, :]
+           - a[..., 0, 1, :, :] * b[..., 1, 0, :, :] - a[..., 1, 0, :, :] * b[..., 0, 1, :, :])
+    out[0, 1] += out[1, 0]
+    return out[0]
 
 
 def _q(e):
@@ -87,55 +116,6 @@ def _q(e):
     out = -e * q * q
     out[:1] = q
     return out
-
-
-# Short sums of products run as gathers: x and y are tables of jets whose
-# axes between the jet and the arm, flattened, hold named entries, and each
-# output of a step is a sum of products x[a] y[b], "-b" for a negative term.
-def _stage(x_names, y_names, forms):
-    """For ``forms``, a list of (output, [(a, b), ...]) whose sums share one
-    pattern of signs: the signs of the terms and the flat table indices of
-    each term's a and b for the jet pairs (0, 0), (0, 1) and (1, 0), shape
-    (terms, 3, outputs)."""
-    terms = [[(x_names.index(a), y_names.index(b.lstrip("-"))) for a, b in sum_] for _, sum_ in forms]
-    jets = np.array([[0, 0, 1], [0, 1, 0]]) * [[len(x_names)], [len(y_names)]]
-    return [b.startswith("-") for _, b in forms[0][1]], tuple(np.array(terms).T[..., None, :] + jets[:, None, :, None])
-
-
-def _forms(x, y, stage):
-    """Jets (2, outputs, ...) of a step: the value, then the derivative by the
-    product rule, f(x0, y1) + f(x1, y0)."""
-    negative, (ix, iy) = stage
-    terms = x.reshape((-1,) + x.shape[-2:]).take(ix, 0) * y.reshape((-1,) + y.shape[-2:]).take(iy, 0)
-    total = terms[0]
-    for term, minus in zip(terms[1:], negative[1:]):
-        (np.subtract if minus else np.add)(total, term, out=total)
-    total[1] += total[2]
-    return total[:2]
-
-
-def _tr_adj(a, b):
-    """tr(adj(A) B) = A11 B00 + A00 B11 - A01 B10 - A10 B01; 2 det A at B = A."""
-    return [(f"{a}11", f"{b}00"), (f"{a}00", f"{b}11"), (f"{a}01", f"-{b}10"), (f"{a}10", f"-{b}01")]
-
-
-# table entries (row and column last): V*, U and V; N0 and M0; w*; P_o; the
-# bracket g of G and d of D; G and D; then q = 1/(1 + e) and c = e q of N_H,
-# N_V, G_H and G_V, and the gain P_H (e(N_H) - e(G_H))
-_IJ = ("00", "01", "10", "11")
-_T = [f"{name}{i}{c}" for name in ("vc", "u", "v") for i in range(2) for c in range(3)]
-_NM, _GD = [f"n{e}" for e in _IJ] + [f"m{e}" for e in _IJ], [f"g{e}" for e in _IJ] + [f"d{e}" for e in _IJ]
-_QC = [f"{f}{a}{x}" for f in "qc" for a in "NG" for x in "HV"] + ["gain"]
-_CROSS = _stage(_T, _T, [(c, [(f"u0{(c + 1) % 3}", f"u1{(c + 2) % 3}"), (f"u0{(c + 2) % 3}", f"-u1{(c + 1) % 3}")])
-                         for c in range(3)])
-_Z = _stage(_T, ["wc0", "wc1", "wc2"], [(i, [(f"v{i}{c}", f"wc{c}") for c in range(3)]) for i in range(2)])
-_DET = _stage(_NM, _NM, [("n", _tr_adj("n", "n"))])
-_OUTER = _stage(["zc0", "zc1"], ["z0", "z1"], [(e, [(f"zc{e[0]}", f"z{e[1]}")]) for e in _IJ])
-_SCALE = _stage(["po"], _GD, [(name, [("po", name)]) for name in _GD])
-_DETS = _stage([n.upper() for n in _GD], [n.upper() for n in _GD], [(a + b, _tr_adj(a, b)) for a, b in ("GG", "DD", "GD")])
-# rows p00, p01, p10, c(N_H) c(N_V), P_V / (1 + e(G_H)) and P_H gain
-_ROWS = _stage(_QC, _QC, [(k, [pair]) for k, pair in enumerate(
-    [("qNH", "qGV"), ("qNH", "cGV"), ("qNV", "cGH"), ("cNH", "cNV"), ("qNV", "qGH"), ("qNH", "gain")])])
 
 
 @lru_cache(maxsize=64)
@@ -184,11 +164,11 @@ def _clicks(cfg, phis):
     t = at_w * w + at_wc * w.conj()
     v = t[:, 2]
     # N0 = V* V^T and M0 = U V^T from one product
-    nm = _leibniz(_mm, t[:, :2].reshape(2, 4, 3, 1, phis.size), v.swapaxes(1, 2))
+    nm = _mm(t[:, :2].reshape(2, 4, 3, 1, phis.size), v.swapaxes(1, 2))
     n, m = nm[:, :2], nm[:, 2:]
     tr = (n[:, 0, 0] + n[:, 1, 1]).real
     ee = np.empty((2, 2, 2, phis.size))  # e(N), e(G); e(N) = eta tr N0 + eta^2 det N0
-    ee[:, 0] = e_tr * tr + e_det * (0.5 * _forms(nm, nm, _DET)[:, 0].real)
+    ee[:, 0] = e_tr * tr + e_det * (0.5 * _tr_adj(n, n).real)
     p_vac = _q(ee[:, 0])
     # G = N - m^dag (I + N_o*)^-1 m are the moments of arm X given vacuum on
     # the other arm o, with N = eta N0 and m = U_o V^T = sqrt(eta eta_o) M0. The
@@ -198,35 +178,30 @@ def _clicks(cfg, phis):
     #   g = eta [(1 - eta_o^2) N0 + lam eta_o (tr N0 N0 - B) + eta_o^2 z* z^T]
     # with B = M0^dag M0 and z = V w*. At lam = 0 only the Gram form is left,
     # exactly 0 where G vanishes identically (the subtraction leaves roundoff).
-    z = _forms(t, _forms(t, t, _CROSS).conj(), _Z)
-    # B and M0^dag adj(N0*) from one product
-    ma = np.empty((2, 2, 4, 1, phis.size), dtype=complex)
-    ma[:, :, :2] = m
-    adj = ma[:, :, 2:]
-    np.conjugate(n[:, ::-1, ::-1].swapaxes(1, 2), out=adj)
+    z = _mm(v, _cross(t[:, 1]).conj()[:, :, None])[:, :, 0]
+    # B and M0^dag adj(N0*) from one product, adj(N0*) = [[n11*, -n01*], [-n10*, n00*]]
+    adj = n[:, ::-1, ::-1].swapaxes(1, 2).conj()
     np.negative(adj, out=adj, where=_OFF_DIAGONAL)
-    mm = _leibniz(_mm, m.conj().swapaxes(1, 2), ma)
+    mm = _mm(m.conj().swapaxes(1, 2), np.concatenate([m, adj], axis=2))
     b = mm[:, :, :2]
-    gd = np.empty((2, 2, 2, 2, 2, phis.size), dtype=complex)
-    gd[:, 0] = g_n * n + g_b * (_leibniz(np.multiply, tr[:, None, None], n) - b)
-    gd[:, 0] += g_z * _forms(z.conj(), z, _OUTER).reshape(2, 2, 2, 1, phis.size)
+    g = g_n * n + g_b * (_mul(tr[:, None, None], n) - b)
+    g += g_z * _mul(z.conj()[:, :, None], z[:, None])
     # p11 = c(N_H) c(N_V) + P_H P_V (e(N_H) - e(G_H)) / (1 + e(G_H)), the
     # difference taken as e(D) + tr(adj(G) D) from D = N - G = P_o d >= 0,
     # d = m^dag adj(I + N_o*) m = eta eta_o (B + eta_o M0^dag adj(N0*) M0)
     # (adj(I + A) = I + adj A for 2x2 A): a form in V_H, like c(N_H) and p10
-    gd[:, 1] = d_b * b + g_z * _leibniz(_mm, mm[:, :, 2:], m)
-    # G = P_o g and D = P_o d, then 2 det G, 2 det D and tr(adj(G) D)
-    scaled = _forms(p_vac[:, None, ::-1], gd, _SCALE)
-    dets = _forms(scaled, scaled, _DETS)
-    e_gd = (scaled[:, 0:5:4] + scaled[:, 3:8:4] + 0.5 * dets[:, :2]).real
+    d = d_b * b + g_z * _mm(mm[:, :, 2:], m)
+    # G = P_o g and D = P_o d, then tr(adj(X) Y) for X, Y in {G, D}: its
+    # diagonal is 2 det G and 2 det D
+    scaled = _mul(p_vac[:, ::-1], np.concatenate([g[:, None], d[:, None]], axis=1))
+    dets = _tr_adj(scaled[:, :, None], scaled[:, None])
+    e_gd = (scaled[:, :, 0, 0] + scaled[:, :, 1, 1] + 0.5 * dets.reshape(2, 4, 2, -1)[:, ::3]).real
     ee[:, 1] = e_gd[:, 0]
-    qc = np.empty((2, len(_QC), 1, phis.size))
     q = _q(ee)
-    qc[:, :4, 0] = q.reshape(2, 4, phis.size)
-    qc[:, 4:8, 0] = _leibniz(np.multiply, ee, q).reshape(2, 4, phis.size)
-    qc[:, 8, 0] = e_gd[:, 1, 0] + dets[:, 2, 0].real
-    p = _forms(qc, qc, _ROWS)[:, :, 0]
-    p[:, 3] += _leibniz(np.multiply, p[:, 4], p[:, 5])
+    gain = e_gd[:, 1, :1] + dets[:, 0, 1, :1].real  # e(N_H) - e(G_H) = e(D_H) + tr(adj(G_H) D_H)
+    qc = np.concatenate([q.reshape(2, 4, -1), _mul(ee, q).reshape(2, 4, -1), gain], axis=1)
+    p = _mul(qc.take(_ROWS[0], 1), qc.take(_ROWS[1], 1))
+    p[:, 3] += _mul(p[:, 4], p[:, 5])
     return p[:, :4]
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import ClassVar, Sequence
@@ -30,7 +29,7 @@ import numpy as np
 
 from .detection import fringe
 from .gaussian import InterferometerConfig
-from .metrology import fisher
+from .metrology import _integer, fisher
 
 __all__ = [
     "CalibrationModel",
@@ -298,14 +297,6 @@ def calibrate(
         sigma, degraded = dict.fromkeys(_FIT_NAMES), True
     return CalibrationModel.from_config(_fitted_config(initial, theta), fit_residual=cost, degraded=degraded,
                                         sigma=sigma)
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a ValueError naming ``name`` if it is not an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_branch(branch: tuple[float, float]) -> tuple[float, float]:

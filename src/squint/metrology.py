@@ -18,6 +18,7 @@ full lossy pipeline against the shot-noise baseline.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable
 
 import numpy as np
@@ -56,6 +57,14 @@ class BracketError(RuntimeError):
     """A root search found no sign change over the allowed bracket."""
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a ValueError naming ``name`` if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def fisher(cfg: InterferometerConfig, phis) -> np.ndarray:
     """Per-trial Fisher information at each phase, from analytic derivatives;
     an outcome with p = 0 adds 0."""
@@ -67,6 +76,7 @@ def crlb(cfg: InterferometerConfig, phis, trials: int) -> np.ndarray:
     """Cramer-Rao bound 1/sqrt(trials * F) at each phase; inf where F = 0."""
     if not 1 <= trials < math.inf:
         raise ValueError(f"trials must be finite and >= 1, got {trials}")
+    _integer("trials", trials)
     with np.errstate(divide="ignore"):
         return 1.0 / np.sqrt(trials * fisher(cfg, phis))
 
@@ -96,6 +106,7 @@ def threshold_noon(n_photons: int) -> float:
     """NOON-state efficiency threshold (1/N)^(1/N); tends to 1 as N grows."""
     if not 1 <= n_photons < math.inf:
         raise ValueError(f"photon number must be finite and >= 1, got {n_photons}")
+    _integer("photon number", n_photons)
     return (1.0 / n_photons) ** (1.0 / n_photons)
 
 
@@ -103,6 +114,7 @@ def noon_fisher_per_photon(n_photons: int, eta: float) -> float:
     """2N eta^N: ideal NOON fringe F = N^2 eta^N per state over N/2 photons."""
     if not 1 <= n_photons < math.inf:
         raise ValueError(f"photon number must be finite and >= 1, got {n_photons}")
+    _integer("photon number", n_photons)
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"efficiency must be in [0, 1], got {eta}")
     return 2.0 * n_photons * eta**n_photons

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import fringe
-from .estimation import CalibrationModel, _check_branch, _integer, estimate_phases
+from .estimation import CalibrationModel, _check_branch, estimate_phases
 from .gaussian import InterferometerConfig
-from .metrology import SNL_PER_PHOTON, crlb, photons_through_sample
+from .metrology import SNL_PER_PHOTON, _integer, crlb, photons_through_sample
 
 __all__ = [
     "TrackingScenario",

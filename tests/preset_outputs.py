@@ -1,19 +1,27 @@
 """Run the preset command list and print the sha256 of every data file.
 
 Usage: PYTHONPATH=src python tests/preset_outputs.py OUT_DIR
+       python tests/preset_outputs.py --base REV
 
 Each command writes into its own directory under OUT_DIR. The script prints
 one "sha256  path" line per data file, paths relative to OUT_DIR, so the
 outputs of two checkouts compare with diff. The commands' own messages go to
 stderr. The exit code is 1 if any command fails.
+
+With --base REV the script compares two trees itself. It extracts REV with
+``git archive REV | tar -x`` into a temporary directory, runs that tree's own
+command list with its own src/, then this tree's list with this tree's src/.
+It prints each file whose sha256 differs or that exists on one side only,
+and exits 1 on any such file or failed command.
 """
 
 import contextlib
 import hashlib
+import os
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
-
-from squint.cli import main
 
 COMMANDS = [
     ("sweep_fig3", ["sweep", "--preset", "fig3"]),
@@ -30,9 +38,12 @@ COMMANDS = [
     ("validate", ["validate", "--phi-steps", "7"]),
     ("validate_default", ["validate"]),
 ]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(out: Path) -> int:
+    from squint.cli import main
+
     dirs = {name: out / name for name, _ in COMMANDS}
     failed = 0
     for name, argv in COMMANDS:
@@ -47,7 +58,42 @@ def run(out: Path) -> int:
     return failed
 
 
+def _hashes(tree: Path, out: Path) -> tuple[dict[str, str], int]:
+    """{path: sha256} of ``tree``'s own command list, run in a fresh process
+    on ``tree``'s src/, and that process's exit code; its messages are shown
+    only if it fails."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, str(tree / "tests" / "preset_outputs.py"), str(out)],
+                          env=env, capture_output=True, text=True)
+    if proc.returncode:
+        print(proc.stderr, file=sys.stderr)
+    return dict(line.split("  ", 1)[::-1] for line in proc.stdout.splitlines()), proc.returncode
+
+
+def _extract(rev: str, dest: Path) -> None:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], stdout=subprocess.PIPE, check=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+
+
+def compare(rev: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "base"
+        base.mkdir()
+        _extract(rev, base)
+        old, old_code = _hashes(base, Path(tmp) / "base_out")
+        new, new_code = _hashes(ROOT, Path(tmp) / "head_out")
+    changed = sorted(path for path in old.keys() | new.keys() if old.get(path) != new.get(path))
+    for path in changed:
+        side = "sha256 differs" if path in old and path in new else f"only in {'base' if path in old else 'this tree'}"
+        print(f"{side}: {path}")
+    print(f"{len(old.keys() & new.keys())} files on both sides, {len(changed)} differ or exist on one side; "
+          f"exit codes: base {old_code}, this tree {new_code}", file=sys.stderr)
+    return int(bool(changed or old_code or new_code))
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) == 3 and sys.argv[1] == "--base":
+        sys.exit(compare(sys.argv[2]))
+    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
         sys.exit(__doc__)
     sys.exit(run(Path(sys.argv[1])))

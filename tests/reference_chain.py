@@ -80,10 +80,37 @@ def vacuum(num_modes: int) -> GaussianState:
 
 def _embed(block: np.ndarray, modes: Sequence[int], num_modes: int) -> np.ndarray:
     """Embed a symplectic acting on ``modes`` into the full 2M x 2M identity."""
-    full = np.eye(2 * num_modes)
+    full = np.eye(2 * num_modes, dtype=np.result_type(block))
     idx = _quad_indices(modes, num_modes)
     full[np.ix_(idx, idx)] = block
     return full
+
+
+def _squeezer(i: int, j: int, r: float, num_modes: int) -> np.ndarray:
+    c, s = math.cosh(r), math.sinh(r)
+    block = np.array([[c, 0.0, -s, 0.0], [0.0, c, 0.0, s], [-s, 0.0, c, 0.0], [0.0, s, 0.0, c]])
+    return _embed(block, [i, j], num_modes)
+
+
+def _rotation(modes: Sequence[int], phi, num_modes: int) -> np.ndarray:
+    """a -> a e^{i phi} on each of ``modes``; a complex phi gives a complex matrix."""
+    c, s = np.cos(phi), np.sin(phi)
+    return _embed(np.kron(np.eye(len(modes)), [[c, -s], [s, c]]), modes, num_modes)
+
+
+def _mixer(i: int, j: int, theta: float, num_modes: int) -> np.ndarray:
+    c, s = math.cos(theta), math.sin(theta)
+    return _embed(np.kron([[c, s], [-s, c]], np.eye(2)), [i, j], num_modes)
+
+
+def _lossy(cov: np.ndarray, mode: int, eta: float) -> np.ndarray:
+    """sigma -> eta sigma + (1-eta) I/2 on one mode's quadratures."""
+    idx = _quad_indices([mode], len(cov) // 2)
+    t = np.eye(len(cov))
+    t[idx, idx] = math.sqrt(eta)
+    cov = t @ cov @ t.T
+    cov[idx, idx] += (1.0 - eta) / 2.0
+    return cov
 
 
 def apply_two_mode_squeezer(state: GaussianState, i: int, j: int, r: float) -> GaussianState:
@@ -92,17 +119,13 @@ def apply_two_mode_squeezer(state: GaussianState, i: int, j: int, r: float) -> G
         raise ValueError("two-mode squeezer needs two distinct modes")
     if not math.isfinite(r):
         raise ValueError(f"squeezing parameter must be finite, got {r}")
-    c, s = math.cosh(r), math.sinh(r)
-    block = np.array([[c, 0.0, -s, 0.0], [0.0, c, 0.0, s], [-s, 0.0, c, 0.0], [0.0, s, 0.0, c]])
-    s = _embed(block, [i, j], state.num_modes)
+    s = _squeezer(i, j, r, state.num_modes)
     return GaussianState(state.num_modes, s @ state.covariance @ s.T)
 
 
 def apply_phase(state: GaussianState, modes: Sequence[int], phi: float) -> GaussianState:
     """Rotate each selected mode by phi: a -> a e^{i phi}."""
-    modes = sorted(set(modes))
-    c, s = math.cos(phi), math.sin(phi)
-    full = _embed(np.kron(np.eye(len(modes)), [[c, -s], [s, c]]), modes, state.num_modes)
+    full = _rotation(sorted(set(modes)), phi, state.num_modes)
     return GaussianState(state.num_modes, full @ state.covariance @ full.T)
 
 
@@ -110,8 +133,7 @@ def apply_beamsplitter(state: GaussianState, i: int, j: int, theta: float) -> Ga
     """Passive rotation mixing modes (i, j): a -> a cos(theta) + a' sin(theta)."""
     if i == j:
         raise ValueError("beamsplitter needs two distinct modes")
-    c, s = math.cos(theta), math.sin(theta)
-    full = _embed(np.kron([[c, s], [-s, c]], np.eye(2)), [i, j], state.num_modes)
+    full = _mixer(i, j, theta, state.num_modes)
     return GaussianState(state.num_modes, full @ state.covariance @ full.T)
 
 
@@ -119,12 +141,7 @@ def apply_loss(state: GaussianState, mode: int, eta: float) -> GaussianState:
     """Pure-loss channel with transmission eta: sigma -> eta sigma + (1-eta) I/2."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmission must be in [0, 1], got {eta}")
-    idx = _quad_indices([mode], state.num_modes)
-    t = np.eye(2 * state.num_modes)
-    t[idx, idx] = math.sqrt(eta)
-    cov = t @ state.covariance @ t.T
-    cov[idx, idx] += (1.0 - eta) / 2.0
-    return GaussianState(state.num_modes, cov)
+    return GaussianState(state.num_modes, _lossy(state.covariance, mode, eta))
 
 
 def mean_photon(state: GaussianState, modes: Sequence[int] | None = None) -> float:
@@ -136,25 +153,32 @@ def mean_photon(state: GaussianState, modes: Sequence[int] | None = None) -> flo
     return 0.5 * (float(np.sum(state.covariance[idx, idx])) - len(idx) / 2.0)
 
 
+def chain_covariance(cfg, t) -> np.ndarray:
+    """Covariance of modes (a, b, a', b') op by op at t = phi + phase_offset.
+    A complex t carries its imaginary part through every (linear) step."""
+    s = _squeezer(0, 1, cfg.r1, 4)
+    cov = _lossy(_lossy(s @ s.T / 2.0, 0, cfg.eta_internal), 1, cfg.eta_internal)
+    theta = math.acos(cfg.overlap)
+    for s in (_rotation([0, 1, 2, 3], t, 4), _mixer(0, 2, theta, 4), _mixer(1, 3, theta, 4),
+              _squeezer(0, 1, cfg.r2, 4), _mixer(0, 2, -theta, 4), _mixer(1, 3, -theta, 4)):
+        cov = s @ cov @ s.T
+    for mode, eta in ((0, cfg.eta_h), (2, cfg.eta_h), (1, cfg.eta_v), (3, cfg.eta_v)):
+        cov = _lossy(cov, mode, eta)
+    return cov
+
+
 def op_by_op_state(cfg, phi: float) -> GaussianState:
     """Output state of modes (a, b, a', b') at probe phase ``phi``."""
-    s = apply_two_mode_squeezer(vacuum(4), 0, 1, cfg.r1)
-    s = apply_loss(apply_loss(s, 0, cfg.eta_internal), 1, cfg.eta_internal)
-    s = apply_phase(s, [0, 1, 2, 3], phi + cfg.phase_offset)
-    theta = math.acos(cfg.overlap)
-    s = apply_beamsplitter(apply_beamsplitter(s, 0, 2, theta), 1, 3, theta)
-    s = apply_two_mode_squeezer(s, 0, 1, cfg.r2)
-    s = apply_beamsplitter(apply_beamsplitter(s, 0, 2, -theta), 1, 3, -theta)
-    for mode, eta in ((0, cfg.eta_h), (2, cfg.eta_h), (1, cfg.eta_v), (3, cfg.eta_v)):
-        s = apply_loss(s, mode, eta)
-    return s
+    return GaussianState(4, chain_covariance(cfg, phi + cfg.phase_offset))
 
 
 def covariance_clicks(cov: np.ndarray) -> np.ndarray:
-    """(p00, p01, p10, p11) of detector H on modes (0, 2) and V on (1, 3)."""
+    """(p00, p01, p10, p11) of detector H on modes (0, 2) and V on (1, 3). Each
+    vacuum overlap is taken as 1/sqrt(det), which, unlike a Cholesky factor,
+    also holds for the complex symmetric covariance of a complex step."""
 
     def vacuum_overlap(idx):
-        return 1.0 / np.prod(np.diag(np.linalg.cholesky(cov[np.ix_(idx, idx)] + np.eye(len(idx)) / 2)))
+        return 1.0 / np.sqrt(np.linalg.det(cov[np.ix_(idx, idx)] + np.eye(len(idx)) / 2))
 
     arm_h, arm_v = _quad_indices((0, 2), 4), _quad_indices((1, 3), 4)
     p00, p_h, p_v = vacuum_overlap(arm_h + arm_v), vacuum_overlap(arm_h), vacuum_overlap(arm_v)
@@ -163,6 +187,13 @@ def covariance_clicks(cov: np.ndarray) -> np.ndarray:
 
 def op_by_op_clicks(cfg, phi: float) -> np.ndarray:
     return covariance_clicks(op_by_op_state(cfg, phi).covariance)
+
+
+def op_by_op_dclicks(cfg, phi: float) -> np.ndarray:
+    """dp/dphi of the op-by-op chain by a complex step: Im p(t + ih) / h at
+    h = 1e-30, which has no difference of nearby values to lose digits to."""
+    h = 1e-30
+    return covariance_clicks(chain_covariance(cfg, phi + cfg.phase_offset + 1j * h)).imag / h
 
 
 def overlap_one_clicks(cfg, phis) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from reference_chain import op_by_op_clicks, overlap_one_clicks
+from reference_chain import op_by_op_clicks, op_by_op_dclicks, overlap_one_clicks
 from strategies import phase_lists, random_configs
 from squint.detection import clicks, fringe
 from squint.fock import simulate_fock
@@ -141,6 +141,15 @@ class TestFisherPerTrial:
         central = (fringe(cfg, phis + h) - fringe(cfg, phis - h)) / (2 * h)
         assert np.abs(dp - central).max() < 1e-8
 
+    @settings(max_examples=40, deadline=None)
+    @given(random_configs, phase_lists)
+    def test_analytic_derivatives_match_complex_step_chain(self, cfg, phis):
+        # a complex step through the op-by-op covariance chain has no
+        # truncation error and no cancellation, so the bound is near roundoff
+        _, dp = clicks(cfg, phis)
+        reference = np.array([op_by_op_dclicks(cfg, phi) for phi in phis])
+        assert np.abs(dp - reference).max() <= 1e-13
+
     def test_high_squeezing_projection_improves_per_photon(self):
         # with overlap 0.995 and r = 1.5 the per-photon maximum rises well
         # beyond the r = 0.59 ideal benchmark; the absolute projected value is
@@ -249,6 +258,17 @@ class TestClosedForms:
         # a bare x < 0 check lets NaN through, and inf gave 0.0 or 1.0
         with pytest.raises(ValueError, match="finite"):
             closed_form(value)
+
+    @pytest.mark.parametrize("value", [2.5, 5.0])
+    @pytest.mark.parametrize(
+        "count_form",
+        [threshold_noon, lambda n: noon_fisher_per_photon(n, 1.0), lambda trials: crlb(ideal(0.59), [0.7], trials)],
+        ids=["threshold_noon", "noon_fisher", "crlb"],
+    )
+    def test_non_integer_count_rejected(self, count_form, value):
+        # 2.5 photons gave a threshold of 0.693 and 5.0 photons a Fisher value
+        with pytest.raises(ValueError, match="must be an integer"):
+            count_form(value)
 
     def test_noon_threshold_crossing_identity(self):
         # 2N eta^N = 2 exactly at eta = (1/N)^(1/N)

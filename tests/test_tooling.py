@@ -1,13 +1,14 @@
 """The suite's own tooling. Its pytest configuration: a failing property test
 reports its falsifying example, and the run goes on to the next test. The
 command list of ``preset_outputs.py``: every argv parses, and together they
-run every preset."""
+run every preset; its --base comparison reports every changed file."""
 
 import argparse
 import subprocess
 import sys
 from pathlib import Path
 
+import preset_outputs
 from preset_outputs import COMMANDS
 from squint.cli import build_parser
 
@@ -52,3 +53,16 @@ def test_preset_outputs_commands_parse_and_cover_every_preset():
                 for a in sub._actions if a.dest == "preset" for preset in a.choices}
     listed = {(argv[0], argv[argv.index("--preset") + 1]) for _, argv in COMMANDS if "--preset" in argv}
     assert declared <= listed, declared - listed
+
+
+def test_preset_outputs_base_reports_each_changed_file(monkeypatch, capsys):
+    # the trees' command lists are not run: each side's hashes are given
+    sides = {"base": ({"a": "1", "b": "2", "gone": "3"}, 0), "head": ({"a": "1", "b": "9", "new": "4"}, 0)}
+    monkeypatch.setattr(preset_outputs, "_extract", lambda rev, dest: None)
+    monkeypatch.setattr(preset_outputs, "_hashes", lambda tree, out: sides[out.name.split("_")[0]])
+    assert preset_outputs.compare("REV") == 1
+    assert capsys.readouterr().out.splitlines() == ["sha256 differs: b", "only in base: gone", "only in this tree: new"]
+    sides["head"] = sides["base"]
+    assert preset_outputs.compare("REV") == 0
+    sides["head"] = (sides["base"][0], 1)  # same files, but a command failed
+    assert preset_outputs.compare("REV") == 1
