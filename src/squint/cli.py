@@ -96,19 +96,13 @@ def _load_config_file(path: str):
     for name, section in data.items():
         if not isinstance(section, dict):
             raise ConfigError(f"config section {name!r} must be a JSON object")
-    cfg = None
-    scenario = None
-    if "interferometer" in data:
-        try:
-            cfg = InterferometerConfig(**data["interferometer"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid interferometer section: {exc}") from exc
-    if "scenario" in data:
+    loaded = []  # the config and the scenario, None for a missing section
+    for name, cls in (("interferometer", InterferometerConfig), ("scenario", TrackingScenario)):
         try:  # TrackingScenario makes the schedule and the branch tuples itself
-            scenario = TrackingScenario(**data["scenario"])
+            loaded.append(cls(**data[name]) if name in data else None)
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid scenario section: {exc}") from exc
-    return cfg, scenario
+            raise ConfigError(f"invalid {name} section: {exc}") from exc
+    return tuple(loaded)
 
 
 def _resolve_config(args) -> InterferometerConfig:
@@ -226,16 +220,15 @@ def cmd_estimate(args) -> int:
 
 def cmd_track(args) -> int:
     if args.preset:
-        cfg = presets.tracking_config()
-        scenario = presets.fig4_scenario(seed=0 if args.seed is None else args.seed)
+        cfg, scenario = presets.tracking_config(), presets.fig4_scenario()
     else:
         if not args.config:
             raise ConfigError("track needs --preset fig4 or --config with a scenario section")
         cfg, scenario = _load_config_file(args.config)
         if cfg is None or scenario is None:
             raise ConfigError("track config must contain interferometer and scenario sections")
-        if args.seed is not None and args.seed != scenario.seed:
-            scenario = replace(scenario, seed=args.seed)
+    if args.seed is not None:
+        scenario = replace(scenario, seed=args.seed)
     cal = CalibrationModel.from_config(cfg)
     run = run_tracking(scenario, cfg, cal)
     report = sensitivity_report(run, accounting=args.accounting)

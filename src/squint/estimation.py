@@ -28,8 +28,8 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .detection import fringe
-from .gaussian import InterferometerConfig
-from .metrology import _integer, fisher
+from .gaussian import InterferometerConfig, _integer, _is_number
+from .metrology import fisher
 
 __all__ = [
     "CalibrationModel",
@@ -121,11 +121,11 @@ class CalibrationModel:
 
     def __post_init__(self):
         degraded, residual, sigma = self.degraded, self.fit_residual, self.sigma
-        if type(degraded) is not bool or not (type(residual) in (int, float) and 0.0 <= residual < math.inf):
+        if type(degraded) is not bool or not (_is_number(residual) and 0.0 <= residual < math.inf):
             raise ValueError(f"need a boolean degraded and a finite fit_residual >= 0: {degraded!r}, {residual!r}")
         if not isinstance(sigma, dict) or not set(sigma) <= set(_FIT_NAMES):
             raise ValueError(f"sigma must map fitted parameters {_FIT_NAMES} to standard errors")
-        if not all((v is None and degraded) or (type(v) in (int, float) and math.isfinite(v) and v >= 0.0)
+        if not all((v is None and degraded) or (_is_number(v) and math.isfinite(v) and v >= 0.0)
                    for v in sigma.values()):
             raise ValueError(f"sigma values must be finite and >= 0 (null only when degraded): {sigma}")
         curves = fringe(self.config, _PHI_TAB)
@@ -348,8 +348,7 @@ def estimate_phases(
     dead = flat | (totals <= 0)
     phi_est[dead] = objective[dead] = math.nan
     info = np.zeros(totals.size)  # 0 on a dead window, which is so flagged
-    if not dead.all():
-        info[~dead] = fisher(cal.config, phi_est[~dead])
+    info[~dead] = fisher(cal.config, phi_est[~dead])
     return phi_est, objective, totals * info < 1.0
 
 

@@ -88,7 +88,7 @@ def _pair_blocks(hop1: np.ndarray, hop2: np.ndarray, scale: float, sign: int) ->
 
 
 @lru_cache(maxsize=4)
-def _squeezer_unitary_cached(r: float, n_max: int) -> tuple:
+def _squeezer_unitary(r: float, n_max: int) -> tuple:
     a = _destroy(n_max + 1)
     return _pair_blocks(a, a, r, -1)
 
@@ -135,7 +135,7 @@ def evolve_fock(cfg: InterferometerConfig, phis, n_max: int) -> Iterator[np.ndar
     arm_h, arm_v, num_modes = _layout(cfg)
     start = np.zeros((d,) * num_modes, dtype=complex)
     start[(0,) * num_modes] = 1.0
-    start = _apply_pair_unitary(start, _squeezer_unitary_cached(cfg.r1, n_max), 0, 1)
+    start = _apply_pair_unitary(start, _squeezer_unitary(cfg.r1, n_max), 0, 1)
     if cfg.eta_internal < 1.0:
         loss = _beamsplitter_unitary(math.acos(math.sqrt(cfg.eta_internal)), n_max)
         start = _apply_pair_unitary(start, loss, 0, num_modes - 2)
@@ -151,7 +151,7 @@ def evolve_fock(cfg: InterferometerConfig, phis, n_max: int) -> Iterator[np.ndar
         vec = start * np.exp(phase * t)
         for arm in mixed:
             vec = _apply_pair_unitary(vec, _beamsplitter_unitary(theta, n_max), *arm)
-        vec = _apply_pair_unitary(vec, _squeezer_unitary_cached(cfg.r2, n_max), 0, 1)
+        vec = _apply_pair_unitary(vec, _squeezer_unitary(cfg.r2, n_max), 0, 1)
         for arm in mixed:
             vec = _apply_pair_unitary(vec, _beamsplitter_unitary(-theta, n_max), *arm)
         yield vec

@@ -13,8 +13,10 @@ normal-ordered moment.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -27,6 +29,19 @@ __all__ = [
 
 class InvalidStateError(ValueError):
     """Click probabilities that no physical state produces."""
+
+
+def _is_number(value) -> bool:
+    """An int or a float, numpy scalars included, and never a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a ValueError naming ``name`` for a bool or a non-integer."""
+    with contextlib.suppress(TypeError):
+        if not isinstance(value, bool):
+            return operator.index(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,10 +64,11 @@ class InterferometerConfig:
     phase_offset: float = 0.0
 
     def __post_init__(self):
-        if self.r1 < 0 or self.r2 < 0:
-            raise ValueError("squeezing parameters must be >= 0")
-        if not (math.isfinite(self.r1) and math.isfinite(self.r2)):
-            raise ValueError("squeezing parameters must be finite")
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        if not all(map(_is_number, values.values())):
+            raise ValueError(f"every field must be a number, got {values}")
+        if not (0 <= self.r1 < math.inf and 0 <= self.r2 < math.inf):
+            raise ValueError("squeezing parameters must be finite and >= 0")
         for name in ("eta_h", "eta_v", "eta_internal", "overlap"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

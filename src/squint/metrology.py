@@ -18,13 +18,12 @@ full lossy pipeline against the shot-noise baseline.
 from __future__ import annotations
 
 import math
-import operator
 from typing import Iterable
 
 import numpy as np
 
 from .detection import _bisect, clicks
-from .gaussian import InterferometerConfig
+from .gaussian import InterferometerConfig, _integer
 
 __all__ = [
     "BracketError",
@@ -55,14 +54,6 @@ _THRESHOLD_TOL = 1e-4
 
 class BracketError(RuntimeError):
     """A root search found no sign change over the allowed bracket."""
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a ValueError naming ``name`` if it is not an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def fisher(cfg: InterferometerConfig, phis) -> np.ndarray:

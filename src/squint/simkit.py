@@ -1,8 +1,8 @@
 """Monte Carlo experiment engine: phase tracking and sensitivity.
 
-Randomness uses counter-based Philox streams keyed by (seed, stream index),
-one stream per window, so serial and parallel executions of the same scenario
-produce bit-identical runs.
+Randomness uses counter-based Philox streams keyed by (seed, stream index):
+each window's counts come from its own stream, so they depend only on the
+seed and the window index, not on the order of the draws or on the estimator.
 
 Reports are NumPy record arrays: named columns of equal length that also read
 row by row. ``TrackingRun.records`` has one row per window (fields of
@@ -21,8 +21,8 @@ import numpy as np
 
 from .detection import fringe
 from .estimation import CalibrationModel, _check_branch, estimate_phases
-from .gaussian import InterferometerConfig
-from .metrology import SNL_PER_PHOTON, _integer, crlb, photons_through_sample
+from .gaussian import InterferometerConfig, _integer, _is_number
+from .metrology import SNL_PER_PHOTON, crlb, photons_through_sample
 
 __all__ = [
     "TrackingScenario",
@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 TRACKING_SCHEMA = "squint-tracking/1"
+# the default branch: the scheduled phase range widened by this much on each side, rad
+_BRANCH_MARGIN = 0.1
 
 RECORD_DTYPE = np.dtype([
     ("repeat", np.int64),
@@ -65,7 +67,7 @@ class TrackingScenario:
     Each repeat replays the whole schedule, which needs at least one window;
     ``duration`` of every entry must be a multiple of the sampling ``window``.
     The estimation branch defaults to the scheduled phase range widened by
-    ``branch_margin`` and must stay within the half period pi/2.
+    0.1 rad on each side and must stay within the half period pi/2.
     """
 
     phase_schedule: tuple[tuple[float, float], ...]
@@ -74,11 +76,14 @@ class TrackingScenario:
     repeats: int = 200
     seed: int = 0
     branch: tuple[float, float] | None = None
-    branch_margin: float = 0.1
 
     def __post_init__(self):
         for name in ("repeats", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        branch = () if self.branch is None else self.branch
+        values = [self.window, self.repetition_rate, *branch, *(v for entry in self.phase_schedule for v in entry)]
+        if not all(map(_is_number, values)):
+            raise ValueError(f"window, repetition_rate, branch and phase_schedule take numbers, got {values}")
         schedule = tuple((float(p), float(d)) for p, d in self.phase_schedule)
         object.__setattr__(self, "phase_schedule", schedule)
         if not (0 < self.window < math.inf and 0 < self.repetition_rate < math.inf):
@@ -112,7 +117,7 @@ class TrackingScenario:
         if self.branch is not None:
             return self.branch
         phases = [p for p, d in self.phase_schedule if d > 0]
-        return _check_branch((min(phases) - self.branch_margin, max(phases) + self.branch_margin))
+        return _check_branch((min(phases) - _BRANCH_MARGIN, max(phases) + _BRANCH_MARGIN))
 
 
 @dataclass
@@ -121,7 +126,6 @@ class TrackingRun:
 
     scenario: TrackingScenario
     config: InterferometerConfig
-    branch: tuple[float, float]
     records: np.recarray
     aggregates: np.recarray
 
@@ -134,7 +138,7 @@ class TrackingRun:
             "repetition_rate": scn.repetition_rate,
             "trials_per_window": scn.trials_per_window,
             "repeats": scn.repeats,
-            "branch": [self.branch[0], self.branch[1]],
+            "branch": list(scn.resolved_branch()),
             "phases": [p for p, _ in scn.phase_schedule],
             "aggregates": self.aggregates,
         }
@@ -147,7 +151,6 @@ def run_tracking(
 ) -> TrackingRun:
     """Replay the schedule: sample every window's counts, estimate all phases
     in one batch, record. Windows without phase information are flagged."""
-    branch = scenario.resolved_branch()
     trials = scenario.trials_per_window
     phis = np.array([phi_set for phi_set, _ in scenario.phase_schedule])
     per_phase = [int(round(duration / scenario.window)) for _, duration in scenario.phase_schedule]
@@ -157,7 +160,7 @@ def run_tracking(
         _stream(scenario.seed, index).multinomial(trials, probs[phase_index])
         for index, phase_index in enumerate(phase_of.tolist())
     ])
-    phi_est, _, low_info = estimate_phases(counts, cal, branch)
+    phi_est, _, low_info = estimate_phases(counts, cal, scenario.resolved_branch())
     index = np.arange(len(phase_of))
     records = np.rec.fromarrays(
         [index // scenario.windows_per_repeat, index, phase_of, phis[phase_of], counts, phi_est, low_info],
@@ -167,9 +170,9 @@ def run_tracking(
     for phase_index, phi_set in enumerate(phis.tolist()):
         ests = phi_est[(phase_of == phase_index) & np.isfinite(phi_est)]
         if ests.size:
-            std = float(ests.std(ddof=1)) if ests.size > 1 else 0.0
+            std = float(ests.std(ddof=1)) if ests.size > 1 else math.nan  # one estimate has no spread
             aggregates.append((phase_index, phi_set, ests.size, float(ests.mean()), std))
-    return TrackingRun(scenario, cfg, branch, records, np.rec.fromrecords(aggregates, dtype=AGGREGATE_DTYPE))
+    return TrackingRun(scenario, cfg, records, np.rec.fromrecords(aggregates, dtype=AGGREGATE_DTYPE))
 
 
 @dataclass
@@ -215,11 +218,8 @@ def sensitivity_report(run: TrackingRun, accounting: str = "single-pass") -> Sen
     n_through = photons_through_sample(cfg, accounting)
     snl_dphi = 1.0 / math.sqrt(SNL_PER_PHOTON * trials * n_through)
     agg = run.aggregates
-    # math.log10 per value: np.log10 can differ from it in the last place
-    db = [
-        20.0 * math.log10(snl_dphi / std) if std > 0 else (math.inf if std == 0 else -math.inf)
-        for std in agg.std_phi_est.tolist()
-    ]
+    # math.log10 per value: np.log10 can differ from it in the last place; a nan std gives nan
+    db = [math.inf if std == 0 else 20.0 * math.log10(snl_dphi / std) for std in agg.std_phi_est.tolist()]
     rows = np.rec.fromarrays(
         [agg.phi_set, agg.n_estimates, agg.std_phi_est, crlb(cfg, agg.phi_set, trials),
          np.full(len(agg), snl_dphi), db],

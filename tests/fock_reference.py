@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from squint.fock import TruncationError, _squeezer_unitary_cached, truncation_error_bound
+from squint.fock import TruncationError, _squeezer_unitary, truncation_error_bound
 
 
 def tmss_amplitudes(r: float, n_max: int) -> np.ndarray:
@@ -36,6 +36,6 @@ def squeezer_unitary(r: float, n_max: int, budget: float | None = None) -> np.nd
                 f"at n_max={n_max}"
             )
     u = np.zeros(((n_max + 1) ** 2,) * 2, dtype=complex)
-    for idx, block in _squeezer_unitary_cached(float(r), int(n_max)):
+    for idx, block in _squeezer_unitary(float(r), int(n_max)):
         u[np.ix_(idx, idx)] = block
     return u

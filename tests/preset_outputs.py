@@ -6,13 +6,17 @@ Usage: PYTHONPATH=src python tests/preset_outputs.py OUT_DIR
 Each command writes into its own directory under OUT_DIR. The script prints
 one "sha256  path" line per data file, paths relative to OUT_DIR, so the
 outputs of two checkouts compare with diff. The commands' own messages go to
-stderr. The exit code is 1 if any command fails.
+stderr.
 
 With --base REV the script compares two trees itself. It extracts REV with
 ``git archive REV | tar -x`` into a temporary directory, runs that tree's own
 command list with its own src/, then this tree's list with this tree's src/.
-It prints each file whose sha256 differs or that exists on one side only,
-and exits 1 on any such file or failed command.
+It prints each file whose sha256 differs or that exists on one side only.
+
+Exit codes: 0 when every command succeeds (and, with --base, no file
+differs); 1 when a command fails or, with --base, a file differs or exists on
+one side only; 2 for a usage error or a REV that git archive or tar cannot
+extract, with one line naming it.
 """
 
 import contextlib
@@ -71,15 +75,19 @@ def _hashes(tree: Path, out: Path) -> tuple[dict[str, str], int]:
 
 
 def _extract(rev: str, dest: Path) -> None:
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], stdout=subprocess.PIPE, check=True)
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, capture_output=True, check=True)
 
 
 def compare(rev: str) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "base"
         base.mkdir()
-        _extract(rev, base)
+        try:
+            _extract(rev, base)
+        except (OSError, subprocess.CalledProcessError) as exc:
+            print(f"cannot extract revision {rev!r}: {exc}", file=sys.stderr)
+            return 2
         old, old_code = _hashes(base, Path(tmp) / "base_out")
         new, new_code = _hashes(ROOT, Path(tmp) / "head_out")
     changed = sorted(path for path in old.keys() | new.keys() if old.get(path) != new.get(path))
@@ -95,5 +103,6 @@ if __name__ == "__main__":
     if len(sys.argv) == 3 and sys.argv[1] == "--base":
         sys.exit(compare(sys.argv[2]))
     if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
-        sys.exit(__doc__)
+        print(__doc__, file=sys.stderr)
+        sys.exit(2)
     sys.exit(run(Path(sys.argv[1])))

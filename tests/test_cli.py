@@ -284,7 +284,7 @@ class TestTrackAndEstimate:
         assert "counts file" in capsys.readouterr().err
 
     def test_tracking_outputs_are_strict(self, tmp_path, capsys):
-        # one repeat: each phase has a single estimate, std 0 and an infinite enhancement
+        # one repeat: each phase has a single estimate, so no spread: std, dphi and enhancement are null
         payload = {
             "interferometer": {"r1": 0.43, "r2": 0.43, "eta_h": 0.75, "eta_v": 0.75},
             "scenario": {
@@ -297,9 +297,10 @@ class TestTrackAndEstimate:
         cfg = write_config(tmp_path, payload)
         assert main(["track", "--config", cfg, "--out", str(tmp_path)]) == 0
         summary = strict_json(tmp_path / "tracking_summary.json")
-        assert [agg["std_phi_est"] for agg in summary["aggregates"]] == [0.0, 0.0]
+        assert [agg["std_phi_est"] for agg in summary["aggregates"]] == [None, None]
         sens = strict_json(tmp_path / "sensitivity.json")
-        assert [row["enhancement_db"] for row in sens["rows"]] == [None, None]
+        assert [(row["dphi"], row["enhancement_db"]) for row in sens["rows"]] == [(None, None)] * 2
+        assert sens["best_phase"] is None
 
     def test_track_needs_scenario(self, tmp_path):
         cfg = write_config(tmp_path, {"interferometer": {"r1": 0.3, "r2": 0.3}})
@@ -357,6 +358,18 @@ class TestConfigHandling:
         assert main(["track", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("section, values", [
+        ("interferometer", {"r1": True, "r2": True}),  # ran at r1 = r2 = 1.0
+        ("scenario", {"phase_schedule": [[True, 0.2]]}),  # ran at phase 1.0
+        ("scenario", {"branch_margin": 0.1}),  # the margin is fixed; "branch" sets any other branch
+    ])
+    def test_refused_section_values(self, tmp_path, capsys, section, values):
+        payload = {"interferometer": {"r1": 0.3, "r2": 0.3},
+                   "scenario": {"phase_schedule": [[0.5, 0.2]], "repetition_rate": 5e4}}
+        payload[section].update(values)
+        assert main(["track", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: invalid {section} section: ")
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"laser": {}})
@@ -437,7 +450,8 @@ class TestConfigHandling:
         assert "must be finite and > 0" in capsys.readouterr().err
         assert not (tmp_path / "validate.csv").exists()
 
-    @pytest.mark.parametrize("key, value", [("repeats", 2.5), ("seed", 1.5), ("repeats", "2")])
+    @pytest.mark.parametrize("key, value", [("repeats", 2.5), ("seed", 1.5), ("repeats", "2"), ("repeats", True),
+                                            ("seed", False)])
     def test_non_integer_scenario_count_rejected(self, tmp_path, capsys, key, value):
         payload = {
             "interferometer": {"r1": 0.43, "r2": 0.43},

@@ -135,7 +135,8 @@ class TestCalibrationModel:
 
     @pytest.mark.parametrize("field, value", [
         ("fit_residual", -1.0), ("fit_residual", math.nan), ("fit_residual", math.inf), ("fit_residual", "0.5"),
-        ("fit_residual", True), ("degraded", "no"), ("degraded", 0), ("degraded", None),
+        ("fit_residual", True), ("degraded", "no"), ("degraded", 0), ("degraded", None), ("sigma", {"r": True}),
+        ("sigma", {"r": np.True_}),
     ])
     def test_fit_fields_are_strict(self, tracking_cal, field, value):
         data = tracking_cal.to_dict()
@@ -144,6 +145,12 @@ class TestCalibrationModel:
             CalibrationModel.from_dict(data)
         with pytest.raises(ValueError):  # a fitted or built model passes the same checks
             CalibrationModel(tracking_cal.config, **{field: value})
+
+    def test_fit_values_may_be_numpy_scalars(self, tracking_cal):
+        # np.float64 failed a type(v) in (int, float) check
+        cal = CalibrationModel(tracking_cal.config, fit_residual=np.float64(0.5), sigma={"r": np.float64(1e-3)})
+        assert (cal.fit_residual, cal.sigma) == (0.5, {"r": 1e-3})
+        assert CalibrationModel(tracking_cal.config, sigma={"r": np.int64(0)}).sigma == {"r": 0.0}
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_from_json_refuses_non_strict_tokens(self, tracking_cal, tmp_path, token):

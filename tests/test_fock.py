@@ -12,7 +12,7 @@ from squint.detection import fringe
 from squint.fock import (
     _apply_pair_unitary,
     _beamsplitter_unitary,
-    _squeezer_unitary_cached,
+    _squeezer_unitary,
     TruncationError,
     evolve_fock,
     required_n_max,
@@ -116,7 +116,7 @@ class TestSectorBlocks:
         n_max = 6
         rng = np.random.default_rng(7)
         vec = rng.normal(size=(n_max + 1) ** 2) + 1j * rng.normal(size=(n_max + 1) ** 2)
-        blocks = _squeezer_unitary_cached(0.37, n_max)
+        blocks = _squeezer_unitary(0.37, n_max)
         applied = _apply_pair_unitary(vec.reshape(n_max + 1, n_max + 1), blocks, 0, 1)
         dense = squeezer_unitary(0.37, n_max) @ vec
         assert np.abs(applied.ravel() - dense).max() <= 1e-14
@@ -134,7 +134,7 @@ class TestSectorBlocks:
 
     def test_cold_oracle_builds_no_dense_unitary(self):
         # a dense 2401-square unitary alone would take 92 MB
-        _squeezer_unitary_cached.cache_clear()
+        _squeezer_unitary.cache_clear()
         _beamsplitter_unitary.cache_clear()
         cfg = InterferometerConfig(r1=0.59, r2=0.59, eta_h=0.75, eta_v=0.75)
         tracemalloc.start()

@@ -170,6 +170,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             InterferometerConfig(r1=0.1, r2=0.1, overlap=-0.2)
 
+    @pytest.mark.parametrize("field", ["r1", "r2", "eta_h", "eta_v", "eta_internal", "overlap", "phase_offset"])
+    def test_fields_are_numbers_not_bools(self, field):
+        # True compared as 1: r1 = True built a config with r1 = 1.0
+        for bad in (True, False, np.True_, "0.5", None):
+            with pytest.raises(ValueError, match="must be a number"):
+                InterferometerConfig(**{"r1": 0.1, "r2": 0.1, field: bad})
+        for good in (np.float64(0.5), np.float32(0.5), np.int64(1), 1):
+            assert getattr(InterferometerConfig(**{"r1": 0.1, "r2": 0.1, field: good}), field) == good
+
 
 @st.composite
 def op_sequences(draw):

@@ -259,14 +259,14 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="finite"):
             closed_form(value)
 
-    @pytest.mark.parametrize("value", [2.5, 5.0])
+    @pytest.mark.parametrize("value", [2.5, 5.0, True])
     @pytest.mark.parametrize(
         "count_form",
         [threshold_noon, lambda n: noon_fisher_per_photon(n, 1.0), lambda trials: crlb(ideal(0.59), [0.7], trials)],
         ids=["threshold_noon", "noon_fisher", "crlb"],
     )
     def test_non_integer_count_rejected(self, count_form, value):
-        # 2.5 photons gave a threshold of 0.693 and 5.0 photons a Fisher value
+        # 2.5 photons gave a threshold of 0.693 and 5.0 photons a Fisher value; True counted as 1
         with pytest.raises(ValueError, match="must be an integer"):
             count_form(value)
 

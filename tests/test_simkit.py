@@ -107,6 +107,19 @@ class TestScenario:
         with pytest.raises(ValueError, match="at least one window"):
             mini_scenario(phase_schedule=schedule)
 
+    @pytest.mark.parametrize("bad", [
+        dict(window=True), dict(repetition_rate=True, window=1.0), dict(phase_schedule=((True, 1.0),)),
+        dict(phase_schedule=((0.5, "1.0"),)), dict(branch=(False, True)),
+    ])
+    def test_numeric_fields_refuse_bools(self, bad):
+        # each was accepted: a bool as 0 or 1, the string as a float
+        with pytest.raises(ValueError, match="take numbers"):
+            mini_scenario(**{"phase_schedule": ((0.5, 1.0),), **bad})
+
+    def test_numpy_scalars_are_numbers(self):
+        scenario = mini_scenario(window=np.float64(0.2), phase_schedule=((np.float32(0.5), np.int64(1)),))
+        assert scenario.windows_per_repeat == 5
+
     def test_rejects_bad_rates(self):
         with pytest.raises(ValueError):
             mini_scenario(repetition_rate=0.0)
@@ -119,6 +132,8 @@ class TestScenario:
             mini_scenario(repeats=2.5)
         with pytest.raises(ValueError, match="seed must be an integer"):
             mini_scenario(seed=1.5)
+        with pytest.raises(ValueError, match="repeats must be an integer"):
+            mini_scenario(repeats=True)  # True was one repeat
         for bad in (dict(repetition_rate=math.inf), dict(window=math.nan),
                     dict(phase_schedule=((0.5, math.inf),)), dict(phase_schedule=((math.nan, 0.2),))):
             with pytest.raises(ValueError, match="must be finite"):
@@ -136,7 +151,8 @@ class TestRunTracking:
         assert rec.phi_set.tolist() == [0.5, 0.5, 0.8, 0.8, 1.1] * 3
         assert rec.counts.shape == (15, 4)
         assert np.all(rec.counts.sum(axis=1) == 10_000)
-        assert np.all((run.branch[0] <= rec.phi_est) & (rec.phi_est <= run.branch[1]))
+        lo, hi = run.scenario.resolved_branch()
+        assert np.all((lo <= rec.phi_est) & (rec.phi_est <= hi))
         assert run.aggregates.phase_index.tolist() == [0, 1, 2]
         assert run.aggregates[0].n_estimates == 6
 
@@ -243,6 +259,16 @@ class TestSensitivityReport:
         run = run_tracking(mini_scenario(), cfg, CalibrationModel.from_config(cfg))
         with pytest.raises(ValueError, match="r1 = 0"):
             sensitivity_report(run)
+
+    def test_one_estimate_has_no_spread(self, tracking_cfg, tracking_cal):
+        # a single estimate gave std 0, so dphi = 0 and an infinite enhancement
+        scenario = mini_scenario(phase_schedule=((0.5, 0.2), (0.8, 0.4)), repeats=1)
+        run = run_tracking(scenario, tracking_cfg, tracking_cal)
+        assert run.aggregates.n_estimates.tolist() == [1, 2]
+        assert math.isnan(run.aggregates.std_phi_est[0]) and run.aggregates.std_phi_est[1] > 0
+        report = sensitivity_report(run)
+        assert math.isnan(report.rows.dphi[0]) and math.isnan(report.rows.enhancement_db[0])
+        assert report.best().phi_set == 0.8
 
     def test_report_dict_fields(self, tracking_cfg, tracking_cal):
         run = run_tracking(mini_scenario(), tracking_cfg, tracking_cal)

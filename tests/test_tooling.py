@@ -1,7 +1,8 @@
 """The suite's own tooling. Its pytest configuration: a failing property test
 reports its falsifying example, and the run goes on to the next test. The
 command list of ``preset_outputs.py``: every argv parses, and together they
-run every preset; its --base comparison reports every changed file."""
+run every preset; its --base comparison reports every changed file and
+refuses a revision it cannot extract."""
 
 import argparse
 import subprocess
@@ -66,3 +67,10 @@ def test_preset_outputs_base_reports_each_changed_file(monkeypatch, capsys):
     assert preset_outputs.compare("REV") == 0
     sides["head"] = (sides["base"][0], 1)  # same files, but a command failed
     assert preset_outputs.compare("REV") == 1
+
+
+def test_preset_outputs_base_refuses_a_revision_it_cannot_extract():
+    proc = subprocess.run([sys.executable, str(ROOT / "tests" / "preset_outputs.py"), "--base", "no-such-rev"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("cannot extract revision 'no-such-rev'") and proc.stderr.count("\n") == 1
