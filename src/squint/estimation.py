@@ -300,10 +300,10 @@ def calibrate(
 
 
 def _check_branch(branch: tuple[float, float]) -> tuple[float, float]:
-    """The branch (lo, hi) as a float pair, hi > lo and at most pi/2 wide."""
+    """The branch (lo, hi) of numbers as a float pair, hi > lo and at most pi/2 wide."""
     pair = tuple(branch)
-    if len(pair) != 2:
-        raise ValueError(f"branch must be a pair (lo, hi), got {branch!r}")
+    if len(pair) != 2 or not all(map(_is_number, pair)):
+        raise ValueError(f"branch must be a pair (lo, hi) of numbers, got {branch!r}")
     lo, hi = float(pair[0]), float(pair[1])
     if not hi > lo:
         raise ValueError(f"branch must satisfy hi > lo, got {branch}")

@@ -80,10 +80,9 @@ class TrackingScenario:
     def __post_init__(self):
         for name in ("repeats", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        branch = () if self.branch is None else self.branch
-        values = [self.window, self.repetition_rate, *branch, *(v for entry in self.phase_schedule for v in entry)]
+        values = [self.window, self.repetition_rate, *(v for entry in self.phase_schedule for v in entry)]
         if not all(map(_is_number, values)):
-            raise ValueError(f"window, repetition_rate, branch and phase_schedule take numbers, got {values}")
+            raise ValueError(f"window, repetition_rate and phase_schedule take numbers, got {values}")
         schedule = tuple((float(p), float(d)) for p, d in self.phase_schedule)
         object.__setattr__(self, "phase_schedule", schedule)
         if not (0 < self.window < math.inf and 0 < self.repetition_rate < math.inf):

@@ -276,6 +276,9 @@ class TestEstimatePhase:
     def test_branch_width_validated(self, tracking_cal):
         with pytest.raises(ValueError, match="half period"):
             estimate_phase([500, 200, 200, 100], tracking_cal, (0.0, 2.0))
+        for bad in ((False, True), ("0.3", 0.9)):  # each ran, as (0.0, 1.0) and (0.3, 0.9)
+            with pytest.raises(ValueError, match="pair .* of numbers"):
+                estimate_phase([500, 200, 200, 100], tracking_cal, bad)
 
     @pytest.mark.parametrize("trials", [-5, 2.5, math.nan, "1000", 999, 1001])
     def test_trials_must_equal_the_window_total(self, tracking_cal, trials):

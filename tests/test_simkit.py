@@ -113,7 +113,7 @@ class TestScenario:
     ])
     def test_numeric_fields_refuse_bools(self, bad):
         # each was accepted: a bool as 0 or 1, the string as a float
-        with pytest.raises(ValueError, match="take numbers"):
+        with pytest.raises(ValueError, match="numbers"):
             mini_scenario(**{"phase_schedule": ((0.5, 1.0),), **bad})
 
     def test_numpy_scalars_are_numbers(self):
