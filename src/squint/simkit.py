@@ -81,8 +81,8 @@ class TrackingScenario:
         for name in ("repeats", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         values = [self.window, self.repetition_rate, *(v for entry in self.phase_schedule for v in entry)]
-        if not all(map(_is_number, values)):
-            raise ValueError(f"window, repetition_rate and phase_schedule take numbers, got {values}")
+        if bad := [v for v in values if not _is_number(v)]:
+            raise ValueError(f"window, repetition_rate and phase_schedule take numbers, got {bad}")
         schedule = tuple((float(p), float(d)) for p, d in self.phase_schedule)
         object.__setattr__(self, "phase_schedule", schedule)
         if not (0 < self.window < math.inf and 0 < self.repetition_rate < math.inf):
