@@ -191,7 +191,7 @@ def cmd_estimate(args) -> int:
     branch = _check_branch((args.branch_lo, args.branch_hi))
     try:
         cal = CalibrationModel.from_json(args.calibration)
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid calibration file {args.calibration}: {exc!r}") from exc
     try:
         with open(args.counts, newline="") as fh:

@@ -5,12 +5,15 @@ from start to finish. Squeezers and beamsplitters are matrix exponentials of
 truncated generators; each conserves a photon-number label (n_a - n_b for a
 squeezer, n_a + n_b for a beamsplitter), so the unitary is kept as one
 (indices, block) pair per conserved sector, each from one eigendecomposition,
-and applied block by block: no (n_max+1)^2-square matrix is built. The phase
-is the diagonal e^{i n phi}. Internal loss is a beamsplitter onto an
-environment mode in vacuum, summed out at detection. External loss is a
-weight at detection: "mode m empty after transmission eta" has the POVM
-element sum_n (1 - eta)^n |n><n|, so the vacuum probabilities are exact, and
-the clicks follow from them by inclusion-exclusion.
+and applied block by block: no (n_max+1)^2-square matrix is built. Internal
+loss is a beamsplitter onto an environment mode in vacuum, summed out at
+detection. Mode mismatch is a beamsplitter of a with a' and of b with b',
+once, before the phase on all four modes, which commutes with it as a', b'
+are empty until then. It is never undone: each arm's detector sees only n_a +
+n_a' (or n_b + n_b'), which a rotation back keeps. External loss is a weight
+at detection: "mode m empty after transmission eta" has the POVM element
+sum_n (1 - eta)^n |n><n|, so the vacuum probabilities are exact, and the
+clicks follow from them by inclusion-exclusion.
 
 ``simulate_fock(cfg, phis)`` takes an array of phases, as ``clicks`` does,
 and returns one (p00, p01, p10, p11) row per phase. Each call evolves the
@@ -63,22 +66,20 @@ def required_n_max(r_total: float, budget: float = 1e-8) -> int:
     return n_max
 
 
-def _destroy(d: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, d)), 1)
-
-
-def _pair_blocks(hop1: np.ndarray, hop2: np.ndarray, scale: float, sign: int) -> tuple:
-    """exp(g - g†), g = scale * hop1 ⊗ hop2, on the two-mode space of the
-    (n_max+1)-square ladder matrices, as one (flat indices, unitary block)
-    pair per sector of the conserved n_1 + sign*n_2: one eigh per block."""
-    d = hop1.shape[0]
+def _pair_blocks(n_max: int, scale: float, sign: int) -> tuple:
+    """exp(g - g†) on two modes cut at n_max, g = scale a† ⊗ a for sign 1 (a
+    beamsplitter) or scale a ⊗ a for sign -1 (a squeezer), as one (flat
+    indices, unitary block) pair per sector of the conserved n_1 + sign*n_2."""
+    d = n_max + 1
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    first = a.T if sign > 0 else a
     n1, n2 = np.divmod(np.arange(d * d), d)
     labels = n1 + sign * n2
     blocks = []
     for label in np.unique(labels):
         idx = np.flatnonzero(labels == label)
         m, n = n1[idx], n2[idx]
-        g = scale * (hop1[np.ix_(m, m)] * hop2[np.ix_(n, n)])
+        g = scale * (first[np.ix_(m, m)] * a[np.ix_(n, n)])
         w, v = np.linalg.eigh(1j * (g - g.T))
         u = (v * np.exp(-1j * w)) @ v.conj().T
         for arr in (idx, u):
@@ -89,15 +90,13 @@ def _pair_blocks(hop1: np.ndarray, hop2: np.ndarray, scale: float, sign: int) ->
 
 @lru_cache(maxsize=4)
 def _squeezer_unitary(r: float, n_max: int) -> tuple:
-    a = _destroy(n_max + 1)
-    return _pair_blocks(a, a, r, -1)
+    return _pair_blocks(n_max, r, -1)
 
 
 @lru_cache(maxsize=4)
 def _beamsplitter_unitary(theta: float, n_max: int) -> tuple:
     """exp[theta(a†b - a b†)]: a -> a cos(theta) + b sin(theta)."""
-    a = _destroy(n_max + 1)
-    return _pair_blocks(a.T, a, theta, 1)
+    return _pair_blocks(n_max, theta, 1)
 
 
 def _apply_pair_unitary(tensor: np.ndarray, blocks: tuple, ax1: int, ax2: int) -> np.ndarray:
@@ -126,9 +125,11 @@ def evolve_fock(cfg: InterferometerConfig, phis, n_max: int) -> Iterator[np.ndar
     Yields the pure state's amplitudes, shape (n_max+1,) * modes (see
     ``_layout``), at each of the phases ``phis`` (any array-like, flattened;
     ValueError if one is not finite) in turn. The part before the phase
-    (vacuum, first squeezer, internal loss) is evolved once per call. The
-    internal-loss beamsplitter is exact under truncation: with the
-    environment empty, each (n_a + n_e) sector it touches is complete.
+    (vacuum, first squeezer, internal loss, and the mismatch rotation, which
+    commutes with the phase and is never undone: see the module docstring) is
+    evolved once per call; each phase costs its phase factor and the second
+    squeezer. The internal-loss beamsplitter is exact under truncation: with
+    the environment empty, each (n_a + n_e) sector it touches is complete.
     """
     ts = _phases(phis) + cfg.phase_offset
     d = n_max + 1
@@ -136,25 +137,19 @@ def evolve_fock(cfg: InterferometerConfig, phis, n_max: int) -> Iterator[np.ndar
     start = np.zeros((d,) * num_modes, dtype=complex)
     start[(0,) * num_modes] = 1.0
     start = _apply_pair_unitary(start, _squeezer_unitary(cfg.r1, n_max), 0, 1)
-    if cfg.eta_internal < 1.0:
-        loss = _beamsplitter_unitary(math.acos(math.sqrt(cfg.eta_internal)), n_max)
-        start = _apply_pair_unitary(start, loss, 0, num_modes - 2)
-        start = _apply_pair_unitary(start, loss, 1, num_modes - 1)
+    # internal loss mixes a, b with e_a, e_b; mode mismatch then with a', b'
+    for angle, partners in ((math.acos(math.sqrt(cfg.eta_internal)), range(len(arm_h + arm_v), num_modes)),
+                            (math.acos(cfg.overlap), arm_h[1:] + arm_v[1:])):
+        for mode, partner in zip((0, 1), partners):
+            start = _apply_pair_unitary(start, _beamsplitter_unitary(angle, n_max), mode, partner)
 
-    # phase: diagonal e^{i n t} over the photon number of the sample modes a, b
-    n = np.arange(d)
-    phase = 1j * (n[:, None] + n[None, :]).reshape((d, d) + (1,) * (num_modes - 2))
-    # mode mismatch: the second squeezer sees a, b rotated by theta into a', b'
-    mixed = (arm_h, arm_v) if cfg.overlap < 1.0 else ()
-    theta = math.acos(cfg.overlap)
+    # phase: e^{i n t} on every sample mode, one (d, d) factor per pair (a, b), (a', b')
+    phase = 1j * np.add.outer(np.arange(d), np.arange(d))
+    shapes = [(1,) * m + (d, d) + (1,) * (num_modes - m - 2) for m in arm_h]
     for t in ts:
-        vec = start * np.exp(phase * t)
-        for arm in mixed:
-            vec = _apply_pair_unitary(vec, _beamsplitter_unitary(theta, n_max), *arm)
-        vec = _apply_pair_unitary(vec, _squeezer_unitary(cfg.r2, n_max), 0, 1)
-        for arm in mixed:
-            vec = _apply_pair_unitary(vec, _beamsplitter_unitary(-theta, n_max), *arm)
-        yield vec
+        factor = np.exp(phase * t)
+        vec = math.prod((factor.reshape(shape) for shape in shapes), start=start)
+        yield _apply_pair_unitary(vec, _squeezer_unitary(cfg.r2, n_max), 0, 1)
 
 
 def simulate_fock(cfg: InterferometerConfig, phis, budget: float = 1e-8) -> np.ndarray:

@@ -4,11 +4,13 @@ Each detected mode is b = U(t) a + V(t) a† over the input modes: the squeezed
 pair (a, b), the mismatched ancilla pair (a', b') and the environment (e_a,
 e_b) of the internal loss. The squeezer S(r) = exp[r(ab - a†b†)] maps a -> a
 cosh r - b† sinh r, so its vacuum amplitudes are (1/cosh r)(-tanh r)^n, the
-convention the Fock oracle pins. The phase t = phi + phase_offset is the only
-rotation, so U(t) = e^{it} X_U + e^{-it} Y_U and likewise V(t) (Yurke, McCall
-& Klauder, PRA 33, 4033 (1986)). The arms differ only in their external loss,
-which scales an arm's map by sqrt(eta); its environment drops out of every
-normal-ordered moment.
+convention the Fock oracle pins. Mode mismatch rotates a into a' and b into
+b' once, before the phase, which commutes with it as a', b' are empty until
+then; no rotation back follows, as it keeps n_a + n_a' and n_b + n_b', all
+the detectors see. So U(t) = e^{it} X_U + e^{-it} Y_U with t = phi +
+phase_offset, and likewise V(t) (Yurke, McCall & Klauder, PRA 33, 4033
+(1986)). The arms differ only in their external loss, which scales an arm's
+map by sqrt(eta); its environment drops out of every normal-ordered moment.
 """
 
 from __future__ import annotations
@@ -86,13 +88,13 @@ def bogoliubov_factors(cfg: InterferometerConfig) -> np.ndarray:
     (m, m', e_m) and V on the partner arm's. Arm X's are sqrt(eta_X) times
     these, as the model has no per-arm internal loss and no per-arm overlap.
 
-    Before the phase: the first squeezer pairs m with its partner and the
-    internal loss mixes in e_m. After it: the mismatch rotation by
-    acos(overlap), the second squeezer and the rotation back.
+    Before the phase: the first squeezer pairs m with its partner, the
+    internal loss mixes in e_m and the mismatch rotation mixes in m'. After
+    it: the second squeezer on m, and no rotation back (module docstring).
     """
-    # the arm before the phase as g (pair m + v0 m_partner^dag) + rest m, the
-    # map after it as m -> alpha m + beta m_partner^dag; g scales last, so X_V
-    # and Y_V stay equal where the two squeezers cancel
+    # the arm before the phase as g (pair m + v0 m_partner^dag) + rest m; the
+    # rotation and the second squeezer as m -> alpha m + beta m_partner^dag; g
+    # scales last, so X_V and Y_V stay equal where the two squeezers cancel
     c1, s1 = math.cosh(cfg.r1), math.sinh(cfg.r1)
     g, leak = math.sqrt(cfg.eta_internal), math.sqrt(1.0 - cfg.eta_internal)
     pair, rest, v0 = np.zeros((3, 2, 3))
@@ -101,8 +103,8 @@ def bogoliubov_factors(cfg: InterferometerConfig) -> np.ndarray:
     s = math.sqrt((1.0 - c) * (1.0 + c))  # 1 - c is exact near c = 1
     rot = np.array([[c, s], [-s, c]])
     c2, s2 = math.cosh(cfg.r2), math.sinh(cfg.r2)
-    alpha = rot.T @ np.diag([c2, 1.0]) @ rot
-    beta = rot.T @ np.diag([-s2, 0.0]) @ rot
+    alpha = np.diag([c2, 1.0]) @ rot
+    beta = np.diag([-s2, 0.0]) @ rot
     # the phase multiplies the part before it by e^{it}; beta takes its adjoint, e^{-it}
     x_u, x_v = g * (alpha @ pair) + alpha @ rest, g * (alpha @ v0)
     y_u, y_v = g * (beta @ v0), g * (beta @ pair) + beta @ rest

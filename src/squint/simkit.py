@@ -56,7 +56,7 @@ AGGREGATE_DTYPE = np.dtype([
 
 def _stream(seed: int, index: int) -> np.random.Generator:
     """RNG stream keyed by (seed, stream index)."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -92,6 +92,8 @@ class TrackingScenario:
                              "rounds to no trials per window")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if not 0 <= self.seed < 2**64:  # the 64-bit word of the Philox key
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         for phi, duration in schedule:
             if not (math.isfinite(phi) and 0 <= duration < math.inf):
                 raise ValueError(f"phases must be finite and durations finite and >= 0, got ({phi}, {duration})")

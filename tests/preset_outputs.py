@@ -12,6 +12,9 @@ With --base REV the script compares two trees itself. It extracts REV with
 ``git archive REV | tar -x`` into a temporary directory, runs that tree's own
 command list with its own src/, then this tree's list with this tree's src/.
 It prints each file whose sha256 differs or that exists on one side only.
+For a CSV or JSON file on both sides it adds how many of its numbers differ
+and their largest relative change |new - old| / max(|old|, |new|), or that
+its layout or text differs, when anything but a number does.
 
 Exit codes: 0 when every command succeeds (and, with --base, no file
 differs); 1 when a command fails or, with --base, a file differs or exists on
@@ -20,7 +23,10 @@ extract, with one line naming it.
 """
 
 import contextlib
+import csv
 import hashlib
+import json
+import math
 import os
 import subprocess
 import sys
@@ -74,6 +80,43 @@ def _hashes(tree: Path, out: Path) -> tuple[dict[str, str], int]:
     return dict(line.split("  ", 1)[::-1] for line in proc.stdout.splitlines()), proc.returncode
 
 
+def _values(path: Path) -> list:
+    """Every value of a CSV or JSON file in file order, JSON keys included:
+    each number as a float, anything else as it reads."""
+    def number(value):
+        with contextlib.suppress(TypeError, ValueError):
+            if not isinstance(value, bool):
+                return float(value)
+        return value
+
+    def leaves(node):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                yield key
+                yield from leaves(value)
+        elif isinstance(node, list):
+            for value in node:
+                yield from leaves(value)
+        else:
+            yield number(node)
+
+    if path.suffix == ".json":
+        return list(leaves(json.loads(path.read_text())))
+    return [number(cell) for row in csv.reader(path.read_text().splitlines()) for cell in row]
+
+
+def numeric_change(old: Path, new: Path) -> str:
+    """How two versions of a CSV or JSON file differ, as one phrase."""
+    a, b = _values(old), _values(new)
+    if len(a) != len(b) or any(isinstance(x, float) != isinstance(y, float)
+                               or not isinstance(x, float) and x != y for x, y in zip(a, b)):
+        return "layout or text differs"
+    numbers = [(x, y) for x, y in zip(a, b) if isinstance(x, float)]
+    changes = [abs(y - x) / max(abs(x), abs(y)) if math.isfinite(x) and math.isfinite(y) else math.inf
+               for x, y in numbers if x != y and not (math.isnan(x) and math.isnan(y))]
+    return f"{len(changes)} of {len(numbers)} numbers differ, largest relative change {max(changes, default=0.0):.2g}"
+
+
 def _extract(rev: str, dest: Path) -> None:
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True, check=True)
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, capture_output=True, check=True)
@@ -88,12 +131,17 @@ def compare(rev: str) -> int:
         except (OSError, subprocess.CalledProcessError) as exc:
             print(f"cannot extract revision {rev!r}: {exc}", file=sys.stderr)
             return 2
-        old, old_code = _hashes(base, Path(tmp) / "base_out")
-        new, new_code = _hashes(ROOT, Path(tmp) / "head_out")
-    changed = sorted(path for path in old.keys() | new.keys() if old.get(path) != new.get(path))
-    for path in changed:
-        side = "sha256 differs" if path in old and path in new else f"only in {'base' if path in old else 'this tree'}"
-        print(f"{side}: {path}")
+        old_out, new_out = Path(tmp) / "base_out", Path(tmp) / "head_out"
+        old, old_code = _hashes(base, old_out)
+        new, new_code = _hashes(ROOT, new_out)
+        changed = sorted(path for path in old.keys() | new.keys() if old.get(path) != new.get(path))
+        for path in changed:
+            if path not in old or path not in new:
+                print(f"only in {'base' if path in old else 'this tree'}: {path}")
+            elif Path(path).suffix in (".csv", ".json"):
+                print(f"sha256 differs: {path}: {numeric_change(old_out / path, new_out / path)}")
+            else:
+                print(f"sha256 differs: {path}")
     print(f"{len(old.keys() & new.keys())} files on both sides, {len(changed)} differ or exist on one side; "
           f"exit codes: base {old_code}, this tree {new_code}", file=sys.stderr)
     return int(bool(changed or old_code or new_code))

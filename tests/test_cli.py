@@ -283,6 +283,13 @@ class TestTrackAndEstimate:
         assert main(self.estimate_argv(track_dir, tmp_path, counts)) == 2
         assert "counts file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["window_index,n00,n01,n10\n0,9000,400,500\n", ""])
+    def test_counts_file_needs_the_count_columns(self, track_dir, tmp_path, capsys, text):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(text)
+        assert main(self.estimate_argv(track_dir, tmp_path, counts)) == 2
+        assert "counts file must have columns" in capsys.readouterr().err
+
     def test_tracking_outputs_are_strict(self, tmp_path, capsys):
         # one repeat: each phase has a single estimate, so no spread: std, dphi and enhancement are null
         payload = {
@@ -370,6 +377,29 @@ class TestConfigHandling:
         payload[section].update(values)
         assert main(["track", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: invalid {section} section: ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--config", "{not_json}"], "config file is not valid JSON"),
+        (["fisher", "--config", "{scenario_only}"], "config file has no 'interferometer' section"),
+        (["sweep", "--phi-min", "2", "--phi-max", "1"], "phase grid must satisfy"),
+        (["track"], "track needs --preset fig4 or --config"),
+        # Philox keys on the seed's 64-bit word: seed -1 ran as 2**64 - 1, and 2**64 as 0
+        (["track", "--preset", "fig4", "--seed", "-1"], "seed must be in [0, 2**64), got -1"),
+        (["track", "--preset", "fig4", "--seed", str(2**64)], "seed must be in [0, 2**64)"),
+        (["track", "--config", "{tracking}", "--seed", str(2**64)], "seed must be in [0, 2**64)"),
+    ])
+    def test_refused_invocation(self, tmp_path, capsys, argv, message):
+        scenario = {"phase_schedule": [[0.5, 0.2]], "repetition_rate": 5e4}
+        files = {"not_json": '{"interferometer": ', "scenario_only": json.dumps({"scenario": scenario}),
+                 "tracking": json.dumps({"interferometer": {"r1": 0.3, "r2": 0.3}, "scenario": scenario})}
+        for name, text in files.items():
+            (tmp_path / f"{name}.json").write_text(text)
+        argv = [arg.format(**{name: str(tmp_path / f"{name}.json") for name in files}) for arg in argv]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"laser": {}})

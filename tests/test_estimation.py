@@ -249,6 +249,12 @@ class TestCalibrate:
         with pytest.raises(ValueError, match="whole"):
             calibrate(list(zip(phases, fringe(tracking_cfg, phases))), tracking_cfg)
 
+    def test_sample_without_counts_is_unidentifiable(self, tracking_cfg):
+        samples = synthetic_samples(tracking_cfg, np.linspace(0.1, 3.0, 16), 10_000, seed=0)
+        samples[3] = (samples[3][0], [0, 0, 0, 0])
+        with pytest.raises(UnidentifiableError, match="a calibration sample has no counts"):
+            calibrate(samples, tracking_cfg)
+
     def test_needs_enough_phases(self, tracking_cfg):
         samples = synthetic_samples(tracking_cfg, [0.5], 10_000, seed=0)
         with pytest.raises(ValueError):

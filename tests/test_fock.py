@@ -132,6 +132,25 @@ class TestSectorBlocks:
         assert vec.ndim == 6
         assert np.sum(np.abs(vec[charge != 0]) ** 2) == 0.0
 
+    def test_mismatch_rotation_commutes_with_the_phase(self):
+        # a', b' are empty before the rotation, so the phase on a, b ahead of
+        # it gives the state that the phase on all four sample modes gives after it
+        cfg = InterferometerConfig(r1=0.3, r2=0.2, eta_internal=0.8, overlap=0.9, phase_offset=0.4)
+        n_max, t = 6, 0.7
+        d = n_max + 1
+        ref = np.zeros((d,) * 6, dtype=complex)
+        ref[(0,) * 6] = 1.0
+        ref = _apply_pair_unitary(ref, _squeezer_unitary(cfg.r1, n_max), 0, 1)
+        loss = _beamsplitter_unitary(math.acos(math.sqrt(cfg.eta_internal)), n_max)
+        ref = _apply_pair_unitary(_apply_pair_unitary(ref, loss, 0, 4), loss, 1, 5)
+        n = np.arange(d)
+        ref = ref * np.exp(1j * (t + cfg.phase_offset) * (n[:, None] + n[None, :]))[..., None, None, None, None]
+        rotation = _beamsplitter_unitary(math.acos(cfg.overlap), n_max)
+        ref = _apply_pair_unitary(_apply_pair_unitary(ref, rotation, 0, 2), rotation, 1, 3)
+        ref = _apply_pair_unitary(ref, _squeezer_unitary(cfg.r2, n_max), 0, 1)
+        (vec,) = evolve_fock(cfg, [t], n_max)
+        assert np.abs(vec - ref).max() <= 1e-14
+
     def test_cold_oracle_builds_no_dense_unitary(self):
         # a dense 2401-square unitary alone would take 92 MB
         _squeezer_unitary.cache_clear()
@@ -191,6 +210,24 @@ class TestSimulateFock:
         cfg = InterferometerConfig(
             r1=r1, r2=r2, eta_h=eta_h, eta_v=eta_v, eta_internal=eta_int, phase_offset=offset
         )
+        fock = simulate_fock(cfg, phis, budget=1e-8)
+        assert np.abs(fock - fringe(cfg, phis)).max() <= 1e-6
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        st.floats(0.0, 0.25),
+        st.floats(0.0, 0.25),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.one_of(st.just(1.0), st.floats(0.5, 1.0, exclude_max=True)),  # internal loss in half
+        st.floats(0.8, 1.0, exclude_max=True),
+        st.floats(-math.pi, math.pi),
+        st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=1, max_size=2),
+    )
+    def test_random_mismatched_configs_match_gaussian(self, r1, r2, eta_h, eta_v, eta_int, overlap, offset, phis):
+        # four modes, or six under internal loss: the mismatch rotation acts once, before the phase
+        cfg = InterferometerConfig(r1=r1, r2=r2, eta_h=eta_h, eta_v=eta_v, eta_internal=eta_int,
+                                   overlap=overlap, phase_offset=offset)
         fock = simulate_fock(cfg, phis, budget=1e-8)
         assert np.abs(fock - fringe(cfg, phis)).max() <= 1e-6
 

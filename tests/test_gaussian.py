@@ -170,6 +170,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             InterferometerConfig(r1=0.1, r2=0.1, overlap=-0.2)
 
+    @pytest.mark.parametrize("offset", [math.inf, -math.inf, math.nan])
+    def test_phase_offset_must_be_finite(self, offset):
+        with pytest.raises(ValueError, match="phase_offset must be finite"):
+            InterferometerConfig(r1=0.1, r2=0.1, phase_offset=offset)
+
     @pytest.mark.parametrize("field", ["r1", "r2", "eta_h", "eta_v", "eta_internal", "overlap", "phase_offset"])
     def test_fields_are_numbers_not_bools(self, field):
         # True compared as 1: r1 = True built a config with r1 = 1.0

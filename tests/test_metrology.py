@@ -240,6 +240,11 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             noon_fisher_per_photon(0, 0.5)
 
+    @pytest.mark.parametrize("eta", [1.5, -0.1, math.nan])
+    def test_noon_efficiency_must_be_in_the_unit_interval(self, eta):
+        with pytest.raises(ValueError, match=r"efficiency must be in \[0, 1\]"):
+            noon_fisher_per_photon(5, eta)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "closed_form",

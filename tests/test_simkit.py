@@ -116,6 +116,13 @@ class TestScenario:
         with pytest.raises(ValueError, match="numbers"):
             mini_scenario(**{"phase_schedule": ((0.5, 1.0),), **bad})
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+    def test_seed_is_a_64_bit_word(self, seed):
+        # the Philox key took seed mod 2**64, so -1 ran as 2**64 - 1 and 2**64 as 0
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            mini_scenario(seed=seed)
+        assert mini_scenario(seed=2**64 - 1).seed == 2**64 - 1
+
     def test_numpy_scalars_are_numbers(self):
         scenario = mini_scenario(window=np.float64(0.2), phase_schedule=((np.float32(0.5), np.int64(1)),))
         assert scenario.windows_per_repeat == 5

@@ -1,10 +1,12 @@
 """The suite's own tooling. Its pytest configuration: a failing property test
 reports its falsifying example, and the run goes on to the next test. The
 command list of ``preset_outputs.py``: every argv parses, and together they
-run every preset; its --base comparison reports every changed file and
-refuses a revision it cannot extract."""
+run every preset; its --base comparison reports every changed file, with
+the largest relative change of a CSV or JSON file's numbers, and refuses a
+revision it cannot extract."""
 
 import argparse
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -67,6 +69,32 @@ def test_preset_outputs_base_reports_each_changed_file(monkeypatch, capsys):
     assert preset_outputs.compare("REV") == 0
     sides["head"] = (sides["base"][0], 1)  # same files, but a command failed
     assert preset_outputs.compare("REV") == 1
+
+
+def test_preset_outputs_base_reports_the_largest_numeric_change(monkeypatch, capsys):
+    # each side's command list is stubbed by writing its files
+    files = {
+        "base": {"t.csv": "phi,p\n0.5,0.25\n1,nan\n", "s.json": '{"a": [1.0, 2], "b": null, "c": true}',
+                 "x.csv": "phi\n1\n", "same.json": "[0.5]"},
+        "head": {"t.csv": "phi,p\n0.5,0.2500000001\n1.0000001,nan\n", "s.json": '{"a": [1.0, 2.000004], "b": null, "c": true}',
+                 "x.csv": "theta\n1\n", "same.json": "[0.5]"},
+    }
+
+    def hashes(tree, out):
+        out.mkdir()
+        side = files[out.name.split("_")[0]]
+        for name, text in side.items():
+            (out / name).write_text(text)
+        return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in side.items()}, 0
+
+    monkeypatch.setattr(preset_outputs, "_extract", lambda rev, dest: None)
+    monkeypatch.setattr(preset_outputs, "_hashes", hashes)
+    assert preset_outputs.compare("REV") == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "sha256 differs: s.json: 1 of 2 numbers differ, largest relative change 2e-06",
+        "sha256 differs: t.csv: 2 of 4 numbers differ, largest relative change 1e-07",
+        "sha256 differs: x.csv: layout or text differs",
+    ]
 
 
 def test_preset_outputs_base_refuses_a_revision_it_cannot_extract():
