@@ -4,7 +4,7 @@ Every command is deterministic given (config, seed) and writes diff-able
 CSV/JSON data files rather than rendered images. Exit codes: 0 success,
 2 refused input (any ValueError, or a ConfigError for a rule only the CLI
 has), 3 validation failure, 4 numerical failure (InvalidStateError,
-TruncationError, BracketError or LinAlgError).
+TruncationError, BracketError, LinAlgError or OverflowError).
 """
 
 from __future__ import annotations
@@ -233,9 +233,9 @@ def cmd_track(args) -> int:
     run = run_tracking(scenario, cfg, cal)
     report = sensitivity_report(run, accounting=args.accounting)
     rec = run.records
-    columns = {name: rec[name] for name in ("repeat", "window_index", "phase_index", "phi_set")}
-    columns.update(zip(COUNT_COLUMNS, rec.counts.T))
-    columns.update(phi_est=rec.phi_est, low_information=rec.low_information)
+    columns = {}  # the record fields in order, counts split into one column per outcome
+    for name in rec.dtype.names:
+        columns |= dict(zip(COUNT_COLUMNS, rec.counts.T)) if name == "counts" else {name: rec[name]}
     out = Path(args.out)
     _write_table(out, "tracking", "csv", columns)
     write_json(out / "tracking_summary.json", run.summary_dict())
@@ -347,7 +347,7 @@ def main(argv=None) -> int:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     # InvalidStateError and LinAlgError are ValueErrors: they must come first
-    except (InvalidStateError, TruncationError, BracketError, np.linalg.LinAlgError) as exc:
+    except (InvalidStateError, TruncationError, BracketError, np.linalg.LinAlgError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError) as exc:

@@ -6,19 +6,18 @@ truncated generators; each conserves a photon-number label (n_a - n_b for a
 squeezer, n_a + n_b for a beamsplitter), so the unitary is kept as one
 (indices, block) pair per conserved sector, each from one eigendecomposition,
 and applied block by block: no (n_max+1)^2-square matrix is built. Internal
-loss is a beamsplitter onto an environment mode in vacuum, summed out at
-detection. Mode mismatch is a beamsplitter of a with a' and of b with b',
-once, before the phase on all four modes, which commutes with it as a', b'
-are empty until then. It is never undone: each arm's detector sees only n_a +
-n_a' (or n_b + n_b'), which a rotation back keeps. External loss is a weight
-at detection: "mode m empty after transmission eta" has the POVM element
-sum_n (1 - eta)^n |n><n|, so the vacuum probabilities are exact, and the
-clicks follow from them by inclusion-exclusion.
+loss is a beamsplitter onto an environment mode in vacuum. Mode mismatch is
+a beamsplitter of a with a' and of b with b', once, before the phase e^{iNt}
+(N the photon number of every sample mode), which commutes with it as a', b'
+are empty until then; it is never undone, as each arm's detector sees only
+n_a + n_a' (or n_b + n_b'). External loss is a weight at detection: "mode m
+empty after transmission eta" has the POVM element sum_n (1 - eta)^n |n><n|,
+so one contraction of |psi|^2 gives the exact vacuum probabilities, and the
+clicks follow by inclusion-exclusion.
 
 ``simulate_fock(cfg, phis)`` takes an array of phases, as ``clicks`` does,
-and returns one (p00, p01, p10, p11) row per phase. Each call evolves the
-part before the phase and builds the detection weights once, then runs the
-rest one phase at a time, so memory does not grow with the number of phases.
+and returns one (p00, p01, p10, p11) row per phase. It evolves the part
+before the phase once, then one state per phase, holding one at a time.
 """
 
 from __future__ import annotations
@@ -125,11 +124,11 @@ def evolve_fock(cfg: InterferometerConfig, phis, n_max: int) -> Iterator[np.ndar
     Yields the pure state's amplitudes, shape (n_max+1,) * modes (see
     ``_layout``), at each of the phases ``phis`` (any array-like, flattened;
     ValueError if one is not finite) in turn. The part before the phase
-    (vacuum, first squeezer, internal loss, and the mismatch rotation, which
-    commutes with the phase and is never undone: see the module docstring) is
-    evolved once per call; each phase costs its phase factor and the second
-    squeezer. The internal-loss beamsplitter is exact under truncation: with
-    the environment empty, each (n_a + n_e) sector it touches is complete.
+    (vacuum, first squeezer, internal loss, mismatch rotation) is evolved once
+    per call; each phase t is then one multiply by e^{iNt}, N the total photon
+    number of the sample modes, and the second squeezer. The internal-loss
+    beamsplitter is exact under truncation: with the environment empty, each
+    (n_a + n_e) sector it touches is complete.
     """
     ts = _phases(phis) + cfg.phase_offset
     d = n_max + 1
@@ -143,13 +142,11 @@ def evolve_fock(cfg: InterferometerConfig, phis, n_max: int) -> Iterator[np.ndar
         for mode, partner in zip((0, 1), partners):
             start = _apply_pair_unitary(start, _beamsplitter_unitary(angle, n_max), mode, partner)
 
-    # phase: e^{i n t} on every sample mode, one (d, d) factor per pair (a, b), (a', b')
-    phase = 1j * np.add.outer(np.arange(d), np.arange(d))
-    shapes = [(1,) * m + (d, d) + (1,) * (num_modes - m - 2) for m in arm_h]
-    for t in ts:
-        factor = np.exp(phase * t)
-        vec = math.prod((factor.reshape(shape) for shape in shapes), start=start)
-        yield _apply_pair_unitary(vec, _squeezer_unitary(cfg.r2, n_max), 0, 1)
+    # N, broadcastable; each phase exponentiates its few values, not the full array
+    total = sum(np.arange(d).reshape((-1,) + (1,) * (num_modes - 1 - m)) for m in arm_h + arm_v)
+    levels = 1j * np.arange(total.max() + 1)
+    for t in ts:  # the phased state is a temporary, freed before the caller's work
+        yield _apply_pair_unitary(start * np.exp(levels * t)[total], _squeezer_unitary(cfg.r2, n_max), 0, 1)
 
 
 def simulate_fock(cfg: InterferometerConfig, phis, budget: float = 1e-8) -> np.ndarray:
@@ -158,19 +155,22 @@ def simulate_fock(cfg: InterferometerConfig, phis, budget: float = 1e-8) -> np.n
 
     The cutoff is the smallest whose worst-case bound (total squeezing r1+r2)
     meets ``budget``, ``required_n_max(r1 + r2, budget)``; raises
-    TruncationError when no cutoff does.
+    TruncationError when no cutoff does. Detection is one contraction a phase.
     """
     n_max = required_n_max(cfg.r1 + cfg.r2, budget)
     arm_h, arm_v, num_modes = _layout(cfg)
-    n = np.arange(n_max + 1)
-    # "mode m empty": weight (1 - eta)^n on axis m, with 0^0 = 1 at eta = 1;
-    # every other mode is summed out
-    h, v = ([((1.0 - eta) ** n).reshape((-1,) + (1,) * (num_modes - 1 - m)) for m in arm]
-            for eta, arm in ((cfg.eta_h, arm_h), (cfg.eta_v, arm_v)))
+    # one (2, n_max + 1) operand per detected mode, rows (1 - eta)^0 = 1 and (1 - eta)^n, "mode
+    # empty" (0^0 = 1); an arm's modes share its output index, and the environment axes, named by
+    # none, are summed: [[all, V empty], [H empty, both empty]]. Its pairwise order needs only shapes.
+    contraction = [list(range(num_modes))]
+    for eta, arm, out in ((cfg.eta_h, arm_h, num_modes), (cfg.eta_v, arm_v, num_modes + 1)):
+        for m in arm:
+            contraction += [(1.0 - eta) ** np.outer((0, 1), np.arange(n_max + 1)), [out, m]]
+    contraction.append([num_modes, num_modes + 1])
+    path, _ = np.einsum_path(np.broadcast_to(0.0, (n_max + 1,) * num_modes), *contraction, optimize="greedy")
 
     def detect(vec):
-        w = np.abs(vec) ** 2
-        p00, ph, pv = (math.prod(weights, start=w).sum() for weights in (h + v, h, v))
+        (_, pv), (ph, p00) = np.einsum(np.abs(vec) ** 2, *contraction, optimize=path)
         return p00, ph - p00, pv - p00, 1.0 - ph - pv + p00
 
     # map, unlike a loop variable, drops each state before the next one is evolved

@@ -85,8 +85,9 @@ class TrackingScenario:
             raise ValueError(f"window, repetition_rate and phase_schedule take numbers, got {bad}")
         schedule = tuple((float(p), float(d)) for p, d in self.phase_schedule)
         object.__setattr__(self, "phase_schedule", schedule)
-        if not (0 < self.window < math.inf and 0 < self.repetition_rate < math.inf):
-            raise ValueError("window and repetition_rate must be finite and > 0")
+        if not (0 < self.window < math.inf and 0 < self.repetition_rate < math.inf
+                and self.repetition_rate * self.window < math.inf):
+            raise ValueError("window, repetition_rate and their product must be finite and > 0")
         if self.trials_per_window < 1:
             raise ValueError(f"repetition_rate * window = {self.repetition_rate * self.window:g} "
                              "rounds to no trials per window")
@@ -97,9 +98,6 @@ class TrackingScenario:
         for phi, duration in schedule:
             if not (math.isfinite(phi) and 0 <= duration < math.inf):
                 raise ValueError(f"phases must be finite and durations finite and >= 0, got ({phi}, {duration})")
-            n = duration / self.window
-            if abs(n - round(n)) > 1e-9:
-                raise ValueError(f"duration {duration} is not a multiple of window {self.window}")
         if self.windows_per_repeat == 0:
             raise ValueError("the phase schedule needs at least one window")
         if self.branch is not None:
@@ -107,8 +105,16 @@ class TrackingScenario:
         self.resolved_branch()  # raises for a default branch wider than pi/2
 
     @property
+    def windows_per_phase(self) -> list[int]:
+        """Each schedule entry's window count, duration / window, which must be finite and whole."""
+        counts = [duration / self.window for _, duration in self.phase_schedule]
+        if bad := [n for n in counts if not (math.isfinite(n) and abs(n - round(n)) <= 1e-9)]:
+            raise ValueError(f"duration / window must be finite and whole, got {bad} (window {self.window})")
+        return [round(n) for n in counts]
+
+    @property
     def windows_per_repeat(self) -> int:
-        return sum(int(round(d / self.window)) for _, d in self.phase_schedule)
+        return sum(self.windows_per_phase)
 
     @property
     def trials_per_window(self) -> int:
@@ -154,8 +160,7 @@ def run_tracking(
     in one batch, record. Windows without phase information are flagged."""
     trials = scenario.trials_per_window
     phis = np.array([phi_set for phi_set, _ in scenario.phase_schedule])
-    per_phase = [int(round(duration / scenario.window)) for _, duration in scenario.phase_schedule]
-    phase_of = np.tile(np.repeat(np.arange(len(phis)), per_phase), scenario.repeats)
+    phase_of = np.tile(np.repeat(np.arange(len(phis)), scenario.windows_per_phase), scenario.repeats)
     probs = fringe(cfg, phis)
     counts = np.array([
         _stream(scenario.seed, index).multinomial(trials, probs[phase_index])

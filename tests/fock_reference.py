@@ -1,6 +1,8 @@
 """Fock-space references used only by the tests: the two-mode squeezed vacuum
-amplitudes in closed form and the dense squeezer unitary assembled from the
-sector blocks that ``squint.fock`` applies directly."""
+amplitudes in closed form, the dense squeezer unitary assembled from the
+sector blocks that ``squint.fock`` applies directly, and the click
+probabilities of one oracle state by full-size weighted products, the
+formula that the oracle's one contraction replaced."""
 
 from __future__ import annotations
 
@@ -8,7 +10,8 @@ import math
 
 import numpy as np
 
-from squint.fock import TruncationError, _squeezer_unitary, truncation_error_bound
+from squint.fock import TruncationError, _layout, _squeezer_unitary, truncation_error_bound
+from squint.gaussian import InterferometerConfig
 
 
 def tmss_amplitudes(r: float, n_max: int) -> np.ndarray:
@@ -39,3 +42,18 @@ def squeezer_unitary(r: float, n_max: int, budget: float | None = None) -> np.nd
     for idx, block in _squeezer_unitary(float(r), int(n_max)):
         u[np.ix_(idx, idx)] = block
     return u
+
+
+def state_clicks(cfg: InterferometerConfig, vec: np.ndarray) -> tuple:
+    """(p00, p01, p10, p11) of one ``evolve_fock`` state by full-size products:
+    P(both arms empty), P(H empty) and P(V empty) are each the sum of |psi|^2
+    times the weight (1 - eta)^n of "mode m empty" on the axis of every mode of
+    those arms; the clicks follow by inclusion-exclusion."""
+    arm_h, arm_v, num_modes = _layout(cfg)
+    n = np.arange(vec.shape[0])
+    # 0^0 = 1 at eta = 1; every other mode is summed out
+    h, v = ([((1.0 - eta) ** n).reshape((-1,) + (1,) * (num_modes - 1 - m)) for m in arm]
+            for eta, arm in ((cfg.eta_h, arm_h), (cfg.eta_v, arm_v)))
+    w = np.abs(vec) ** 2
+    p00, ph, pv = (math.prod(weights, start=w).sum() for weights in (h + v, h, v))
+    return p00, ph - p00, pv - p00, 1.0 - ph - pv + p00

@@ -12,9 +12,10 @@ With --base REV the script compares two trees itself. It extracts REV with
 ``git archive REV | tar -x`` into a temporary directory, runs that tree's own
 command list with its own src/, then this tree's list with this tree's src/.
 It prints each file whose sha256 differs or that exists on one side only.
-For a CSV or JSON file on both sides it adds how many of its numbers differ
-and their largest relative change |new - old| / max(|old|, |new|), or that
-its layout or text differs, when anything but a number does.
+For a CSV or JSON file on both sides it adds how many of its numbers differ,
+their largest relative change |new - old| / max(|old|, |new|) and their
+largest absolute change |new - old|, or that its layout or text differs,
+when anything but a number does.
 
 Exit codes: 0 when every command succeeds (and, with --base, no file
 differs); 1 when a command fails or, with --base, a file differs or exists on
@@ -112,9 +113,15 @@ def numeric_change(old: Path, new: Path) -> str:
                                or not isinstance(x, float) and x != y for x, y in zip(a, b)):
         return "layout or text differs"
     numbers = [(x, y) for x, y in zip(a, b) if isinstance(x, float)]
-    changes = [abs(y - x) / max(abs(x), abs(y)) if math.isfinite(x) and math.isfinite(y) else math.inf
-               for x, y in numbers if x != y and not (math.isnan(x) and math.isnan(y))]
-    return f"{len(changes)} of {len(numbers)} numbers differ, largest relative change {max(changes, default=0.0):.2g}"
+    changed = [(x, y) for x, y in numbers if x != y and not (math.isnan(x) and math.isnan(y))]
+
+    def largest(change):
+        return max((change(x, y) if math.isfinite(x) and math.isfinite(y) else math.inf for x, y in changed),
+                   default=0.0)
+
+    return (f"{len(changed)} of {len(numbers)} numbers differ, largest relative change "
+            f"{largest(lambda x, y: abs(y - x) / max(abs(x), abs(y))):.2g}, "
+            f"largest absolute change {largest(lambda x, y: abs(y - x)):.2g}")
 
 
 def _extract(rev: str, dest: Path) -> None:

@@ -370,6 +370,8 @@ class TestConfigHandling:
         ("interferometer", {"r1": True, "r2": True}),  # ran at r1 = r2 = 1.0
         ("scenario", {"phase_schedule": [[True, 0.2]]}),  # ran at phase 1.0
         ("scenario", {"branch_margin": 0.1}),  # the margin is fixed; "branch" sets any other branch
+        # 1e316 windows: the count overflowed to inf and ended in a traceback, exit 1
+        ("scenario", {"phase_schedule": [[0.5, 1e308]], "window": 1e-8, "repetition_rate": 1e8, "repeats": 1}),
     ])
     def test_refused_section_values(self, tmp_path, capsys, section, values):
         payload = {"interferometer": {"r1": 0.3, "r2": 0.3},
@@ -562,11 +564,17 @@ class TestConfigHandling:
         assert main(["sweep", "--phi-steps", "3", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == "config error: refused by the library\n"
 
-    def test_invalid_state_is_numerical_failure(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, r", [
+        ("sweep", 400.0),
+        # an OverflowError from sinh(r1)^2 and from cosh(r1) ended in a traceback, exit 1
+        ("fisher", 356.0),
+        ("sweep", 711.0),
+    ])
+    def test_invalid_state_is_numerical_failure(self, tmp_path, capsys, command, r):
         # InvalidStateError is a ValueError too: its except clause must come first
-        cfg = write_config(tmp_path, {"interferometer": {"r1": 400.0, "r2": 400.0}})
+        cfg = write_config(tmp_path, {"interferometer": {"r1": r, "r2": r}})
         with np.errstate(all="ignore"):
-            code = main(["sweep", "--config", cfg, "--phi-steps", "3", "--out", str(tmp_path)])
+            code = main([command, "--config", cfg, "--phi-steps", "3", "--out", str(tmp_path)])
         assert code == 4
         assert capsys.readouterr().err.startswith("numerical failure: ")
 

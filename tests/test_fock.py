@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fock_reference import squeezer_unitary, tmss_amplitudes
+from fock_reference import squeezer_unitary, state_clicks, tmss_amplitudes
 from strategies import phase_lists
 from squint.detection import fringe
 from squint.fock import (
@@ -230,6 +230,25 @@ class TestSimulateFock:
                                    overlap=overlap, phase_offset=offset)
         fock = simulate_fock(cfg, phis, budget=1e-8)
         assert np.abs(fock - fringe(cfg, phis)).max() <= 1e-6
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.floats(0.0, 0.2),
+        st.floats(0.0, 0.2),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.one_of(st.just(1.0), st.floats(0.5, 1.0, exclude_max=True)),
+        st.one_of(st.just(1.0), st.floats(0.8, 1.0, exclude_max=True)),
+        st.floats(-math.pi, math.pi),
+        st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=1, max_size=2),
+    )
+    def test_contraction_equals_weighted_products(self, r1, r2, eta_h, eta_v, eta_int, overlap, offset, phis):
+        # two, four (internal loss or mismatch) or six modes
+        cfg = InterferometerConfig(r1=r1, r2=r2, eta_h=eta_h, eta_v=eta_v, eta_internal=eta_int,
+                                   overlap=overlap, phase_offset=offset)
+        n_max = required_n_max(r1 + r2, 1e-6)  # the cutoff simulate_fock derives
+        ref = [state_clicks(cfg, vec) for vec in evolve_fock(cfg, phis, n_max)]
+        assert np.abs(simulate_fock(cfg, phis, budget=1e-6) - ref).max() <= 1e-14
 
     @pytest.mark.parametrize(
         "cfg",

@@ -141,8 +141,11 @@ class TestScenario:
             mini_scenario(seed=1.5)
         with pytest.raises(ValueError, match="repeats must be an integer"):
             mini_scenario(repeats=True)  # True was one repeat
+        # the last two overflowed to inf and ended in an OverflowError
         for bad in (dict(repetition_rate=math.inf), dict(window=math.nan),
-                    dict(phase_schedule=((0.5, math.inf),)), dict(phase_schedule=((math.nan, 0.2),))):
+                    dict(phase_schedule=((0.5, math.inf),)), dict(phase_schedule=((math.nan, 0.2),)),
+                    dict(phase_schedule=((0.5, 1e308),), window=1e-8, repetition_rate=1e8, repeats=1),
+                    dict(window=1e300, repetition_rate=1e300)):
             with pytest.raises(ValueError, match="must be finite"):
                 mini_scenario(**bad)
 

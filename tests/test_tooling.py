@@ -91,8 +91,8 @@ def test_preset_outputs_base_reports_the_largest_numeric_change(monkeypatch, cap
     monkeypatch.setattr(preset_outputs, "_hashes", hashes)
     assert preset_outputs.compare("REV") == 1
     assert capsys.readouterr().out.splitlines() == [
-        "sha256 differs: s.json: 1 of 2 numbers differ, largest relative change 2e-06",
-        "sha256 differs: t.csv: 2 of 4 numbers differ, largest relative change 1e-07",
+        "sha256 differs: s.json: 1 of 2 numbers differ, largest relative change 2e-06, largest absolute change 4e-06",
+        "sha256 differs: t.csv: 2 of 4 numbers differ, largest relative change 1e-07, largest absolute change 1e-07",
         "sha256 differs: x.csv: layout or text differs",
     ]
 
