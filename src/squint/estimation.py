@@ -140,7 +140,10 @@ class CalibrationModel:
         return cls(config, **fit)
 
     def probabilities(self, phi) -> np.ndarray:
-        """Interpolated calibration curves at phi (scalar -> (4,), array -> (N, 4))."""
+        """Interpolated calibration curves at phi (scalar -> (4,), array -> (N, 4));
+        refuses a non-finite phase."""
+        if not np.isfinite(phi).all():
+            raise ValueError("phases must be finite")
         wrapped = np.mod(phi, math.pi)
         return np.stack([np.interp(wrapped, self.phi_tab, self.curves[:, j]) for j in range(4)], axis=-1)
 
@@ -195,7 +198,8 @@ def _refuse_constant(token: str):
 def _dot4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sum over the leading outcome axis of a * b, in a fixed order so that a
     row's result never depends on the batch it sits in."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+    ab = a * b
+    return ab[0] + ab[1] + ab[2] + ab[3]
 
 
 def _frequencies(counts) -> tuple[np.ndarray, np.ndarray]:
@@ -204,7 +208,7 @@ def _frequencies(counts) -> tuple[np.ndarray, np.ndarray]:
     obs = np.asarray(counts, dtype=float)
     if obs.ndim != 2 or obs.shape[1] != 4:
         raise ValueError(f"counts must have shape (windows, 4), got {obs.shape}")
-    if not np.all(np.isfinite(obs) & (obs >= 0) & (obs == np.rint(obs))):
+    if not (np.isfinite(obs) & (obs >= 0) & (obs == np.rint(obs))).all():
         raise ValueError("counts must be finite, whole and non-negative")
     obs = obs.T
     totals = obs[0] + obs[1] + obs[2] + obs[3]
@@ -326,7 +330,11 @@ def estimate_phases(
     an objective flat over ``branch`` (width at most pi/2) gets (nan, nan,
     True).
     """
-    freqs, totals = _frequencies(counts)
+    return _estimates(*_frequencies(counts), cal, branch)
+
+
+def _estimates(freqs, totals, cal: CalibrationModel, branch: tuple[float, float]):
+    """``estimate_phases`` of the windows' frequencies (4, W) and totals (W,)."""
     nodes, values, step, length2 = cal._branch_nodes(*_check_branch(branch))
 
     phi_est, objective = np.empty((2, totals.size))
@@ -363,8 +371,9 @@ def estimate_phase(
     that total and raises ValueError if it differs. Raises UnidentifiableError
     when the window carries no phase information on the branch.
     """
-    (phi,), (value,), (low,) = estimate_phases([observed], cal, branch)
-    total = int(np.sum(observed))
+    freqs, totals = _frequencies([observed])
+    (phi,), (value,), (low,) = _estimates(freqs, totals, cal, branch)
+    total = int(totals[0])
     if trials and trials != total:
         raise ValueError(f"trials {trials!r} differs from the window's total of counts {total}")
     if math.isnan(phi):

@@ -64,7 +64,8 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 class TrackingScenario:
     """Phase-tracking schedule: a staircase of set phases sampled in windows.
 
-    Each repeat replays the whole schedule, which needs at least one window;
+    Each repeat replays the whole schedule, which needs at least one window,
+    and the run's ``windows_per_repeat * repeats`` windows must fit in int64;
     ``duration`` of every entry must be a multiple of the sampling ``window``.
     The estimation branch defaults to the scheduled phase range widened by
     0.1 rad on each side and must stay within the half period pi/2.
@@ -100,6 +101,8 @@ class TrackingScenario:
                 raise ValueError(f"phases must be finite and durations finite and >= 0, got ({phi}, {duration})")
         if self.windows_per_repeat == 0:
             raise ValueError("the phase schedule needs at least one window")
+        if self.windows_per_repeat * self.repeats > np.iinfo(np.int64).max:  # the records' window index
+            raise ValueError(f"{self.windows_per_repeat:.3g} windows x {self.repeats} repeats do not fit in int64")
         if self.branch is not None:
             object.__setattr__(self, "branch", _check_branch(self.branch))
         self.resolved_branch()  # raises for a default branch wider than pi/2

@@ -1,0 +1,195 @@
+"""Time the one-phase click path of this tree against a revision, in one process.
+
+Usage: python tests/ab_timing.py --base REV [--rounds K] [--windows W]
+
+The script extracts REV with ``git archive REV | tar -x`` (the helper of
+``preset_outputs.py``) into a temporary directory and loads both trees'
+``squint`` packages in this process, as ``squint_base`` and ``squint_head``.
+
+It first checks that the two trees give the same bits: p and dp/dphi of
+``clicks`` on fixed random configs (a 300-phase batch and three one-phase
+calls each), and ``phi_est``, ``objective_value`` and ``low_information`` of
+one ``estimate_phases`` batch on the fig4 preset's windows and of the
+one-window ``estimate_phase`` on the first W of them. Where they differ it
+prints how many values differ and the largest absolute and relative change,
+and the script exits 1 after the timings.
+
+Then it times, in K rounds (default 10), one-phase ``clicks``, one-phase
+``fisher``, a one-window ``estimate_phase`` over the first W fig4 windows
+(default 200) and 2049-phase ``clicks``, each by ``time.process_time``. A
+round times each row on both sides in turn, and the side that goes first
+alternates by round. For each row it prints both sides' median per call, the
+median and quartiles of the per-round ratio this tree / base, and each
+side's median ``ru_minflt`` page faults per call.
+
+Exit codes: 0 when every value is bitwise equal; 1 when one differs; 2 for a
+usage error or a REV that cannot be extracted.
+"""
+
+import argparse
+import importlib.util
+import math
+import resource
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+from preset_outputs import ROOT, _extract
+
+SIDES = ("base", "head")
+# random configs of the bit check, and the repeats per round of each row
+CONFIGS = 40
+REPEATS = {"clicks, 1 phase": 200, "fisher, 1 phase": 200, "clicks, 2049 phases": 5}
+
+
+def load(name: str, src: Path):
+    """The ``squint`` package under ``src`` imported as ``name``, with its presets."""
+    spec = importlib.util.spec_from_file_location(name, src / "squint" / "__init__.py",
+                                                  submodule_search_locations=[str(src / "squint")])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    importlib.import_module(f"{name}.presets")
+    return module
+
+
+def random_configs(pkg) -> list:
+    """Fixed configs over the model's range, with every efficiency, squeezing
+    and overlap also at its ends."""
+    rng = np.random.default_rng(20240)
+    ends = {"r1": (0.0,), "r2": (0.0,), "eta_h": (0.0, 1.0), "eta_v": (0.0, 1.0), "eta_internal": (1.0,),
+            "overlap": (1.0,)}
+    configs = []
+    for _ in range(CONFIGS):
+        fields = {"r1": rng.uniform(0, 1), "r2": rng.uniform(0, 1), "eta_h": rng.uniform(0, 1),
+                  "eta_v": rng.uniform(0, 1), "eta_internal": rng.uniform(0.3, 1), "overlap": rng.uniform(0.5, 1),
+                  "phase_offset": rng.uniform(-math.pi, math.pi)}
+        for name, values in ends.items():
+            if rng.uniform() < 0.2:
+                fields[name] = float(rng.choice(values))
+        configs.append(pkg.InterferometerConfig(**fields))
+    return configs
+
+
+def difference(label: str, old, new) -> str | None:
+    """None when two arrays hold the same bits, else how they differ."""
+    old, new = np.asarray(old), np.asarray(new)
+    if old.shape == new.shape and old.dtype == new.dtype and old.tobytes() == new.tobytes():
+        return None
+    if old.shape != new.shape:
+        return f"{label}: shape {old.shape} -> {new.shape}"
+    a, b = old.astype(float).ravel(), new.astype(float).ravel()
+    changed = (a != b) & ~(np.isnan(a) & np.isnan(b)) | (np.signbit(a) != np.signbit(b))
+    delta = np.abs(b - a)[changed]
+    scale = np.maximum(np.abs(a), np.abs(b))[changed]
+    relative = np.divide(delta, scale, out=np.zeros_like(delta), where=scale > 0)
+    return (f"{label}: {changed.sum()} of {a.size} values differ, largest absolute change "
+            f"{delta.max(initial=0.0):.3g}, largest relative change {relative.max(initial=0.0):.3g}")
+
+
+def fig4_windows(pkg):
+    """The tracking preset's config, its calibration model, the fig4 branch and
+    trials per window, and the fig4 replay's counts (W, 4)."""
+    cfg = pkg.presets.tracking_config()
+    cal = pkg.CalibrationModel.from_config(cfg)
+    scenario = pkg.presets.fig4_scenario(seed=0)
+    counts = pkg.run_tracking(scenario, cfg, cal).records.counts
+    return cfg, cal, scenario.resolved_branch(), scenario.trials_per_window, counts
+
+
+def bit_check(pkgs: dict, windows: dict, n_windows: int) -> list[str]:
+    """Every difference between the trees' values, as lines."""
+    out = {}
+    for side, pkg in pkgs.items():
+        values = []
+        for cfg in random_configs(pkg):
+            phis = np.random.default_rng(7).uniform(-2 * math.pi, 2 * math.pi, 300)
+            values += pkg.clicks(cfg, phis)
+            for phi in phis[:3]:
+                values += pkg.clicks(cfg, [phi])
+        _, cal, branch, trials, counts = windows[side]
+        one = [pkg.estimate_phase(row, cal, branch, trials=trials) for row in counts[:n_windows]]
+        values += [[e.phi_est for e in one], [e.objective_value for e in one], [e.low_information for e in one]]
+        values += pkg.estimate_phases(counts, cal, branch)
+        out[side] = values
+    labels = [f"config {k} {name}" for k in range(CONFIGS)
+              for name in ("batch p", "batch dp", *("one-phase p", "one-phase dp") * 3)]
+    labels += [f"estimate_phase {f}" for f in ("phi_est", "objective_value", "low_information")]
+    labels += [f"estimate_phases {f}" for f in ("phi_est", "objective_value", "low_information")]
+    return [line for label, old, new in zip(labels, *out.values()) if (line := difference(label, old, new))]
+
+
+def rows(pkg, window, n_windows: int) -> dict:
+    """Each timed row as (call, the calls it makes, its runs per round)."""
+    cfg, cal, branch, trials, counts = window
+    one, batch = np.array([0.7]), np.linspace(0.0, math.pi, 2049)
+    picked = counts[:n_windows]
+
+    def estimates():
+        for row in picked:
+            pkg.estimate_phase(row, cal, branch, trials=trials)
+
+    return {
+        "clicks, 1 phase": (lambda: pkg.clicks(cfg, one), 1, REPEATS["clicks, 1 phase"]),
+        "fisher, 1 phase": (lambda: pkg.fisher(cfg, one), 1, REPEATS["fisher, 1 phase"]),
+        "estimate_phase, 1 window": (estimates, len(picked), 1),
+        "clicks, 2049 phases": (lambda: pkg.clicks(cfg, batch), 1, REPEATS["clicks, 2049 phases"]),
+    }
+
+
+def timed(call, calls: int, reps: int) -> tuple[float, float]:
+    """Process time and minor page faults per call, of ``reps`` runs of
+    ``call``, which makes ``calls`` calls."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.process_time()
+    for _ in range(reps):
+        call()
+    spent = time.process_time() - start
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return spent / (reps * calls), faults / (reps * calls)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True)
+    parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--windows", type=int, default=200)
+    args = parser.parse_args(argv)
+    if args.rounds < 1 or args.windows < 1:
+        parser.error("--rounds and --windows must be >= 1")
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            _extract(args.base, Path(tmp))
+        except (OSError, subprocess.CalledProcessError) as exc:
+            print(f"cannot extract revision {args.base!r}: {exc}", file=sys.stderr)
+            return 2
+        pkgs = {"base": load("squint_base", Path(tmp) / "src"), "head": load("squint_head", ROOT / "src")}
+        windows = {side: fig4_windows(pkg) for side, pkg in pkgs.items()}
+        differences = bit_check(pkgs, windows, args.windows)
+        for line in differences:
+            print(line)
+        print(f"bit check: {'values differ' if differences else 'every value bitwise equal'} "
+              f"({CONFIGS} configs; {len(windows['head'][4])} fig4 windows, the first {args.windows} one by one)")
+
+        timings = {side: rows(pkg, windows[side], args.windows) for side, pkg in pkgs.items()}
+        results = {name: {side: [] for side in SIDES} for name in timings["head"]}
+        for k in range(args.rounds):
+            for name in results:
+                for side in SIDES[::(-1) ** k]:
+                    results[name][side].append(timed(*timings[side][name]))
+    print(f"{args.rounds} alternating rounds, process time per call; ratio = this tree / {args.base}")
+    print("row | base | this tree | ratio median [q1, q3] | faults per call base / this tree")
+    for name, sides in results.items():
+        base, head = (np.array(sides[side]) for side in SIDES)
+        q1, median, q3 = np.percentile(head[:, 0] / base[:, 0], [25, 50, 75])
+        print(f"{name} | {np.median(base[:, 0]) * 1e6:.1f} us | {np.median(head[:, 0]) * 1e6:.1f} us | "
+              f"{median:.3f} [{q1:.3f}, {q3:.3f}] | {np.median(base[:, 1]):.2f} / {np.median(head[:, 1]):.2f}")
+    return int(bool(differences))
+
+
+if __name__ == "__main__":
+    sys.exit(main())

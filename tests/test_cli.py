@@ -372,6 +372,8 @@ class TestConfigHandling:
         ("scenario", {"branch_margin": 0.1}),  # the margin is fixed; "branch" sets any other branch
         # 1e316 windows: the count overflowed to inf and ended in a traceback, exit 1
         ("scenario", {"phase_schedule": [[0.5, 1e308]], "window": 1e-8, "repetition_rate": 1e8, "repeats": 1}),
+        # 1e300 windows: "numerical failure: Python int too large to convert to C long", exit 4
+        ("scenario", {"phase_schedule": [[0.5, 1e300]], "window": 1, "repetition_rate": 10}),
     ])
     def test_refused_section_values(self, tmp_path, capsys, section, values):
         payload = {"interferometer": {"r1": 0.3, "r2": 0.3},

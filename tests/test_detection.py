@@ -114,7 +114,7 @@ class TestBatchInvariance:
     @given(random_configs, st.floats(-2 * math.pi, 2 * math.pi), st.integers(0, 599))
     def test_one_phase_equals_its_row_of_a_long_batch(self, cfg, phi, k):
         # one click path for every batch size: a one-phase call is bit for bit
-        # its row of a batch that spans three chunks
+        # its row of a batch that spans five chunks
         phis = np.linspace(-math.pi, math.pi, 600)
         phis[k] = phi
         p, dp = clicks(cfg, phis)

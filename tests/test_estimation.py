@@ -48,6 +48,12 @@ class TestCalibrationModel:
             b = tracking_cal.probabilities(phi + math.pi)
             assert a == pytest.approx(b, abs=1e-12)
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, [0.3, math.nan, 0.5]])
+    def test_probabilities_refuse_non_finite_phases(self, tracking_cal, phi):
+        # the interpolation returned nan rows with a RuntimeWarning
+        with pytest.raises(ValueError, match="phases must be finite"):
+            tracking_cal.probabilities(phi)
+
     def test_vectorized_probabilities(self, tracking_cal):
         grid = np.array([0.2, 0.7, 1.5])
         batch = tracking_cal.probabilities(grid)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reference_chain import op_by_op_clicks, op_by_op_dclicks, overlap_one_clicks
 from strategies import phase_lists, random_configs
@@ -47,6 +48,16 @@ class TestFisherPerTrial:
     def test_constant_model_gives_zero(self):
         cfg = InterferometerConfig(r1=0.5, r2=0.5, eta_h=0.0, eta_v=0.0)
         assert np.array_equal(fisher(cfg, [0.0, 0.7, 2.0]), np.zeros(3))
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_configs, st.floats(-2 * math.pi, 2 * math.pi), st.integers(0, 599))
+    def test_one_phase_equals_its_row_of_a_long_batch(self, cfg, phi, k):
+        # run_tracking flags a window's low information from a batch and a
+        # re-estimate from one phase, so the two agree only if F does bit for
+        # bit; the batch spans five chunks
+        phis = np.linspace(-math.pi, math.pi, 600)
+        phis[k] = phi
+        assert fisher(cfg, [phi]).tobytes() == fisher(cfg, phis)[k:k + 1].tobytes()
 
     def test_per_photon_benchmark(self):
         cfg = ideal(0.59)

@@ -148,6 +148,12 @@ class TestScenario:
                     dict(window=1e300, repetition_rate=1e300)):
             with pytest.raises(ValueError, match="must be finite"):
                 mini_scenario(**bad)
+        # a window count past int64 ran into "Python int too large to convert to C long" (exit 4)
+        for bad in (dict(phase_schedule=((0.5, 1e300),), window=1.0, repetition_rate=10.0),
+                    dict(phase_schedule=((0.5, 1e19),), window=1.0, repetition_rate=10.0, repeats=1),
+                    dict(phase_schedule=((0.5, 1.0),), window=1.0, repetition_rate=10.0, repeats=10**19)):
+            with pytest.raises(ValueError, match="do not fit in int64"):
+                mini_scenario(**bad)
 
 
 class TestRunTracking:

@@ -3,7 +3,9 @@ reports its falsifying example, and the run goes on to the next test. The
 command list of ``preset_outputs.py``: every argv parses, and together they
 run every preset; its --base comparison reports every changed file, with
 the largest relative change of a CSV or JSON file's numbers, and refuses a
-revision it cannot extract."""
+revision it cannot extract. ``ab_timing.py``: against HEAD it finds every
+value bitwise equal and times every row, and it reports a changed value,
+a changed sign of zero included."""
 
 import argparse
 import hashlib
@@ -11,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import ab_timing
 import preset_outputs
 from preset_outputs import COMMANDS
 from squint.cli import build_parser
@@ -102,3 +105,20 @@ def test_preset_outputs_base_refuses_a_revision_it_cannot_extract():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("cannot extract revision 'no-such-rev'") and proc.stderr.count("\n") == 1
+
+
+def test_ab_timing_against_head_finds_equal_bits_and_times_each_row():
+    proc = subprocess.run([sys.executable, str(ROOT / "tests" / "ab_timing.py"), "--base", "HEAD", "--rounds", "1",
+                           "--windows", "5"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("bit check: every value bitwise equal")
+    assert [line.split(" | ")[0] for line in lines[3:]] == [
+        "clicks, 1 phase", "fisher, 1 phase", "estimate_phase, 1 window", "clicks, 2049 phases"]
+
+
+def test_ab_timing_reports_a_changed_value():
+    assert ab_timing.difference("p", [0.5, 0.25], [0.5, 0.25]) is None
+    assert ab_timing.difference("p", [0.5, 0.25, 0.0], [0.5, 0.2, -0.0]) == (
+        "p: 2 of 3 values differ, largest absolute change 0.05, largest relative change 0.2")
+    assert ab_timing.difference("p", [1.0], [1.0, 2.0]) == "p: shape (1,) -> (2,)"
