@@ -21,7 +21,10 @@ accuracy where an outcome vanishes, and F = sum dp^2/p needs no guard.
 ``clicks`` returns both on its one path, and ``fringe`` is its p. Both are
 carried as jets. The complex steps are five batches of sums of products
 (matrix, cross and outer products, tr(adj(X) Y)), each one gather, one
-multiply and one add per term; the real steps are jet products x y.
+multiply and one add per term; the first three write into one workspace per
+chunk, laid out so that each batch's output sits where the next batch reads
+it. The real steps are jet products x y on one table of the P_X, c(X) and
+the gain, from which one gather gives both factors of every outcome row.
 """
 
 from __future__ import annotations
@@ -49,22 +52,32 @@ _OUTCOMES = ("p00", "p01", "p10", "p11")
 # 0.6 MB traced a chunk.
 _CHUNK = 128
 # the outcome rows p00 = q(N_H) q(G_V), p01 = q(N_H) c(G_V), p10 = q(N_V) c(G_H),
-# c(N_H) c(N_V), q(N_V) q(G_H) and q(N_H) gain, as pairs of entries of the table
-# (q(N_H), q(N_V), q(G_H), q(G_V), c(N_H), c(N_V), c(G_H), c(G_V), gain)
-_ROWS = np.array([[0, 3], [0, 7], [1, 6], [4, 5], [1, 2], [0, 8]]).T
+# c(N_H) c(N_V), q(N_V) q(G_H) and q(N_H) gain, as entries of the table
+# (q(N_H), q(N_V), q(G_H), q(G_V), c(N_H), c(N_V), c(G_H), c(G_V), gain): the
+# six left factors, then the six right ones; _FACTORS are their rows in the
+# table's jets (jet, entry), values first
+_ROWS = np.array([[0, 3], [0, 7], [1, 6], [4, 5], [1, 2], [0, 8]]).T.ravel()
+_FACTORS = np.concatenate([_ROWS, 9 + _ROWS])
 # overlap_for_visibility bisection
 _OVERLAP_MIN, _OVERLAP_TOL = 0.5, 1e-6
 
 
 def _checked(p: np.ndarray) -> np.ndarray:
     """Validate rows of (p00, p01, p10, p11) and clamp roundoff into [0, 1]."""
-    inside = (p >= -_CLAMP_TOL) & (p <= 1.0 + _CLAMP_TOL)  # NaN fails both
-    if not inside.all():
-        row, col = np.argwhere(~inside)[0]
+    if not p.size:
+        return p
+    # the extremes by argmin and argmax, which cost less than a reduction; a
+    # NaN is the first of either, and fails the tests
+    flat = p.ravel("K")
+    lo, hi = flat[flat.argmin()], flat[flat.argmax()]
+    if not (lo >= -_CLAMP_TOL and hi <= 1.0 + _CLAMP_TOL):
+        row, col = np.argwhere(~((p >= -_CLAMP_TOL) & (p <= 1.0 + _CLAMP_TOL)))[0]
         raise InvalidStateError(f"{_OUTCOMES[col]} = {p[row, col]} not finite or outside [0, 1]")
-    p = np.clip(p, 0.0, 1.0)
-    total = p.sum(axis=-1)
-    if not (np.abs(total - 1.0) <= _SUM_TOL).all():
+    if lo < 0.0 or hi > 1.0:  # clip leaves every value inside, -0.0 too
+        p = p.clip(0.0, 1.0)
+    total = np.add.reduce(p, -1)  # p.sum(axis=-1), without the method's wrapper
+    deviation = np.abs(total - 1.0)
+    if not deviation[deviation.argmax()] <= _SUM_TOL:
         raise InvalidStateError(f"outcome probabilities sum to {total.min()}..{total.max()}, not 1")
     return p
 
@@ -75,16 +88,8 @@ def _checked(p: np.ndarray) -> np.ndarray:
 # x0 y0, then the derivative x0 y1 + x1 y0 by the product rule.
 
 
-def _mul(x, y):
-    """Jet of the product x y."""
-    out = x[:1] * y
-    np.add(out[1], x[1] * y[0], out=out[1])
-    return out
-
-
-def _q(e):
-    """Jet of 1/(1 + e)."""
-    out = np.empty_like(e)
+def _q(e, out):
+    """Jet of 1/(1 + e), written to ``out``."""
     q = np.divide(1.0, 1.0 + e[0], out=out[0])
     np.multiply(-e[1] * q, q, out=out[1])
     return out
@@ -95,7 +100,8 @@ def _q(e):
 # summed in term order (_PAIRS lists these jet entries (i, j) of x^i y^j).
 # _rows lays a batch out once as integer rows of one source array (rows, N);
 # _products then takes both operands as contiguous arrays, multiplies them
-# once and adds or subtracts each later term's rows in place.
+# once, adds or subtracts each later term's rows in place and writes the
+# result into the rows its caller gives.
 _PAIRS = np.array([[0, 0, 1], [0, 1, 0]])
 
 
@@ -133,9 +139,9 @@ def _rows(*groups):
     return np.concatenate(left + right), start, runs, _ix(items, 3).T.ravel(), items
 
 
-def _products(src, rows):
+def _products(src, rows, out):
     """The jets of the batch that _rows laid out, over the rows of ``src``
-    (rows, N), as rows (jet, item)."""
+    (rows, N), written to ``out`` as rows (jet, item)."""
     operands, half, runs, by_pair, items = rows
     # both operands in one block, the largest allocation of a chunk: glibc then
     # raises its mmap and trim thresholds above the chunk's peak, so a long
@@ -143,12 +149,12 @@ def _products(src, rows):
     pair = src.take(operands, axis=0)
     prod = np.multiply(pair[:half], pair[half:], out=pair[:half])
     for dest, term, op in runs:
-        out = prod[dest]
-        op(out, prod[term], out=out)
-    out = prod.take(by_pair, axis=0)  # a copy, which frees the later terms
-    derivative = out[items:2 * items]
-    np.add(derivative, out[2 * items:], out=derivative)
-    return out[:2 * items]
+        rows = prod[dest]
+        op(rows, prod[term], out=rows)
+    first = prod.take(by_pair, axis=0)  # the first block pair by pair, contiguous
+    out[:items] = first[:items]
+    np.add(first[items:2 * items], first[2 * items:], out=out[items:])  # x^0 y^1 + x^1 y^0
+    return out
 
 
 def _matmul(x, y):
@@ -162,6 +168,13 @@ def _tr_adj(x, y):
     return [(x[:, 1, 1], y[:, 0, 0]), (x[:, 0, 0], y[:, 1, 1]), (x[:, 0, 1], y[:, 1, 0]), (x[:, 1, 0], y[:, 0, 1])]
 
 
+# The first three batches share one workspace (82, N) per chunk, each reading
+# a view of it: stage 1 reads rows 46:82, V*, U and V; it writes s1 to 26:48,
+# then s1* follows at 48:70, so stage 2 reads 26:82 (s1, s1*, V); it writes s2
+# to 0:22, then z* and tr N0 follow at 22:26 and 48:50, so stage 3 reads 0:50;
+# it writes s3 to 48:72. Each step overwrites only rows that no later step
+# reads. The arm weights then read N0, B and s3 there.
+_WORKSPACE = 82
 # Stage 1, from t (block V*|U|V, jet, row, column): N0 = V* V^T and M0 = U V^T
 # (items (k, l), k over the rows of V* and then of U), and w = u_0 x u_1 of U's
 # rows, (u_0 x u_1)_c = u_0,c+1 u_1,c+2 - u_0,c+2 u_1,c+1
@@ -169,29 +182,35 @@ _T = _ix(3, 2, 2, 3).swapaxes(0, 1)
 _U, _C = _T[:, 1], np.arange(3)
 _STAGE1 = _rows(("++", _matmul(_T[:, :2].reshape(2, 4, 3), _T[:, 2].swapaxes(1, 2))),
                 ("-", [(_U[:, 0, (_C + 1) % 3], _U[:, 1, (_C + 2) % 3]), (_U[:, 0, (_C + 2) % 3], _U[:, 1, (_C + 1) % 3])]))
-# Stage 2, from (stage 1, its conjugate, -n01*, -n10*, V): tr(adj(N0) N0) =
-# 2 det N0, z = V w*, B = M0^dag M0 and M0^dag adj(N0*), adj(N0*) = [[n11*, -n01*], [-n10*, n00*]]
-_S1, _S1C, _NEG = _ix(2, 11), _ix(2, 11, start=22), _ix(2, 2, start=44)
+# Stage 2, from (stage 1, its conjugate, V): tr(adj(N0) N0) = 2 det N0,
+# z = V w*, B = M0^dag M0 and M0^dag adj(N0*), adj(N0*) = [[n11*, -n01*],
+# [-n10*, n00*]], column l as M0^dag_{k,l} N0*_{l'l'} - M0^dag_{k,l'} N0*_{l'l}
+# with l' = 1 - l: a product with a negated factor is the negated product,
+# and a + (-b) is a - b, so these are the bits of the matrix product
+_S1, _S1C = _ix(2, 11), _ix(2, 11, start=22)
 _N, _NC, _MCT = _S1[:, :4].reshape(2, 2, 2), _S1C[:, :4].reshape(2, 2, 2), _S1C[:, 4:8].reshape(2, 2, 2).swapaxes(1, 2)
-_ADJ = np.stack([_NC[:, 1, 1], _NEG[:, 0], _NEG[:, 1], _NC[:, 0, 0]], -1).reshape(2, 2, 2)
 _STAGE2 = _rows(("+--", _tr_adj(_N[..., None], _N[..., None])),
-                ("++", _matmul(_ix(2, 2, 3, start=48), _S1C[:, 8:, None])),
-                ("+", _matmul(_MCT, _S1[:, 4:8].reshape(2, 2, 2))), ("+", _matmul(_MCT, _ADJ)))
+                ("++", _matmul(_ix(2, 2, 3, start=44), _S1C[:, 8:, None])),
+                ("+", _matmul(_MCT, _S1[:, 4:8].reshape(2, 2, 2))),
+                ("-", [(_MCT, _NC[:, None, [1, 0], [1, 0]]), (_MCT[:, :, ::-1], _NC[:, None, [1, 0], [0, 1]])]))
 # Stage 3, from (stage 2, z*, stage 1, tr N0): (M0^dag adj(N0*)) M0, z* z^T and tr(N0) N0
 _S2, _S1B = _ix(2, 11), _ix(2, 11, start=26)
 _STAGE3 = _rows(("+", _matmul(_S2[:, 7:].reshape(2, 2, 2), _S1B[:, 4:8].reshape(2, 2, 2))),
                 ("", _matmul(_ix(2, 2, 1, start=22), _S2[:, None, 1:3])),
                 ("", [(_ix(2, 1, 1, start=48), _S1B[:, :4].reshape(2, 2, 2))]))
-# the operands of the arm weights, rows (block, arm, jet, entry) of the rows
-# (jet, entry) of N0, B, (M0^dag adj(N0*)) M0, z* z^T and tr(N0) N0 - B: N0,
-# tr(N0) N0 - B and z* z^T for g, B and (M0^dag adj(N0*)) M0 for d
-_WEIGHED = np.stack([np.broadcast_to(_ix(2, 20)[:, k:k + 4], (2, 2, 4)) for k in (0, 16, 12, 4, 8)]).ravel()
+# the operands of the arm weights, rows (block, arm, jet, entry) of the
+# workspace: N0, tr(N0) N0 - B and z* z^T for g, B and (M0^dag adj(N0*)) M0
+# for d, each (jet, entry) from s1, s3 or s2
+_S3 = _ix(2, 12, start=48)
+_WEIGHED = np.stack([np.broadcast_to(x, (2, 2, 4)) for x in (_S1B[:, :4], _S3[:, 8:], _S3[:, 4:8], _S2[:, 3:7],
+                                                               _S3[:, :4])]).ravel()
 # Stage 5, from (G and D (block, arm, jet, entry), P_vac (jet, arm)): P_o G and
-# P_o D, items (block, arm, entry)
-_STAGE5 = _rows(("", [(_ix(2, 2, start=32)[:, None, ::-1, None], _ix(2, 2, 2, 4).transpose(2, 0, 1, 3))]))
-# Stage 6, from stage 5 (jet, block G|D, arm, row, column): tr(adj(X) Y) for
+# P_o D, items (entry, block, arm), so that each diagonal entry of the four
+# blocks is one run of rows
+_STAGE5 = _rows(("", [(_ix(2, 2, start=32)[:, None, None, ::-1], _ix(2, 2, 2, 4).transpose(2, 3, 0, 1))]))
+# Stage 6, from stage 5 (jet, row, column, block G|D, arm): tr(adj(X) Y) for
 # (X, Y) = (G, G) and (D, D) on each arm, and (G_H, D_H)
-_S5 = _ix(2, 2, 2, 2, 2)
+_S5 = _ix(2, 2, 2, 2, 2).transpose(0, 3, 4, 1, 2)
 _STAGE6 = _rows(("+--", _tr_adj(np.moveaxis(_S5[:, [0, 0, 1, 1, 0], [0, 1, 0, 1, 0]], 1, -1),
                                 np.moveaxis(_S5[:, [0, 0, 1, 1, 1], [0, 1, 0, 1, 0]], 1, -1))))
 
@@ -222,7 +241,7 @@ def _jet_factors(cfg: InterferometerConfig) -> tuple[np.ndarray, ...]:
 def _phases(phis) -> np.ndarray:
     """Any array-like of phases as a flat float array; refuses a non-finite one."""
     phis = np.asarray(phis, dtype=float).reshape(-1)
-    if not np.isfinite(phis).all():
+    if not np.logical_and.reduce(np.isfinite(phis)):
         raise ValueError("phases must be finite")
     return phis
 
@@ -231,9 +250,9 @@ def clicks(cfg: InterferometerConfig, phis) -> tuple[np.ndarray, np.ndarray]:
     """Click probabilities p (N, 4) of a config over an array of phases and
     their derivatives dp/dphi (N, 4), in chunks of _CHUNK phases."""
     phis = _phases(phis)
-    if not phis.size:
-        return np.zeros((0, 4)), np.zeros((0, 4))
-    p = np.concatenate([_clicks(cfg, phis[k: k + _CHUNK]) for k in range(0, phis.size, _CHUNK)], axis=-1)
+    p = np.empty((2, 4, phis.size))
+    for k in range(0, phis.size, _CHUNK):
+        p[..., k: k + _CHUNK] = _clicks(cfg, phis[k: k + _CHUNK])
     return _checked(p[0].T), p[1].T
 
 
@@ -241,21 +260,23 @@ def clicks(cfg: InterferometerConfig, phis) -> tuple[np.ndarray, np.ndarray]:
 # arrays are freed before the next one's batches run, which keeps a chunk's
 # peak memory low.
 def _moments(t, at_w, at_wc, e_tr, e_det):
-    """At the phases t = phi + phase_offset: the rows (jet, quantity, entry) of
-    the operands of the arm weights (see _WEIGHED), and the jets (jet, N|G,
-    arm, phase) of e(N) and, still to fill, e(G)."""
+    """At the phases t = phi + phase_offset: the workspace (see _WORKSPACE),
+    and the jets (jet, N|G, arm, phase) of e(N) and, still to fill, e(G)."""
     w = np.exp(1j * t)
+    ws = np.empty((_WORKSPACE, t.size), dtype=complex)
     # V*, U and V of one arm before its loss, rows (block, jet, row, column);
     # the arm axis comes in with the arm weights
-    src = at_w * w + at_wc * w.conj()
-    s1 = _products(src, _STAGE1)
-    negated = np.negative(s1.reshape(2, 11, -1)[:, 1:3]).conj().reshape(4, -1)  # -n01*, -n10*
-    src = np.concatenate([s1, s1.conj(), negated, src[24:]])
-    s2 = _products(src, _STAGE2)
-    s1v, s2v = s1.reshape(2, 11, -1), s2.reshape(2, 11, -1)
-    tr = (s1v[:, 0] + s1v[:, 3]).real
+    src = np.multiply(at_w, w, out=ws[46:])
+    np.add(src, at_wc * w.conj(), out=src)
+    s1 = _products(src, _STAGE1, ws[26:48])
+    np.conjugate(s1, out=ws[48:70])
+    s2 = _products(ws[26:], _STAGE2, ws[:22]).reshape(2, 11, -1)
+    np.conjugate(s2[:, 1:3], out=ws[22:26].reshape(2, 2, -1))  # z*
+    s1 = s1.reshape(2, 11, -1)
+    tr = np.add(s1[:, 0], s1[:, 3], out=ws[48:50])
+    tr.imag = 0.0  # tr N0 is real: its roundoff imaginary part is dropped
     ee = np.empty((2, 2, 2, t.size))  # e(N), e(G); e(N) = eta tr N0 + eta^2 det N0
-    np.add(e_tr * tr[:, None], e_det * (0.5 * s2v[:, :1].real), out=ee[:, 0])
+    np.add(e_tr * tr.real[:, None], e_det * (0.5 * s2[:, :1].real), out=ee[:, 0])
     # G = N - m^dag (I + N_o*)^-1 m are the moments of arm X given vacuum on
     # the other arm o, with N = eta N0 and m = U_o V^T = sqrt(eta eta_o) M0. The
     # commutators give U_o U_o^dag = eta_o I + N_o*, so with lam = 1 - eta_o,
@@ -268,43 +289,57 @@ def _moments(t, at_w, at_wc, e_tr, e_det):
     # difference taken as e(D) + tr(adj(G) D) from D = N - G = P_o d >= 0,
     # d = m^dag adj(I + N_o*) m = eta eta_o (B + eta_o M0^dag adj(N0*) M0)
     # (adj(I + A) = I + adj A for 2x2 A): a form in V_H, like c(N_H) and p10
-    src = np.concatenate([s2, s2v[:, 1:3].conj().reshape(4, -1), s1, tr.astype(complex)])
-    s3 = _products(src, _STAGE3).reshape(2, 12, -1)
-    operands = np.concatenate([s1v[:, :4], s2v[:, 3:7], s3[:, :8], s3[:, 8:] - s2v[:, 3:7]], axis=1)
-    return operands.reshape(40, -1), ee
+    s3 = _products(ws[:50], _STAGE3, ws[48:72]).reshape(2, 12, -1)
+    np.subtract(s3[:, 8:], s2[:, 3:7], out=s3[:, 8:])  # tr(N0) N0 - B
+    return ws, ee
 
 
-def _arm_moments(cfg, phis):
+def _arm_moments(cfg, phis, table):
     """The rows (G, D, P_vac) of the arm moments' jets, G = P_o g and D = P_o d
-    over (block, arm, jet, entry) and P_vac over (jet, arm), and e (see _moments)."""
+    over (block, arm, jet, entry) and P_vac over (jet, arm), and e (see
+    _moments); P_vac = q(N) also goes to its rows of ``table`` (see _clicks)."""
     at_w, at_wc, e_tr, e_det, arms = _jet_factors(cfg)
-    operands, ee = _moments(phis + cfg.phase_offset, at_w, at_wc, e_tr, e_det)
-    terms = operands.take(_WEIGHED, axis=0)
+    ws, ee = _moments(phis + cfg.phase_offset, at_w, at_wc, e_tr, e_det)
+    terms = ws.take(_WEIGHED, axis=0)
     terms = np.multiply(arms, terms, out=terms).reshape(5, 16, -1)  # g's three, then d's two
     gdp = np.empty((36, phis.size), dtype=complex)
     g = np.add(terms[0], terms[1], out=gdp[:16])
     np.add(g, terms[2], out=g)
     np.add(terms[3], terms[4], out=gdp[16:32])
-    gdp[32:] = _q(ee[:, 0]).reshape(4, -1)
+    gdp[32:].reshape(2, 2, -1)[...] = _q(ee[:, 0], table[:, :2])
     return gdp, ee
 
 
 def _clicks(cfg, phis):
     """(p, dp/dphi) of a chunk of phases as a jet of shape (2, 4, N)."""
-    gdp, ee = _arm_moments(cfg, phis)
+    table = np.empty((2, 9, phis.size))  # the jets of the entries of _ROWS
+    gdp, ee = _arm_moments(cfg, phis, table)
     # G = P_o g and D = P_o d, then tr(adj(X) Y) for X, Y in {G, D}: 2 det G,
     # 2 det D and tr(adj(G_H) D_H)
-    scaled = _products(gdp, _STAGE5)
-    dets = _products(scaled, _STAGE6).reshape(2, 5, -1)
-    diagonal = scaled.reshape(2, 2, 2, 4, -1)[:, :, :, ::3]
-    e_gd = (diagonal[:, :, :, 0] + diagonal[:, :, :, 1] + 0.5 * dets[:, :4].reshape(2, 2, 2, -1)).real
-    ee[:, 1] = e_gd[:, 0]
-    q = _q(ee)
-    gain = e_gd[:, 1, :1] + dets[:, 4:].real  # e(N_H) - e(G_H) = e(D_H) + tr(adj(G_H) D_H)
-    qc = np.concatenate([q.reshape(2, 4, -1), _mul(ee, q).reshape(2, 4, -1), gain], axis=1)
-    p = _mul(qc.take(_ROWS[0], 1), qc.take(_ROWS[1], 1))
-    np.add(p[:, 3], _mul(p[:, 4], p[:, 5]), out=p[:, 3])
-    return p[:, :4]
+    scaled = _products(gdp, _STAGE5, np.empty((32, phis.size), dtype=complex))
+    dets = _products(scaled, _STAGE6, np.empty((10, phis.size), dtype=complex)).reshape(2, 5, -1)
+    diagonal = scaled.reshape(2, 4, 4, -1)  # (jet, entry, block and arm)
+    e_gd = (diagonal[:, 0] + diagonal[:, 3] + 0.5 * dets[:, :4]).real  # e(G_H), e(G_V), e(D_H), e(D_V)
+    ee[:, 1] = e_gd[:, :2]
+    _q(ee[:, 1], table[:, 2:4])
+    # c = e q, both arms of N and of G, each jet entry one run of rows
+    e, q = ee.reshape(2, 4, -1), table[:, :4]
+    np.multiply(e[0], q[0], out=table[0, 4:8])
+    c = np.multiply(e[0], q[1], out=table[1, 4:8])
+    np.add(c, e[1] * q[0], out=c)
+    np.add(e_gd[:, 2], dets[:, 4].real, out=table[:, 8])  # e(N_H) - e(G_H) = e(D_H) + tr(adj(G_H) D_H)
+    factors = table.reshape(18, -1).take(_FACTORS, axis=0)
+    left, right, left_d, right_d = factors[:6], factors[6:12], factors[12:18], factors[18:]
+    out = np.empty((2, 6, phis.size))  # p00, p01, p10, p11, then the factors of p11's second term
+    np.multiply(left, right, out=out[0])
+    np.multiply(left, right_d, out=out[1])
+    np.add(out[1], left_d * right, out=out[1])
+    p, dp = out[:, 3:]
+    second = p[1] * dp[2]
+    np.add(second, dp[1] * p[2], out=second)
+    np.add(p[0], p[1] * p[2], out=p[0])
+    np.add(dp[0], second, out=dp[0])
+    return out[:, :4]
 
 
 def fringe(cfg: InterferometerConfig, phi_grid) -> np.ndarray:

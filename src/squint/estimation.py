@@ -8,7 +8,12 @@ nodes, so on the segment from node value a to a + d the objective is an exact
 quadratic whose minimum is the distance from f to the segment, at
 u* = clip((f - a).d / |d|^2, 0, 1). ``estimate_phases`` takes the best
 segment for a whole batch of windows at once; every other estimate is a view
-of it.
+of it. A per-branch table turns the distances of every segment into one
+matrix product with the frequencies, accurate to a few 1e-15; the segments
+within a margin of the best of these are the shortlist, and the exact
+formula above picks among them, the first on a tie. The margin covers the
+product's roundoff many times over, so the pick is that of a full exact
+scan, bit for bit, whatever the batch.
 
 Calibration fits (r, eta_h, eta_v, overlap, phase_offset) to observed fringes
 by a bounded Levenberg-Marquardt fit (More, LNM 630 (1978)) of residuals
@@ -64,6 +69,18 @@ _SINGULAR = 1e-12
 _BATCH_CELLS = 8192
 # an objective varying less than this over the branch nodes carries no phase
 _FLAT = 1e-15
+# the shortlist's margin over the best approximate distance. Every term of
+# both the table's and the exact formula's distances is at most 4 (f and the
+# node values are probability vectors), so each is within about 100 eps =
+# 2.2e-14 of the true distance: the margin holds every segment that a full
+# exact scan could pick, and every row the prefilter cannot tell from flat
+_MARGIN = 1e-12
+# a segment shorter than 1e-100 is a point to the shortlist: its distance
+# varies by less than 1e-99 along it, and 1/|d|^2 stays finite
+_POINT = 1e-200
+# a whole count is exact as a float, and so is every partial sum of a window,
+# while the window's total is below this
+_EXACT = 2.0**53
 
 
 class UnidentifiableError(ValueError):
@@ -148,19 +165,27 @@ class CalibrationModel:
         return np.stack([np.interp(wrapped, self.phi_tab, self.curves[:, j]) for j in range(4)], axis=-1)
 
     def _branch_nodes(self, lo: float, hi: float) -> tuple[np.ndarray, ...]:
-        """Nodes of the interpolated curves on the branch [lo, hi], their values
-        (4, nodes), steps (4, 1, segments) and squared step lengths, built once
-        and kept for the last branch."""
+        """The search table of the branch [lo, hi], built once and kept for the
+        last branch (see _estimates): the nodes of the interpolated curves and
+        their values (nodes, 4); the product table (4, nodes + segments); the
+        segments' squared lengths |d|^2 and 1/(2 |d|^2), 0 at a point (_POINT); and
+        the rows (a, d, |d|^2, its two end nodes) of each segment, |d|^2 inf at
+        zero length, so u = 0 there."""
         if self._nodes is None or self._nodes[0] != (lo, hi):
             # the branch ends plus every calibration node strictly inside, pi-periodically
             shifts = math.pi * np.arange(math.floor(lo / math.pi), math.floor(hi / math.pi) + 1)
             inner = (self.phi_tab[:-1] + shifts[:, None]).ravel()
             nodes = np.concatenate(([lo], inner[(inner > lo) & (inner < hi)], [hi]))
-            values = self.probabilities(nodes).T
-            step = np.diff(values, axis=1)[:, None]
-            length2 = _dot4(step, step)
-            length2[length2 == 0.0] = np.inf  # a segment of zero length keeps u = 0
-            object.__setattr__(self, "_nodes", ((lo, hi), nodes, values, step, length2))
+            values = self.probabilities(nodes)
+            step = np.diff(values, axis=0)
+            length2 = _dot4(step.T, step.T)
+            # with sum_k f_k = 1, f.(|a|^2 - 2a) = |f - a|^2 - |f|^2 and f.2(d - a.d) = 2 (f - a).d
+            table = np.concatenate([_dot4(values.T, values.T) - 2.0 * values.T,
+                                    2.0 * (step.T - _dot4(values[:-1].T, step.T))], axis=1)
+            half = np.divide(0.5, length2, out=np.zeros_like(length2), where=length2 > _POINT)
+            exact = np.concatenate([values[:-1], step, np.where(length2 > 0.0, length2, np.inf)[:, None],
+                                    nodes[:-1, None], nodes[1:, None]], axis=1)
+            object.__setattr__(self, "_nodes", ((lo, hi), nodes, values, table, length2, half, exact))
         return self._nodes[1:]
 
     def to_dict(self) -> dict:
@@ -203,16 +228,19 @@ def _dot4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _frequencies(counts) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (W, 4) of whole counts -> frequencies (4, W) and totals (W,); the
-    one check of click data."""
+    """Rows (W, 4) of whole counts -> frequencies (W, 4) and totals (W,); the
+    one check of click data. Each window's total must be below 2^53, where
+    floats still hold every whole number."""
     obs = np.asarray(counts, dtype=float)
     if obs.ndim != 2 or obs.shape[1] != 4:
         raise ValueError(f"counts must have shape (windows, 4), got {obs.shape}")
-    if not (np.isfinite(obs) & (obs >= 0) & (obs == np.rint(obs))).all():
-        raise ValueError("counts must be finite, whole and non-negative")
-    obs = obs.T
-    totals = obs[0] + obs[1] + obs[2] + obs[3]
-    return np.divide(obs, totals, out=np.zeros_like(obs), where=totals > 0), totals
+    # 0 <= count <= 2^53 and whole (a NaN fails both), so the totals stay finite
+    if not np.logical_and.reduce((np.abs(obs - 0.5 * _EXACT) <= 0.5 * _EXACT) & (obs == np.rint(obs)), None):
+        raise ValueError("counts must be finite, whole and non-negative, each at most 2**53")
+    totals = np.add.reduce(obs, 1)  # exact below 2^53, and rounding never takes a larger sum below it
+    if not np.logical_and.reduce(totals < _EXACT):
+        raise ValueError(f"a window's total of counts must be below 2**53, got {totals.max():.17g}")
+    return obs / np.maximum(totals, 1.0)[:, None], totals  # an empty window's frequencies are 0
 
 
 def _fitted_config(initial: InterferometerConfig, theta) -> InterferometerConfig:
@@ -254,7 +282,7 @@ def calibrate(
     weight = np.sqrt(n / np.maximum(fringe(_fitted_config(initial, theta), phis), 1.0 / n))
 
     def residual(t: np.ndarray) -> np.ndarray:
-        return ((fringe(_fitted_config(initial, t), phis) - freqs.T) * weight).ravel()
+        return ((fringe(_fitted_config(initial, t), phis) - freqs) * weight).ravel()
 
     def jacobian(t: np.ndarray) -> np.ndarray:
         # central differences, one-sided at a bound
@@ -334,30 +362,53 @@ def estimate_phases(
 
 
 def _estimates(freqs, totals, cal: CalibrationModel, branch: tuple[float, float]):
-    """``estimate_phases`` of the windows' frequencies (4, W) and totals (W,)."""
-    nodes, values, step, length2 = cal._branch_nodes(*_check_branch(branch))
+    """``estimate_phases`` of the windows' frequencies (W, 4) and totals (W,).
 
-    phi_est, objective = np.empty((2, totals.size))
-    flat = np.empty(totals.size, dtype=bool)
+    Per batch, one product with the branch's table gives |f - a|^2 - |f|^2 at
+    every node and 2 (f - a).d on every segment, so each segment's distance
+    up to the window's constant |f|^2; the segments within _MARGIN of the
+    best are scored by the exact formula, which picks the first best one."""
+    nodes, values, table, length2, half, exact = cal._branch_nodes(*_check_branch(branch))
+    phi_est, objective, flat = np.empty(totals.size), np.empty(totals.size), np.empty(totals.size, dtype=bool)
     rows = max(1, _BATCH_CELLS // nodes.size)
     for w in range(0, totals.size, rows):
-        gap = freqs[:, w:w + rows, None] - values[:, None]  # (4, batch, nodes)
-        at_nodes = _dot4(gap, gap)
-        flat[w:w + rows] = at_nodes.max(axis=1) - at_nodes.min(axis=1) < _FLAT
-        gap = gap[:, :, :-1]
-        u = np.clip(_dot4(gap, step) / length2, 0.0, 1.0)
-        resid = gap - u * step
+        f = freqs[w:w + rows]
+        near = f @ table  # (batch, nodes + segments)
+        at_nodes, dist = near[:, :nodes.size], near[:, nodes.size:]
+        # the objective's range over the nodes, exact where the prefilter cannot tell it from flat
+        level = flat[w:w + rows]
+        np.less(np.maximum.reduce(at_nodes, 1) - np.minimum.reduce(at_nodes, 1), _FLAT + _MARGIN, out=level)
+        if np.logical_or.reduce(level):
+            gap = f[level].T[:, :, None] - values.T[:, None]
+            at = _dot4(gap, gap)
+            level[level] = at.max(axis=1) - at.min(axis=1) < _FLAT
+        # the distance at u = clip(2 (f - a).d / 2 |d|^2, 0, 1): |f - a|^2 - u (2 (f - a).d - u |d|^2)
+        u = np.multiply(dist, half)
+        np.minimum(np.maximum(u, 0.0, out=u), 1.0, out=u)
+        np.subtract(dist, u * length2, out=dist)
+        np.multiply(dist, u, out=dist)
+        np.subtract(at_nodes[:, :-1], dist, out=dist)
+        near = dist <= np.minimum.reduce(dist, 1, keepdims=True) + _MARGIN
+        row, seg = np.divmod(near.ravel().nonzero()[0], dist.shape[1])
+        # the shortlist by the exact formula, from the rows (a, d, |d|^2, ends) of its segments
+        x = exact.take(seg, axis=0).T
+        gap = f.take(row, axis=0).T - x[:4]
+        u = (_dot4(gap, x[4:8]) / x[8]).clip(0.0, 1.0)
+        resid = gap - u * x[4:8]
         segment = _dot4(resid, resid)
-        j = np.argmin(segment, axis=1)
-        best = (np.arange(j.size), j)
-        phi_est[w:w + rows] = (1.0 - u[best]) * nodes[j] + u[best] * nodes[j + 1]
+        # the first of each row's least distances: row is sorted, and lexsort is stable
+        best = np.lexsort((segment, row))[np.searchsorted(row, np.arange(f.shape[0]))]
+        u, ends = u[best], x[9:, best]
+        phi_est[w:w + rows] = (1.0 - u) * ends[0] + u * ends[1]
         objective[w:w + rows] = segment[best]
 
     dead = flat | (totals <= 0)
+    # one phase's Fisher information does not depend on the others in the call;
+    # a dead window's estimate is a finite phase on the branch, and it is flagged
+    low = totals * fisher(cal.config, phi_est) < 1.0
+    low |= dead
     phi_est[dead] = objective[dead] = math.nan
-    info = np.zeros(totals.size)  # 0 on a dead window, which is so flagged
-    info[~dead] = fisher(cal.config, phi_est[~dead])
-    return phi_est, objective, totals * info < 1.0
+    return phi_est, objective, low
 
 
 def estimate_phase(
@@ -372,18 +423,13 @@ def estimate_phase(
     when the window carries no phase information on the branch.
     """
     freqs, totals = _frequencies([observed])
-    (phi,), (value,), (low,) = _estimates(freqs, totals, cal, branch)
+    (phi,), (value,), (low,) = (a.tolist() for a in _estimates(freqs, totals, cal, branch))
     total = int(totals[0])
     if trials and trials != total:
         raise ValueError(f"trials {trials!r} differs from the window's total of counts {total}")
     if math.isnan(phi):
         raise UnidentifiableError("no phase information on the branch: empty data or a flat objective")
-    return PhaseEstimate(
-        phi_est=float(phi),
-        window_trials=total,
-        objective_value=float(value),
-        low_information=bool(low),
-    )
+    return PhaseEstimate(phi_est=phi, window_trials=total, objective_value=value, low_information=low)
 
 
 def bootstrap_sigma(
@@ -406,7 +452,7 @@ def bootstrap_sigma(
     if np.count_nonzero(freqs) < 2:
         raise UnidentifiableError("all counts fall in a single outcome")
     rng = np.random.default_rng(seed)
-    draws = rng.multinomial(int(total), freqs[:, 0], size=resamples)
+    draws = rng.multinomial(int(total), freqs[0], size=resamples)
     estimates = estimate_phases(draws, cal, branch)[0]
     if np.isnan(estimates).any():
         raise UnidentifiableError("objective is flat on the branch")

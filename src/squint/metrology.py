@@ -60,7 +60,7 @@ def fisher(cfg: InterferometerConfig, phis) -> np.ndarray:
     """Per-trial Fisher information at each phase, from analytic derivatives;
     an outcome with p = 0 adds 0."""
     p, dp = clicks(cfg, phis)
-    return np.divide(dp * dp, p, out=np.zeros_like(p), where=p > 0.0).sum(axis=-1)
+    return np.add.reduce(dp * dp / np.where(p > 0.0, p, math.inf), -1)  # the sum over outcomes
 
 
 def crlb(cfg: InterferometerConfig, phis, trials: int) -> np.ndarray:

@@ -8,19 +8,21 @@ The script extracts REV with ``git archive REV | tar -x`` (the helper of
 
 It first checks that the two trees give the same bits: p and dp/dphi of
 ``clicks`` on fixed random configs (a 300-phase batch and three one-phase
-calls each), and ``phi_est``, ``objective_value`` and ``low_information`` of
-one ``estimate_phases`` batch on the fig4 preset's windows and of the
-one-window ``estimate_phase`` on the first W of them. Where they differ it
-prints how many values differ and the largest absolute and relative change,
-and the script exits 1 after the timings.
+calls each), ``phi_est``, ``objective_value`` and ``low_information`` of one
+``estimate_phases`` batch on the fig4 preset's windows and of the one-window
+``estimate_phase`` on the first W of them, and ``bootstrap_sigma`` (200
+resamples) of the first three windows. Where they differ it prints how many
+values differ and the largest absolute and relative change, and the script
+exits 1 after the timings.
 
 Then it times, in K rounds (default 10), one-phase ``clicks``, one-phase
 ``fisher``, a one-window ``estimate_phase`` over the first W fig4 windows
-(default 200) and 2049-phase ``clicks``, each by ``time.process_time``. A
-round times each row on both sides in turn, and the side that goes first
-alternates by round. For each row it prints both sides' median per call, the
-median and quartiles of the per-round ratio this tree / base, and each
-side's median ``ru_minflt`` page faults per call.
+(default 200), 2049-phase ``clicks``, ``estimate_phases`` on all 2200 fig4
+windows and a 200-resample ``bootstrap_sigma``, each by
+``time.process_time``. A round times each row on both sides in turn, and the
+side that goes first alternates by round. For each row it prints both sides'
+median per call, the median and quartiles of the per-round ratio this tree /
+base, and each side's median ``ru_minflt`` page faults per call.
 
 Exit codes: 0 when every value is bitwise equal; 1 when one differs; 2 for a
 usage error or a REV that cannot be extracted.
@@ -41,9 +43,12 @@ import numpy as np
 from preset_outputs import ROOT, _extract
 
 SIDES = ("base", "head")
-# random configs of the bit check, and the repeats per round of each row
+# random configs of the bit check, the resamples of a bootstrap, and the
+# repeats per round of each row
 CONFIGS = 40
-REPEATS = {"clicks, 1 phase": 200, "fisher, 1 phase": 200, "clicks, 2049 phases": 5}
+RESAMPLES = 200
+REPEATS = {"clicks, 1 phase": 200, "fisher, 1 phase": 200, "clicks, 2049 phases": 5,
+           "estimate_phases, 2200 windows": 2, "bootstrap_sigma, 200 resamples": 5}
 
 
 def load(name: str, src: Path):
@@ -115,11 +120,13 @@ def bit_check(pkgs: dict, windows: dict, n_windows: int) -> list[str]:
         one = [pkg.estimate_phase(row, cal, branch, trials=trials) for row in counts[:n_windows]]
         values += [[e.phi_est for e in one], [e.objective_value for e in one], [e.low_information for e in one]]
         values += pkg.estimate_phases(counts, cal, branch)
+        values.append([pkg.bootstrap_sigma(row, cal, branch, RESAMPLES, seed=k) for k, row in enumerate(counts[:3])])
         out[side] = values
     labels = [f"config {k} {name}" for k in range(CONFIGS)
               for name in ("batch p", "batch dp", *("one-phase p", "one-phase dp") * 3)]
     labels += [f"estimate_phase {f}" for f in ("phi_est", "objective_value", "low_information")]
     labels += [f"estimate_phases {f}" for f in ("phi_est", "objective_value", "low_information")]
+    labels.append("bootstrap_sigma")
     return [line for label, old, new in zip(labels, *out.values()) if (line := difference(label, old, new))]
 
 
@@ -138,6 +145,10 @@ def rows(pkg, window, n_windows: int) -> dict:
         "fisher, 1 phase": (lambda: pkg.fisher(cfg, one), 1, REPEATS["fisher, 1 phase"]),
         "estimate_phase, 1 window": (estimates, len(picked), 1),
         "clicks, 2049 phases": (lambda: pkg.clicks(cfg, batch), 1, REPEATS["clicks, 2049 phases"]),
+        "estimate_phases, 2200 windows": (lambda: pkg.estimate_phases(counts, cal, branch), 1,
+                                          REPEATS["estimate_phases, 2200 windows"]),
+        "bootstrap_sigma, 200 resamples": (lambda: pkg.bootstrap_sigma(counts[0], cal, branch, RESAMPLES, seed=0), 1,
+                                           REPEATS["bootstrap_sigma, 200 resamples"]),
     }
 
 
@@ -173,7 +184,8 @@ def main(argv=None) -> int:
         for line in differences:
             print(line)
         print(f"bit check: {'values differ' if differences else 'every value bitwise equal'} "
-              f"({CONFIGS} configs; {len(windows['head'][4])} fig4 windows, the first {args.windows} one by one)")
+              f"({CONFIGS} configs; {len(windows['head'][4])} fig4 windows, the first {args.windows} one by one; "
+              "3 bootstraps)")
 
         timings = {side: rows(pkg, windows[side], args.windows) for side, pkg in pkgs.items()}
         results = {name: {side: [] for side in SIDES} for name in timings["head"]}

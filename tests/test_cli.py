@@ -283,6 +283,15 @@ class TestTrackAndEstimate:
         assert main(self.estimate_argv(track_dir, tmp_path, counts)) == 2
         assert "counts file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["0,4503599627370496,4503599627370496,0,0", "0,18446744073709551616,0,0,0"])
+    def test_window_total_past_2_53_is_config_error(self, track_dir, tmp_path, capsys, row):
+        # a total of 2^53 or more is not held exactly as a float; both ran at exit 0
+        counts = tmp_path / "counts.csv"
+        counts.write_text(f"window_index,n00,n01,n10,n11\n{row}\n")
+        assert main(self.estimate_argv(track_dir, tmp_path, counts)) == 2
+        assert "2**53" in capsys.readouterr().err
+        assert not (tmp_path / "estimates.csv").exists()
+
     @pytest.mark.parametrize("text", ["window_index,n00,n01,n10\n0,9000,400,500\n", ""])
     def test_counts_file_needs_the_count_columns(self, track_dir, tmp_path, capsys, text):
         counts = tmp_path / "counts.csv"

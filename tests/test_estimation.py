@@ -1,12 +1,15 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from search_reference import full_scan
+from strategies import random_configs
 from squint.detection import fringe
 from squint import estimation
 from squint.estimation import (
@@ -310,6 +313,19 @@ class TestEstimatePhase:
         assert (one.window_trials, two.window_trials) == (1, 2)
         assert one.low_information and two.low_information
 
+    @pytest.mark.parametrize("counts", [[1e308] * 4, [2**53, 1, 0, 0], [2**52, 2**52, 0, 0], [2**64, 0, 0, 0]])
+    def test_window_total_must_be_below_2_53(self, tracking_cal, counts):
+        # floats hold every whole number only below 2^53: the first window
+        # overflowed its total, the second lost a count, the others ran
+        for call in (lambda: estimate_phase(counts, tracking_cal, BRANCH),
+                     lambda: estimate_phases([counts], tracking_cal, BRANCH),
+                     lambda: bootstrap_sigma(counts, tracking_cal, BRANCH)):
+            with pytest.raises(ValueError, match=r"2\*\*53"):
+                call()
+
+    def test_largest_window_keeps_every_count(self, tracking_cal):
+        assert estimate_phase([2**53 - 1, 0, 0, 0], tracking_cal, BRANCH).window_trials == 2**53 - 1
+
     def test_flat_objective_unidentifiable(self):
         dead = CalibrationModel.from_config(
             InterferometerConfig(r1=0.5, r2=0.5, eta_h=0.0, eta_v=0.0)
@@ -447,6 +463,81 @@ class TestEstimatePhases:
                 estimate_phases(bad, tracking_cal, BRANCH)
         empty = estimate_phases(np.empty((0, 4)), tracking_cal, BRANCH)
         assert [a.shape for a in empty] == [(0,)] * 3
+
+
+def same_as_full_scan(counts, cal, branch):
+    """estimate_phases and the full scan of search_reference agree bit for bit."""
+    return all(mine.tobytes() == theirs.tobytes()
+               for mine, theirs in zip(estimate_phases(counts, cal, branch), full_scan(counts, cal, branch)))
+
+
+class TestSearchMatchesFullScan:
+    @settings(max_examples=25, deadline=None)
+    @given(cfg=st.one_of(random_configs, random_configs.map(lambda c: c.with_updates(r1=0.0)),
+                         random_configs.map(lambda c: c.with_updates(eta_h=0.0, eta_v=0.0))),
+           branch=branches(), data=st.data())
+    def test_random_configs_and_windows(self, cfg, branch, data):
+        # windows near the curve, at its node values (a tie between the two
+        # segments that meet there, up to rounding of the counts), far from
+        # it and empty; r1 = 0 and eta = 0 make every window flat
+        cal = CalibrationModel(cfg)
+        nodes = cal._branch_nodes(*branch)[0]
+        windows = []
+        for kind in data.draw(st.lists(st.sampled_from(["near", "node", "far", "empty"]), min_size=1, max_size=8)):
+            if kind == "near":
+                scale = 10.0 ** data.draw(st.integers(2, 12))
+                windows.append(np.rint(cal.probabilities(data.draw(st.floats(*branch))) * scale))
+            elif kind == "node":
+                windows.append(np.rint(cal.probabilities(nodes[data.draw(st.integers(0, nodes.size - 1))]) * 2.0**50))
+            elif kind == "far":
+                windows.append(data.draw(st.tuples(*[st.integers(0, 10**6)] * 4)))
+            else:
+                windows.append((0, 0, 0, 0))
+        assert same_as_full_scan(np.array(windows, dtype=float), cal, branch)
+
+    def test_exact_ties_and_flat_windows(self, tracking_cal, monkeypatch):
+        tab = np.linspace(0.0, math.pi, 2049)
+        # dyadic curves, so a window can sit exactly on a node: the steps of
+        # 1/1024 every 8 nodes leave runs of zero-length segments, each run a
+        # tie of distance 0
+        level = np.arange(2049) // 8
+        dyadic = np.stack([512 + level, 512 - level, 0 * level, 0 * level], axis=1) / 1024
+        # curves on a circle of radius 0.05 about c: the window at c is flat
+        c = np.array([0.4, 0.2, 0.2, 0.2])
+        e1, e2 = np.array([1.0, -1.0, 0, 0]) / math.sqrt(2), np.array([0, 0, 1.0, -1.0]) / math.sqrt(2)
+        circle = c + 0.05 * (np.cos(2 * tab)[:, None] * e1 + np.sin(2 * tab)[:, None] * e2)
+        branch = (tab[200], tab[800])
+        # the dyadic windows sit on nodes inside a run, at its ends and at the branch's ends
+        for curves, windows in ((dyadic, dyadic[[200, 203, 207, 208, 500, 800]] * 1024),
+                                (circle, np.rint(np.concatenate([c[None], circle[[300, 500, 700]]]) * 2**50))):
+            monkeypatch.setattr(estimation, "fringe", lambda cfg, phis: curves)
+            cal = CalibrationModel(tracking_cal.config)
+            monkeypatch.undo()
+            assert same_as_full_scan(windows, cal, branch)
+        assert np.isnan(estimate_phases(windows, cal, branch)[0][0])
+        for cfg in (tracking_cal.config.with_updates(r1=0.0), tracking_cal.config.with_updates(eta_h=0.0, eta_v=0.0)):
+            assert same_as_full_scan(np.array([[700, 100, 100, 100], [0, 0, 0, 0]], dtype=float),
+                                     CalibrationModel(cfg), BRANCH)
+
+
+class TestScratchBound:
+    def test_peak_memory_of_a_replay_batch_and_a_bootstrap(self, tracking_cfg, tracking_cal):
+        # the fig4 replay's windows in one estimate_phases call and a
+        # 200-resample bootstrap: each batch's scratch is bounded by _BATCH_CELLS
+        scenario = presets.fig4_scenario(seed=0)
+        counts = run_tracking(scenario, tracking_cfg, tracking_cal).records.counts
+        branch = scenario.resolved_branch()
+        assert len(counts) == 2200
+        for call, limit in ((lambda: estimate_phases(counts, tracking_cal, branch), 1.8e6),
+                            (lambda: bootstrap_sigma(counts[5], tracking_cal, branch, resamples=200, seed=1), 1.45e6)):
+            call()  # the node table is built
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= limit
 
 
 class TestBootstrapAndCrlb:
