@@ -62,22 +62,24 @@ _FACTORS = np.concatenate([_ROWS, 9 + _ROWS])
 _OVERLAP_MIN, _OVERLAP_TOL = 0.5, 1e-6
 
 
+def _extremes(a: np.ndarray):
+    """The least and the largest entry of an array, (0, 0) if it is empty; a
+    NaN, if there is one, is both. argmin and argmax cost less than a
+    reduction."""
+    flat = a.ravel("K")
+    return (flat[flat.argmin()], flat[flat.argmax()]) if flat.size else (0.0, 0.0)
+
+
 def _checked(p: np.ndarray) -> np.ndarray:
     """Validate rows of (p00, p01, p10, p11) and clamp roundoff into [0, 1]."""
-    if not p.size:
-        return p
-    # the extremes by argmin and argmax, which cost less than a reduction; a
-    # NaN is the first of either, and fails the tests
-    flat = p.ravel("K")
-    lo, hi = flat[flat.argmin()], flat[flat.argmax()]
+    lo, hi = _extremes(p)  # a NaN fails both tests
     if not (lo >= -_CLAMP_TOL and hi <= 1.0 + _CLAMP_TOL):
         row, col = np.argwhere(~((p >= -_CLAMP_TOL) & (p <= 1.0 + _CLAMP_TOL)))[0]
         raise InvalidStateError(f"{_OUTCOMES[col]} = {p[row, col]} not finite or outside [0, 1]")
     if lo < 0.0 or hi > 1.0:  # clip leaves every value inside, -0.0 too
         p = p.clip(0.0, 1.0)
     total = np.add.reduce(p, -1)  # p.sum(axis=-1), without the method's wrapper
-    deviation = np.abs(total - 1.0)
-    if not deviation[deviation.argmax()] <= _SUM_TOL:
+    if not _extremes(np.abs(total - 1.0))[1] <= _SUM_TOL:
         raise InvalidStateError(f"outcome probabilities sum to {total.min()}..{total.max()}, not 1")
     return p
 
@@ -100,8 +102,8 @@ def _q(e, out):
 # summed in term order (_PAIRS lists these jet entries (i, j) of x^i y^j).
 # _rows lays a batch out once as integer rows of one source array (rows, N);
 # _products then takes both operands as contiguous arrays, multiplies them
-# once, adds or subtracts each later term's rows in place and writes the
-# result into the rows its caller gives.
+# once, adds or subtracts each later term's rows in place and gathers the
+# first block pair by pair.
 _PAIRS = np.array([[0, 0, 1], [0, 1, 0]])
 
 
@@ -139,9 +141,9 @@ def _rows(*groups):
     return np.concatenate(left + right), start, runs, _ix(items, 3).T.ravel(), items
 
 
-def _products(src, rows, out):
+def _products(src, rows):
     """The jets of the batch that _rows laid out, over the rows of ``src``
-    (rows, N), written to ``out`` as rows (jet, item)."""
+    (rows, N), as rows (jet, item)."""
     operands, half, runs, by_pair, items = rows
     # both operands in one block, the largest allocation of a chunk: glibc then
     # raises its mmap and trim thresholds above the chunk's peak, so a long
@@ -151,10 +153,10 @@ def _products(src, rows, out):
     for dest, term, op in runs:
         rows = prod[dest]
         op(rows, prod[term], out=rows)
-    first = prod.take(by_pair, axis=0)  # the first block pair by pair, contiguous
-    out[:items] = first[:items]
-    np.add(first[items:2 * items], first[2 * items:], out=out[items:])  # x^0 y^1 + x^1 y^0
-    return out
+    out = prod.take(by_pair, axis=0)  # a copy, which frees the later terms
+    derivative = out[items:2 * items]
+    np.add(derivative, out[2 * items:], out=derivative)
+    return out[:2 * items]
 
 
 def _matmul(x, y):
@@ -268,11 +270,11 @@ def _moments(t, at_w, at_wc, e_tr, e_det):
     # the arm axis comes in with the arm weights
     src = np.multiply(at_w, w, out=ws[46:])
     np.add(src, at_wc * w.conj(), out=src)
-    s1 = _products(src, _STAGE1, ws[26:48])
-    np.conjugate(s1, out=ws[48:70])
-    s2 = _products(ws[26:], _STAGE2, ws[:22]).reshape(2, 11, -1)
+    ws[26:48] = _products(src, _STAGE1)
+    np.conjugate(ws[26:48], out=ws[48:70])
+    ws[:22] = _products(ws[26:], _STAGE2)
+    s1, s2 = ws[26:48].reshape(2, 11, -1), ws[:22].reshape(2, 11, -1)
     np.conjugate(s2[:, 1:3], out=ws[22:26].reshape(2, 2, -1))  # z*
-    s1 = s1.reshape(2, 11, -1)
     tr = np.add(s1[:, 0], s1[:, 3], out=ws[48:50])
     tr.imag = 0.0  # tr N0 is real: its roundoff imaginary part is dropped
     ee = np.empty((2, 2, 2, t.size))  # e(N), e(G); e(N) = eta tr N0 + eta^2 det N0
@@ -289,7 +291,8 @@ def _moments(t, at_w, at_wc, e_tr, e_det):
     # difference taken as e(D) + tr(adj(G) D) from D = N - G = P_o d >= 0,
     # d = m^dag adj(I + N_o*) m = eta eta_o (B + eta_o M0^dag adj(N0*) M0)
     # (adj(I + A) = I + adj A for 2x2 A): a form in V_H, like c(N_H) and p10
-    s3 = _products(ws[:50], _STAGE3, ws[48:72]).reshape(2, 12, -1)
+    ws[48:72] = _products(ws[:50], _STAGE3)
+    s3 = ws[48:72].reshape(2, 12, -1)
     np.subtract(s3[:, 8:], s2[:, 3:7], out=s3[:, 8:])  # tr(N0) N0 - B
     return ws, ee
 
@@ -316,8 +319,8 @@ def _clicks(cfg, phis):
     gdp, ee = _arm_moments(cfg, phis, table)
     # G = P_o g and D = P_o d, then tr(adj(X) Y) for X, Y in {G, D}: 2 det G,
     # 2 det D and tr(adj(G_H) D_H)
-    scaled = _products(gdp, _STAGE5, np.empty((32, phis.size), dtype=complex))
-    dets = _products(scaled, _STAGE6, np.empty((10, phis.size), dtype=complex)).reshape(2, 5, -1)
+    scaled = _products(gdp, _STAGE5)
+    dets = _products(scaled, _STAGE6).reshape(2, 5, -1)
     diagonal = scaled.reshape(2, 4, 4, -1)  # (jet, entry, block and arm)
     e_gd = (diagonal[:, 0] + diagonal[:, 3] + 0.5 * dets[:, :4]).real  # e(G_H), e(G_V), e(D_H), e(D_V)
     ee[:, 1] = e_gd[:, :2]

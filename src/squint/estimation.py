@@ -32,7 +32,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .detection import fringe
+from .detection import _extremes, fringe
 from .gaussian import InterferometerConfig, _integer, _is_number
 from .metrology import fisher
 
@@ -235,10 +235,11 @@ def _frequencies(counts) -> tuple[np.ndarray, np.ndarray]:
     if obs.ndim != 2 or obs.shape[1] != 4:
         raise ValueError(f"counts must have shape (windows, 4), got {obs.shape}")
     # 0 <= count <= 2^53 and whole (a NaN fails both), so the totals stay finite
-    if not np.logical_and.reduce((np.abs(obs - 0.5 * _EXACT) <= 0.5 * _EXACT) & (obs == np.rint(obs)), None):
+    lo, hi = _extremes(obs)
+    if not (lo >= 0.0 and hi <= _EXACT and not _extremes(obs != np.rint(obs))[1]):
         raise ValueError("counts must be finite, whole and non-negative, each at most 2**53")
     totals = np.add.reduce(obs, 1)  # exact below 2^53, and rounding never takes a larger sum below it
-    if not np.logical_and.reduce(totals < _EXACT):
+    if not _extremes(totals)[1] < _EXACT:
         raise ValueError(f"a window's total of counts must be below 2**53, got {totals.max():.17g}")
     return obs / np.maximum(totals, 1.0)[:, None], totals  # an empty window's frequencies are 0
 
