@@ -252,9 +252,11 @@ def clicks(cfg: InterferometerConfig, phis) -> tuple[np.ndarray, np.ndarray]:
     """Click probabilities p (N, 4) of a config over an array of phases and
     their derivatives dp/dphi (N, 4), in chunks of _CHUNK phases."""
     phis = _phases(phis)
-    p = np.empty((2, 4, phis.size))
-    for k in range(0, phis.size, _CHUNK):
-        p[..., k: k + _CHUNK] = _clicks(cfg, phis[k: k + _CHUNK])
+    if not phis.size:
+        return np.zeros((0, 4)), np.zeros((0, 4))
+    # joined after the last chunk, so that the joined array can reuse the
+    # memory of the chunks' scratch
+    p = np.concatenate([_clicks(cfg, phis[k: k + _CHUNK]) for k in range(0, phis.size, _CHUNK)], axis=-1)
     return _checked(p[0].T), p[1].T
 
 

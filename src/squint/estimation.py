@@ -167,10 +167,10 @@ class CalibrationModel:
     def _branch_nodes(self, lo: float, hi: float) -> tuple[np.ndarray, ...]:
         """The search table of the branch [lo, hi], built once and kept for the
         last branch (see _estimates): the nodes of the interpolated curves and
-        their values (nodes, 4); the product table (4, nodes + segments); the
-        segments' squared lengths |d|^2 and 1/(2 |d|^2), 0 at a point (_POINT); and
-        the rows (a, d, |d|^2, its two end nodes) of each segment, |d|^2 inf at
-        zero length, so u = 0 there."""
+        their values a (nodes, 4); the product table (4, nodes + segments); the
+        segments' squared lengths |d|^2 and 1/(2 |d|^2), 0 at a point (_POINT);
+        and each segment's row (d, |d|^2), |d|^2 inf at zero length, so u = 0
+        there."""
         if self._nodes is None or self._nodes[0] != (lo, hi):
             # the branch ends plus every calibration node strictly inside, pi-periodically
             shifts = math.pi * np.arange(math.floor(lo / math.pi), math.floor(hi / math.pi) + 1)
@@ -183,9 +183,8 @@ class CalibrationModel:
             table = np.concatenate([_dot4(values.T, values.T) - 2.0 * values.T,
                                     2.0 * (step.T - _dot4(values[:-1].T, step.T))], axis=1)
             half = np.divide(0.5, length2, out=np.zeros_like(length2), where=length2 > _POINT)
-            exact = np.concatenate([values[:-1], step, np.where(length2 > 0.0, length2, np.inf)[:, None],
-                                    nodes[:-1, None], nodes[1:, None]], axis=1)
-            object.__setattr__(self, "_nodes", ((lo, hi), nodes, values, table, length2, half, exact))
+            steps = np.concatenate([step, np.where(length2 > 0.0, length2, np.inf)[:, None]], axis=1)
+            object.__setattr__(self, "_nodes", ((lo, hi), nodes, values, table, length2, half, steps))
         return self._nodes[1:]
 
     def to_dict(self) -> dict:
@@ -369,7 +368,7 @@ def _estimates(freqs, totals, cal: CalibrationModel, branch: tuple[float, float]
     every node and 2 (f - a).d on every segment, so each segment's distance
     up to the window's constant |f|^2; the segments within _MARGIN of the
     best are scored by the exact formula, which picks the first best one."""
-    nodes, values, table, length2, half, exact = cal._branch_nodes(*_check_branch(branch))
+    nodes, values, table, length2, half, steps = cal._branch_nodes(*_check_branch(branch))
     phi_est, objective, flat = np.empty(totals.size), np.empty(totals.size), np.empty(totals.size, dtype=bool)
     rows = max(1, _BATCH_CELLS // nodes.size)
     for w in range(0, totals.size, rows):
@@ -389,18 +388,18 @@ def _estimates(freqs, totals, cal: CalibrationModel, branch: tuple[float, float]
         np.subtract(dist, u * length2, out=dist)
         np.multiply(dist, u, out=dist)
         np.subtract(at_nodes[:, :-1], dist, out=dist)
-        near = dist <= np.minimum.reduce(dist, 1, keepdims=True) + _MARGIN
-        row, seg = np.divmod(near.ravel().nonzero()[0], dist.shape[1])
-        # the shortlist by the exact formula, from the rows (a, d, |d|^2, ends) of its segments
-        x = exact.take(seg, axis=0).T
-        gap = f.take(row, axis=0).T - x[:4]
-        u = (_dot4(gap, x[4:8]) / x[8]).clip(0.0, 1.0)
-        resid = gap - u * x[4:8]
+        short = dist <= np.minimum.reduce(dist, 1, keepdims=True) + _MARGIN
+        row, seg = np.divmod(short.ravel().nonzero()[0], dist.shape[1])
+        # the shortlist by the exact formula, from the rows a and (d, |d|^2) of its segments
+        x = steps.take(seg, axis=0).T
+        gap = f.take(row, axis=0).T - values.take(seg, axis=0).T
+        u = (_dot4(gap, x[:4]) / x[4]).clip(0.0, 1.0)
+        resid = gap - u * x[:4]
         segment = _dot4(resid, resid)
         # the first of each row's least distances: row is sorted, and lexsort is stable
         best = np.lexsort((segment, row))[np.searchsorted(row, np.arange(f.shape[0]))]
-        u, ends = u[best], x[9:, best]
-        phi_est[w:w + rows] = (1.0 - u) * ends[0] + u * ends[1]
+        j, u = seg[best], u[best]
+        phi_est[w:w + rows] = (1.0 - u) * nodes[j] + u * nodes[j + 1]
         objective[w:w + rows] = segment[best]
 
     dead = flat | (totals <= 0)
