@@ -92,8 +92,8 @@ def _checked(p: np.ndarray) -> np.ndarray:
 
 def _q(e, out):
     """Jet of 1/(1 + e), written to ``out``."""
-    q = np.divide(1.0, 1.0 + e[0], out=out[0])
-    np.multiply(-e[1] * q, q, out=out[1])
+    q = np.divide(1.0, 1.0 + e[0], out[0])
+    np.multiply(-e[1] * q, q, out[1])
     return out
 
 
@@ -149,13 +149,13 @@ def _products(src, rows):
     # raises its mmap and trim thresholds above the chunk's peak, so a long
     # batch reuses its heap pages instead of faulting fresh ones
     pair = src.take(operands, axis=0)
-    prod = np.multiply(pair[:half], pair[half:], out=pair[:half])
+    prod = np.multiply(pair[:half], pair[half:], pair[:half])
     for dest, term, op in runs:
         rows = prod[dest]
-        op(rows, prod[term], out=rows)
+        op(rows, prod[term], rows)
     out = prod.take(by_pair, axis=0)  # a copy, which frees the later terms
     derivative = out[items:2 * items]
-    np.add(derivative, out[2 * items:], out=derivative)
+    np.add(derivative, out[2 * items:], derivative)
     return out[:2 * items]
 
 
@@ -270,17 +270,17 @@ def _moments(t, at_w, at_wc, e_tr, e_det):
     ws = np.empty((_WORKSPACE, t.size), dtype=complex)
     # V*, U and V of one arm before its loss, rows (block, jet, row, column);
     # the arm axis comes in with the arm weights
-    src = np.multiply(at_w, w, out=ws[46:])
-    np.add(src, at_wc * w.conj(), out=src)
+    src = np.multiply(at_w, w, ws[46:])
+    np.add(src, at_wc * w.conj(), src)
     ws[26:48] = _products(src, _STAGE1)
-    np.conjugate(ws[26:48], out=ws[48:70])
+    np.conjugate(ws[26:48], ws[48:70])
     ws[:22] = _products(ws[26:], _STAGE2)
     s1, s2 = ws[26:48].reshape(2, 11, -1), ws[:22].reshape(2, 11, -1)
-    np.conjugate(s2[:, 1:3], out=ws[22:26].reshape(2, 2, -1))  # z*
-    tr = np.add(s1[:, 0], s1[:, 3], out=ws[48:50])
+    np.conjugate(s2[:, 1:3], ws[22:26].reshape(2, 2, -1))  # z*
+    tr = np.add(s1[:, 0], s1[:, 3], ws[48:50])
     tr.imag = 0.0  # tr N0 is real: its roundoff imaginary part is dropped
     ee = np.empty((2, 2, 2, t.size))  # e(N), e(G); e(N) = eta tr N0 + eta^2 det N0
-    np.add(e_tr * tr.real[:, None], e_det * (0.5 * s2[:, :1].real), out=ee[:, 0])
+    np.add(e_tr * tr.real[:, None], e_det * (0.5 * s2[:, :1].real), ee[:, 0])
     # G = N - m^dag (I + N_o*)^-1 m are the moments of arm X given vacuum on
     # the other arm o, with N = eta N0 and m = U_o V^T = sqrt(eta eta_o) M0. The
     # commutators give U_o U_o^dag = eta_o I + N_o*, so with lam = 1 - eta_o,
@@ -295,7 +295,7 @@ def _moments(t, at_w, at_wc, e_tr, e_det):
     # (adj(I + A) = I + adj A for 2x2 A): a form in V_H, like c(N_H) and p10
     ws[48:72] = _products(ws[:50], _STAGE3)
     s3 = ws[48:72].reshape(2, 12, -1)
-    np.subtract(s3[:, 8:], s2[:, 3:7], out=s3[:, 8:])  # tr(N0) N0 - B
+    np.subtract(s3[:, 8:], s2[:, 3:7], s3[:, 8:])  # tr(N0) N0 - B
     return ws, ee
 
 
@@ -306,11 +306,11 @@ def _arm_moments(cfg, phis, table):
     at_w, at_wc, e_tr, e_det, arms = _jet_factors(cfg)
     ws, ee = _moments(phis + cfg.phase_offset, at_w, at_wc, e_tr, e_det)
     terms = ws.take(_WEIGHED, axis=0)
-    terms = np.multiply(arms, terms, out=terms).reshape(5, 16, -1)  # g's three, then d's two
+    terms = np.multiply(arms, terms, terms).reshape(5, 16, -1)  # g's three, then d's two
     gdp = np.empty((36, phis.size), dtype=complex)
-    g = np.add(terms[0], terms[1], out=gdp[:16])
-    np.add(g, terms[2], out=g)
-    np.add(terms[3], terms[4], out=gdp[16:32])
+    g = np.add(terms[0], terms[1], gdp[:16])
+    np.add(g, terms[2], g)
+    np.add(terms[3], terms[4], gdp[16:32])
     gdp[32:].reshape(2, 2, -1)[...] = _q(ee[:, 0], table[:, :2])
     return gdp, ee
 
@@ -329,21 +329,21 @@ def _clicks(cfg, phis):
     _q(ee[:, 1], table[:, 2:4])
     # c = e q, both arms of N and of G, each jet entry one run of rows
     e, q = ee.reshape(2, 4, -1), table[:, :4]
-    np.multiply(e[0], q[0], out=table[0, 4:8])
-    c = np.multiply(e[0], q[1], out=table[1, 4:8])
-    np.add(c, e[1] * q[0], out=c)
-    np.add(e_gd[:, 2], dets[:, 4].real, out=table[:, 8])  # e(N_H) - e(G_H) = e(D_H) + tr(adj(G_H) D_H)
+    np.multiply(e[0], q[0], table[0, 4:8])
+    c = np.multiply(e[0], q[1], table[1, 4:8])
+    np.add(c, e[1] * q[0], c)
+    np.add(e_gd[:, 2], dets[:, 4].real, table[:, 8])  # e(N_H) - e(G_H) = e(D_H) + tr(adj(G_H) D_H)
     factors = table.reshape(18, -1).take(_FACTORS, axis=0)
     left, right, left_d, right_d = factors[:6], factors[6:12], factors[12:18], factors[18:]
     out = np.empty((2, 6, phis.size))  # p00, p01, p10, p11, then the factors of p11's second term
-    np.multiply(left, right, out=out[0])
-    np.multiply(left, right_d, out=out[1])
-    np.add(out[1], left_d * right, out=out[1])
+    np.multiply(left, right, out[0])
+    np.multiply(left, right_d, out[1])
+    np.add(out[1], left_d * right, out[1])
     p, dp = out[:, 3:]
     second = p[1] * dp[2]
-    np.add(second, dp[1] * p[2], out=second)
-    np.add(p[0], p[1] * p[2], out=p[0])
-    np.add(dp[0], second, out=dp[0])
+    np.add(second, dp[1] * p[2], second)
+    np.add(p[0], p[1] * p[2], p[0])
+    np.add(dp[0], second, dp[0])
     return out[:, :4]
 
 

@@ -377,7 +377,7 @@ def _estimates(freqs, totals, cal: CalibrationModel, branch: tuple[float, float]
         at_nodes, dist = near[:, :nodes.size], near[:, nodes.size:]
         # the objective's range over the nodes, exact where the prefilter cannot tell it from flat
         level = flat[w:w + rows]
-        np.less(np.maximum.reduce(at_nodes, 1) - np.minimum.reduce(at_nodes, 1), _FLAT + _MARGIN, out=level)
+        np.less(np.maximum.reduce(at_nodes, 1) - np.minimum.reduce(at_nodes, 1), _FLAT + _MARGIN, level)
         if np.logical_or.reduce(level):
             gap = f[level].T[:, :, None] - values.T[:, None]
             at = _dot4(gap, gap)
@@ -385,9 +385,9 @@ def _estimates(freqs, totals, cal: CalibrationModel, branch: tuple[float, float]
         # the distance at u = clip(2 (f - a).d / 2 |d|^2, 0, 1): |f - a|^2 - u (2 (f - a).d - u |d|^2)
         u = np.multiply(dist, half)
         np.minimum(np.maximum(u, 0.0, out=u), 1.0, out=u)
-        np.subtract(dist, u * length2, out=dist)
-        np.multiply(dist, u, out=dist)
-        np.subtract(at_nodes[:, :-1], dist, out=dist)
+        np.subtract(dist, u * length2, dist)
+        np.multiply(dist, u, dist)
+        np.subtract(at_nodes[:, :-1], dist, dist)
         short = dist <= np.minimum.reduce(dist, 1, keepdims=True) + _MARGIN
         row, seg = np.divmod(short.ravel().nonzero()[0], dist.shape[1])
         # the shortlist by the exact formula, from the rows a and (d, |d|^2) of its segments
