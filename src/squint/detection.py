@@ -90,6 +90,15 @@ def _checked(p: np.ndarray) -> np.ndarray:
 # x0 y0, then the derivative x0 y1 + x1 y0 by the product rule.
 
 
+def _mul(x, y, out):
+    """Jet of the product x y, written to ``out``, one call per jet entry so
+    that each acts on contiguous rows."""
+    np.multiply(x[0], y[0], out[0])
+    np.multiply(x[0], y[1], out[1])
+    np.add(out[1], x[1] * y[0], out[1])
+    return out
+
+
 def _q(e, out):
     """Jet of 1/(1 + e), written to ``out``."""
     q = np.divide(1.0, 1.0 + e[0], out[0])
@@ -151,8 +160,8 @@ def _products(src, rows):
     pair = src.take(operands, axis=0)
     prod = np.multiply(pair[:half], pair[half:], pair[:half])
     for dest, term, op in runs:
-        rows = prod[dest]
-        op(rows, prod[term], rows)
+        block = prod[dest]
+        op(block, prod[term], block)
     out = prod.take(by_pair, axis=0)  # a copy, which frees the later terms
     derivative = out[items:2 * items]
     np.add(derivative, out[2 * items:], derivative)
@@ -327,24 +336,12 @@ def _clicks(cfg, phis):
     e_gd = (diagonal[:, 0] + diagonal[:, 3] + 0.5 * dets[:, :4]).real  # e(G_H), e(G_V), e(D_H), e(D_V)
     ee[:, 1] = e_gd[:, :2]
     _q(ee[:, 1], table[:, 2:4])
-    # c = e q, both arms of N and of G, each jet entry one run of rows
-    e, q = ee.reshape(2, 4, -1), table[:, :4]
-    np.multiply(e[0], q[0], table[0, 4:8])
-    c = np.multiply(e[0], q[1], table[1, 4:8])
-    np.add(c, e[1] * q[0], c)
+    _mul(ee.reshape(2, 4, -1), table[:, :4], table[:, 4:8])  # c = e q for N and G on both arms
     np.add(e_gd[:, 2], dets[:, 4].real, table[:, 8])  # e(N_H) - e(G_H) = e(D_H) + tr(adj(G_H) D_H)
-    factors = table.reshape(18, -1).take(_FACTORS, axis=0)
-    left, right, left_d, right_d = factors[:6], factors[6:12], factors[12:18], factors[18:]
-    out = np.empty((2, 6, phis.size))  # p00, p01, p10, p11, then the factors of p11's second term
-    np.multiply(left, right, out[0])
-    np.multiply(left, right_d, out[1])
-    np.add(out[1], left_d * right, out[1])
-    p, dp = out[:, 3:]
-    second = p[1] * dp[2]
-    np.add(second, dp[1] * p[2], second)
-    np.add(p[0], p[1] * p[2], p[0])
-    np.add(dp[0], second, dp[0])
-    return out[:, :4]
+    left, right = table.reshape(18, -1).take(_FACTORS, axis=0).reshape(2, 2, 6, -1).swapaxes(0, 1)
+    p = _mul(left, right, np.empty((2, 6, phis.size)))
+    np.add(p[:, 3], _mul(p[:, 4], p[:, 5], np.empty((2, phis.size))), p[:, 3])
+    return p[:, :4]
 
 
 def fringe(cfg: InterferometerConfig, phi_grid) -> np.ndarray:
