@@ -79,7 +79,8 @@ def _checked(p: np.ndarray) -> np.ndarray:
     if lo < 0.0 or hi > 1.0:  # clip leaves every value inside, -0.0 too
         p = p.clip(0.0, 1.0)
     total = np.add.reduce(p, -1)  # p.sum(axis=-1), without the method's wrapper
-    if not _extremes(np.abs(total - 1.0))[1] <= _SUM_TOL:
+    deviation = np.abs(total - 1.0)
+    if not deviation[deviation.argmax()] <= _SUM_TOL:  # a NaN is the first maximum
         raise InvalidStateError(f"outcome probabilities sum to {total.min()}..{total.max()}, not 1")
     return p
 

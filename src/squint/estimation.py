@@ -378,7 +378,7 @@ def _estimates(freqs, totals, cal: CalibrationModel, branch: tuple[float, float]
         # the objective's range over the nodes, exact where the prefilter cannot tell it from flat
         level = flat[w:w + rows]
         np.less(np.maximum.reduce(at_nodes, 1) - np.minimum.reduce(at_nodes, 1), _FLAT + _MARGIN, level)
-        if np.logical_or.reduce(level):
+        if level[level.argmax()]:  # any
             gap = f[level].T[:, :, None] - values.T[:, None]
             at = _dot4(gap, gap)
             level[level] = at.max(axis=1) - at.min(axis=1) < _FLAT
