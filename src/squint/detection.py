@@ -253,7 +253,8 @@ def _jet_factors(cfg: InterferometerConfig) -> tuple[np.ndarray, ...]:
 def _phases(phis) -> np.ndarray:
     """Any array-like of phases as a flat float array; refuses a non-finite one."""
     phis = np.asarray(phis, dtype=float).reshape(-1)
-    if not np.logical_and.reduce(np.isfinite(phis)):
+    lo, hi = _extremes(phis)  # a NaN fails both tests
+    if not -math.inf < lo <= hi < math.inf:
         raise ValueError("phases must be finite")
     return phis
 
@@ -265,8 +266,9 @@ def clicks(cfg: InterferometerConfig, phis) -> tuple[np.ndarray, np.ndarray]:
     if not phis.size:
         return np.zeros((0, 4)), np.zeros((0, 4))
     # joined after the last chunk, so that the joined array can reuse the
-    # memory of the chunks' scratch
-    p = np.concatenate([_clicks(cfg, phis[k: k + _CHUNK]) for k in range(0, phis.size, _CHUNK)], axis=-1)
+    # memory of the chunks' scratch; one chunk needs no join
+    parts = [_clicks(cfg, phis[k: k + _CHUNK]) for k in range(0, phis.size, _CHUNK)]
+    p = np.concatenate(parts, axis=-1) if len(parts) > 1 else parts[0]
     return _checked(p[0].T), p[1].T
 
 
