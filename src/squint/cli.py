@@ -2,16 +2,16 @@
 
 Every command is deterministic given (config, seed) and writes diff-able
 CSV/JSON data files rather than rendered images. Exit codes: 0 success,
-2 refused input (any ValueError, or a ConfigError for a rule only the CLI
-has), 3 validation failure, 4 numerical failure (InvalidStateError,
-TruncationError, BracketError, LinAlgError or OverflowError).
+2 refused input (any other ValueError, or an OSError such as an unreadable
+file or an --out that names a file), 3 validation failure, 4 numerical
+failure (InvalidStateError, TruncationError, BracketError, LinAlgError or
+OverflowError). No input is refused with a TypeError.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from dataclasses import replace
@@ -21,9 +21,9 @@ import numpy as np
 
 from . import presets
 from .detection import _OUTCOMES, fringe, fringe_visibility
-from .estimation import CalibrationModel, _check_branch, _frequencies, estimate_phases, write_json
-from .fock import TruncationError, required_n_max, simulate_fock
-from .gaussian import InterferometerConfig, InvalidStateError
+from .estimation import CalibrationModel, _check_branch, _frequencies, estimate_phases, read_json, write_json
+from .fock import TruncationError, oracle_n_max, simulate_fock
+from .gaussian import InterferometerConfig, InvalidStateError, _mapping
 from .metrology import (
     ACCOUNTINGS,
     SNL_PER_PHOTON,
@@ -46,14 +46,6 @@ EXIT_VALIDATION = 3
 EXIT_NUMERICAL = 4
 
 COUNT_COLUMNS = ("n00", "n01", "n10", "n11")
-
-
-class ConfigError(Exception):
-    """A refused input that only the CLI checks."""
-
-
-class ValidationFailure(Exception):
-    pass
 
 
 def _fmt(value) -> str:
@@ -81,45 +73,35 @@ def _write_table(out_dir: Path, name: str, fmt: str, columns: dict) -> Path:
     return path
 
 
-def _load_config_file(path: str):
+def _load_config_file(path: str, *required: str):
+    """The interferometer config and the scenario of a config file, None for a
+    missing section; the sections ``required`` must be given."""
     try:
-        data = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
-    unknown = set(data) - {"interferometer", "scenario"}
-    if unknown:
-        raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-    for name, section in data.items():
-        if not isinstance(section, dict):
-            raise ConfigError(f"config section {name!r} must be a JSON object")
-    loaded = []  # the config and the scenario, None for a missing section
+        data = read_json(path)
+    except ValueError as exc:
+        raise ValueError(f"config file is not valid JSON: {exc}") from exc
+    _mapping("config file", data, ("interferometer", "scenario"), required)
+    loaded = []
     for name, cls in (("interferometer", InterferometerConfig), ("scenario", TrackingScenario)):
         try:  # TrackingScenario makes the schedule and the branch tuples itself
-            loaded.append(cls(**data[name]) if name in data else None)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid {name} section: {exc}") from exc
+            loaded.append(cls(**_mapping(name, data[name], cls)) if name in data else None)
+        except ValueError as exc:
+            raise ValueError(f"invalid {name} section: {exc}") from exc
     return tuple(loaded)
 
 
 def _resolve_config(args) -> InterferometerConfig:
     """The --config interferometer, else the fig3 preset, else the ideal r = 0.59 default."""
     if args.config:
-        cfg, _ = _load_config_file(args.config)
-        if cfg is None:
-            raise ConfigError("config file has no 'interferometer' section")
-        return cfg
+        return _load_config_file(args.config, "interferometer")[0]
     return presets.fringe_config() if args.preset else InterferometerConfig(r1=0.59, r2=0.59)
 
 
 def _phi_grid(args) -> np.ndarray:
     if args.phi_steps < 2:
-        raise ConfigError(f"need at least 2 grid points, got {args.phi_steps}")
+        raise ValueError(f"need at least 2 grid points, got {args.phi_steps}")
     if not 0.0 <= args.phi_min < args.phi_max <= math.pi + 1e-12:
-        raise ConfigError("phase grid must satisfy 0 <= phi-min < phi-max <= pi")
+        raise ValueError("phase grid must satisfy 0 <= phi-min < phi-max <= pi")
     return np.linspace(args.phi_min, args.phi_max, args.phi_steps)
 
 
@@ -167,7 +149,7 @@ def cmd_fisher(args) -> int:
 
 def cmd_thresholds(args) -> int:
     if args.noon_max < 1:
-        raise ConfigError(f"--noon-max must be >= 1, got {args.noon_max}")
+        raise ValueError(f"--noon-max must be >= 1, got {args.noon_max}")
     out = Path(args.out)
     tm = {
         "n_bar": args.nbar,
@@ -191,21 +173,19 @@ def cmd_estimate(args) -> int:
     branch = _check_branch((args.branch_lo, args.branch_hi))
     try:
         cal = CalibrationModel.from_json(args.calibration)
-    except (OSError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid calibration file {args.calibration}: {exc!r}") from exc
-    try:
-        with open(args.counts, newline="") as fh:
-            reader = csv.DictReader(fh)
-            needed = {"window_index", *COUNT_COLUMNS}
-            if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-                raise ConfigError(f"counts file must have columns {sorted(needed)}")
+    except ValueError as exc:
+        raise ValueError(f"invalid calibration file {args.calibration}: {exc}") from exc
+    needed = {"window_index", *COUNT_COLUMNS}
+    with open(args.counts, newline="") as fh:
+        reader = csv.DictReader(fh, restval="")  # a short row's missing counts read "", which int() refuses
+        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
+            raise ValueError(f"counts file must have columns {sorted(needed)}")
+        try:
             windows = [(int(rec["window_index"]), [int(rec[k]) for k in COUNT_COLUMNS]) for rec in reader]
-        counts = np.reshape([c for _, c in windows], (-1, 4))
-        _frequencies(counts)
-    except OSError as exc:
-        raise ConfigError(f"cannot read counts file {args.counts}: {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed row in counts file {args.counts}: {exc}") from exc
+            counts = np.reshape([c for _, c in windows], (-1, 4))
+            _frequencies(counts)
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"malformed row in counts file {args.counts}: {exc}") from exc
     phi_est, objective, low_info = estimate_phases(counts, cal, branch)
     columns = {
         "window_index": [i for i, _ in windows],
@@ -223,10 +203,8 @@ def cmd_track(args) -> int:
         cfg, scenario = presets.tracking_config(), presets.fig4_scenario()
     else:
         if not args.config:
-            raise ConfigError("track needs --preset fig4 or --config with a scenario section")
-        cfg, scenario = _load_config_file(args.config)
-        if cfg is None or scenario is None:
-            raise ConfigError("track config must contain interferometer and scenario sections")
+            raise ValueError("track needs --preset fig4 or --config with a scenario section")
+        cfg, scenario = _load_config_file(args.config, "interferometer", "scenario")
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     cal = CalibrationModel.from_config(cfg)
@@ -258,13 +236,13 @@ def cmd_track(args) -> int:
 
 def cmd_validate(args) -> int:
     if not 0.0 < args.tol < math.inf:
-        raise ConfigError(f"--tol must be finite and > 0, got {args.tol}")
+        raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     grid = _phi_grid(args)
     cases = [(0.3, 1.0), (0.3, 0.75), (0.59, 1.0), (0.59, 0.75)]
     rows = []
     for r, eta in cases:
         cfg = InterferometerConfig(r1=r, r2=r, eta_h=eta, eta_v=eta)
-        n_max = required_n_max(2 * r, args.budget)  # the cutoff simulate_fock derives
+        n_max = oracle_n_max(cfg, args.budget)
         dev = float(np.abs(fringe(cfg, grid) - simulate_fock(cfg, grid, budget=args.budget)).max())
         rows.append((r, eta, n_max, dev))
         print(f"r={r} eta={eta} n_max={n_max}: max |delta p| = {dev:.3e}")
@@ -273,7 +251,8 @@ def cmd_validate(args) -> int:
     worst = float(np.max(columns["max_delta_p"]))
     print(f"overall max |delta p| = {worst:.3e} (tolerance {args.tol:.1e})")
     if not worst <= args.tol:
-        raise ValidationFailure(f"oracle deviation {worst:.3e} exceeds tolerance {args.tol:.1e}")
+        print(f"validation failure: oracle deviation {worst:.3e} exceeds tolerance {args.tol:.1e}", file=sys.stderr)
+        return EXIT_VALIDATION
     return EXIT_OK
 
 
@@ -341,16 +320,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "preset", None) and getattr(args, "config", None):
-            raise ConfigError("give either --preset or --config, not both")
+            raise ValueError("give either --preset or --config, not both")
         return args.func(args)
-    except ValidationFailure as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     # InvalidStateError and LinAlgError are ValueErrors: they must come first
     except (InvalidStateError, TruncationError, BracketError, np.linalg.LinAlgError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

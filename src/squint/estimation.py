@@ -33,7 +33,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .detection import _extremes, fringe
-from .gaussian import InterferometerConfig, _integer, _is_number
+from .gaussian import InterferometerConfig, _integer, _is_number, _is_pair, _mapping
 from .metrology import fisher
 
 __all__ = [
@@ -106,6 +106,15 @@ def write_json(path, payload) -> None:
     Path(path).write_text(text)
 
 
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def read_json(path):
+    """The value of a strict JSON file: NaN and Infinity tokens are refused."""
+    return json.loads(Path(path).read_text(), parse_constant=_refuse_constant)
+
+
 @dataclass(frozen=True)
 class PhaseEstimate:
     """Single-window phase estimate on a half-period branch."""
@@ -140,8 +149,7 @@ class CalibrationModel:
         degraded, residual, sigma = self.degraded, self.fit_residual, self.sigma
         if type(degraded) is not bool or not (_is_number(residual) and 0.0 <= residual < math.inf):
             raise ValueError(f"need a boolean degraded and a finite fit_residual >= 0: {degraded!r}, {residual!r}")
-        if not isinstance(sigma, dict) or not set(sigma) <= set(_FIT_NAMES):
-            raise ValueError(f"sigma must map fitted parameters {_FIT_NAMES} to standard errors")
+        _mapping("sigma", sigma, _FIT_NAMES)
         if not all((v is None and degraded) or (_is_number(v) and math.isfinite(v) and v >= 0.0)
                    for v in sigma.values()):
             raise ValueError(f"sigma values must be finite and >= 0 (null only when degraded): {sigma}")
@@ -204,19 +212,16 @@ class CalibrationModel:
         if schema != CALIBRATION_SCHEMA or set(data) != _CALIBRATION_KEYS:
             raise ValueError(f"need a {CALIBRATION_SCHEMA} object with the keys {sorted(_CALIBRATION_KEYS)}, "
                              f"got schema {schema!r}")
-        return cls(InterferometerConfig(**data["config"]), data["fit_residual"], data["degraded"], data["sigma"])
+        config = InterferometerConfig(**_mapping("config", data["config"], InterferometerConfig))
+        return cls(config, data["fit_residual"], data["degraded"], data["sigma"])
 
     def to_json(self, path) -> None:
         write_json(path, self.to_dict())
 
     @classmethod
     def from_json(cls, path) -> "CalibrationModel":
-        """Load a strict JSON file: NaN and Infinity tokens are refused."""
-        return cls.from_dict(json.loads(Path(path).read_text(), parse_constant=_refuse_constant))
-
-
-def _refuse_constant(token: str):
-    raise ValueError(f"{token} is not strict JSON")
+        """Load a strict JSON file (``read_json``)."""
+        return cls.from_dict(read_json(path))
 
 
 def _dot4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -332,11 +337,10 @@ def calibrate(
 
 
 def _check_branch(branch: tuple[float, float]) -> tuple[float, float]:
-    """The branch (lo, hi) of numbers as a float pair, hi > lo and at most pi/2 wide."""
-    pair = tuple(branch)
-    if len(pair) != 2 or not all(map(_is_number, pair)):
+    """The branch (lo, hi), a list or tuple of numbers, as floats, hi > lo and at most pi/2 wide."""
+    if not _is_pair(branch):
         raise ValueError(f"branch must be a pair (lo, hi) of numbers, got {branch!r}")
-    lo, hi = float(pair[0]), float(pair[1])
+    lo, hi = float(branch[0]), float(branch[1])
     if not hi > lo:
         raise ValueError(f"branch must satisfy hi > lo, got {branch}")
     if hi - lo > _HALF_PERIOD + 1e-9:

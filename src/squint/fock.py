@@ -35,6 +35,7 @@ __all__ = [
     "TruncationError",
     "truncation_error_bound",
     "required_n_max",
+    "oracle_n_max",
     "evolve_fock",
     "simulate_fock",
 ]
@@ -63,6 +64,11 @@ def required_n_max(r_total: float, budget: float = 1e-8) -> int:
                 f"no feasible cutoff for r_total={r_total} at budget {budget}"
             )
     return n_max
+
+
+def oracle_n_max(cfg: InterferometerConfig, budget: float = 1e-8) -> int:
+    """The cutoff of ``simulate_fock``, the least that meets ``budget`` at the total squeezing r1 + r2."""
+    return required_n_max(cfg.r1 + cfg.r2, budget)
 
 
 def _pair_blocks(n_max: int, scale: float, sign: int) -> tuple:
@@ -153,11 +159,10 @@ def simulate_fock(cfg: InterferometerConfig, phis, budget: float = 1e-8) -> np.n
     """Click probabilities (N, 4), columns (p00, p01, p10, p11), from the
     truncated Fock evolution at the phases ``phis``, flattened as by ``clicks``.
 
-    The cutoff is the smallest whose worst-case bound (total squeezing r1+r2)
-    meets ``budget``, ``required_n_max(r1 + r2, budget)``; raises
-    TruncationError when no cutoff does. Detection is one contraction a phase.
+    The cutoff is ``oracle_n_max(cfg, budget)``; raises TruncationError when
+    no cutoff meets ``budget``. Detection is one contraction a phase.
     """
-    n_max = required_n_max(cfg.r1 + cfg.r2, budget)
+    n_max = oracle_n_max(cfg, budget)
     arm_h, arm_v, num_modes = _layout(cfg)
     # one (2, n_max + 1) operand per detected mode, rows (1 - eta)^0 = 1 and (1 - eta)^n, "mode
     # empty" (0^0 = 1); an arm's modes share its output index, and the environment axes, named by

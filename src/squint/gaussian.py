@@ -18,7 +18,7 @@ from __future__ import annotations
 import contextlib
 import math
 import operator
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -36,6 +36,25 @@ class InvalidStateError(ValueError):
 def _is_number(value) -> bool:
     """An int or a float, numpy scalars included, and never a bool."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _is_pair(value) -> bool:
+    """A list or a tuple of two numbers."""
+    return isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))
+
+
+def _mapping(name: str, value, keys, required=()) -> dict:
+    """``value`` if it is a dict whose keys are among ``keys`` and include ``required``, else a ValueError
+    naming ``name``. A dataclass's keys are its fields, and those without a default are required."""
+    if is_dataclass(keys):
+        keys, required = [f.name for f in fields(keys)], [f.name for f in fields(keys) if f.default is MISSING]
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    if unknown := value.keys() - set(keys):
+        raise ValueError(f"unknown {name} keys: {sorted(unknown, key=repr)}")
+    if missing := [key for key in required if key not in value]:
+        raise ValueError(f"{name} lacks the keys {missing}")
+    return value
 
 
 def _integer(name: str, value) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .detection import fringe
 from .estimation import CalibrationModel, _check_branch, estimate_phases
-from .gaussian import InterferometerConfig, _integer, _is_number
+from .gaussian import InterferometerConfig, _integer, _is_number, _is_pair
 from .metrology import SNL_PER_PHOTON, crlb, photons_through_sample
 
 __all__ = [
@@ -54,10 +54,13 @@ AGGREGATE_DTYPE = np.dtype([
 ])
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    """RNG stream keyed by (seed, stream index)."""
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _stream(seed: int, index: int, rng: np.random.Generator | None = None) -> np.random.Generator:
+    """RNG stream keyed by (seed, stream index): ``rng``, a Philox generator (a new one by default), in
+    the state of a new ``Philox(key=(seed, index))``, counter 0 and its buffer of four words empty."""
+    rng = rng or np.random.Generator(np.random.Philox(key=0))
+    rng.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (seed, index)},
+                               "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 @dataclass(frozen=True)
@@ -81,9 +84,10 @@ class TrackingScenario:
     def __post_init__(self):
         for name in ("repeats", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        values = [self.window, self.repetition_rate, *(v for entry in self.phase_schedule for v in entry)]
-        if bad := [v for v in values if not _is_number(v)]:
-            raise ValueError(f"window, repetition_rate and phase_schedule take numbers, got {bad}")
+        if not (isinstance(self.phase_schedule, (list, tuple)) and all(map(_is_pair, self.phase_schedule))
+                and _is_number(self.window) and _is_number(self.repetition_rate)):
+            raise ValueError(f"window and repetition_rate take numbers, got {self.window!r}, {self.repetition_rate!r}; "
+                             "phase_schedule a list of (phase, duration) pairs of numbers")
         schedule = tuple((float(p), float(d)) for p, d in self.phase_schedule)
         object.__setattr__(self, "phase_schedule", schedule)
         if not (0 < self.window < math.inf and 0 < self.repetition_rate < math.inf
@@ -165,10 +169,9 @@ def run_tracking(
     phis = np.array([phi_set for phi_set, _ in scenario.phase_schedule])
     phase_of = np.tile(np.repeat(np.arange(len(phis)), scenario.windows_per_phase), scenario.repeats)
     probs = fringe(cfg, phis)
-    counts = np.array([
-        _stream(scenario.seed, index).multinomial(trials, probs[phase_index])
-        for index, phase_index in enumerate(phase_of.tolist())
-    ])
+    rng = _stream(scenario.seed, 0)  # rekeyed for each window
+    counts = np.array([_stream(scenario.seed, index, rng).multinomial(trials, probs[phase_index])
+                       for index, phase_index in enumerate(phase_of.tolist())])
     phi_est, _, low_info = estimate_phases(counts, cal, scenario.resolved_branch())
     index = np.arange(len(phase_of))
     records = np.rec.fromarrays(

@@ -8,10 +8,10 @@ The script extracts REV with ``git archive REV | tar -x`` (the helper of
 
 It first checks that the two trees give the same bits: p and dp/dphi of
 ``clicks`` on fixed random configs (a 300-phase batch and three one-phase
-calls each), ``phi_est``, ``objective_value`` and ``low_information`` of one
-``estimate_phases`` batch on the fig4 preset's windows and of the one-window
-``estimate_phase`` on the first W of them, and ``bootstrap_sigma`` (200
-resamples) of the first three windows. Where they differ it prints how many
+calls each), the counts of the fig4 replay (seed 0), ``phi_est``,
+``objective_value`` and ``low_information`` of one ``estimate_phases`` batch
+on those windows and of the one-window ``estimate_phase`` on the first W of
+them, and ``bootstrap_sigma`` (200 resamples) of the first three windows. Where they differ it prints how many
 values differ and the largest absolute and relative change, and the script
 exits 1 after the timings.
 
@@ -117,6 +117,7 @@ def bit_check(pkgs: dict, windows: dict, n_windows: int) -> list[str]:
             for phi in phis[:3]:
                 values += pkg.clicks(cfg, [phi])
         _, cal, branch, trials, counts = windows[side]
+        values.append(counts)
         one = [pkg.estimate_phase(row, cal, branch, trials=trials) for row in counts[:n_windows]]
         values += [[e.phi_est for e in one], [e.objective_value for e in one], [e.low_information for e in one]]
         values += pkg.estimate_phases(counts, cal, branch)
@@ -124,6 +125,7 @@ def bit_check(pkgs: dict, windows: dict, n_windows: int) -> list[str]:
         out[side] = values
     labels = [f"config {k} {name}" for k in range(CONFIGS)
               for name in ("batch p", "batch dp", *("one-phase p", "one-phase dp") * 3)]
+    labels.append("fig4 replay counts")
     labels += [f"estimate_phase {f}" for f in ("phi_est", "objective_value", "low_information")]
     labels += [f"estimate_phases {f}" for f in ("phi_est", "objective_value", "low_information")]
     labels.append("bootstrap_sigma")
@@ -184,7 +186,8 @@ def main(argv=None) -> int:
         for line in differences:
             print(line)
         print(f"bit check: {'values differ' if differences else 'every value bitwise equal'} "
-              f"({CONFIGS} configs; {len(windows['head'][4])} fig4 windows, the first {args.windows} one by one; "
+              f"({CONFIGS} configs; the counts of {len(windows['head'][4])} fig4 windows and their estimates, "
+              f"the first {args.windows} one by one; "
               "3 bootstraps)")
 
         timings = {side: rows(pkg, windows[side], args.windows) for side, pkg in pkgs.items()}

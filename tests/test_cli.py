@@ -273,10 +273,16 @@ class TestTrackAndEstimate:
         ]
 
     def test_missing_counts_file_is_config_error(self, track_dir, tmp_path, capsys):
-        assert main(self.estimate_argv(track_dir, tmp_path, tmp_path / "missing.csv")) == 2
-        assert "cannot read counts file" in capsys.readouterr().err
+        # an OSError names the file itself, and main maps it to exit 2
+        missing = tmp_path / "missing.csv"
+        assert main(self.estimate_argv(track_dir, tmp_path, missing)) == 2
+        assert capsys.readouterr().err == f"config error: [Errno 2] No such file or directory: '{missing}'\n"
 
-    @pytest.mark.parametrize("row", ["0,9000,400,500,12x", "0,9000,400,500", "0,9000,400,500,-12"])
+    @pytest.mark.parametrize("row", [
+        "0,9000,400,500,12x", "0,9000,400,500", "0,9000,400,500,-12",
+        # csv.Error, not a ValueError: a traceback, exit 1
+        pytest.param("0,9000,400,500," + "1" * 200_000, id="field-past-the-csv-limit"),
+    ])
     def test_malformed_count_is_config_error(self, track_dir, tmp_path, capsys, row):
         counts = tmp_path / "counts.csv"
         counts.write_text(f"window_index,n00,n01,n10,n11\n{row}\n")
@@ -393,7 +399,9 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--config", "{not_json}"], "config file is not valid JSON"),
-        (["fisher", "--config", "{scenario_only}"], "config file has no 'interferometer' section"),
+        # the strict reader of calibration files: NaN ran into the config's own check
+        (["sweep", "--config", "{nan}"], "config file is not valid JSON: NaN is not strict JSON"),
+        (["fisher", "--config", "{scenario_only}"], "config file lacks the keys ['interferometer']"),
         (["sweep", "--phi-min", "2", "--phi-max", "1"], "phase grid must satisfy"),
         (["track"], "track needs --preset fig4 or --config"),
         # Philox keys on the seed's 64-bit word: seed -1 ran as 2**64 - 1, and 2**64 as 0
@@ -403,7 +411,8 @@ class TestConfigHandling:
     ])
     def test_refused_invocation(self, tmp_path, capsys, argv, message):
         scenario = {"phase_schedule": [[0.5, 0.2]], "repetition_rate": 5e4}
-        files = {"not_json": '{"interferometer": ', "scenario_only": json.dumps({"scenario": scenario}),
+        files = {"not_json": '{"interferometer": ', "nan": '{"interferometer": {"r1": NaN, "r2": 0.3}}',
+                 "scenario_only": json.dumps({"scenario": scenario}),
                  "tracking": json.dumps({"interferometer": {"r1": 0.3, "r2": 0.3}, "scenario": scenario})}
         for name, text in files.items():
             (tmp_path / f"{name}.json").write_text(text)
@@ -418,8 +427,26 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, {"laser": {}})
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
 
-    def test_missing_file_rejected(self, tmp_path, capsys):
-        assert main(["sweep", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("name", ["nope.json", "a_directory"])
+    def test_unreadable_file_rejected(self, tmp_path, capsys, name):
+        # a directory raised IsADirectoryError: a traceback, exit 1
+        (tmp_path / "a_directory").mkdir()
+        assert main(["sweep", "--config", str(tmp_path / name), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and name in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--phi-steps", "3"],
+        ["validate", "--phi-steps", "3", "--budget", "1e-3", "--tol", "1"],
+        ["thresholds", "--nbar", "0.5", "--skip-numeric", "--noon-max", "2"],
+    ])
+    def test_out_naming_a_file_rejected(self, tmp_path, capsys, argv):
+        # mkdir raised FileExistsError: a traceback, exit 1
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(out) in err and err.count("\n") == 1
 
     def test_preset_and_config_conflict(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"interferometer": {"r1": 0.3, "r2": 0.3}})

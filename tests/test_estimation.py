@@ -129,8 +129,19 @@ class TestCalibrationModel:
         def null_sigma_of_sound_fit(d):
             d["sigma"]["overlap"] = None
 
+        # each of these three raised TypeError
+        def config_a_list(d):
+            d["config"] = list(d["config"].values())
+
+        def config_with_unknown_key(d):
+            d["config"]["gain"] = 2.0
+
+        def config_without_r2(d):
+            del d["config"]["r2"]
+
         edits = (unphysical_config, old_schema, tabulated_schema, curves_given, sigma_of_unfitted_name,
-                 negative_sigma, infinite_sigma, null_sigma_of_sound_fit)
+                 negative_sigma, infinite_sigma, null_sigma_of_sound_fit, config_a_list, config_with_unknown_key,
+                 config_without_r2)
         for edit in edits:
             with pytest.raises(ValueError):
                 CalibrationModel.from_dict(broken(edit))
@@ -294,6 +305,9 @@ class TestEstimatePhase:
         for bad in ((False, True), ("0.3", 0.9)):  # each ran, as (0.0, 1.0) and (0.3, 0.9)
             with pytest.raises(ValueError, match="pair .* of numbers"):
                 estimate_phase([500, 200, 200, 100], tracking_cal, bad)
+        for bad in (5, None):  # each raised TypeError
+            with pytest.raises(ValueError, match="pair .* of numbers"):
+                estimate_phases([[500, 200, 200, 100]], tracking_cal, bad)
 
     @pytest.mark.parametrize("trials", [-5, 2.5, math.nan, "1000", 999, 1001])
     def test_trials_must_equal_the_window_total(self, tracking_cal, trials):
@@ -555,6 +569,10 @@ class TestBootstrapAndCrlb:
             bootstrap_sigma(np.array([500, 200, 150, 49]), tracking_cal, BRANCH)
         with pytest.raises(UnidentifiableError):
             bootstrap_sigma([5000, 0, 0, 0], tracking_cal, BRANCH)
+        # no light reaches the detectors: every resample's objective is flat
+        dead = CalibrationModel.from_config(InterferometerConfig(r1=0.5, r2=0.5, eta_h=0.0, eta_v=0.0))
+        with pytest.raises(UnidentifiableError, match="objective is flat on the branch"):
+            bootstrap_sigma([7000, 1000, 1000, 1000], dead, BRANCH)
 
     @pytest.mark.parametrize("resamples", [150.5, math.nan, math.inf])
     def test_bootstrap_resamples_must_be_an_integer(self, tracking_cal, resamples):

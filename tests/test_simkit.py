@@ -94,9 +94,15 @@ class TestScenario:
         assert scenario.branch == scenario.resolved_branch() == (0.0, 1.0)
         assert all(type(v) is float for v in scenario.branch)
         assert hash(scenario) == hash(mini_scenario(branch=(0.0, 1.0)))
-        for bad in ([0.3], [], [0.3, 0.9, 5]):
+        for bad in ([0.3], [], [0.3, 0.9, 5], 5):  # 5 raised TypeError
             with pytest.raises(ValueError, match="pair"):
                 mini_scenario(branch=bad)
+
+    @pytest.mark.parametrize("schedule", [3, [3], [[0.5]], [[0.5, 0.2, 0.1]]])
+    def test_schedule_is_a_list_of_pairs(self, schedule):
+        # 3 and [3] raised TypeError
+        with pytest.raises(ValueError, match="phase_schedule a list of .* pairs"):
+            mini_scenario(phase_schedule=schedule)
 
     def test_branch_too_wide_rejected(self):
         with pytest.raises(ValueError, match="half period"):
