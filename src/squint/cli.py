@@ -23,7 +23,7 @@ from . import presets
 from .detection import _OUTCOMES, fringe, fringe_visibility
 from .estimation import CalibrationModel, _check_branch, _frequencies, estimate_phases, read_json, write_json
 from .fock import TruncationError, oracle_n_max, simulate_fock
-from .gaussian import InterferometerConfig, InvalidStateError, _mapping
+from .gaussian import InterferometerConfig, InvalidStateError, _mapping, _number
 from .metrology import (
     ACCOUNTINGS,
     SNL_PER_PHOTON,
@@ -98,8 +98,7 @@ def _resolve_config(args) -> InterferometerConfig:
 
 
 def _phi_grid(args) -> np.ndarray:
-    if args.phi_steps < 2:
-        raise ValueError(f"need at least 2 grid points, got {args.phi_steps}")
+    _number("--phi-steps", args.phi_steps, 2, integer=True)
     if not 0.0 <= args.phi_min < args.phi_max <= math.pi + 1e-12:
         raise ValueError("phase grid must satisfy 0 <= phi-min < phi-max <= pi")
     return np.linspace(args.phi_min, args.phi_max, args.phi_steps)
@@ -148,8 +147,7 @@ def cmd_fisher(args) -> int:
 
 
 def cmd_thresholds(args) -> int:
-    if args.noon_max < 1:
-        raise ValueError(f"--noon-max must be >= 1, got {args.noon_max}")
+    _number("--noon-max", args.noon_max, 1, integer=True)
     out = Path(args.out)
     tm = {
         "n_bar": args.nbar,
@@ -178,14 +176,14 @@ def cmd_estimate(args) -> int:
     needed = {"window_index", *COUNT_COLUMNS}
     with open(args.counts, newline="") as fh:
         reader = csv.DictReader(fh, restval="")  # a short row's missing counts read "", which int() refuses
-        if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
-            raise ValueError(f"counts file must have columns {sorted(needed)}")
-        try:
+        try:  # the header too: a field past the csv size limit is a csv.Error there as in a row
+            if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
+                raise ValueError(f"counts file must have columns {sorted(needed)}")
             windows = [(int(rec["window_index"]), [int(rec[k]) for k in COUNT_COLUMNS]) for rec in reader]
             counts = np.reshape([c for _, c in windows], (-1, 4))
             _frequencies(counts)
         except (ValueError, csv.Error) as exc:
-            raise ValueError(f"malformed row in counts file {args.counts}: {exc}") from exc
+            raise ValueError(f"malformed counts file {args.counts}: {exc}") from exc
     phi_est, objective, low_info = estimate_phases(counts, cal, branch)
     columns = {
         "window_index": [i for i, _ in windows],
@@ -235,8 +233,7 @@ def cmd_track(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if not 0.0 < args.tol < math.inf:
-        raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
+    _number("--tol", args.tol, 0, above=True)
     grid = _phi_grid(args)
     cases = [(0.3, 1.0), (0.3, 0.75), (0.59, 1.0), (0.59, 0.75)]
     rows = []

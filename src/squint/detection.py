@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import InterferometerConfig, InvalidStateError, bogoliubov_factors
+from .gaussian import InterferometerConfig, InvalidStateError, _number, bogoliubov_factors
 
 __all__ = [
     "clicks",
@@ -379,8 +379,7 @@ def overlap_for_visibility(cfg: InterferometerConfig, target: float) -> float:
     r1 = r2, so a bisection on [0.5, 1] recovers the overlap for a target
     between the visibilities at its two ends, and any other target raises.
     """
-    if not 0.0 < target <= 1.0:
-        raise ValueError("target visibility must be in (0, 1]")
+    _number("target visibility", target, 0, 1, above=True)
     lo, hi = _OVERLAP_MIN, 1.0
     ends = [fringe_visibility(cfg.with_updates(overlap=end)) for end in (lo, hi)]
     if not ends[0] <= target <= ends[1]:

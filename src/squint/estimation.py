@@ -32,8 +32,8 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .detection import _extremes, fringe
-from .gaussian import InterferometerConfig, _integer, _is_number, _is_pair, _mapping
+from .detection import _extremes, _phases, fringe
+from .gaussian import InterferometerConfig, _is_pair, _mapping, _number
 from .metrology import fisher
 
 __all__ = [
@@ -147,12 +147,12 @@ class CalibrationModel:
 
     def __post_init__(self):
         degraded, residual, sigma = self.degraded, self.fit_residual, self.sigma
-        if type(degraded) is not bool or not (_is_number(residual) and 0.0 <= residual < math.inf):
-            raise ValueError(f"need a boolean degraded and a finite fit_residual >= 0: {degraded!r}, {residual!r}")
-        _mapping("sigma", sigma, _FIT_NAMES)
-        if not all((v is None and degraded) or (_is_number(v) and math.isfinite(v) and v >= 0.0)
-                   for v in sigma.values()):
-            raise ValueError(f"sigma values must be finite and >= 0 (null only when degraded): {sigma}")
+        if type(degraded) is not bool:
+            raise ValueError(f"degraded must be a boolean, got {degraded!r}")
+        _number("fit_residual", residual, 0)
+        for name, v in _mapping("sigma", sigma, _FIT_NAMES).items():
+            if not (v is None and degraded):  # null only in a degraded fit
+                _number(f"sigma[{name!r}]", v, 0)
         curves = fringe(self.config, _PHI_TAB)
         curves.setflags(write=False)
         object.__setattr__(self, "fit_residual", float(residual))
@@ -167,10 +167,9 @@ class CalibrationModel:
     def probabilities(self, phi) -> np.ndarray:
         """Interpolated calibration curves at phi (scalar -> (4,), array -> (N, 4));
         refuses a non-finite phase."""
-        if not np.isfinite(phi).all():
-            raise ValueError("phases must be finite")
-        wrapped = np.mod(phi, math.pi)
-        return np.stack([np.interp(wrapped, self.phi_tab, self.curves[:, j]) for j in range(4)], axis=-1)
+        wrapped = np.mod(_phases(phi), math.pi)
+        p = np.stack([np.interp(wrapped, self.phi_tab, self.curves[:, j]) for j in range(4)], axis=-1)
+        return p.reshape(np.shape(phi) + (4,))
 
     def _branch_nodes(self, lo: float, hi: float) -> tuple[np.ndarray, ...]:
         """The search table of the branch [lo, hi], built once and kept for the
@@ -427,10 +426,10 @@ def estimate_phase(
     when the window carries no phase information on the branch.
     """
     freqs, totals = _frequencies([observed])
-    (phi,), (value,), (low,) = (a.tolist() for a in _estimates(freqs, totals, cal, branch))
     total = int(totals[0])
-    if trials and trials != total:
+    if _number("trials", trials, 0, integer=True) and trials != total:
         raise ValueError(f"trials {trials!r} differs from the window's total of counts {total}")
+    (phi,), (value,), (low,) = (a.tolist() for a in _estimates(freqs, totals, cal, branch))
     if math.isnan(phi):
         raise UnidentifiableError("no phase information on the branch: empty data or a flat objective")
     return PhaseEstimate(phi_est=phi, window_trials=total, objective_value=value, low_information=low)
@@ -449,8 +448,7 @@ def bootstrap_sigma(
     ``seed`` is an integer seed or a ready generator, used as given.
     """
     freqs, (total,) = _frequencies([counts])
-    if _integer("resamples", resamples) < 100:
-        raise ValueError(f"need at least 100 resamples, got {resamples}")
+    resamples = _number("resamples", resamples, 100, integer=True)
     if total < 1000:
         raise ValueError(f"need at least 1000 total counts, got {total:.0f}")
     if np.count_nonzero(freqs) < 2:

@@ -29,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from .detection import _checked, _phases
-from .gaussian import InterferometerConfig
+from .gaussian import InterferometerConfig, _number
 
 __all__ = [
     "TruncationError",
@@ -47,15 +47,14 @@ class TruncationError(RuntimeError):
 
 def truncation_error_bound(r_total: float, n_max: int) -> float:
     """Neglected tail weight tanh(r)^{2(n_max+1)} of a TMSS at total squeezing r."""
-    if not math.isfinite(r_total):
-        raise ValueError(f"total squeezing must be finite, got {r_total}")
+    _number("total squeezing", r_total)
+    _number("n_max", n_max, 0, integer=True)
     return math.tanh(abs(r_total)) ** (2 * (n_max + 1))
 
 
 def required_n_max(r_total: float, budget: float = 1e-8) -> int:
     """Smallest per-mode cutoff whose truncation bound is below ``budget``."""
-    if not 0.0 < budget < math.inf:
-        raise ValueError(f"budget must be finite and > 0, got {budget}")
+    _number("budget", budget, 0, above=True)
     n_max = 1
     while truncation_error_bound(r_total, n_max) > budget:
         n_max += 1
@@ -137,7 +136,7 @@ def evolve_fock(cfg: InterferometerConfig, phis, n_max: int) -> Iterator[np.ndar
     (n_a + n_e) sector it touches is complete.
     """
     ts = _phases(phis) + cfg.phase_offset
-    d = n_max + 1
+    d = _number("n_max", n_max, 0, integer=True) + 1
     arm_h, arm_v, num_modes = _layout(cfg)
     start = np.zeros((d,) * num_modes, dtype=complex)
     start[(0,) * num_modes] = 1.0

@@ -15,7 +15,6 @@ map by sqrt(eta); its environment drops out of every normal-ordered moment.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import operator
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
@@ -57,12 +56,23 @@ def _mapping(name: str, value, keys, required=()) -> dict:
     return value
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a ValueError naming ``name`` for a bool or a non-integer."""
-    with contextlib.suppress(TypeError):
-        if not isinstance(value, bool):
-            return operator.index(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+def _number(name: str, value, lo=-math.inf, hi=math.inf, *, above=False, integer=False):
+    """``value`` unchanged, or as an int when ``integer``, if it is a finite number (an integer when
+    ``integer``) with lo <= value <= hi, and value > lo when ``above``; else a ValueError naming
+    ``name``, built from the interval. A bool is never a number."""
+    typed = _is_number(value) and not (integer and isinstance(value, (float, np.floating)))
+    if typed and -math.inf < value < math.inf and lo <= value <= hi and not (above and value == lo):
+        return operator.index(value) if integer else value
+    interval = "" if (lo, hi) == (-math.inf, math.inf) else f"{'>' if above else '>='} {lo}" if hi == math.inf \
+        else f"in {'(' if above else '['}{lo}, {hi}]"
+    need = " and ".join(filter(None, ["" if integer and typed else "finite", interval]))  # an integer is finite
+    kind = "" if typed else "an integer, " if integer else "a number, "
+    raise ValueError(f"{name} must be {kind}{need}, got {value!r}")
+
+
+# the closed interval each InterferometerConfig field must lie in
+_FIELD_RANGES = {"r1": (0, math.inf), "r2": (0, math.inf), "eta_h": (0, 1), "eta_v": (0, 1), "eta_internal": (0, 1),
+                 "overlap": (0, 1), "phase_offset": (-math.inf, math.inf)}
 
 
 @dataclass(frozen=True)
@@ -85,17 +95,8 @@ class InterferometerConfig:
     phase_offset: float = 0.0
 
     def __post_init__(self):
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        if not all(map(_is_number, values.values())):
-            raise ValueError(f"every field must be a number, got {values}")
-        if not (0 <= self.r1 < math.inf and 0 <= self.r2 < math.inf):
-            raise ValueError("squeezing parameters must be finite and >= 0")
-        for name in ("eta_h", "eta_v", "eta_internal", "overlap"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if not math.isfinite(self.phase_offset):
-            raise ValueError("phase_offset must be finite")
+        for name, (lo, hi) in _FIELD_RANGES.items():
+            _number(name, getattr(self, name), lo, hi)
 
     def with_updates(self, **kwargs) -> "InterferometerConfig":
         return replace(self, **kwargs)

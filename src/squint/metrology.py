@@ -18,12 +18,11 @@ full lossy pipeline against the shot-noise baseline.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
-from .detection import _bisect, clicks
-from .gaussian import InterferometerConfig, _integer
+from .detection import _bisect, _phases, clicks
+from .gaussian import InterferometerConfig, _number
 
 __all__ = [
     "BracketError",
@@ -65,49 +64,39 @@ def fisher(cfg: InterferometerConfig, phis) -> np.ndarray:
 
 def crlb(cfg: InterferometerConfig, phis, trials: int) -> np.ndarray:
     """Cramer-Rao bound 1/sqrt(trials * F) at each phase; inf where F = 0."""
-    if not 1 <= trials < math.inf:
-        raise ValueError(f"trials must be finite and >= 1, got {trials}")
-    _integer("trials", trials)
+    trials = _number("trials", trials, 1, integer=True)
     with np.errstate(divide="ignore"):
         return 1.0 / np.sqrt(trials * fisher(cfg, phis))
 
 
 def fisher_max_ideal(r: float) -> float:
     """Optimal per-trial Fisher information of the lossless scheme: 4 sinh^2(2r)."""
-    if not 0 <= r < math.inf:
-        raise ValueError(f"squeezing parameter must be finite and >= 0, got {r}")
+    _number("squeezing parameter", r, 0)
     return 4.0 * math.sinh(2.0 * r) ** 2
 
 
 def heisenberg_sensitivity(n_bar: float) -> float:
     """Optimal phase uncertainty per trial, 1/(2 sqrt(nbar(nbar+2)))."""
-    if not 0 < n_bar < math.inf:
-        raise ValueError(f"mean photon number must be finite and > 0, got {n_bar}")
+    _number("mean photon number", n_bar, 0, above=True)
     return 1.0 / (2.0 * math.sqrt(n_bar * (n_bar + 2.0)))
 
 
 def threshold_tm(n_bar: float) -> float:
     """Detection efficiency above which the scheme beats the shot-noise limit."""
-    if not 0 <= n_bar < math.inf:
-        raise ValueError(f"mean photon number must be finite and >= 0, got {n_bar}")
+    _number("mean photon number", n_bar, 0)
     return 1.0 - math.sqrt(1.0 - 1.0 / (2.0 * (n_bar + 2.0)))
 
 
 def threshold_noon(n_photons: int) -> float:
     """NOON-state efficiency threshold (1/N)^(1/N); tends to 1 as N grows."""
-    if not 1 <= n_photons < math.inf:
-        raise ValueError(f"photon number must be finite and >= 1, got {n_photons}")
-    _integer("photon number", n_photons)
+    _number("photon number", n_photons, 1, integer=True)
     return (1.0 / n_photons) ** (1.0 / n_photons)
 
 
 def noon_fisher_per_photon(n_photons: int, eta: float) -> float:
     """2N eta^N: ideal NOON fringe F = N^2 eta^N per state over N/2 photons."""
-    if not 1 <= n_photons < math.inf:
-        raise ValueError(f"photon number must be finite and >= 1, got {n_photons}")
-    _integer("photon number", n_photons)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"efficiency must be in [0, 1], got {eta}")
+    _number("photon number", n_photons, 1, integer=True)
+    _number("efficiency", eta, 0, 1)
     return 2.0 * n_photons * eta**n_photons
 
 
@@ -130,8 +119,7 @@ def max_fisher(cfg: InterferometerConfig, tol: float = 1e-6) -> tuple[float, flo
     of the best point, each 32 times finer, until the spacing is below
     ``tol``; returns the best point seen.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    _number("tol", tol, 0, above=True)
     grid = np.linspace(0.0, math.pi, _COARSE_POINTS)
     best_x, best_f, spacing = 0.0, -math.inf, grid[1]
     while True:
@@ -152,8 +140,7 @@ def threshold_tm_numeric(n_bar: float) -> float:
     then finds the arm efficiency where max_phi Fisher-per-photon crosses the
     shot-noise baseline ``SNL_PER_PHOTON``.
     """
-    if not 0 < n_bar < math.inf:
-        raise ValueError(f"the numeric threshold needs a mean photon number finite and > 0, got {n_bar}")
+    _number("the numeric threshold's mean photon number", n_bar, 0, above=True)
     r = math.asinh(math.sqrt(n_bar / 2.0))
 
     def excess(eta: float) -> float:
@@ -171,14 +158,15 @@ def threshold_tm_numeric(n_bar: float) -> float:
 
 def fisher_sweep(
     cfg: InterferometerConfig,
-    phi_grid: Iterable[float],
+    phi_grid,
     accounting: str = "single-pass",
 ) -> dict[str, np.ndarray]:
     """The columns of ``fisher.csv`` by name, in file order, over a phase grid
-    in [0, pi]: phi, fisher_per_trial, mean_photons_through_sample,
-    fisher_per_photon, snl_per_photon and enhancement_db (10 log10 of the
-    per-photon ratio to the SNL, -inf where F = 0)."""
-    phis = np.array([float(p) for p in phi_grid])
+    in [0, pi], any array-like flattened as by ``clicks``: phi,
+    fisher_per_trial, mean_photons_through_sample, fisher_per_photon,
+    snl_per_photon and enhancement_db (10 log10 of the per-photon ratio to
+    the SNL, -inf where F = 0)."""
+    phis = _phases(phi_grid)
     if np.any((phis < 0.0) | (phis > math.pi + 1e-12)):
         raise ValueError("phase grid must lie within [0, pi]")
     n_through = photons_through_sample(cfg, accounting)

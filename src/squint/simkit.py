@@ -21,7 +21,7 @@ import numpy as np
 
 from .detection import fringe
 from .estimation import CalibrationModel, _check_branch, estimate_phases
-from .gaussian import InterferometerConfig, _integer, _is_number, _is_pair
+from .gaussian import InterferometerConfig, _is_pair, _number
 from .metrology import SNL_PER_PHOTON, crlb, photons_through_sample
 
 __all__ = [
@@ -82,27 +82,22 @@ class TrackingScenario:
     branch: tuple[float, float] | None = None
 
     def __post_init__(self):
-        for name in ("repeats", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if not (isinstance(self.phase_schedule, (list, tuple)) and all(map(_is_pair, self.phase_schedule))
-                and _is_number(self.window) and _is_number(self.repetition_rate)):
-            raise ValueError(f"window and repetition_rate take numbers, got {self.window!r}, {self.repetition_rate!r}; "
-                             "phase_schedule a list of (phase, duration) pairs of numbers")
+        object.__setattr__(self, "repeats", _number("repeats", self.repeats, 1, integer=True))
+        object.__setattr__(self, "seed", _number("seed", self.seed, 0, 2**64 - 1, integer=True))  # a Philox key word
+        if not (isinstance(self.phase_schedule, (list, tuple)) and all(map(_is_pair, self.phase_schedule))):
+            raise ValueError(f"need phase_schedule a list of (phase, duration) pairs of numbers, "
+                             f"got {self.phase_schedule!r}")
         schedule = tuple((float(p), float(d)) for p, d in self.phase_schedule)
         object.__setattr__(self, "phase_schedule", schedule)
-        if not (0 < self.window < math.inf and 0 < self.repetition_rate < math.inf
-                and self.repetition_rate * self.window < math.inf):
-            raise ValueError("window, repetition_rate and their product must be finite and > 0")
+        for name in ("window", "repetition_rate"):
+            _number(name, getattr(self, name), 0, above=True)
+        _number("repetition_rate * window", self.repetition_rate * self.window, 0, above=True)
         if self.trials_per_window < 1:
             raise ValueError(f"repetition_rate * window = {self.repetition_rate * self.window:g} "
                              "rounds to no trials per window")
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        if not 0 <= self.seed < 2**64:  # the 64-bit word of the Philox key
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         for phi, duration in schedule:
-            if not (math.isfinite(phi) and 0 <= duration < math.inf):
-                raise ValueError(f"phases must be finite and durations finite and >= 0, got ({phi}, {duration})")
+            _number("phase", phi)
+            _number("duration", duration, 0)
         if self.windows_per_repeat == 0:
             raise ValueError("the phase schedule needs at least one window")
         if self.windows_per_repeat * self.repeats > np.iinfo(np.int64).max:  # the records' window index

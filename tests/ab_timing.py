@@ -11,14 +11,17 @@ It first checks that the two trees give the same bits: p and dp/dphi of
 calls each), the counts of the fig4 replay (seed 0), ``phi_est``,
 ``objective_value`` and ``low_information`` of one ``estimate_phases`` batch
 on those windows and of the one-window ``estimate_phase`` on the first W of
-them, and ``bootstrap_sigma`` (200 resamples) of the first three windows. Where they differ it prints how many
-values differ and the largest absolute and relative change, and the script
-exits 1 after the timings.
+them, ``bootstrap_sigma`` (200 resamples) of the first three windows, and
+``calibrate`` on perfbench's scan of the tracking preset (the constants of
+``perfbench/worker.py``, seed 0): the fitted config, ``fit_residual``,
+``degraded`` and ``sigma``. Where they differ it prints how many values differ
+and the largest absolute and relative change, and the script exits 1 after
+the timings.
 
 Then it times, in K rounds (default 10), one-phase ``clicks``, one-phase
 ``fisher``, a one-window ``estimate_phase`` over the first W fig4 windows
 (default 200), 2049-phase ``clicks``, ``estimate_phases`` on all 2200 fig4
-windows and a 200-resample ``bootstrap_sigma``, each by
+windows, a 200-resample ``bootstrap_sigma`` and that ``calibrate``, each by
 ``time.process_time``. A round times each row on both sides in turn, and the
 side that goes first alternates by round. For each row it prints both sides'
 median per call, the median and quartiles of the per-round ratio this tree /
@@ -42,13 +45,16 @@ import numpy as np
 
 from preset_outputs import ROOT, _extract
 
+sys.path.append(str(ROOT / "perfbench"))
+from worker import GUESS_OFFSETS, SCAN_PHASES, SCAN_TRIALS  # noqa: E402
+
 SIDES = ("base", "head")
 # random configs of the bit check, the resamples of a bootstrap, and the
 # repeats per round of each row
 CONFIGS = 40
 RESAMPLES = 200
 REPEATS = {"clicks, 1 phase": 200, "fisher, 1 phase": 200, "clicks, 2049 phases": 5,
-           "estimate_phases, 2200 windows": 2, "bootstrap_sigma, 200 resamples": 5}
+           "estimate_phases, 2200 windows": 2, "bootstrap_sigma, 200 resamples": 5, "calibrate, 16 phases": 1}
 
 
 def load(name: str, src: Path):
@@ -106,6 +112,14 @@ def fig4_windows(pkg):
     return cfg, cal, scenario.resolved_branch(), scenario.trials_per_window, counts
 
 
+def calibration_scan(pkg):
+    """The samples and the initial guess of perfbench's ``calibrate`` on the tracking preset, seed 0."""
+    cfg = pkg.presets.tracking_config()
+    rng = np.random.default_rng([0, 1])
+    samples = [(float(p), rng.multinomial(SCAN_TRIALS, pr)) for p, pr in zip(SCAN_PHASES, pkg.fringe(cfg, SCAN_PHASES))]
+    return samples, cfg.with_updates(**{k: getattr(cfg, k) + d for k, d in GUESS_OFFSETS.items()})
+
+
 def bit_check(pkgs: dict, windows: dict, n_windows: int) -> list[str]:
     """Every difference between the trees' values, as lines."""
     out = {}
@@ -122,6 +136,9 @@ def bit_check(pkgs: dict, windows: dict, n_windows: int) -> list[str]:
         values += [[e.phi_est for e in one], [e.objective_value for e in one], [e.low_information for e in one]]
         values += pkg.estimate_phases(counts, cal, branch)
         values.append([pkg.bootstrap_sigma(row, cal, branch, RESAMPLES, seed=k) for k, row in enumerate(counts[:3])])
+        fit = pkg.calibrate(*calibration_scan(pkg))
+        values += [list(vars(fit.config).values()), [fit.fit_residual], [fit.degraded],
+                   [math.nan if v is None else v for v in fit.sigma.values()]]
         out[side] = values
     labels = [f"config {k} {name}" for k in range(CONFIGS)
               for name in ("batch p", "batch dp", *("one-phase p", "one-phase dp") * 3)]
@@ -129,6 +146,7 @@ def bit_check(pkgs: dict, windows: dict, n_windows: int) -> list[str]:
     labels += [f"estimate_phase {f}" for f in ("phi_est", "objective_value", "low_information")]
     labels += [f"estimate_phases {f}" for f in ("phi_est", "objective_value", "low_information")]
     labels.append("bootstrap_sigma")
+    labels += [f"calibrate {f}" for f in ("config", "fit_residual", "degraded", "sigma")]
     return [line for label, old, new in zip(labels, *out.values()) if (line := difference(label, old, new))]
 
 
@@ -137,6 +155,7 @@ def rows(pkg, window, n_windows: int) -> dict:
     cfg, cal, branch, trials, counts = window
     one, batch = np.array([0.7]), np.linspace(0.0, math.pi, 2049)
     picked = counts[:n_windows]
+    scan = calibration_scan(pkg)
 
     def estimates():
         for row in picked:
@@ -151,6 +170,7 @@ def rows(pkg, window, n_windows: int) -> dict:
                                           REPEATS["estimate_phases, 2200 windows"]),
         "bootstrap_sigma, 200 resamples": (lambda: pkg.bootstrap_sigma(counts[0], cal, branch, RESAMPLES, seed=0), 1,
                                            REPEATS["bootstrap_sigma, 200 resamples"]),
+        "calibrate, 16 phases": (lambda: pkg.calibrate(*scan), 1, REPEATS["calibrate, 16 phases"]),
     }
 
 
@@ -188,7 +208,7 @@ def main(argv=None) -> int:
         print(f"bit check: {'values differ' if differences else 'every value bitwise equal'} "
               f"({CONFIGS} configs; the counts of {len(windows['head'][4])} fig4 windows and their estimates, "
               f"the first {args.windows} one by one; "
-              "3 bootstraps)")
+              "3 bootstraps; one calibration)")
 
         timings = {side: rows(pkg, windows[side], args.windows) for side, pkg in pkgs.items()}
         results = {name: {side: [] for side in SIDES} for name in timings["head"]}

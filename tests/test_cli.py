@@ -289,6 +289,15 @@ class TestTrackAndEstimate:
         assert main(self.estimate_argv(track_dir, tmp_path, counts)) == 2
         assert "counts file" in capsys.readouterr().err
 
+    def test_header_past_the_csv_limit_is_config_error(self, track_dir, tmp_path, capsys):
+        # the header was read outside the row wrapper: csv.Error, a traceback, exit 1
+        counts = tmp_path / "counts.csv"
+        counts.write_text(f"window_index,n00,n01,n10,n11,{'x' * 200_000}\n0,9000,400,500,100,0\n")
+        assert main(self.estimate_argv(track_dir, tmp_path, counts)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed counts file ") and "field limit" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("row", ["0,4503599627370496,4503599627370496,0,0", "0,18446744073709551616,0,0,0"])
     def test_window_total_past_2_53_is_config_error(self, track_dir, tmp_path, capsys, row):
         # a total of 2^53 or more is not held exactly as a float; both ran at exit 0
@@ -405,9 +414,9 @@ class TestConfigHandling:
         (["sweep", "--phi-min", "2", "--phi-max", "1"], "phase grid must satisfy"),
         (["track"], "track needs --preset fig4 or --config"),
         # Philox keys on the seed's 64-bit word: seed -1 ran as 2**64 - 1, and 2**64 as 0
-        (["track", "--preset", "fig4", "--seed", "-1"], "seed must be in [0, 2**64), got -1"),
-        (["track", "--preset", "fig4", "--seed", str(2**64)], "seed must be in [0, 2**64)"),
-        (["track", "--config", "{tracking}", "--seed", str(2**64)], "seed must be in [0, 2**64)"),
+        (["track", "--preset", "fig4", "--seed", "-1"], f"seed must be in [0, {2**64 - 1}], got -1"),
+        (["track", "--preset", "fig4", "--seed", str(2**64)], f"seed must be in [0, {2**64 - 1}]"),
+        (["track", "--config", "{tracking}", "--seed", str(2**64)], f"seed must be in [0, {2**64 - 1}]"),
     ])
     def test_refused_invocation(self, tmp_path, capsys, argv, message):
         scenario = {"phase_schedule": [[0.5, 0.2]], "repetition_rate": 5e4}
@@ -493,7 +502,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_validate_grid_needs_two_points(self, tmp_path, capsys, steps):
         assert main(["validate", "--phi-steps", steps, "--out", str(tmp_path)]) == 2
-        assert "at least 2 grid points" in capsys.readouterr().err
+        assert "--phi-steps must be >= 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("skip", [["--skip-numeric"], []])
     @pytest.mark.parametrize("nbar", ["-1", "nan", "inf"])

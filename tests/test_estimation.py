@@ -309,10 +309,13 @@ class TestEstimatePhase:
             with pytest.raises(ValueError, match="pair .* of numbers"):
                 estimate_phases([[500, 200, 200, 100]], tracking_cal, bad)
 
-    @pytest.mark.parametrize("trials", [-5, 2.5, math.nan, "1000", 999, 1001])
-    def test_trials_must_equal_the_window_total(self, tracking_cal, trials):
+    @pytest.mark.parametrize("trials, message", [
+        (-5, "trials must be >= 0"), (2.5, "trials must be an integer"), (math.nan, "trials must be an integer"),
+        ("1000", "trials must be an integer"), ("x", "trials must be an integer"), (999, "trials 999 differs"),
+        (1001, "trials 1001 differs")])
+    def test_trials_must_equal_the_window_total(self, tracking_cal, trials, message):
         counts = np.array([600, 150, 150, 100])
-        with pytest.raises(ValueError, match="trials"):
+        with pytest.raises(ValueError, match=message):
             estimate_phase(counts, tracking_cal, BRANCH, trials)
         est = estimate_phase(counts, tracking_cal, BRANCH)
         assert estimate_phase(counts, tracking_cal, BRANCH, np.int64(0)) == est
@@ -574,7 +577,7 @@ class TestBootstrapAndCrlb:
         with pytest.raises(UnidentifiableError, match="objective is flat on the branch"):
             bootstrap_sigma([7000, 1000, 1000, 1000], dead, BRANCH)
 
-    @pytest.mark.parametrize("resamples", [150.5, math.nan, math.inf])
+    @pytest.mark.parametrize("resamples", [150.5, math.nan, math.inf, True])
     def test_bootstrap_resamples_must_be_an_integer(self, tracking_cal, resamples):
         # numpy's multinomial ended in "'float' object is not iterable"
         with pytest.raises(ValueError, match="resamples must be an integer"):

@@ -72,7 +72,15 @@ class TestTruncationBound:
         with pytest.raises(ValueError, match="total squeezing must be finite"):
             required_n_max(r_total)
 
-    @pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0, -1e-8])
+    @pytest.mark.parametrize("n_max", [-5, 2.5, True])
+    def test_cutoff_must_be_an_integer_at_least_0(self, n_max):
+        # -5 gave a tail-weight "bound" of 480, 2.5 a TypeError in evolve_fock, and True ran as 1
+        with pytest.raises(ValueError, match="n_max must be"):
+            truncation_error_bound(1.18, n_max)
+        with pytest.raises(ValueError, match="n_max must be"):
+            next(evolve_fock(InterferometerConfig(r1=0.3, r2=0.3), [0.3], n_max))
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, 0.0, -1e-8, True])
     def test_budget_must_be_finite_and_positive(self, budget):
         # the rule of squint validate; a NaN or infinite budget gave n_max = 1
         with pytest.raises(ValueError, match="budget"):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from reference_chain import op_by_op_clicks, op_by_op_dclicks, overlap_one_clicks
 from strategies import phase_lists, random_configs
-from squint.detection import clicks, fringe
+from squint.detection import clicks, fringe, overlap_for_visibility
 from squint.fock import simulate_fock
 from squint import metrology
 from squint.gaussian import InterferometerConfig
@@ -253,10 +253,10 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("eta", [1.5, -0.1, math.nan])
     def test_noon_efficiency_must_be_in_the_unit_interval(self, eta):
-        with pytest.raises(ValueError, match=r"efficiency must be in \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"efficiency must be finite and in \[0, 1\]"):
             noon_fisher_per_photon(5, eta)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "0.5", True, None])
     @pytest.mark.parametrize(
         "closed_form",
         [
@@ -267,11 +267,15 @@ class TestClosedForms:
             lambda n: noon_fisher_per_photon(n, 1.0),
             threshold_tm_numeric,
             lambda trials: crlb(ideal(0.59), [0.7], trials=trials),
+            lambda tol: max_fisher(ideal(0.59), tol),
+            lambda target: overlap_for_visibility(ideal(0.59), target),
         ],
-        ids=["threshold_tm", "heisenberg", "fisher_max_ideal", "threshold_noon", "noon_fisher", "numeric", "crlb"],
+        ids=["threshold_tm", "heisenberg", "fisher_max_ideal", "threshold_noon", "noon_fisher", "numeric", "crlb",
+             "max_fisher_tol", "overlap_target"],
     )
     def test_non_finite_input_rejected(self, closed_form, value):
-        # a bare x < 0 check lets NaN through, and inf gave 0.0 or 1.0
+        # a bare x < 0 check lets NaN through, and inf gave 0.0 or 1.0; a string
+        # was a TypeError, and True ran as 1 (threshold_tm gave 0.087)
         with pytest.raises(ValueError, match="finite"):
             closed_form(value)
 

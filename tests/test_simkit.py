@@ -113,19 +113,22 @@ class TestScenario:
         with pytest.raises(ValueError, match="at least one window"):
             mini_scenario(phase_schedule=schedule)
 
-    @pytest.mark.parametrize("bad", [
-        dict(window=True), dict(repetition_rate=True, window=1.0), dict(phase_schedule=((True, 1.0),)),
-        dict(phase_schedule=((0.5, "1.0"),)), dict(branch=(False, True)),
+    @pytest.mark.parametrize("bad, message", [
+        (dict(window=True), "window must be a number"),
+        (dict(repetition_rate=True, window=1.0), "repetition_rate must be a number"),
+        (dict(phase_schedule=((True, 1.0),)), "numbers"),
+        (dict(phase_schedule=((0.5, "1.0"),)), "numbers"),
+        (dict(branch=(False, True)), "numbers"),
     ])
-    def test_numeric_fields_refuse_bools(self, bad):
+    def test_numeric_fields_refuse_bools(self, bad, message):
         # each was accepted: a bool as 0 or 1, the string as a float
-        with pytest.raises(ValueError, match="numbers"):
+        with pytest.raises(ValueError, match=message):
             mini_scenario(**{"phase_schedule": ((0.5, 1.0),), **bad})
 
     @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
     def test_seed_is_a_64_bit_word(self, seed):
         # the Philox key took seed mod 2**64, so -1 ran as 2**64 - 1 and 2**64 as 0
-        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        with pytest.raises(ValueError, match=rf"seed must be in \[0, {2**64 - 1}\]"):
             mini_scenario(seed=seed)
         assert mini_scenario(seed=2**64 - 1).seed == 2**64 - 1
 
