@@ -30,11 +30,12 @@ the gain, from which one gather gives both factors of every outcome row.
 from __future__ import annotations
 
 import math
+import reprlib
 from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import InterferometerConfig, InvalidStateError, _number, bogoliubov_factors
+from .gaussian import InterferometerConfig, InvalidStateError, _is_number, _number, bogoliubov_factors
 
 __all__ = [
     "clicks",
@@ -251,7 +252,16 @@ def _jet_factors(cfg: InterferometerConfig) -> tuple[np.ndarray, ...]:
 
 
 def _phases(phis) -> np.ndarray:
-    """Any array-like of phases as a flat float array; refuses a non-finite one."""
+    """Any array-like of phases as a flat float array; refuses a non-finite
+    one, and anything but numbers: an array by its dtype (integer or float),
+    any other input entry by entry (``gaussian._is_number``), so a bool or a
+    string is never a phase."""
+    if isinstance(phis, np.ndarray):
+        numbers = phis.dtype.kind in "iuf"
+    else:
+        numbers = all(map(_is_number, np.asarray(phis, dtype=object).reshape(-1)))
+    if not numbers:
+        raise ValueError(f"phases must be numbers, got {reprlib.repr(phis)}")
     phis = np.asarray(phis, dtype=float).reshape(-1)
     lo, hi = _extremes(phis)  # a NaN fails both tests
     if not -math.inf < lo <= hi < math.inf:

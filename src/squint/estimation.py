@@ -15,6 +15,10 @@ formula above picks among them, the first on a tie. The margin covers the
 product's roundoff many times over, so the pick is that of a full exact
 scan, bit for bit, whatever the batch.
 
+A window is flagged low-information when n F(phi_est) < 1, exactly. A lower
+bound on F, proven from the calibration table's dp/dphi, clears most windows
+without a click call; the rest take one batched ``fisher`` call (_estimates).
+
 Calibration fits (r, eta_h, eta_v, overlap, phase_offset) to observed fringes
 by a bounded Levenberg-Marquardt fit (More, LNM 630 (1978)) of residuals
 weighted by the multinomial variance. It fits one gain r = r1 = r2: where the
@@ -32,7 +36,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .detection import _extremes, _phases, fringe
+from .detection import _extremes, _phases, clicks, fringe
 from .gaussian import InterferometerConfig, _is_pair, _mapping, _number
 from .metrology import fisher
 
@@ -81,6 +85,11 @@ _POINT = 1e-200
 # a whole count is exact as a float, and so is every partial sum of a window,
 # while the window's total is below this
 _EXACT = 2.0**53
+# the low-information bound: steps of the calibration grid per radian, the
+# offsets of a node pair, and the unit roundoff
+_PER_RAD = (_PHI_TAB.size - 1) / math.pi
+_PAIR = np.arange(2)[:, None]
+_EPS = np.finfo(float).eps
 
 
 class UnidentifiableError(ValueError):
@@ -131,10 +140,12 @@ class CalibrationModel:
 
     A fitted model carries ``fit_residual`` (finite, >= 0), ``degraded`` (a
     boolean) and ``sigma`` (standard errors of fitted parameters, finite and
-    >= 0, or None in a degraded fit); see calibrate. ``curves`` is derived,
-    read-only ``fringe(config, phi_tab)`` on the grid ``phi_tab`` of 2049
-    points over [0, pi] shared by all models, so ``==`` compares the fit alone
-    and the node table ``estimate_phases`` keeps cannot go stale.
+    >= 0, or None in a degraded fit); see calibrate. ``curves`` and
+    ``slopes`` are derived, read-only p and dp/dphi of ``clicks(config,
+    phi_tab)`` on the grid ``phi_tab`` of 2049 points over [0, pi] shared by
+    all models, views of that call's one array (p is a copy only where
+    roundoff was clamped), so ``==`` compares the fit alone and the node
+    table ``estimate_phases`` keeps cannot go stale.
     """
 
     config: InterferometerConfig
@@ -143,6 +154,7 @@ class CalibrationModel:
     sigma: dict = field(default_factory=dict)
     phi_tab: ClassVar[np.ndarray] = _PHI_TAB
     curves: np.ndarray = field(init=False, repr=False, compare=False)
+    slopes: np.ndarray = field(init=False, repr=False, compare=False)
     _nodes: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -153,11 +165,13 @@ class CalibrationModel:
         for name, v in _mapping("sigma", sigma, _FIT_NAMES).items():
             if not (v is None and degraded):  # null only in a degraded fit
                 _number(f"sigma[{name!r}]", v, 0)
-        curves = fringe(self.config, _PHI_TAB)
+        curves, slopes = clicks(self.config, _PHI_TAB)
         curves.setflags(write=False)
+        slopes.setflags(write=False)
         object.__setattr__(self, "fit_residual", float(residual))
         object.__setattr__(self, "sigma", {name: None if v is None else float(v) for name, v in sigma.items()})
         object.__setattr__(self, "curves", curves)
+        object.__setattr__(self, "slopes", slopes)
 
     @classmethod
     def from_config(cls, config: InterferometerConfig, **fit) -> "CalibrationModel":
@@ -228,6 +242,14 @@ def _dot4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     row's result never depends on the batch it sits in."""
     ab = a * b
     return ab[0] + ab[1] + ab[2] + ab[3]
+
+
+def _curvature_bound(r1: float) -> float:
+    """C(r1) = 2 sqrt(E N^4) + 2 E N^2 with N = 2n, n geometric of mean mu =
+    sinh^2 r1: a bound on |d^2 p_k/dphi^2| of every config with this r1 (see
+    _estimates); 0 at r1 = 0, where the phase cannot act."""
+    mu = math.sinh(r1) ** 2
+    return 8.0 * math.sqrt(((24.0 * mu + 36.0) * mu + 14.0) * mu * mu + mu) + 8.0 * (2.0 * mu + 1.0) * mu
 
 
 def _frequencies(counts) -> tuple[np.ndarray, np.ndarray]:
@@ -364,17 +386,19 @@ def estimate_phases(
     return _estimates(*_frequencies(counts), cal, branch)
 
 
-def _estimates(freqs, totals, cal: CalibrationModel, branch: tuple[float, float]):
-    """``estimate_phases`` of the windows' frequencies (W, 4) and totals (W,).
+def _search(freqs, cal: CalibrationModel, lo: float, hi: float):
+    """The least-squares phase and objective of the windows' frequencies (W, 4)
+    on the branch [lo, hi], and whether each objective is flat.
 
     Per batch, one product with the branch's table gives |f - a|^2 - |f|^2 at
     every node and 2 (f - a).d on every segment, so each segment's distance
     up to the window's constant |f|^2; the segments within _MARGIN of the
     best are scored by the exact formula, which picks the first best one."""
-    nodes, values, table, length2, half, steps = cal._branch_nodes(*_check_branch(branch))
-    phi_est, objective, flat = np.empty(totals.size), np.empty(totals.size), np.empty(totals.size, dtype=bool)
+    nodes, values, table, length2, half, steps = cal._branch_nodes(lo, hi)
+    size = freqs.shape[0]
+    phi_est, objective, flat = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
     rows = max(1, _BATCH_CELLS // nodes.size)
-    for w in range(0, totals.size, rows):
+    for w in range(0, size, rows):
         f = freqs[w:w + rows]
         near = f @ table  # (batch, nodes + segments)
         at_nodes, dist = near[:, :nodes.size], near[:, nodes.size:]
@@ -404,12 +428,54 @@ def _estimates(freqs, totals, cal: CalibrationModel, branch: tuple[float, float]
         j, u = seg[best], u[best]
         phi_est[w:w + rows] = (1.0 - u) * nodes[j] + u * nodes[j + 1]
         objective[w:w + rows] = segment[best]
+    return phi_est, objective, flat
 
+
+def _estimates(freqs, totals, cal: CalibrationModel, branch: tuple[float, float]):
+    """``estimate_phases`` of the windows' frequencies (W, 4) and totals (W,):
+    the search, then the low-information flag, exact, from a proven bound or
+    a batched ``fisher`` call. The search's scratch is freed before the flag's."""
+    lo, hi = _check_branch(branch)
+    phi_est, objective, flat = _search(freqs, cal, lo, hi)
     dead = flat | (totals <= 0)
-    # one phase's Fisher information does not depend on the others in the call;
-    # a dead window's estimate is a finite phase on the branch, and it is flagged
-    low = totals * fisher(cal.config, phi_est) < 1.0
-    low |= dead
+    # The flag n F(phi_est) < 1 comes from the exact ``fisher`` unless a proven
+    # bound clears it. With t = phi + phase_offset, p_k = Tr[e^{-iNt} rho e^{iNt}
+    # Pi_k]: rho is the state before the phase, N = n_a + n_b the photon number
+    # the phase acts on, and 0 <= Pi_k <= I outcome k pulled back through the
+    # mismatch rotation, the second squeezer, the arm losses and the detectors.
+    # So p_k'' = -<[N, [N, Pi_k]]>, and by Cauchy-Schwarz |p_k''| <= 2 sqrt(E N^4)
+    # + 2 E N^2 (the generator argument of Braunstein & Caves, PRL 72, 3439
+    # (1994)). The rotation conserves N and the internal loss thins it, so these
+    # raw moments are at most those of the lossless two-mode squeezed vacuum:
+    # |p_k''| <= C(r1) (_curvature_bound). Coarse-graining to "k or not k" gives
+    # F >= p_k'^2 / (p_k (1 - p_k)) >= 4 p_k'^2. So with phi_e either
+    # calibration node around phi_est mod pi, F(phi_est) >= 4 L^2 for L =
+    # max_e max_k |p_k'(phi_e)| - C (|phi_est mod pi - phi_e| + delta), if L > 0.
+    # delta = 4 eps (max(|lo|, |hi|) + |phase_offset| + pi) bounds the rounding
+    # of the phases: their sums with the offset, the reduction mod pi and the
+    # exponential of each. A window with n L^2 >= 1/2, so n F >= 2, is not
+    # low-information; the factor 2 covers the roundoff of p, dp and F, each
+    # accurate to about 1e-13 relative. At the stationary points t = 0 and
+    # pi/2 every dp vanishes, so L is small there and those windows take the
+    # exact call by themselves. A dead window's estimate is a finite phase on
+    # the branch too. The nodes (2, windows) are j and j + 1 with j = floor(
+    # (phi_est mod pi) / node step); take clips j + 1 = 2049 at phi_est mod pi
+    # = pi to the last node, and the bound holds at any node.
+    t = np.mod(phi_est, math.pi)
+    ends = (t * _PER_RAD).astype(np.intp) + _PAIR
+    curvature = _curvature_bound(cal.config.r1)
+    slopes = cal.slopes.T.take(ends, 1, mode="clip")
+    lower = np.maximum.reduce(np.abs(slopes, out=slopes), 0)
+    reach = np.abs(t - _PHI_TAB.take(ends, mode="clip"))
+    reach += 4.0 * _EPS * (max(-lo, hi) + abs(cal.config.phase_offset) + math.pi)
+    lower -= curvature * reach
+    lower = np.maximum.reduce(lower, 0, initial=0.0)
+    # the exact flag of every live window the bound leaves open; one phase's
+    # Fisher information does not depend on the others in the call
+    low = dead.copy()
+    exact = (totals * lower * lower < 0.5) & ~dead
+    if exact.any():
+        low[exact] = totals[exact] * fisher(cal.config, phi_est[exact]) < 1.0
     phi_est[dead] = objective[dead] = math.nan
     return phi_est, objective, low
 

@@ -11,7 +11,13 @@ It first checks that the two trees give the same bits: p and dp/dphi of
 calls each), the counts of the fig4 replay (seed 0), ``phi_est``,
 ``objective_value`` and ``low_information`` of one ``estimate_phases`` batch
 on those windows and of the one-window ``estimate_phase`` on the first W of
-them, ``bootstrap_sigma`` (200 resamples) of the first three windows, and
+them, the same three of batches of windows at and next to the stationary
+points phi = -phase_offset and pi/2 - phase_offset, where the
+low-information flag fires and where it just does not (on the tracking
+preset, and with its offset moved to put the stationary points inside a
+segment of the calibration grid; counts on the true and on the interpolated
+curves, totals from 10^2 to 2^53 - 1), ``bootstrap_sigma`` (200 resamples)
+of the first three windows, and
 ``calibrate`` on perfbench's scan of the tracking preset (the constants of
 ``perfbench/worker.py``, seed 0): the fitted config, ``fit_residual``,
 ``degraded`` and ``sigma``. Where they differ it prints how many values differ
@@ -53,6 +59,11 @@ SIDES = ("base", "head")
 # repeats per round of each row
 CONFIGS = 40
 RESAMPLES = 200
+# the stationary windows: steps from the stationary point, totals of counts,
+# and the moved offset's place on the calibration grid (node steps of pi/2048)
+STEPS = (0.0, 1e-9, -1e-6, 1e-4, -1e-2)
+TOTALS = (100, 10**4, 10**7, 10**10, 10**13, 2**53 - 1)
+MOVED_OFFSET = -1000.3 * math.pi / 2048
 REPEATS = {"clicks, 1 phase": 200, "fisher, 1 phase": 200, "clicks, 2049 phases": 5,
            "estimate_phases, 2200 windows": 2, "bootstrap_sigma, 200 resamples": 5, "calibrate, 16 phases": 1}
 
@@ -112,6 +123,24 @@ def fig4_windows(pkg):
     return cfg, cal, scenario.resolved_branch(), scenario.trials_per_window, counts
 
 
+def stationary_windows(pkg, cfg) -> list:
+    """Per stationary point of ``cfg``, the arguments of ``estimate_phases``:
+    the counts (windows, 4) at and next to it, each window's total exact, the
+    calibration model of ``cfg`` and a branch about the point."""
+    cal = pkg.CalibrationModel.from_config(cfg)
+    out = []
+    for stationary in (-cfg.phase_offset, 0.5 * math.pi - cfg.phase_offset):
+        phis = stationary + np.array(STEPS)
+        counts = []
+        for probs in np.concatenate([pkg.fringe(cfg, phis), cal.probabilities(phis)]):
+            for total in TOTALS:
+                row = [int(v) for v in np.floor(probs * total)]
+                row[row.index(max(row))] += total - sum(row)
+                counts.append(row)
+        out.append((np.array(counts, dtype=float), cal, (stationary - 0.25 * math.pi, stationary + 0.25 * math.pi)))
+    return out
+
+
 def calibration_scan(pkg):
     """The samples and the initial guess of perfbench's ``calibrate`` on the tracking preset, seed 0."""
     cfg = pkg.presets.tracking_config()
@@ -135,6 +164,10 @@ def bit_check(pkgs: dict, windows: dict, n_windows: int) -> list[str]:
         one = [pkg.estimate_phase(row, cal, branch, trials=trials) for row in counts[:n_windows]]
         values += [[e.phi_est for e in one], [e.objective_value for e in one], [e.low_information for e in one]]
         values += pkg.estimate_phases(counts, cal, branch)
+        cfg = pkg.presets.tracking_config()
+        for model in (cfg, cfg.with_updates(phase_offset=MOVED_OFFSET)):
+            for arguments in stationary_windows(pkg, model):
+                values += pkg.estimate_phases(*arguments)
         values.append([pkg.bootstrap_sigma(row, cal, branch, RESAMPLES, seed=k) for k, row in enumerate(counts[:3])])
         fit = pkg.calibrate(*calibration_scan(pkg))
         values += [list(vars(fit.config).values()), [fit.fit_residual], [fit.degraded],
@@ -145,6 +178,8 @@ def bit_check(pkgs: dict, windows: dict, n_windows: int) -> list[str]:
     labels.append("fig4 replay counts")
     labels += [f"estimate_phase {f}" for f in ("phi_est", "objective_value", "low_information")]
     labels += [f"estimate_phases {f}" for f in ("phi_est", "objective_value", "low_information")]
+    labels += [f"stationary windows, {offset} offset, point {k}, {f}" for offset in ("preset", "moved") for k in (0, 1)
+               for f in ("phi_est", "objective_value", "low_information")]
     labels.append("bootstrap_sigma")
     labels += [f"calibrate {f}" for f in ("config", "fit_residual", "degraded", "sigma")]
     return [line for label, old, new in zip(labels, *out.values()) if (line := difference(label, old, new))]
@@ -208,7 +243,7 @@ def main(argv=None) -> int:
         print(f"bit check: {'values differ' if differences else 'every value bitwise equal'} "
               f"({CONFIGS} configs; the counts of {len(windows['head'][4])} fig4 windows and their estimates, "
               f"the first {args.windows} one by one; "
-              "3 bootstraps; one calibration)")
+              f"{len(STEPS) * len(TOTALS) * 8} windows at and next to stationary points; 3 bootstraps; one calibration)")
 
         timings = {side: rows(pkg, windows[side], args.windows) for side, pkg in pkgs.items()}
         results = {name: {side: [] for side in SIDES} for name in timings["head"]}

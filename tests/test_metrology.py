@@ -378,3 +378,21 @@ def test_non_finite_phases_are_refused_input(function, phase):
     with pytest.raises(ValueError, match="phases must be finite") as exc:
         function(ideal(0.3), [0.5, phase])
     assert type(exc.value) is ValueError
+
+
+@pytest.mark.parametrize("phases", ["0.5", True, [True, "1e-3"], [0.5, np.True_], [0.5, None], np.array([True, False]),
+                                    np.array(["0.5"]), np.array([0.5 + 0j]), np.array([0.5], dtype=object)])
+@pytest.mark.parametrize("function", [clicks, fringe, fisher, fisher_sweep, simulate_fock])
+def test_phases_that_are_not_numbers_are_refused(function, phases):
+    # "0.5" ran at phase 0.5 and True at phase 1.0: an array is checked by its
+    # dtype, any other input entry by entry
+    with pytest.raises(ValueError, match="phases must be numbers") as exc:
+        function(ideal(0.3), phases)
+    assert type(exc.value) is ValueError
+
+
+def test_integer_and_numpy_phases_are_numbers():
+    cfg = ideal(0.3)
+    expected = clicks(cfg, np.array([0.0, 1.0, 0.5]))
+    for phases in ([0, 1, 0.5], (np.int64(0), np.float32(1), np.float64(0.5)), np.array([[0, 1, 0.5]])):
+        assert all(map(np.array_equal, clicks(cfg, phases), expected))
