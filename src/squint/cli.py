@@ -180,7 +180,9 @@ def cmd_estimate(args) -> int:
             if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
                 raise ValueError(f"counts file must have columns {sorted(needed)}")
             windows = [(int(rec["window_index"]), [int(rec[k]) for k in COUNT_COLUMNS]) for rec in reader]
-            counts = np.reshape([c for _, c in windows], (-1, 4))
+            # as floats, exact below 2^53, so that a larger count is refused by its size (from
+            # Python ints past 2^63, numpy makes an object array, which is no array of numbers)
+            counts = np.array([c for _, c in windows], dtype=float).reshape(-1, 4)
             _frequencies(counts)
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"malformed counts file {args.counts}: {exc}") from exc

@@ -37,7 +37,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .detection import _extremes, _phases, clicks, fringe
-from .gaussian import InterferometerConfig, _is_pair, _mapping, _number
+from .gaussian import InterferometerConfig, _is_pair, _mapping, _number, _numbers
 from .metrology import fisher
 
 __all__ = [
@@ -254,8 +254,10 @@ def _curvature_bound(r1: float) -> float:
 
 def _frequencies(counts) -> tuple[np.ndarray, np.ndarray]:
     """Rows (W, 4) of whole counts -> frequencies (W, 4) and totals (W,); the
-    one check of click data. Each window's total must be below 2^53, where
-    floats still hold every whole number."""
+    one check of click data. The counts must be numbers (``gaussian._numbers``),
+    and each window's total below 2^53, where floats still hold every whole
+    number."""
+    _numbers("counts", counts)
     obs = np.asarray(counts, dtype=float)
     if obs.ndim != 2 or obs.shape[1] != 4:
         raise ValueError(f"counts must have shape (windows, 4), got {obs.shape}")
@@ -267,6 +269,11 @@ def _frequencies(counts) -> tuple[np.ndarray, np.ndarray]:
     if not _extremes(totals)[1] < _EXACT:
         raise ValueError(f"a window's total of counts must be below 2**53, got {totals.max():.17g}")
     return obs / np.maximum(totals, 1.0)[:, None], totals  # an empty window's frequencies are 0
+
+
+def _window(counts) -> tuple[np.ndarray, np.ndarray]:
+    """``_frequencies`` of one window's counts; an array stays one, so it takes the dtype test."""
+    return _frequencies(counts[None] if isinstance(counts, np.ndarray) else [counts])
 
 
 def _fitted_config(initial: InterferometerConfig, theta) -> InterferometerConfig:
@@ -291,7 +298,9 @@ def calibrate(
     The fit ends when a step lowers the cost by at most 1e-12 of the cost, or
     of 1 where the cost is below 1.
     """
-    phis = np.array([float(p) for p, _ in samples])
+    phis = _phases([p for p, _ in samples])
+    if phis.size != len(samples):
+        raise ValueError("each calibration sample needs one phase")
     if np.unique(np.round(phis, 12)).size < 8:
         raise ValueError("calibration needs at least 8 distinct phases")
     if phis.max() - phis.min() < _HALF_PERIOD - 1e-9:
@@ -491,7 +500,7 @@ def estimate_phase(
     that total and raises ValueError if it differs. Raises UnidentifiableError
     when the window carries no phase information on the branch.
     """
-    freqs, totals = _frequencies([observed])
+    freqs, totals = _window(observed)
     total = int(totals[0])
     if _number("trials", trials, 0, integer=True) and trials != total:
         raise ValueError(f"trials {trials!r} differs from the window's total of counts {total}")
@@ -511,10 +520,13 @@ def bootstrap_sigma(
     """Std of the phase estimate over multinomial resamples of one window's
     whole counts (n00, n01, n10, n11), each resample of the window's total.
 
-    ``seed`` is an integer seed or a ready generator, used as given.
+    ``seed`` is an integer seed in [0, 2^64) or a ready generator, used as
+    given.
     """
-    freqs, (total,) = _frequencies([counts])
+    freqs, (total,) = _window(counts)
     resamples = _number("resamples", resamples, 100, integer=True)
+    if not isinstance(seed, np.random.Generator):
+        seed = _number("seed", seed, 0, 2**64 - 1, integer=True)
     if total < 1000:
         raise ValueError(f"need at least 1000 total counts, got {total:.0f}")
     if np.count_nonzero(freqs) < 2:

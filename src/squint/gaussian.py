@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+import reprlib
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 
 import numpy as np
@@ -35,6 +36,17 @@ class InvalidStateError(ValueError):
 def _is_number(value) -> bool:
     """An int or a float, numpy scalars included, and never a bool."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _numbers(name: str, values) -> None:
+    """Refuse anything but numbers: an array by its dtype (integer or float), any other input entry by
+    entry (``_is_number``), so a bool or a string is never a number; a ValueError naming ``name``."""
+    if isinstance(values, np.ndarray):
+        numbers = values.dtype.kind in "iuf"
+    else:
+        numbers = all(map(_is_number, np.asarray(values, dtype=object).reshape(-1)))
+    if not numbers:
+        raise ValueError(f"{name} must be numbers, got {reprlib.repr(values)}")
 
 
 def _is_pair(value) -> bool:

@@ -1,4 +1,4 @@
-"""Time the one-phase click path of this tree against a revision, in one process.
+"""Check the bits of the click path and its consumers against a revision, and time both trees in one process.
 
 Usage: python tests/ab_timing.py --base REV [--rounds K] [--windows W]
 
@@ -17,21 +17,23 @@ low-information flag fires and where it just does not (on the tracking
 preset, and with its offset moved to put the stationary points inside a
 segment of the calibration grid; counts on the true and on the interpolated
 curves, totals from 10^2 to 2^53 - 1), ``bootstrap_sigma`` (200 resamples)
-of the first three windows, and
-``calibrate`` on perfbench's scan of the tracking preset (the constants of
-``perfbench/worker.py``, seed 0): the fitted config, ``fit_residual``,
-``degraded`` and ``sigma``. Where they differ it prints how many values differ
-and the largest absolute and relative change, and the script exits 1 after
-the timings.
+of the first three windows, ``calibrate`` on perfbench's scan of the
+tracking preset (the constants of ``perfbench/worker.py``, seed 0): the
+fitted config, ``fit_residual``, ``degraded`` and ``sigma``, and (phi*, F*)
+of ``max_fisher`` on the lossless config r1 = r2 = 0.59, the call shape that
+dominates the ``figures`` commands. Where they differ it prints how many
+values differ and the largest absolute and relative change, and the script
+exits 1 after the timings.
 
 Then it times, in K rounds (default 10), one-phase ``clicks``, one-phase
 ``fisher``, a one-window ``estimate_phase`` over the first W fig4 windows
 (default 200), 2049-phase ``clicks``, ``estimate_phases`` on all 2200 fig4
-windows, a 200-resample ``bootstrap_sigma`` and that ``calibrate``, each by
-``time.process_time``. A round times each row on both sides in turn, and the
-side that goes first alternates by round. For each row it prints both sides'
-median per call, the median and quartiles of the per-round ratio this tree /
-base, and each side's median ``ru_minflt`` page faults per call.
+windows, a 200-resample ``bootstrap_sigma``, that ``calibrate`` and that
+``max_fisher``, each by ``time.process_time``. A round times each row on
+both sides in turn, and the side that goes first alternates by round. For
+each row it prints both sides' median per call, the median and quartiles of
+the per-round ratio this tree / base, and each side's median ``ru_minflt``
+page faults per call.
 
 Exit codes: 0 when every value is bitwise equal; 1 when one differs; 2 for a
 usage error or a REV that cannot be extracted.
@@ -65,7 +67,10 @@ STEPS = (0.0, 1e-9, -1e-6, 1e-4, -1e-2)
 TOTALS = (100, 10**4, 10**7, 10**10, 10**13, 2**53 - 1)
 MOVED_OFFSET = -1000.3 * math.pi / 2048
 REPEATS = {"clicks, 1 phase": 200, "fisher, 1 phase": 200, "clicks, 2049 phases": 5,
-           "estimate_phases, 2200 windows": 2, "bootstrap_sigma, 200 resamples": 5, "calibrate, 16 phases": 1}
+           "estimate_phases, 2200 windows": 2, "bootstrap_sigma, 200 resamples": 5, "calibrate, 16 phases": 1,
+           "max_fisher, r 0.59": 2}
+# the config of the max_fisher row
+MAX_FISHER = {"r1": 0.59, "r2": 0.59}
 
 
 def load(name: str, src: Path):
@@ -172,6 +177,7 @@ def bit_check(pkgs: dict, windows: dict, n_windows: int) -> list[str]:
         fit = pkg.calibrate(*calibration_scan(pkg))
         values += [list(vars(fit.config).values()), [fit.fit_residual], [fit.degraded],
                    [math.nan if v is None else v for v in fit.sigma.values()]]
+        values.append(pkg.max_fisher(pkg.InterferometerConfig(**MAX_FISHER)))
         out[side] = values
     labels = [f"config {k} {name}" for k in range(CONFIGS)
               for name in ("batch p", "batch dp", *("one-phase p", "one-phase dp") * 3)]
@@ -182,6 +188,7 @@ def bit_check(pkgs: dict, windows: dict, n_windows: int) -> list[str]:
                for f in ("phi_est", "objective_value", "low_information")]
     labels.append("bootstrap_sigma")
     labels += [f"calibrate {f}" for f in ("config", "fit_residual", "degraded", "sigma")]
+    labels.append("max_fisher (phi*, F*)")
     return [line for label, old, new in zip(labels, *out.values()) if (line := difference(label, old, new))]
 
 
@@ -191,6 +198,7 @@ def rows(pkg, window, n_windows: int) -> dict:
     one, batch = np.array([0.7]), np.linspace(0.0, math.pi, 2049)
     picked = counts[:n_windows]
     scan = calibration_scan(pkg)
+    lossless = pkg.InterferometerConfig(**MAX_FISHER)
 
     def estimates():
         for row in picked:
@@ -206,6 +214,7 @@ def rows(pkg, window, n_windows: int) -> dict:
         "bootstrap_sigma, 200 resamples": (lambda: pkg.bootstrap_sigma(counts[0], cal, branch, RESAMPLES, seed=0), 1,
                                            REPEATS["bootstrap_sigma, 200 resamples"]),
         "calibrate, 16 phases": (lambda: pkg.calibrate(*scan), 1, REPEATS["calibrate, 16 phases"]),
+        "max_fisher, r 0.59": (lambda: pkg.max_fisher(lossless), 1, REPEATS["max_fisher, r 0.59"]),
     }
 
 
@@ -243,7 +252,8 @@ def main(argv=None) -> int:
         print(f"bit check: {'values differ' if differences else 'every value bitwise equal'} "
               f"({CONFIGS} configs; the counts of {len(windows['head'][4])} fig4 windows and their estimates, "
               f"the first {args.windows} one by one; "
-              f"{len(STEPS) * len(TOTALS) * 8} windows at and next to stationary points; 3 bootstraps; one calibration)")
+              f"{len(STEPS) * len(TOTALS) * 8} windows at and next to stationary points; 3 bootstraps; one calibration; "
+              f"one max_fisher)")
 
         timings = {side: rows(pkg, windows[side], args.windows) for side, pkg in pkgs.items()}
         results = {name: {side: [] for side in SIDES} for name in timings["head"]}

@@ -287,6 +287,15 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             calibrate(samples, tracking_cfg)
 
+    @pytest.mark.parametrize("phase", ["0.1", True, None, [0.1, 0.2], math.nan])
+    def test_phases_must_be_numbers(self, tracking_cfg, phase):
+        # float(p) read "0.1" as 0.1 and True as 1.0, and the fit ran
+        samples = synthetic_samples(tracking_cfg, np.linspace(0.1, 3.0, 16), 10_000, seed=0)
+        samples[3] = (phase, samples[3][1])
+        with pytest.raises(ValueError, match="phases must be|one phase") as exc:
+            calibrate(samples, tracking_cfg)
+        assert type(exc.value) is ValueError
+
 
 class TestEstimatePhase:
     def test_zero_noise_fixed_point(self, tracking_cal):
@@ -483,6 +492,28 @@ class TestEstimatePhases:
         empty = estimate_phases(np.empty((0, 4)), tracking_cal, BRANCH)
         assert [a.shape for a in empty] == [(0,)] * 3
 
+    @pytest.mark.parametrize("counts", [[[True, 5, 5, 5]], [["1000", 5, 5, 5]], [[1000, 5, 5, None]],
+                                        [[1000, 5, 5, np.True_]], np.array([[True, False, True, True]]),
+                                        np.array([["1000", "5", "5", "5"]]), np.array([[1000, 5, 5, 5]], dtype=object),
+                                        np.array([[1000, 5, 5, 5 + 0j]])])
+    def test_counts_that_are_not_numbers_are_refused(self, tracking_cal, counts):
+        # np.asarray(counts, dtype=float) counted True as 1 and read "1000" as
+        # 1000: an array is checked by its dtype, any other input entry by entry
+        one = counts[0]
+        for call in (lambda: estimate_phases(counts, tracking_cal, BRANCH),
+                     lambda: estimate_phase(one, tracking_cal, BRANCH),
+                     lambda: bootstrap_sigma(one, tracking_cal, BRANCH)):
+            with pytest.raises(ValueError, match="counts must be numbers") as exc:
+                call()
+            assert type(exc.value) is ValueError
+
+    def test_integer_and_float_count_arrays_are_numbers(self, tracking_cal):
+        expected = estimate_phases([[1000, 50, 50, 5]], tracking_cal, BRANCH)
+        for counts in (np.array([[1000, 50, 50, 5]], dtype=np.uint16), np.array([[1000.0, 50.0, 50.0, 5.0]]),
+                       [(np.int64(1000), np.float32(50), 50, 5)]):
+            assert all(map(np.array_equal, estimate_phases(counts, tracking_cal, BRANCH), expected))
+        assert estimate_phase(np.array([1000, 50, 50, 5]), tracking_cal, BRANCH).phi_est == expected[0][0]
+
 
 def same_as_full_scan(counts, cal, branch):
     """estimate_phases and the full scan of search_reference agree bit for bit."""
@@ -559,6 +590,18 @@ class TestScratchBound:
             finally:
                 tracemalloc.stop()
             assert peak <= limit
+
+    def test_peak_memory_of_a_long_click_call(self, tracking_cfg):
+        # 2049 phases in chunks of _CHUNK = 128: one chunk's scratch, the
+        # chunks' outputs and their join. Measured 0.771 MB; the limit is 25% above
+        clicks(tracking_cfg, CalibrationModel.phi_tab)
+        tracemalloc.start()
+        try:
+            clicks(tracking_cfg, CalibrationModel.phi_tab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.963e6
 
 
 def window(probs, total: int) -> list[int]:
@@ -637,6 +680,21 @@ class TestBootstrapAndCrlb:
         # numpy's multinomial ended in "'float' object is not iterable"
         with pytest.raises(ValueError, match="resamples must be an integer"):
             bootstrap_sigma([600, 200, 150, 50], tracking_cal, BRANCH, resamples=resamples)
+
+    @pytest.mark.parametrize("seed", [1.5, "3", True, None, -1, 2**64, math.nan])
+    def test_bootstrap_seed_must_be_an_integer_key(self, tracking_cal, seed):
+        # 1.5 and "3" ended in numpy's TypeError, True ran as seed 1 and None
+        # drew fresh entropy, so the result could not be reproduced
+        with pytest.raises(ValueError, match="seed must be") as exc:
+            bootstrap_sigma([6000, 2000, 1500, 500], tracking_cal, BRANCH, seed=seed)
+        assert type(exc.value) is ValueError
+
+    def test_bootstrap_seed_may_be_a_generator_or_a_numpy_integer(self, tracking_cal):
+        counts = [6000, 2000, 1500, 500]
+        expected = bootstrap_sigma(counts, tracking_cal, BRANCH, seed=7)
+        assert bootstrap_sigma(counts, tracking_cal, BRANCH, seed=np.uint64(7)) == expected
+        assert bootstrap_sigma(counts, tracking_cal, BRANCH, seed=np.random.default_rng(7)) == expected
+        assert bootstrap_sigma(counts, tracking_cal, BRANCH, seed=2**64 - 1) > 0.0
 
     @pytest.mark.parametrize("counts", [[600.5, 150, 150, 100], [-5, 600, 300, 200]])
     def test_bootstrap_needs_whole_non_negative_counts(self, tracking_cal, counts):
