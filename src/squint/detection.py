@@ -26,7 +26,6 @@ each a broadcast over the arms and a chunk of phases.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -130,7 +129,6 @@ def _q(e):
     return out
 
 
-@lru_cache(maxsize=64)
 def _jet_factors(cfg: InterferometerConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coefficients of e^{it} and of e^{-it} in the jets of V*, U and V of one
     arm before its loss, each (2, 3, 2, 3, 1, 1) for (jet, block, row, column,
@@ -145,8 +143,6 @@ def _jet_factors(cfg: InterferometerConfig) -> tuple[np.ndarray, np.ndarray, np.
     eta, eta_o = np.array([[cfg.eta_h, cfg.eta_v], [cfg.eta_v, cfg.eta_h]])[..., None]
     lam = 1.0 - eta_o
     weights = np.array([eta, eta * eta, eta * lam * (1 + eta_o), eta * lam * eta_o, eta * eta_o * eta_o, eta * eta_o])
-    for array in (at_w, at_wc, weights):
-        array.setflags(write=False)
     return at_w, at_wc, weights
 
 
@@ -167,17 +163,17 @@ def clicks(cfg: InterferometerConfig, phis) -> tuple[np.ndarray, np.ndarray]:
     phis = _phases(phis)
     if not phis.size:
         return np.zeros((0, 4)), np.zeros((0, 4))
+    factors = _jet_factors(cfg)
     # joined after the last chunk, so that the joined array can reuse the
-    # memory of the chunks' scratch; one chunk needs no join
-    parts = [_clicks(cfg, phis[k: k + _CHUNK]) for k in range(0, phis.size, _CHUNK)]
-    p = np.concatenate(parts, axis=-1) if len(parts) > 1 else parts[0]
+    # memory of the chunks' scratch
+    p = np.concatenate([_clicks(cfg, factors, phis[k: k + _CHUNK]) for k in range(0, phis.size, _CHUNK)], axis=-1)
     return _checked(p[0].T), p[1].T
 
 
-def _clicks(cfg, phis):
-    """(p, dp/dphi) of a chunk of phases as a jet of shape (2, 4, N)."""
+def _clicks(cfg, factors, phis):
+    """(p, dp/dphi) of a chunk of phases as a jet (2, 4, N), from cfg's _jet_factors."""
     w = np.exp(1j * (phis + cfg.phase_offset))
-    at_w, at_wc, (e_tr, e_det, g_n, g_b, g_z, d_b) = _jet_factors(cfg)
+    at_w, at_wc, (e_tr, e_det, g_n, g_b, g_z, d_b) = factors
     # V*, U and V of one arm before its loss, with an arm axis of length 1
     t = at_w * w + at_wc * w.conj()
     v = t[:, 2]

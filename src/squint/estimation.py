@@ -23,7 +23,9 @@ Calibration fits (r, eta_h, eta_v, overlap, phase_offset) to observed fringes
 by a bounded Levenberg-Marquardt fit (More, LNM 630 (1978)) of residuals
 weighted by the multinomial variance. It fits one gain r = r1 = r2: where the
 two are equal the click statistics have a null direction along r1 - r2.
-Standard errors come from the inverse Fisher matrix at the fit.
+Standard errors come from (J^T J)^-1 of the last Jacobian the fit formed,
+before its last accepted step and with the start point's weights: not the
+inverse Fisher matrix at the fit (0.67 to 1.49 times it from a far start).
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ _PHI_TAB.setflags(write=False)
 # calibrate: fitted parameters, bounds, Jacobian steps, damping (start, and the
 # cap past which no step lowers the cost), the cost gain that ends the fit,
 # relative to the cost or to 1 (the residuals are in standard deviations) if
-# that is larger, the iteration cap, and the eigenvalue floor of the Fisher
-# correlations
+# that is larger, the iteration cap, and the eigenvalue floor of the
+# correlations of J^T J
 _FIT_NAMES = ("r", "eta_h", "eta_v", "overlap", "phase_offset")
 _FIT_BOUNDS = np.array([[0.0, 0.0, 0.0, 0.0, -2.0 * math.pi], [4.0, 1.0, 1.0, 1.0, 2.0 * math.pi]])
 _JAC_STEPS = 1e-6 * np.eye(len(_FIT_NAMES))
@@ -139,13 +141,13 @@ class CalibrationModel:
     """Fitted interferometer parameters and the p_ij(phi) curves they give.
 
     A fitted model carries ``fit_residual`` (finite, >= 0), ``degraded`` (a
-    boolean) and ``sigma`` (standard errors of fitted parameters, finite and
-    >= 0, or None in a degraded fit); see calibrate. ``curves`` and
-    ``slopes`` are derived, read-only p and dp/dphi of ``clicks(config,
-    phi_tab)`` on the grid ``phi_tab`` of 2049 points over [0, pi] shared by
-    all models, views of that call's one array (p is a copy only where
-    roundoff was clamped), so ``==`` compares the fit alone and the node
-    table ``estimate_phases`` keeps cannot go stale.
+    boolean) and ``sigma`` (``{}``, or the standard errors of all five fitted
+    parameters, finite and >= 0, or None in a degraded fit); see calibrate.
+    ``curves`` and ``slopes`` are derived, read-only p and dp/dphi of
+    ``clicks(config, phi_tab)`` on the grid ``phi_tab`` of 2049 points over
+    [0, pi] shared by all models, views of that call's one array (p is a copy
+    only where roundoff was clamped), so ``==`` compares the fit alone and the
+    node table ``estimate_phases`` keeps cannot go stale.
     """
 
     config: InterferometerConfig
@@ -162,7 +164,7 @@ class CalibrationModel:
         if type(degraded) is not bool:
             raise ValueError(f"degraded must be a boolean, got {degraded!r}")
         _number("fit_residual", residual, 0)
-        for name, v in _mapping("sigma", sigma, _FIT_NAMES).items():
+        for name, v in _mapping("sigma", sigma, _FIT_NAMES, _FIT_NAMES if sigma else ()).items():
             if not (v is None and degraded):  # null only in a degraded fit
                 _number(f"sigma[{name!r}]", v, 0)
         curves, slopes = clicks(self.config, _PHI_TAB)
@@ -292,7 +294,7 @@ def calibrate(
     n10, n11) order, at least 8 distinct phases spanning half a period. The
     fit starts from ``initial`` with r at the mean of its r1 and r2, and sets
     r1 = r2 = r. ``fit_residual`` is the minimized weighted sum of squares,
-    ``sigma`` each parameter's standard error from the inverse Fisher matrix;
+    ``sigma`` each parameter's standard error from (J^T J)^-1 (module docstring);
     ``degraded`` means the iteration cap was hit, or that matrix is singular
     or gives a standard error wider than a parameter's bounds (sigma null).
     The fit ends when a step lowers the cost by at most 1e-12 of the cost, or
@@ -359,7 +361,7 @@ def calibrate(
     if np.all(sd <= hi - lo):
         sigma = dict(zip(_FIT_NAMES, sd.tolist()))
     else:
-        # a singular Fisher matrix, or a standard error wider than the bounds
+        # a singular J^T J, or a standard error wider than the bounds
         # of its parameter: the data do not identify the fit
         sigma, degraded = dict.fromkeys(_FIT_NAMES), True
     return CalibrationModel.from_config(_fitted_config(initial, theta), fit_residual=cost, degraded=degraded,

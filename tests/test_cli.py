@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,9 +255,11 @@ class TestTrackAndEstimate:
         assert main(argv) == 2
         assert "squint-calibration/2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field, value", [("fit_residual", -1.0), ("fit_residual", math.nan), ("degraded", "no")])
+    @pytest.mark.parametrize("field, value", [("fit_residual", -1.0), ("fit_residual", math.nan), ("degraded", "no"),
+                                              ("sigma", {"r": 0.01})])
     def test_non_strict_calibration_is_config_error(self, track_dir, tmp_path, capsys, field, value):
-        # json.dumps writes math.nan as the NaN token, which strict JSON lacks
+        # json.dumps writes math.nan as the NaN token, which strict JSON lacks; a
+        # sigma of one fitted name ran at exit 0
         data = json.loads((track_dir / "calibration.json").read_text())
         data[field] = value
         bad = write_config(tmp_path, data, name="bad_calibration.json")
@@ -630,3 +635,17 @@ class TestConfigHandling:
         code = main(["validate", "--budget", "1e-300", "--phi-steps", "3", "--out", str(tmp_path)])
         assert code == 4
         assert "no feasible cutoff" in capsys.readouterr().err
+
+
+def test_the_package_imports_only_numpy_and_the_stdlib():
+    # src/ stays numpy-only. A fresh interpreter, as this one has loaded the test
+    # tools; the modules that site's .pth files load come before ``before``
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import json, sys; sys.path.insert(0, {src!r}); before = set(sys.modules); "
+            "import squint.cli, squint.fock; "
+            "print(json.dumps(sorted({name.partition('.')[0] for name in sys.modules.keys() - before})))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    new = set(json.loads(proc.stdout))
+    assert {"numpy", "squint"} <= new
+    assert new - sys.stdlib_module_names <= {"numpy", "squint"}

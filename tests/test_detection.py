@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strategies import phase_lists, random_configs
-from squint.detection import _checked, _jet_factors, clicks, fringe, fringe_visibility, overlap_for_visibility
+from squint.detection import _checked, clicks, fringe, fringe_visibility, overlap_for_visibility
 from squint.gaussian import InterferometerConfig, InvalidStateError
 
 
@@ -134,14 +134,6 @@ class TestArmSymmetry:
         swap = [0, 2, 1, 3]
         assert np.abs(q[:, swap] - p).max() <= 1e-15
         assert np.abs(dq[:, swap] - dp).max() <= 1e-15
-
-    def test_factors_are_cached_and_read_only(self):
-        cfg = InterferometerConfig(r1=0.43, r2=0.43, eta_h=0.75, eta_v=0.75)
-        factors = _jet_factors(cfg)
-        assert _jet_factors(cfg) is factors
-        for array in factors:
-            with pytest.raises(ValueError):
-                array.flat[0] = 1.0
 
 
 class TestPhaseSymmetry:

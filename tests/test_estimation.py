@@ -27,6 +27,8 @@ from squint.metrology import crlb, fisher, fisher_max_ideal, max_fisher
 from squint.simkit import run_tracking
 
 BRANCH = (0.3, 0.9)
+# a sigma of all five fitted parameters
+SIGMA = dict.fromkeys(("r", "eta_h", "eta_v", "overlap", "phase_offset"), 1e-4)
 
 
 @pytest.fixture(scope="module")
@@ -119,16 +121,16 @@ class TestCalibrationModel:
             d["curves"] = {"p00": [1.0]}
 
         def sigma_of_unfitted_name(d):
-            d["sigma"]["r1"] = 1e-5
+            d["sigma"] = {**SIGMA, "r1": 1e-5}
 
         def negative_sigma(d):
-            d["sigma"]["r"] = -1e-5
+            d["sigma"] = {**SIGMA, "r": -1e-5}
 
         def infinite_sigma(d):
-            d["sigma"]["eta_h"] = math.inf
+            d["sigma"] = {**SIGMA, "eta_h": math.inf}
 
         def null_sigma_of_sound_fit(d):
-            d["sigma"]["overlap"] = None
+            d["sigma"] = {**SIGMA, "overlap": None}
 
         # each of these three raised TypeError
         def config_a_list(d):
@@ -147,17 +149,27 @@ class TestCalibrationModel:
             with pytest.raises(ValueError):
                 CalibrationModel.from_dict(broken(edit))
         assert CalibrationModel.from_dict(broken(lambda d: None)).config == tracking_cal.config
+        assert CalibrationModel.from_dict(broken(lambda d: d.update(sigma=SIGMA))).sigma == SIGMA
 
         def degraded_null_sigma(d):
             d["degraded"] = True
-            d["sigma"] = {"r": None, "eta_h": 1e-4}
+            d["sigma"] = {**SIGMA, "r": None}
 
-        assert CalibrationModel.from_dict(broken(degraded_null_sigma)).sigma == {"r": None, "eta_h": 1e-4}
+        assert CalibrationModel.from_dict(broken(degraded_null_sigma)).sigma == {**SIGMA, "r": None}
+
+    @pytest.mark.parametrize("degraded, sigma", [(False, {"r": 0.01}), (True, {"r": None})])
+    def test_sigma_is_empty_or_has_every_fitted_name(self, tracking_cal, degraded, sigma):
+        # calibrate writes all five names or none; a partial sigma loaded and was written back
+        data = {**tracking_cal.to_dict(), "degraded": degraded, "sigma": sigma}
+        with pytest.raises(ValueError, match="sigma lacks the keys"):
+            CalibrationModel.from_dict(data)
+        with pytest.raises(ValueError, match="sigma lacks the keys"):
+            CalibrationModel(tracking_cal.config, degraded=degraded, sigma=sigma)
 
     @pytest.mark.parametrize("field, value", [
         ("fit_residual", -1.0), ("fit_residual", math.nan), ("fit_residual", math.inf), ("fit_residual", "0.5"),
-        ("fit_residual", True), ("degraded", "no"), ("degraded", 0), ("degraded", None), ("sigma", {"r": True}),
-        ("sigma", {"r": np.True_}),
+        ("fit_residual", True), ("degraded", "no"), ("degraded", 0), ("degraded", None),
+        ("sigma", {**SIGMA, "r": True}), ("sigma", {**SIGMA, "r": np.True_}),
     ])
     def test_fit_fields_are_strict(self, tracking_cal, field, value):
         data = tracking_cal.to_dict()
@@ -169,9 +181,10 @@ class TestCalibrationModel:
 
     def test_fit_values_may_be_numpy_scalars(self, tracking_cal):
         # np.float64 failed a type(v) in (int, float) check
-        cal = CalibrationModel(tracking_cal.config, fit_residual=np.float64(0.5), sigma={"r": np.float64(1e-3)})
-        assert (cal.fit_residual, cal.sigma) == (0.5, {"r": 1e-3})
-        assert CalibrationModel(tracking_cal.config, sigma={"r": np.int64(0)}).sigma == {"r": 0.0}
+        sigma = {**SIGMA, "r": np.float64(1e-3)}
+        cal = CalibrationModel(tracking_cal.config, fit_residual=np.float64(0.5), sigma=sigma)
+        assert (cal.fit_residual, cal.sigma) == (0.5, {**SIGMA, "r": 1e-3})
+        assert CalibrationModel(tracking_cal.config, sigma={**SIGMA, "r": np.int64(0)}).sigma == {**SIGMA, "r": 0.0}
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_from_json_refuses_non_strict_tokens(self, tracking_cal, tmp_path, token):
@@ -368,6 +381,19 @@ class TestEstimatePhase:
         est = estimate_phase(counts, tracking_cal, branch)
         assert est.low_information
         assert abs(est.phi_est) < 1e-3
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fig4_windows_make_no_exact_fisher_call(self, tracking_cfg, tracking_cal, monkeypatch, seed):
+        # the proven lower bound on F clears every fig4 window, so neither the
+        # replay's batch nor one-window estimates call fisher
+        calls = []
+        monkeypatch.setattr("squint.estimation.fisher", lambda cfg, phis: calls.append(phis) or fisher(cfg, phis))
+        scenario = presets.fig4_scenario(seed=seed)
+        records = run_tracking(scenario, tracking_cfg, tracking_cal).records
+        branch = scenario.resolved_branch()
+        estimates = [estimate_phase(counts, tracking_cal, branch) for counts in records.counts[:300]]
+        assert calls == []
+        assert not records.low_information.any() and not any(est.low_information for est in estimates)
 
     def test_estimates_stay_in_branch(self, tracking_cal):
         rng = np.random.default_rng(5)
