@@ -181,8 +181,8 @@ class CalibrationModel:
         return cls(config, **fit)
 
     def probabilities(self, phi) -> np.ndarray:
-        """Interpolated calibration curves at phi (scalar -> (4,), array -> (N, 4));
-        refuses a non-finite phase."""
+        """Interpolated calibration curves at phi, shape np.shape(phi) + (4,)
+        (scalar -> (4,)); refuses a non-finite phase."""
         wrapped = np.mod(_phases(phi), math.pi)
         p = np.stack([np.interp(wrapped, self.phi_tab, self.curves[:, j]) for j in range(4)], axis=-1)
         return p.reshape(np.shape(phi) + (4,))

@@ -189,7 +189,8 @@ def bit_check(pkgs: dict, windows: dict, n_windows: int) -> list[str]:
     labels.append("bootstrap_sigma")
     labels += [f"calibrate {f}" for f in ("config", "fit_residual", "degraded", "sigma")]
     labels.append("max_fisher (phi*, F*)")
-    return [line for label, old, new in zip(labels, *out.values()) if (line := difference(label, old, new))]
+    return [line for label, old, new in zip(labels, *out.values(), strict=True)
+            if (line := difference(label, old, new))]
 
 
 def rows(pkg, window, n_windows: int) -> dict:

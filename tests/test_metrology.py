@@ -362,6 +362,7 @@ EMPTY_CALLS = {
     "fisher": lambda cfg: (fisher(cfg, []),),
     "crlb": lambda cfg: (crlb(cfg, [], 100),),
     "fisher_sweep": lambda cfg: tuple(fisher_sweep(cfg, []).values()),
+    "simulate_fock": lambda cfg: (simulate_fock(cfg, []),),
 }
 
 

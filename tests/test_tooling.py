@@ -3,12 +3,13 @@ reports its falsifying example, and the run goes on to the next test. The
 command list of ``preset_outputs.py``: every argv parses, and together they
 run every preset; its --base comparison reports every changed file, with
 the largest relative change of a CSV or JSON file's numbers, and refuses a
-revision it cannot extract. ``ab_timing.py``: against HEAD it finds every
-value bitwise equal and times every row, and it reports a changed value,
-a changed sign of zero included."""
+revision it cannot extract. ``ab_timing.py``: against a copy of this tree
+it finds every value bitwise equal and times every row, and it reports a
+changed value, a changed sign of zero included."""
 
 import argparse
 import hashlib
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -107,11 +108,17 @@ def test_preset_outputs_base_refuses_a_revision_it_cannot_extract():
     assert proc.stderr.startswith("cannot extract revision 'no-such-rev'") and proc.stderr.count("\n") == 1
 
 
-def test_ab_timing_against_head_finds_equal_bits_and_times_each_row():
-    proc = subprocess.run([sys.executable, str(ROOT / "tests" / "ab_timing.py"), "--base", "HEAD", "--rounds", "1",
-                           "--windows", "5"], capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    lines = proc.stdout.splitlines()
+def test_ab_timing_against_head_finds_equal_bits_and_times_each_row(monkeypatch, capsys):
+    # the base tree is a copy of this tree's src/, so that no git checkout is needed
+    monkeypatch.setattr(ab_timing, "_extract", lambda rev, dest: shutil.copytree(
+        ROOT / "src", dest / "src", ignore=shutil.ignore_patterns("__pycache__")))
+    try:
+        code = ab_timing.main(["--base", "HEAD", "--rounds", "1", "--windows", "5"])
+    finally:
+        for name in [name for name in sys.modules if name.split(".")[0] in ("squint_base", "squint_head")]:
+            del sys.modules[name]
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0, lines
     assert lines[0].startswith("bit check: every value bitwise equal")
     assert [line.split(" | ")[0] for line in lines[3:]] == [
         "clicks, 1 phase", "fisher, 1 phase", "estimate_phase, 1 window", "clicks, 2049 phases",
