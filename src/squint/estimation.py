@@ -8,15 +8,17 @@ nodes, so on the segment from node value a to a + d the objective is an exact
 quadratic whose minimum is the distance from f to the segment, at
 u* = clip((f - a).d / |d|^2, 0, 1). ``estimate_phases`` takes the best
 segment for a whole batch of windows at once; every other estimate is a view
-of it. A per-branch table turns the distances of every segment into one
-matrix product with the frequencies, accurate to a few 1e-15; the segments
-within a margin of the best of these are the shortlist, and the exact
-formula above picks among them, the first on a tie. The margin covers the
-product's roundoff many times over, so the pick is that of a full exact
-scan, bit for bit, whatever the batch.
+of it. A per-branch table turns the distances |f - a|^2 to every node into
+one matrix product with the frequencies, accurate to a few 1e-15. A segment
+within a margin of the best distance has an end at most half the longest
+segment farther than the nearest node: the segments with such an end are the
+shortlist, and the exact formula above picks among them, the first on a tie.
+The margin covers the product's roundoff many times over, so the pick is
+that of a full exact scan, bit for bit, whatever the batch.
 
 A window is flagged low-information when n F(phi_est) < 1, exactly. A lower
-bound on F, proven from the calibration table's dp/dphi, clears most windows
+bound on F over each segment, proven from the calibration table's dp/dphi
+and kept in the branch table as the least n it clears, settles most windows
 without a click call; the rest take one batched ``fisher`` call (_estimates).
 
 Calibration fits (r, eta_h, eta_v, overlap, phase_offset) to observed fringes
@@ -71,27 +73,20 @@ _DAMPING, _MAX_DAMPING = 1e-3, 1e10
 _REL_GAIN = 1e-12
 _MAX_ITER = 100
 _SINGULAR = 1e-12
-# estimate_phases: windows x nodes per batch, which bounds its scratch near 1 MB
-_BATCH_CELLS = 8192
+# estimate_phases: windows x nodes per batch; the fig4 replay's 2200 windows
+# peak at 0.42 MB traced, as many far windows at 0.48 MB
+_BATCH_CELLS = 16384
 # an objective varying less than this over the branch nodes carries no phase
 _FLAT = 1e-15
-# the shortlist's margin over the best approximate distance. Every term of
-# both the table's and the exact formula's distances is at most 4 (f and the
-# node values are probability vectors), so each is within about 100 eps =
-# 2.2e-14 of the true distance: the margin holds every segment that a full
-# exact scan could pick, and every row the prefilter cannot tell from flat
+# the shortlist's margin. Every term of both the table's and the exact
+# formula's distances is at most 4 (f and the node values are probability
+# vectors), so each is within about 100 eps = 2.2e-14 of the true distance:
+# the margin holds every segment that a full exact scan could pick, and every
+# row the product cannot tell from flat
 _MARGIN = 1e-12
-# a segment shorter than 1e-100 is a point to the shortlist: its distance
-# varies by less than 1e-99 along it, and 1/|d|^2 stays finite
-_POINT = 1e-200
 # a whole count is exact as a float, and so is every partial sum of a window,
 # while the window's total is below this
 _EXACT = 2.0**53
-# the low-information bound: steps of the calibration grid per radian, the
-# offsets of a node pair, and the unit roundoff
-_PER_RAD = (_PHI_TAB.size - 1) / math.pi
-_PAIR = np.arange(2)[:, None]
-_EPS = np.finfo(float).eps
 
 
 class UnidentifiableError(ValueError):
@@ -187,13 +182,13 @@ class CalibrationModel:
         p = np.stack([np.interp(wrapped, self.phi_tab, self.curves[:, j]) for j in range(4)], axis=-1)
         return p.reshape(np.shape(phi) + (4,))
 
-    def _branch_nodes(self, lo: float, hi: float) -> tuple[np.ndarray, ...]:
+    def _branch_nodes(self, lo: float, hi: float) -> tuple:
         """The search table of the branch [lo, hi], built once and kept for the
-        last branch (see _estimates): the nodes of the interpolated curves and
-        their values a (nodes, 4); the product table (4, nodes + segments); the
-        segments' squared lengths |d|^2 and 1/(2 |d|^2), 0 at a point (_POINT);
-        and each segment's row (d, |d|^2), |d|^2 inf at zero length, so u = 0
-        there."""
+        last branch: the nodes of the interpolated curves and their values a
+        (nodes, 4); the product table (4, nodes); half the longest segment;
+        and each segment's row (a, d, |d|^2, its two nodes, need), |d|^2 inf
+        at zero length, so u = 0 there, and need the total of counts from
+        which the segment's bound on F clears the flag."""
         if self._nodes is None or self._nodes[0] != (lo, hi):
             # the branch ends plus every calibration node strictly inside, pi-periodically
             shifts = math.pi * np.arange(math.floor(lo / math.pi), math.floor(hi / math.pi) + 1)
@@ -202,12 +197,41 @@ class CalibrationModel:
             values = self.probabilities(nodes)
             step = np.diff(values, axis=0)
             length2 = _dot4(step.T, step.T)
-            # with sum_k f_k = 1, f.(|a|^2 - 2a) = |f - a|^2 - |f|^2 and f.2(d - a.d) = 2 (f - a).d
-            table = np.concatenate([_dot4(values.T, values.T) - 2.0 * values.T,
-                                    2.0 * (step.T - _dot4(values[:-1].T, step.T))], axis=1)
-            half = np.divide(0.5, length2, out=np.zeros_like(length2), where=length2 > _POINT)
-            steps = np.concatenate([step, np.where(length2 > 0.0, length2, np.inf)[:, None]], axis=1)
-            object.__setattr__(self, "_nodes", ((lo, hi), nodes, values, table, length2, half, steps))
+            # with sum_k f_k = 1, f.(|a|^2 - 2a) = |f - a|^2 - |f|^2
+            table = _dot4(values.T, values.T) - 2.0 * values.T
+            # The flag n F(phi_est) < 1 comes from the exact ``fisher`` unless a
+            # proven bound clears it. With t = phi + phase_offset, p_k = Tr[e^{-iNt}
+            # rho e^{iNt} Pi_k]: rho is the state before the phase, N = n_a + n_b
+            # the photon number the phase acts on, and 0 <= Pi_k <= I outcome k
+            # pulled back through the mismatch rotation, the second squeezer, the
+            # arm losses and the detectors. So p_k'' = -<[N, [N, Pi_k]]>, and by
+            # Cauchy-Schwarz |p_k''| <= 2 sqrt(E N^4) + 2 E N^2 (the generator
+            # argument of Braunstein & Caves, PRL 72, 3439 (1994)). The rotation
+            # conserves N and the internal loss thins it, so these raw moments are
+            # at most those of the lossless two-mode squeezed vacuum: |p_k''| <=
+            # C(r1) (_curvature_bound). Coarse-graining to "k or not k" gives F >=
+            # p_k'^2 / (p_k (1 - p_k)) >= 4 p_k'^2. Each segment lies in one
+            # interval of the calibration grid, counted from the grid nodes at or
+            # below lo, so with phi_e either end of it, F >= 4 L^2 on the segment
+            # for L = max_e max_k |p_k'(phi_e)| - C (grid step + delta), if L > 0.
+            # delta = 4 eps (max(|lo|, |hi|) + |phase_offset| + pi) bounds the
+            # rounding of the phases: their sums with the offset, the shifts by
+            # multiples of pi and the exponential of each. A window with n L^2 >=
+            # 1/2, n >= need = 1/(2 L^2), so n F >= 2, is not low-information; the
+            # factor 2 covers the roundoff of p, dp, F and need, each accurate to
+            # about 1e-13 relative. At the stationary points t = 0 and pi/2 every
+            # dp vanishes, so L is small there and those windows take the exact
+            # call by themselves.
+            grid = (np.searchsorted(inner, lo, "right") - 1 + np.arange(step.shape[0])) % (self.phi_tab.size - 1)
+            peak = np.maximum.reduce(np.abs(self.slopes), 1)
+            delta = 4.0 * np.finfo(float).eps * (max(-lo, hi) + abs(self.config.phase_offset) + math.pi)
+            lower = np.maximum(peak[grid], peak[grid + 1])
+            lower -= _curvature_bound(self.config.r1) * (self.phi_tab[1] + delta)
+            # inf where L <= 1e-100, whose need is past any total of counts
+            need = np.divide(0.5, lower * lower, out=np.full_like(lower, np.inf), where=lower > 1e-100)
+            rows = np.column_stack([values[:-1], step, np.where(length2 > 0.0, length2, np.inf), nodes[:-1],
+                                    nodes[1:], need])
+            object.__setattr__(self, "_nodes", ((lo, hi), nodes, values, table, 0.5 * math.sqrt(length2.max()), rows))
         return self._nodes[1:]
 
     def to_dict(self) -> dict:
@@ -249,7 +273,7 @@ def _dot4(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _curvature_bound(r1: float) -> float:
     """C(r1) = 2 sqrt(E N^4) + 2 E N^2 with N = 2n, n geometric of mean mu =
     sinh^2 r1: a bound on |d^2 p_k/dphi^2| of every config with this r1 (see
-    _estimates); 0 at r1 = 0, where the phase cannot act."""
+    CalibrationModel._branch_nodes); 0 at r1 = 0, where the phase cannot act."""
     mu = math.sinh(r1) ** 2
     return 8.0 * math.sqrt(((24.0 * mu + 36.0) * mu + 14.0) * mu * mu + mu) + 8.0 * (2.0 * mu + 1.0) * mu
 
@@ -263,9 +287,10 @@ def _frequencies(counts) -> tuple[np.ndarray, np.ndarray]:
     obs = np.asarray(counts, dtype=float)
     if obs.ndim != 2 or obs.shape[1] != 4:
         raise ValueError(f"counts must have shape (windows, 4), got {obs.shape}")
-    # 0 <= count <= 2^53 and whole (a NaN fails both), so the totals stay finite
+    # 0 <= count <= 2^53 and whole (a NaN fails both; an integer array is whole), so the totals stay finite
     lo, hi = _extremes(obs)
-    if not (lo >= 0.0 and hi <= _EXACT and not _extremes(obs != np.rint(obs))[1]):
+    whole = isinstance(counts, np.ndarray) and counts.dtype.kind in "iu"
+    if not (lo >= 0.0 and hi <= _EXACT and (whole or not _extremes(obs != np.rint(obs))[1])):
         raise ValueError("counts must be finite, whole and non-negative, each at most 2**53")
     totals = np.add.reduce(obs, 1)  # exact below 2^53, and rounding never takes a larger sum below it
     if not _extremes(totals)[1] < _EXACT:
@@ -399,95 +424,63 @@ def estimate_phases(
 
 def _search(freqs, cal: CalibrationModel, lo: float, hi: float):
     """The least-squares phase and objective of the windows' frequencies (W, 4)
-    on the branch [lo, hi], and whether each objective is flat.
+    on the branch [lo, hi], the need of its segment, and whether each
+    objective is flat.
 
     Per batch, one product with the branch's table gives |f - a|^2 - |f|^2 at
-    every node and 2 (f - a).d on every segment, so each segment's distance
-    up to the window's constant |f|^2; the segments within _MARGIN of the
-    best are scored by the exact formula, which picks the first best one."""
-    nodes, values, table, length2, half, steps = cal._branch_nodes(lo, hi)
+    every node, least at the nearest node, N^2 - |f|^2. A segment of length l
+    <= 2 rho holds no point nearer to f than min_e |f - a_e| - l/2 over its
+    ends e. So a segment within _MARGIN of the best distance, itself at most
+    N^2, has an end with |f - a_e|^2 <= N^2 + 2 rho sqrt(N^2 + _MARGIN) + rho^2
+    + _MARGIN. The segments with an end below that plus a second _MARGIN for
+    roundoff are scored by the exact formula, which picks the first best one."""
+    nodes, values, table, rho, segments = cal._branch_nodes(lo, hi)
     size = freqs.shape[0]
-    phi_est, objective, flat = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
-    rows = max(1, _BATCH_CELLS // nodes.size)
+    phi_est, objective, need, flat = np.empty(size), np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    rows, slack = max(1, _BATCH_CELLS // nodes.size), rho * rho + 2.0 * _MARGIN
     for w in range(0, size, rows):
         f = freqs[w:w + rows]
-        near = f @ table  # (batch, nodes + segments)
-        at_nodes, dist = near[:, :nodes.size], near[:, nodes.size:]
-        # the objective's range over the nodes, exact where the prefilter cannot tell it from flat
+        near = f @ table  # (batch, nodes)
+        least = np.minimum.reduce(near, 1)
+        # the objective's range over the nodes, exact where the product cannot tell it from flat
         level = flat[w:w + rows]
-        np.less(np.maximum.reduce(at_nodes, 1) - np.minimum.reduce(at_nodes, 1), _FLAT + _MARGIN, level)
+        np.less(np.maximum.reduce(near, 1) - least, _FLAT + _MARGIN, level)
         if level[level.argmax()]:  # any
             gap = f[level].T[:, :, None] - values.T[:, None]
             at = _dot4(gap, gap)
             level[level] = at.max(axis=1) - at.min(axis=1) < _FLAT
-        # the distance at u = clip(2 (f - a).d / 2 |d|^2, 0, 1): |f - a|^2 - u (2 (f - a).d - u |d|^2)
-        u = np.multiply(dist, half)
-        np.minimum(np.maximum(u, 0.0, out=u), 1.0, out=u)
-        np.subtract(dist, u * length2, dist)
-        np.multiply(dist, u, dist)
-        np.subtract(at_nodes[:, :-1], dist, dist)
-        short = dist <= np.minimum.reduce(dist, 1, keepdims=True) + _MARGIN
-        row, seg = np.divmod(short.ravel().nonzero()[0], dist.shape[1])
-        # the shortlist by the exact formula, from the rows a and (d, |d|^2) of its segments
-        x = steps.take(seg, axis=0).T
-        gap = f.take(row, axis=0).T - values.take(seg, axis=0).T
-        u = (_dot4(gap, x[:4]) / x[4]).clip(0.0, 1.0)
-        resid = gap - u * x[:4]
+        bound = np.sqrt(least + np.add.reduce(f * f, 1) + _MARGIN) * (2.0 * rho) + (least + slack)
+        end = near <= bound[:, None]
+        row, seg = (end[:, :-1] | end[:, 1:]).nonzero()
+        # the shortlist by the exact formula, from the rows (a, d, |d|^2, ...) of its segments
+        x = segments.take(seg, 0).T
+        gap = f.take(row, 0).T - x[:4]
+        u = np.minimum(np.maximum(0.0, _dot4(gap, x[4:8]) / x[8]), 1.0)  # as clip, which keeps a zero's sign
+        resid = gap - u * x[4:8]
         segment = _dot4(resid, resid)
         # the first of each row's least distances: row is sorted, and lexsort is stable
         best = np.lexsort((segment, row))[np.searchsorted(row, np.arange(f.shape[0]))]
-        j, u = seg[best], u[best]
-        phi_est[w:w + rows] = (1.0 - u) * nodes[j] + u * nodes[j + 1]
+        x, u = x[:, best], u[best]
+        phi_est[w:w + rows] = (1.0 - u) * x[9] + u * x[10]
         objective[w:w + rows] = segment[best]
-    return phi_est, objective, flat
+        need[w:w + rows] = x[11]
+    return phi_est, objective, need, flat
 
 
 def _estimates(freqs, totals, cal: CalibrationModel, branch: tuple[float, float]):
     """``estimate_phases`` of the windows' frequencies (W, 4) and totals (W,):
-    the search, then the low-information flag, exact, from a proven bound or
-    a batched ``fisher`` call. The search's scratch is freed before the flag's."""
+    the search, then the low-information flag, exact, from the proven bound of
+    the estimate's segment (_branch_nodes) or a batched ``fisher`` call. The
+    search's scratch is freed before the flag's."""
     lo, hi = _check_branch(branch)
-    phi_est, objective, flat = _search(freqs, cal, lo, hi)
-    dead = flat | (totals <= 0)
-    # The flag n F(phi_est) < 1 comes from the exact ``fisher`` unless a proven
-    # bound clears it. With t = phi + phase_offset, p_k = Tr[e^{-iNt} rho e^{iNt}
-    # Pi_k]: rho is the state before the phase, N = n_a + n_b the photon number
-    # the phase acts on, and 0 <= Pi_k <= I outcome k pulled back through the
-    # mismatch rotation, the second squeezer, the arm losses and the detectors.
-    # So p_k'' = -<[N, [N, Pi_k]]>, and by Cauchy-Schwarz |p_k''| <= 2 sqrt(E N^4)
-    # + 2 E N^2 (the generator argument of Braunstein & Caves, PRL 72, 3439
-    # (1994)). The rotation conserves N and the internal loss thins it, so these
-    # raw moments are at most those of the lossless two-mode squeezed vacuum:
-    # |p_k''| <= C(r1) (_curvature_bound). Coarse-graining to "k or not k" gives
-    # F >= p_k'^2 / (p_k (1 - p_k)) >= 4 p_k'^2. So with phi_e either
-    # calibration node around phi_est mod pi, F(phi_est) >= 4 L^2 for L =
-    # max_e max_k |p_k'(phi_e)| - C (|phi_est mod pi - phi_e| + delta), if L > 0.
-    # delta = 4 eps (max(|lo|, |hi|) + |phase_offset| + pi) bounds the rounding
-    # of the phases: their sums with the offset, the reduction mod pi and the
-    # exponential of each. A window with n L^2 >= 1/2, so n F >= 2, is not
-    # low-information; the factor 2 covers the roundoff of p, dp and F, each
-    # accurate to about 1e-13 relative. At the stationary points t = 0 and
-    # pi/2 every dp vanishes, so L is small there and those windows take the
-    # exact call by themselves. A dead window's estimate is a finite phase on
-    # the branch too. The nodes (2, windows) are j and j + 1 with j = floor(
-    # (phi_est mod pi) / node step); take clips j + 1 = 2049 at phi_est mod pi
-    # = pi to the last node, and the bound holds at any node.
-    t = np.mod(phi_est, math.pi)
-    ends = (t * _PER_RAD).astype(np.intp) + _PAIR
-    curvature = _curvature_bound(cal.config.r1)
-    slopes = cal.slopes.T.take(ends, 1, mode="clip")
-    lower = np.maximum.reduce(np.abs(slopes, out=slopes), 0)
-    reach = np.abs(t - _PHI_TAB.take(ends, mode="clip"))
-    reach += 4.0 * _EPS * (max(-lo, hi) + abs(cal.config.phase_offset) + math.pi)
-    lower -= curvature * reach
-    lower = np.maximum.reduce(lower, 0, initial=0.0)
+    phi_est, objective, need, flat = _search(freqs, cal, lo, hi)
+    low = flat | (totals <= 0)  # the dead windows
+    phi_est[low] = objective[low] = math.nan
     # the exact flag of every live window the bound leaves open; one phase's
     # Fisher information does not depend on the others in the call
-    low = dead.copy()
-    exact = (totals * lower * lower < 0.5) & ~dead
-    if exact.any():
+    exact = (totals < need) & ~low
+    if np.count_nonzero(exact):
         low[exact] = totals[exact] * fisher(cal.config, phi_est[exact]) < 1.0
-    phi_est[dead] = objective[dead] = math.nan
     return phi_est, objective, low
 
 

@@ -11,15 +11,16 @@ It first checks that the two trees give the same bits: p and dp/dphi of
 calls each), the counts of the fig4 replay (seed 0), ``phi_est``,
 ``objective_value`` and ``low_information`` of one ``estimate_phases`` batch
 on those windows and of the one-window ``estimate_phase`` on the first W of
-them, the same three of batches of windows at and next to the stationary
-points phi = -phase_offset and pi/2 - phase_offset, where the
-low-information flag fires and where it just does not (on the tracking
-preset, and with its offset moved to put the stationary points inside a
-segment of the calibration grid; counts on the true and on the interpolated
-curves, totals from 10^2 to 2^53 - 1), ``bootstrap_sigma`` (200 resamples)
-of the first three windows, ``calibrate`` on perfbench's scan of the
-tracking preset (the constants of ``perfbench/worker.py``, seed 0): the
-fitted config, ``fit_residual``, ``degraded`` and ``sigma``, and (phi*, F*)
+them, the same three of one batch of as many far windows (uniform random
+counts, a fixed seed), which have the longest shortlists, and of batches of
+windows at and next to the stationary points phi = -phase_offset and
+pi/2 - phase_offset, where the low-information flag fires and where it just
+does not (on the tracking preset, and with its offset moved to put the
+stationary points inside a segment of the calibration grid; counts on the
+true and on the interpolated curves, totals from 10^2 to 2^53 - 1),
+``bootstrap_sigma`` (200 resamples) of the first three windows,
+``calibrate`` on perfbench's scan of the tracking preset (the constants of
+``perfbench/worker.py``, seed 0): the fitted config, ``fit_residual``, ``degraded`` and ``sigma``, and (phi*, F*)
 of ``max_fisher`` on the lossless config r1 = r2 = 0.59, the call shape that
 dominates the ``figures`` commands. Where they differ it prints how many
 values differ and the largest absolute and relative change, and the script
@@ -57,9 +58,10 @@ sys.path.append(str(ROOT / "perfbench"))
 from worker import GUESS_OFFSETS, SCAN_PHASES, SCAN_TRIALS  # noqa: E402
 
 SIDES = ("base", "head")
-# random configs of the bit check, the resamples of a bootstrap, and the
-# repeats per round of each row
+# random configs of the bit check, the seed and the largest count of its far
+# windows, the resamples of a bootstrap, and the repeats per round of each row
 CONFIGS = 40
+FAR_SEED, FAR_COUNT = 3, 10**6
 RESAMPLES = 200
 # the stationary windows: steps from the stationary point, totals of counts,
 # and the moved offset's place on the calibration grid (node steps of pi/2048)
@@ -169,6 +171,8 @@ def bit_check(pkgs: dict, windows: dict, n_windows: int) -> list[str]:
         one = [pkg.estimate_phase(row, cal, branch, trials=trials) for row in counts[:n_windows]]
         values += [[e.phi_est for e in one], [e.objective_value for e in one], [e.low_information for e in one]]
         values += pkg.estimate_phases(counts, cal, branch)
+        far = np.random.default_rng(FAR_SEED).integers(0, FAR_COUNT, size=counts.shape)
+        values += pkg.estimate_phases(far, cal, branch)
         cfg = pkg.presets.tracking_config()
         for model in (cfg, cfg.with_updates(phase_offset=MOVED_OFFSET)):
             for arguments in stationary_windows(pkg, model):
@@ -184,6 +188,7 @@ def bit_check(pkgs: dict, windows: dict, n_windows: int) -> list[str]:
     labels.append("fig4 replay counts")
     labels += [f"estimate_phase {f}" for f in ("phi_est", "objective_value", "low_information")]
     labels += [f"estimate_phases {f}" for f in ("phi_est", "objective_value", "low_information")]
+    labels += [f"far windows {f}" for f in ("phi_est", "objective_value", "low_information")]
     labels += [f"stationary windows, {offset} offset, point {k}, {f}" for offset in ("preset", "moved") for k in (0, 1)
                for f in ("phi_est", "objective_value", "low_information")]
     labels.append("bootstrap_sigma")
@@ -252,7 +257,7 @@ def main(argv=None) -> int:
             print(line)
         print(f"bit check: {'values differ' if differences else 'every value bitwise equal'} "
               f"({CONFIGS} configs; the counts of {len(windows['head'][4])} fig4 windows and their estimates, "
-              f"the first {args.windows} one by one; "
+              f"the first {args.windows} one by one; as many far windows; "
               f"{len(STEPS) * len(TOTALS) * 8} windows at and next to stationary points; 3 bootstraps; one calibration; "
               f"one max_fisher)")
 
