@@ -7,14 +7,18 @@ half-period branch. The curves interpolate linearly between calibration
 nodes, so on the segment from node value a to a + d the objective is an exact
 quadratic whose minimum is the distance from f to the segment, at
 u* = clip((f - a).d / |d|^2, 0, 1). ``estimate_phases`` takes the best
-segment for a whole batch of windows at once; every other estimate is a view
-of it. A per-branch table turns the distances |f - a|^2 to every node into
-one matrix product with the frequencies, accurate to a few 1e-15. A segment
-within a margin of the best distance has an end at most half the longest
-segment farther than the nearest node: the segments with such an end are the
-shortlist, and the exact formula above picks among them, the first on a tie.
-The margin covers the product's roundoff many times over, so the pick is
-that of a full exact scan, bit for bit, whatever the batch.
+segment for a whole batch of windows at once, and ``run_tracking``,
+``bootstrap_sigma`` and ``squint estimate`` call it. A per-branch table turns
+the distances |f - a|^2 to every node into one matrix product with the
+frequencies, accurate to a few 1e-15. A segment within a margin of the best
+distance has an end at most half the longest segment farther than the
+nearest node: the segments with such an end are the shortlist, and the exact
+formula above picks among them, the first on a tie. The margin covers the
+product's roundoff many times over, so the pick is that of a full exact scan,
+bit for bit, whatever the batch. ``estimate_phase`` scores its one window's
+shortlist in Python floats, the same formula in the same order (its
+docstring): two implementations, picked by the call, both pinned to a full
+scan.
 
 A window is flagged low-information when n F(phi_est) < 1, exactly. A lower
 bound on F over each segment, proven from the calibration table's dp/dphi
@@ -328,7 +332,8 @@ def calibrate(
     phis = _phases([p for p, _ in samples])
     if phis.size != len(samples):
         raise ValueError("each calibration sample needs one phase")
-    if np.unique(np.round(phis, 12)).size < 8:
+    # the distinct rounded phases, counted without np.unique, which imports numpy.ma
+    if np.count_nonzero(np.diff(np.sort(np.round(phis, 12)))) < 7:
         raise ValueError("calibration needs at least 8 distinct phases")
     if phis.max() - phis.min() < _HALF_PERIOD - 1e-9:
         raise ValueError("calibration phases must span at least half a period (pi/2)")
@@ -490,16 +495,43 @@ def estimate_phase(
     branch: tuple[float, float],
     trials: int = 0,
 ) -> PhaseEstimate:
-    """One window of ``estimate_phases``: whole counts (n00, n01, n10, n11),
-    whose total is ``window_trials``. A nonzero ``trials`` is checked against
-    that total and raises ValueError if it differs. Raises UnidentifiableError
-    when the window carries no phase information on the branch.
+    """One window of ``estimate_phases``, bit for bit: whole counts (n00, n01,
+    n10, n11), whose total is ``window_trials``. A nonzero ``trials`` is
+    checked against that total and raises ValueError if it differs. Raises
+    UnidentifiableError when the window carries no phase information on the
+    branch.
+
+    A numpy call costs more than the few segments of a shortlist, so this
+    path takes ``_search``'s shortlist from the one product and scores it in
+    Python floats, with the same operations in the same order, in ascending
+    order so that the first least distance wins. An empty window, or one the
+    product cannot tell from flat, goes to ``_estimates``.
     """
     freqs, totals = _window(observed)
     total = int(totals[0])
     if _number("trials", trials, 0, integer=True) and trials != total:
         raise ValueError(f"trials {trials!r} differs from the window's total of counts {total}")
-    (phi,), (value,), (low,) = (a.tolist() for a in _estimates(freqs, totals, cal, branch))
+    nodes, _, table, rho, segments = cal._branch_nodes(*_check_branch(branch))
+    near = freqs[0] @ table
+    least, most = near.item(near.argmin()), near.item(near.argmax())
+    f0, f1, f2, f3 = freqs[0].tolist()
+    if total and most - least >= _FLAT + _MARGIN:
+        bound = (math.sqrt(least + (((f0 * f0 + f1 * f1) + f2 * f2) + f3 * f3) + _MARGIN) * (2.0 * rho)
+                 + (least + (rho * rho + 2.0 * _MARGIN)))
+        ends = (near <= bound).nonzero()[0].tolist()
+        shortlist = sorted({j for e in ends for j in (e - 1, e) if 0 <= j < nodes.size - 1})
+        value = math.inf
+        for a0, a1, a2, a3, d0, d1, d2, d3, length2, start, stop, need_j in segments[shortlist].tolist():
+            g0, g1, g2, g3 = f0 - a0, f1 - a1, f2 - a2, f3 - a3
+            u = (((g0 * d0 + g1 * d1) + g2 * d2) + g3 * d3) / length2
+            u = 0.0 if u < 0.0 else 1.0 if u > 1.0 else u  # keeps a zero's sign, as _search's clip does
+            r0, r1, r2, r3 = g0 - u * d0, g1 - u * d1, g2 - u * d2, g3 - u * d3
+            distance = ((r0 * r0 + r1 * r1) + r2 * r2) + r3 * r3
+            if distance < value:
+                value, phi, need = distance, (1.0 - u) * start + u * stop, need_j
+        low = bool(total < need and total * fisher(cal.config, [phi])[0] < 1.0)
+    else:
+        (phi,), (value,), (low,) = (a.tolist() for a in _estimates(freqs, totals, cal, branch))
     if math.isnan(phi):
         raise UnidentifiableError("no phase information on the branch: empty data or a flat objective")
     return PhaseEstimate(phi_est=phi, window_trials=total, objective_value=value, low_information=low)

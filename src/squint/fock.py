@@ -80,7 +80,7 @@ def _pair_blocks(n_max: int, scale: float, sign: int) -> tuple:
     n1, n2 = np.divmod(np.arange(d * d), d)
     labels = n1 + sign * n2
     blocks = []
-    for label in np.unique(labels):
+    for label in range(labels.min(), labels.max() + 1):  # every label in between occurs
         idx = np.flatnonzero(labels == label)
         m, n = n1[idx], n2[idx]
         g = scale * (first[np.ix_(m, m)] * a[np.ix_(n, n)])

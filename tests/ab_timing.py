@@ -11,11 +11,12 @@ It first checks that the two trees give the same bits: p and dp/dphi of
 calls each), the counts of the fig4 replay (seed 0), ``phi_est``,
 ``objective_value`` and ``low_information`` of one ``estimate_phases`` batch
 on those windows and of the one-window ``estimate_phase`` on the first W of
-them, the same three of one batch of as many far windows (uniform random
-counts, a fixed seed), which have the longest shortlists, and of batches of
-windows at and next to the stationary points phi = -phase_offset and
-pi/2 - phase_offset, where the low-information flag fires and where it just
-does not (on the tracking preset, and with its offset moved to put the
+them, and the same three, from one batch and from ``estimate_phase`` one
+window at a time, of as many far windows (uniform random counts, a fixed
+seed), which have the longest shortlists, and of the windows at and next to
+the stationary points phi = -phase_offset and pi/2 - phase_offset, where the
+low-information flag fires and where it just does not, so that it calls
+``fisher`` (on the tracking preset, and with its offset moved to put the
 stationary points inside a segment of the calibration grid; counts on the
 true and on the interpolated curves, totals from 10^2 to 2^53 - 1),
 ``bootstrap_sigma`` (200 resamples) of the first three windows,
@@ -156,6 +157,13 @@ def calibration_scan(pkg):
     return samples, cfg.with_updates(**{k: getattr(cfg, k) + d for k, d in GUESS_OFFSETS.items()})
 
 
+def one_by_one(pkg, counts, cal, branch, trials: int = 0) -> list:
+    """``phi_est``, ``objective_value`` and ``low_information`` of the one-window
+    ``estimate_phase`` on each row of ``counts``, as three lists."""
+    one = [pkg.estimate_phase(row, cal, branch, trials=trials) for row in counts]
+    return [[e.phi_est for e in one], [e.objective_value for e in one], [e.low_information for e in one]]
+
+
 def bit_check(pkgs: dict, windows: dict, n_windows: int) -> list[str]:
     """Every difference between the trees' values, as lines."""
     out = {}
@@ -168,15 +176,16 @@ def bit_check(pkgs: dict, windows: dict, n_windows: int) -> list[str]:
                 values += pkg.clicks(cfg, [phi])
         _, cal, branch, trials, counts = windows[side]
         values.append(counts)
-        one = [pkg.estimate_phase(row, cal, branch, trials=trials) for row in counts[:n_windows]]
-        values += [[e.phi_est for e in one], [e.objective_value for e in one], [e.low_information for e in one]]
+        values += one_by_one(pkg, counts[:n_windows], cal, branch, trials)
         values += pkg.estimate_phases(counts, cal, branch)
         far = np.random.default_rng(FAR_SEED).integers(0, FAR_COUNT, size=counts.shape)
         values += pkg.estimate_phases(far, cal, branch)
+        values += one_by_one(pkg, far, cal, branch)
         cfg = pkg.presets.tracking_config()
         for model in (cfg, cfg.with_updates(phase_offset=MOVED_OFFSET)):
             for arguments in stationary_windows(pkg, model):
                 values += pkg.estimate_phases(*arguments)
+                values += one_by_one(pkg, *arguments)
         values.append([pkg.bootstrap_sigma(row, cal, branch, RESAMPLES, seed=k) for k, row in enumerate(counts[:3])])
         fit = pkg.calibrate(*calibration_scan(pkg))
         values += [list(vars(fit.config).values()), [fit.fit_residual], [fit.degraded],
@@ -188,8 +197,10 @@ def bit_check(pkgs: dict, windows: dict, n_windows: int) -> list[str]:
     labels.append("fig4 replay counts")
     labels += [f"estimate_phase {f}" for f in ("phi_est", "objective_value", "low_information")]
     labels += [f"estimate_phases {f}" for f in ("phi_est", "objective_value", "low_information")]
-    labels += [f"far windows {f}" for f in ("phi_est", "objective_value", "low_information")]
-    labels += [f"stationary windows, {offset} offset, point {k}, {f}" for offset in ("preset", "moved") for k in (0, 1)
+    labels += [f"far windows, {call} {f}" for call in ("estimate_phases", "estimate_phase")
+               for f in ("phi_est", "objective_value", "low_information")]
+    labels += [f"stationary windows, {offset} offset, point {k}, {call} {f}" for offset in ("preset", "moved")
+               for k in (0, 1) for call in ("estimate_phases", "estimate_phase")
                for f in ("phi_est", "objective_value", "low_information")]
     labels.append("bootstrap_sigma")
     labels += [f"calibrate {f}" for f in ("config", "fit_residual", "degraded", "sigma")]
@@ -257,9 +268,9 @@ def main(argv=None) -> int:
             print(line)
         print(f"bit check: {'values differ' if differences else 'every value bitwise equal'} "
               f"({CONFIGS} configs; the counts of {len(windows['head'][4])} fig4 windows and their estimates, "
-              f"the first {args.windows} one by one; as many far windows; "
-              f"{len(STEPS) * len(TOTALS) * 8} windows at and next to stationary points; 3 bootstraps; one calibration; "
-              f"one max_fisher)")
+              f"the first {args.windows} one by one; as many far windows and "
+              f"{len(STEPS) * len(TOTALS) * 8} windows at and next to stationary points, each in batches and one by "
+              f"one; 3 bootstraps; one calibration; one max_fisher)")
 
         timings = {side: rows(pkg, windows[side], args.windows) for side, pkg in pkgs.items()}
         results = {name: {side: [] for side in SIDES} for name in timings["head"]}

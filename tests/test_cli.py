@@ -649,3 +649,16 @@ def test_the_package_imports_only_numpy_and_the_stdlib():
     new = set(json.loads(proc.stdout))
     assert {"numpy", "squint"} <= new
     assert new - sys.stdlib_module_names <= {"numpy", "squint"}
+
+
+def test_calibrate_and_the_oracle_leave_numpy_ma_unloaded():
+    # the first np.unique call of a process imports numpy.ma, 15-20 ms
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import numpy as np; "
+            "from squint import InterferometerConfig, calibrate, fringe, simulate_fock; "
+            "cfg = InterferometerConfig(r1=0.3, r2=0.3); phis = np.linspace(0.1, 3.0, 8); "
+            "calibrate([(p, np.rint(q * 1e6)) for p, q in zip(phis, fringe(cfg, phis))], cfg); "
+            "simulate_fock(cfg, [0.3]); print('numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

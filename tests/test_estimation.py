@@ -289,9 +289,12 @@ class TestCalibrate:
         with pytest.raises(UnidentifiableError, match="a calibration sample has no counts"):
             calibrate(samples, tracking_cfg)
 
-    def test_needs_enough_phases(self, tracking_cfg):
-        samples = synthetic_samples(tracking_cfg, [0.5], 10_000, seed=0)
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("phases", [[0.5], np.repeat(np.linspace(0.1, 3.0, 7), 2),
+                                        [*np.linspace(0.1, 3.0, 7), 3.0 + 1e-13, 0.1 - 1e-13]])
+    def test_needs_enough_phases(self, tracking_cfg, phases):
+        # 7 distinct phases, also repeated or 1e-13 apart, which round to one
+        samples = synthetic_samples(tracking_cfg, phases, 10_000, seed=0)
+        with pytest.raises(ValueError, match="at least 8 distinct phases"):
             calibrate(samples, tracking_cfg)
 
     def test_needs_half_period_span(self, tracking_cfg):
@@ -542,9 +545,23 @@ class TestEstimatePhases:
 
 
 def same_as_full_scan(counts, cal, branch):
-    """estimate_phases and the full scan of search_reference agree bit for bit."""
-    return all(mine.tobytes() == theirs.tobytes()
-               for mine, theirs in zip(estimate_phases(counts, cal, branch), full_scan(counts, cal, branch)))
+    """estimate_phases, and estimate_phase on each window, agree with the full
+    scan of search_reference bit for bit; a NaN row of the scan is an
+    UnidentifiableError of estimate_phase."""
+    scan = full_scan(counts, cal, branch)
+    if not all(mine.tobytes() == theirs.tobytes() for mine, theirs in zip(estimate_phases(counts, cal, branch), scan)):
+        return False
+    for row, phi, value, low in zip(counts, *scan):
+        try:
+            est = estimate_phase(row, cal, branch)
+        except UnidentifiableError:
+            if not math.isnan(phi):
+                return False
+            continue
+        if np.array([est.phi_est, est.objective_value]).tobytes() != np.array([phi, value]).tobytes() or (
+                est.low_information != low):
+            return False
+    return True
 
 
 class TestSearchMatchesFullScan:
@@ -592,10 +609,18 @@ class TestSearchMatchesFullScan:
         y = np.interp(np.arange(2049), knots, [0.25, 0.0, 0.0, 0.03, 0.03, 0.25])
         path = c + x[:, None] * e1 + y[:, None] * e2
         off_path = np.rint(np.stack([c + 0.01 * e2, c + 0.05 * e1 + 0.005 * e2]) * 2**50)
+        # dyadic curves that leave (0, 1/2, 1/4, 1/4) at node 0 with p00 rising and
+        # the rest falling: on the branch from -0.0, the window with counts (-0.0,
+        # 512, 256, 256) has (f - a).d = -0.0 on the first segment, so u = -0.0 and
+        # the estimate is -0.0, where a clip that drops a zero's sign gives 0.0
+        m = (np.minimum(np.arange(2049), 2048 - np.arange(2049)) + 3) // 4
+        signed = np.stack([3 * m, 512 - m, 256 - m, 256 - m], axis=1) / 1024
         branch = (tab[200], tab[800])
         # the dyadic windows sit on nodes inside a run, at its ends and at the branch's ends
-        for curves, windows in ((dyadic, dyadic[[200, 203, 207, 208, 500, 800]] * 1024), (path, off_path),
-                                (circle, np.rint(np.concatenate([c[None], circle[[300, 500, 700]]]) * 2**50))):
+        for curves, windows, branch in (
+                (dyadic, dyadic[[200, 203, 207, 208, 500, 800]] * 1024, branch), (path, off_path, branch),
+                (signed, np.array([[-0.0, 512, 256, 256], [0, 512, 256, 256]]), (-0.0, tab[800])),
+                (circle, np.rint(np.concatenate([c[None], circle[[300, 500, 700]]]) * 2**50), branch)):
             monkeypatch.setattr(estimation, "clicks", lambda cfg, phis: (curves, clicks(cfg, phis)[1]))
             cal = CalibrationModel(tracking_cal.config)
             monkeypatch.undo()
@@ -718,6 +743,7 @@ class TestLowInformationFlag:
             exact = np.ones(len(totals), dtype=bool)
             exact[live] = np.array(totals, dtype=float)[live] * fisher(cfg, phi[live]) < 1.0
             assert np.array_equal(low, exact)
+            assert same_as_full_scan(counts, cal, branch)
 
 
 class TestBootstrapAndCrlb:
