@@ -207,7 +207,7 @@ def cmd_track(args) -> int:
         cfg, scenario = _load_config_file(args.config, "interferometer", "scenario")
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
-    cal = CalibrationModel.from_config(cfg)
+    cal = CalibrationModel(cfg)
     run = run_tracking(scenario, cfg, cal)
     report = sensitivity_report(run, accounting=args.accounting)
     rec = run.records

@@ -12,13 +12,12 @@ segment for a whole batch of windows at once, and ``run_tracking``,
 the distances |f - a|^2 to every node into one matrix product with the
 frequencies, accurate to a few 1e-15. A segment within a margin of the best
 distance has an end at most half the longest segment farther than the
-nearest node: the segments with such an end are the shortlist, and the exact
-formula above picks among them, the first on a tie. The margin covers the
+nearest node: the segments with such an end are the shortlist. One scorer,
+``_closest``, applies the exact formula above to each window's shortlist in
+Python floats, in ascending order, and keeps the first least distance; both
+``estimate_phases`` and ``estimate_phase`` call it. The margin covers the
 product's roundoff many times over, so the pick is that of a full exact scan,
-bit for bit, whatever the batch. ``estimate_phase`` scores its one window's
-shortlist in Python floats, the same formula in the same order (its
-docstring): two implementations, picked by the call, both pinned to a full
-scan.
+bit for bit, whatever the batch.
 
 A window is flagged low-information when n F(phi_est) < 1, exactly. A lower
 bound on F over each segment, proven from the calibration table's dp/dphi
@@ -78,7 +77,7 @@ _REL_GAIN = 1e-12
 _MAX_ITER = 100
 _SINGULAR = 1e-12
 # estimate_phases: windows x nodes per batch; the fig4 replay's 2200 windows
-# peak at 0.42 MB traced, as many far windows at 0.48 MB
+# peak at 0.42 MB traced, as many far windows at 0.43 MB
 _BATCH_CELLS = 16384
 # an objective varying less than this over the branch nodes carries no phase
 _FLAT = 1e-15
@@ -176,7 +175,7 @@ class CalibrationModel:
 
     @classmethod
     def from_config(cls, config: InterferometerConfig, **fit) -> "CalibrationModel":
-        """The model of a known configuration; ``fit`` as for the constructor."""
+        """The constructor, kept for ``perfbench/worker.py``, which calls and traces it."""
         return cls(config, **fit)
 
     def probabilities(self, phi) -> np.ndarray:
@@ -190,9 +189,10 @@ class CalibrationModel:
         """The search table of the branch [lo, hi], built once and kept for the
         last branch: the nodes of the interpolated curves and their values a
         (nodes, 4); the product table (4, nodes); half the longest segment;
-        and each segment's row (a, d, |d|^2, its two nodes, need), |d|^2 inf
-        at zero length, so u = 0 there, and need the total of counts from
-        which the segment's bound on F clears the flag."""
+        and each segment's row (a, d, |d|^2, its two nodes, need) as a list of
+        Python floats, which ``_closest`` reads, |d|^2 inf at zero length, so
+        u = 0 there, and need the total of counts from which the segment's
+        bound on F clears the flag."""
         if self._nodes is None or self._nodes[0] != (lo, hi):
             # the branch ends plus every calibration node strictly inside, pi-periodically
             shifts = math.pi * np.arange(math.floor(lo / math.pi), math.floor(hi / math.pi) + 1)
@@ -234,7 +234,7 @@ class CalibrationModel:
             # inf where L <= 1e-100, whose need is past any total of counts
             need = np.divide(0.5, lower * lower, out=np.full_like(lower, np.inf), where=lower > 1e-100)
             rows = np.column_stack([values[:-1], step, np.where(length2 > 0.0, length2, np.inf), nodes[:-1],
-                                    nodes[1:], need])
+                                    nodes[1:], need]).tolist()
             object.__setattr__(self, "_nodes", ((lo, hi), nodes, values, table, 0.5 * math.sqrt(length2.max()), rows))
         return self._nodes[1:]
 
@@ -394,8 +394,7 @@ def calibrate(
         # a singular J^T J, or a standard error wider than the bounds
         # of its parameter: the data do not identify the fit
         sigma, degraded = dict.fromkeys(_FIT_NAMES), True
-    return CalibrationModel.from_config(_fitted_config(initial, theta), fit_residual=cost, degraded=degraded,
-                                        sigma=sigma)
+    return CalibrationModel(_fitted_config(initial, theta), fit_residual=cost, degraded=degraded, sigma=sigma)
 
 
 def _check_branch(branch: tuple[float, float]) -> tuple[float, float]:
@@ -427,10 +426,29 @@ def estimate_phases(
     return _estimates(*_frequencies(counts), cal, branch)
 
 
+def _closest(f, segments, shortlist) -> tuple[float, float, float]:
+    """(phase, distance, need) of the segment nearest to f, four floats, among
+    the rows ``segments[j]`` of ``_branch_nodes`` for j in ``shortlist``, in
+    ascending order: the exact formula in ``_dot4``'s order of sums, a clip that
+    keeps a zero's sign, the first least distance; (nan, inf, inf) for none."""
+    f0, f1, f2, f3 = f
+    phi, value, need = math.nan, math.inf, math.inf
+    for j in shortlist:
+        a0, a1, a2, a3, d0, d1, d2, d3, length2, start, stop, need_j = segments[j]
+        g0, g1, g2, g3 = f0 - a0, f1 - a1, f2 - a2, f3 - a3
+        u = (((g0 * d0 + g1 * d1) + g2 * d2) + g3 * d3) / length2
+        u = 0.0 if u < 0.0 else 1.0 if u > 1.0 else u
+        r0, r1, r2, r3 = g0 - u * d0, g1 - u * d1, g2 - u * d2, g3 - u * d3
+        distance = ((r0 * r0 + r1 * r1) + r2 * r2) + r3 * r3
+        if distance < value:
+            phi, value, need = (1.0 - u) * start + u * stop, distance, need_j
+    return phi, value, need
+
+
 def _search(freqs, cal: CalibrationModel, lo: float, hi: float):
     """The least-squares phase and objective of the windows' frequencies (W, 4)
-    on the branch [lo, hi], the need of its segment, and whether each
-    objective is flat.
+    on the branch [lo, hi], the need of its segment, and which windows are
+    dead: empty, or with an objective flat over the branch.
 
     Per batch, one product with the branch's table gives |f - a|^2 - |f|^2 at
     every node, least at the nearest node, N^2 - |f|^2. A segment of length l
@@ -438,38 +456,31 @@ def _search(freqs, cal: CalibrationModel, lo: float, hi: float):
     ends e. So a segment within _MARGIN of the best distance, itself at most
     N^2, has an end with |f - a_e|^2 <= N^2 + 2 rho sqrt(N^2 + _MARGIN) + rho^2
     + _MARGIN. The segments with an end below that plus a second _MARGIN for
-    roundoff are scored by the exact formula, which picks the first best one."""
+    roundoff are a live window's shortlist, which ``_closest`` scores."""
     nodes, values, table, rho, segments = cal._branch_nodes(lo, hi)
-    size = freqs.shape[0]
-    phi_est, objective, need, flat = np.empty(size), np.empty(size), np.empty(size), np.empty(size, dtype=bool)
-    rows, slack = max(1, _BATCH_CELLS // nodes.size), rho * rho + 2.0 * _MARGIN
-    for w in range(0, size, rows):
+    found, dead = np.empty((3, len(freqs))), np.empty(len(freqs), dtype=bool)
+    rows, slack, width = max(1, _BATCH_CELLS // nodes.size), rho * rho + 2.0 * _MARGIN, len(segments)
+    for w in range(0, len(freqs), rows):
         f = freqs[w:w + rows]
         near = f @ table  # (batch, nodes)
         least = np.minimum.reduce(near, 1)
-        # the objective's range over the nodes, exact where the product cannot tell it from flat
-        level = flat[w:w + rows]
+        # the objective's range over the nodes, exact where the product cannot
+        # tell it from flat, as that of an empty window (f = 0) always is
+        level = dead[w:w + rows]
         np.less(np.maximum.reduce(near, 1) - least, _FLAT + _MARGIN, level)
         if level[level.argmax()]:  # any
             gap = f[level].T[:, :, None] - values.T[:, None]
             at = _dot4(gap, gap)
-            level[level] = at.max(axis=1) - at.min(axis=1) < _FLAT
+            level[level] = (at.max(axis=1) - at.min(axis=1) < _FLAT) | ~f[level].any(axis=1)
         bound = np.sqrt(least + np.add.reduce(f * f, 1) + _MARGIN) * (2.0 * rho) + (least + slack)
         end = near <= bound[:, None]
-        row, seg = (end[:, :-1] | end[:, 1:]).nonzero()
-        # the shortlist by the exact formula, from the rows (a, d, |d|^2, ...) of its segments
-        x = segments.take(seg, 0).T
-        gap = f.take(row, 0).T - x[:4]
-        u = np.minimum(np.maximum(0.0, _dot4(gap, x[4:8]) / x[8]), 1.0)  # as clip, which keeps a zero's sign
-        resid = gap - u * x[4:8]
-        segment = _dot4(resid, resid)
-        # the first of each row's least distances: row is sorted, and lexsort is stable
-        best = np.lexsort((segment, row))[np.searchsorted(row, np.arange(f.shape[0]))]
-        x, u = x[:, best], u[best]
-        phi_est[w:w + rows] = (1.0 - u) * x[9] + u * x[10]
-        objective[w:w + rows] = segment[best]
-        need[w:w + rows] = x[11]
-    return phi_est, objective, need, flat
+        end[level] = False  # a dead window is not scored
+        pairs = (end[:, :-1] | end[:, 1:]).ravel().nonzero()[0]  # row-major; a 2-d nonzero costs 7x more
+        cut = np.searchsorted(pairs, np.arange(0, end.shape[0] * width + 1, width)).tolist()
+        seg = (pairs % width).tolist()
+        best = [_closest(x, segments, seg[i:j]) for x, i, j in zip(f.tolist(), cut, cut[1:])]
+        found[:, w:w + rows] = np.array(best).T
+    return *found, dead
 
 
 def _estimates(freqs, totals, cal: CalibrationModel, branch: tuple[float, float]):
@@ -478,8 +489,7 @@ def _estimates(freqs, totals, cal: CalibrationModel, branch: tuple[float, float]
     the estimate's segment (_branch_nodes) or a batched ``fisher`` call. The
     search's scratch is freed before the flag's."""
     lo, hi = _check_branch(branch)
-    phi_est, objective, need, flat = _search(freqs, cal, lo, hi)
-    low = flat | (totals <= 0)  # the dead windows
+    phi_est, objective, need, low = _search(freqs, cal, lo, hi)  # low starts as the dead windows
     phi_est[low] = objective[low] = math.nan
     # the exact flag of every live window the bound leaves open; one phase's
     # Fisher information does not depend on the others in the call
@@ -501,34 +511,23 @@ def estimate_phase(
     UnidentifiableError when the window carries no phase information on the
     branch.
 
-    A numpy call costs more than the few segments of a shortlist, so this
-    path takes ``_search``'s shortlist from the one product and scores it in
-    Python floats, with the same operations in the same order, in ascending
-    order so that the first least distance wins. An empty window, or one the
-    product cannot tell from flat, goes to ``_estimates``.
+    A numpy call costs more than scoring a few segments, so this path forms its
+    window's shortlist as ``_search`` does without the batch's bookkeeping. An
+    empty window, or one the product cannot tell from flat, goes to _estimates.
     """
     freqs, totals = _window(observed)
     total = int(totals[0])
     if _number("trials", trials, 0, integer=True) and trials != total:
         raise ValueError(f"trials {trials!r} differs from the window's total of counts {total}")
-    nodes, _, table, rho, segments = cal._branch_nodes(*_check_branch(branch))
+    _, _, table, rho, segments = cal._branch_nodes(*_check_branch(branch))
     near = freqs[0] @ table
     least, most = near.item(near.argmin()), near.item(near.argmax())
-    f0, f1, f2, f3 = freqs[0].tolist()
     if total and most - least >= _FLAT + _MARGIN:
-        bound = (math.sqrt(least + (((f0 * f0 + f1 * f1) + f2 * f2) + f3 * f3) + _MARGIN) * (2.0 * rho)
+        f = freqs[0].tolist()
+        bound = (math.sqrt(least + sum(x * x for x in f) + _MARGIN) * (2.0 * rho)
                  + (least + (rho * rho + 2.0 * _MARGIN)))
-        ends = (near <= bound).nonzero()[0].tolist()
-        shortlist = sorted({j for e in ends for j in (e - 1, e) if 0 <= j < nodes.size - 1})
-        value = math.inf
-        for a0, a1, a2, a3, d0, d1, d2, d3, length2, start, stop, need_j in segments[shortlist].tolist():
-            g0, g1, g2, g3 = f0 - a0, f1 - a1, f2 - a2, f3 - a3
-            u = (((g0 * d0 + g1 * d1) + g2 * d2) + g3 * d3) / length2
-            u = 0.0 if u < 0.0 else 1.0 if u > 1.0 else u  # keeps a zero's sign, as _search's clip does
-            r0, r1, r2, r3 = g0 - u * d0, g1 - u * d1, g2 - u * d2, g3 - u * d3
-            distance = ((r0 * r0 + r1 * r1) + r2 * r2) + r3 * r3
-            if distance < value:
-                value, phi, need = distance, (1.0 - u) * start + u * stop, need_j
+        end = near <= bound
+        phi, value, need = _closest(f, segments, (end[:-1] | end[1:]).nonzero()[0].tolist())
         low = bool(total < need and total * fisher(cal.config, [phi])[0] < 1.0)
     else:
         (phi,), (value,), (low,) = (a.tolist() for a in _estimates(freqs, totals, cal, branch))

@@ -30,12 +30,12 @@ exits 1 after the timings.
 Then it times, in K rounds (default 10), one-phase ``clicks``, one-phase
 ``fisher``, a one-window ``estimate_phase`` over the first W fig4 windows
 (default 200), 2049-phase ``clicks``, ``estimate_phases`` on all 2200 fig4
-windows, a 200-resample ``bootstrap_sigma``, that ``calibrate`` and that
-``max_fisher``, each by ``time.process_time``. A round times each row on
-both sides in turn, and the side that goes first alternates by round. For
-each row it prints both sides' median per call, the median and quartiles of
-the per-round ratio this tree / base, and each side's median ``ru_minflt``
-page faults per call.
+windows and on as many far windows, a 200-resample ``bootstrap_sigma``, that
+``calibrate`` and that ``max_fisher``, each by ``time.process_time``. A round
+times each row on both sides in turn, and the side that goes first alternates
+by round. For each row it prints both sides' median per call, the median and
+quartiles of the per-round ratio this tree / base, and each side's median
+``ru_minflt`` page faults per call.
 
 Exit codes: 0 when every value is bitwise equal; 1 when one differs; 2 for a
 usage error or a REV that cannot be extracted.
@@ -70,7 +70,8 @@ STEPS = (0.0, 1e-9, -1e-6, 1e-4, -1e-2)
 TOTALS = (100, 10**4, 10**7, 10**10, 10**13, 2**53 - 1)
 MOVED_OFFSET = -1000.3 * math.pi / 2048
 REPEATS = {"clicks, 1 phase": 200, "fisher, 1 phase": 200, "clicks, 2049 phases": 5,
-           "estimate_phases, 2200 windows": 2, "bootstrap_sigma, 200 resamples": 5, "calibrate, 16 phases": 1,
+           "estimate_phases, 2200 windows": 2, "estimate_phases, 2200 far windows": 2,
+           "bootstrap_sigma, 200 resamples": 5, "calibrate, 16 phases": 1,
            "max_fisher, r 0.59": 2}
 # the config of the max_fisher row
 MAX_FISHER = {"r1": 0.59, "r2": 0.59}
@@ -125,7 +126,7 @@ def fig4_windows(pkg):
     """The tracking preset's config, its calibration model, the fig4 branch and
     trials per window, and the fig4 replay's counts (W, 4)."""
     cfg = pkg.presets.tracking_config()
-    cal = pkg.CalibrationModel.from_config(cfg)
+    cal = pkg.CalibrationModel(cfg)
     scenario = pkg.presets.fig4_scenario(seed=0)
     counts = pkg.run_tracking(scenario, cfg, cal).records.counts
     return cfg, cal, scenario.resolved_branch(), scenario.trials_per_window, counts
@@ -135,7 +136,7 @@ def stationary_windows(pkg, cfg) -> list:
     """Per stationary point of ``cfg``, the arguments of ``estimate_phases``:
     the counts (windows, 4) at and next to it, each window's total exact, the
     calibration model of ``cfg`` and a branch about the point."""
-    cal = pkg.CalibrationModel.from_config(cfg)
+    cal = pkg.CalibrationModel(cfg)
     out = []
     for stationary in (-cfg.phase_offset, 0.5 * math.pi - cfg.phase_offset):
         phis = stationary + np.array(STEPS)
@@ -155,6 +156,12 @@ def calibration_scan(pkg):
     rng = np.random.default_rng([0, 1])
     samples = [(float(p), rng.multinomial(SCAN_TRIALS, pr)) for p, pr in zip(SCAN_PHASES, pkg.fringe(cfg, SCAN_PHASES))]
     return samples, cfg.with_updates(**{k: getattr(cfg, k) + d for k, d in GUESS_OFFSETS.items()})
+
+
+def far_windows(counts) -> np.ndarray:
+    """Uniform random counts of the shape of ``counts``, from a fixed seed: far
+    from the curves, so they have the longest shortlists."""
+    return np.random.default_rng(FAR_SEED).integers(0, FAR_COUNT, size=counts.shape)
 
 
 def one_by_one(pkg, counts, cal, branch, trials: int = 0) -> list:
@@ -178,7 +185,7 @@ def bit_check(pkgs: dict, windows: dict, n_windows: int) -> list[str]:
         values.append(counts)
         values += one_by_one(pkg, counts[:n_windows], cal, branch, trials)
         values += pkg.estimate_phases(counts, cal, branch)
-        far = np.random.default_rng(FAR_SEED).integers(0, FAR_COUNT, size=counts.shape)
+        far = far_windows(counts)
         values += pkg.estimate_phases(far, cal, branch)
         values += one_by_one(pkg, far, cal, branch)
         cfg = pkg.presets.tracking_config()
@@ -214,6 +221,7 @@ def rows(pkg, window, n_windows: int) -> dict:
     cfg, cal, branch, trials, counts = window
     one, batch = np.array([0.7]), np.linspace(0.0, math.pi, 2049)
     picked = counts[:n_windows]
+    far = far_windows(counts)
     scan = calibration_scan(pkg)
     lossless = pkg.InterferometerConfig(**MAX_FISHER)
 
@@ -228,6 +236,8 @@ def rows(pkg, window, n_windows: int) -> dict:
         "clicks, 2049 phases": (lambda: pkg.clicks(cfg, batch), 1, REPEATS["clicks, 2049 phases"]),
         "estimate_phases, 2200 windows": (lambda: pkg.estimate_phases(counts, cal, branch), 1,
                                           REPEATS["estimate_phases, 2200 windows"]),
+        "estimate_phases, 2200 far windows": (lambda: pkg.estimate_phases(far, cal, branch), 1,
+                                              REPEATS["estimate_phases, 2200 far windows"]),
         "bootstrap_sigma, 200 resamples": (lambda: pkg.bootstrap_sigma(counts[0], cal, branch, RESAMPLES, seed=0), 1,
                                            REPEATS["bootstrap_sigma, 200 resamples"]),
         "calibrate, 16 phases": (lambda: pkg.calibrate(*scan), 1, REPEATS["calibrate, 16 phases"]),

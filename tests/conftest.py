@@ -17,4 +17,4 @@ def tracking_cfg():
 
 @pytest.fixture(scope="session")
 def tracking_cal(tracking_cfg):
-    return CalibrationModel.from_config(tracking_cfg)
+    return CalibrationModel(tracking_cfg)

@@ -199,7 +199,7 @@ class TestTrackAndEstimate:
     def test_tracking_csv_holds_the_records(self, track_dir):
         cfg = InterferometerConfig(**TRACK_PAYLOAD["interferometer"])
         scenario = TrackingScenario(**TRACK_PAYLOAD["scenario"])
-        rec = run_tracking(scenario, cfg, CalibrationModel.from_config(cfg)).records
+        rec = run_tracking(scenario, cfg, CalibrationModel(cfg)).records
         with open(track_dir / "tracking.csv", newline="") as fh:
             reader = csv.DictReader(fh)
             rows = list(reader)

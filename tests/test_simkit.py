@@ -28,7 +28,7 @@ def window_counts(cfg, phi, trials, windows=1, seed=0):
     window of ``trials`` trials per repeat."""
     scn = TrackingScenario(phase_schedule=((phi, 1.0),), window=1.0, repetition_rate=trials,
                            repeats=windows, seed=seed)
-    run = run_tracking(scn, cfg, CalibrationModel.from_config(cfg))
+    run = run_tracking(scn, cfg, CalibrationModel(cfg))
     return run.records.counts
 
 
@@ -237,7 +237,7 @@ class TestSummary:
 class TestSensitivityReport:
     def test_ideal_enhancement_approaches_closed_form(self):
         cfg = InterferometerConfig(r1=0.59, r2=0.59)
-        cal = CalibrationModel.from_config(cfg)
+        cal = CalibrationModel(cfg)
         scn = TrackingScenario(
             phase_schedule=((1.42, 0.2),), window=0.2, repetition_rate=5e5,
             repeats=120, seed=21,
@@ -253,7 +253,7 @@ class TestSensitivityReport:
 
     def test_below_threshold_is_negative_everywhere(self):
         cfg = InterferometerConfig(r1=0.59, r2=0.59, eta_h=0.05, eta_v=0.05)
-        cal = CalibrationModel.from_config(cfg)
+        cal = CalibrationModel(cfg)
         scn = TrackingScenario(
             phase_schedule=((0.9, 0.2), (1.2, 0.2), (1.45, 0.2)),
             window=0.2, repetition_rate=2e5, repeats=60, seed=33,
@@ -267,7 +267,7 @@ class TestSensitivityReport:
         stds = []
         for eta in (0.9, 0.6, 0.3):
             cfg = InterferometerConfig(r1=0.43, r2=0.43, eta_h=eta, eta_v=eta)
-            cal = CalibrationModel.from_config(cfg)
+            cal = CalibrationModel(cfg)
             scn = TrackingScenario(
                 phase_schedule=((1.2, 0.2),), window=0.2, repetition_rate=2e5,
                 repeats=150, seed=13,
@@ -281,7 +281,7 @@ class TestSensitivityReport:
     def test_per_photon_needs_photons_through_sample(self):
         # at r1 = 0 nothing passes the sample, so the SNL reference is undefined
         cfg = InterferometerConfig(r1=0.0, r2=0.0)
-        run = run_tracking(mini_scenario(), cfg, CalibrationModel.from_config(cfg))
+        run = run_tracking(mini_scenario(), cfg, CalibrationModel(cfg))
         with pytest.raises(ValueError, match="r1 = 0"):
             sensitivity_report(run)
 

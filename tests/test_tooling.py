@@ -122,8 +122,8 @@ def test_ab_timing_against_head_finds_equal_bits_and_times_each_row(monkeypatch,
     assert lines[0].startswith("bit check: every value bitwise equal")
     assert [line.split(" | ")[0] for line in lines[3:]] == [
         "clicks, 1 phase", "fisher, 1 phase", "estimate_phase, 1 window", "clicks, 2049 phases",
-        "estimate_phases, 2200 windows", "bootstrap_sigma, 200 resamples", "calibrate, 16 phases",
-        "max_fisher, r 0.59"]
+        "estimate_phases, 2200 windows", "estimate_phases, 2200 far windows", "bootstrap_sigma, 200 resamples",
+        "calibrate, 16 phases", "max_fisher, r 0.59"]
 
 
 def test_ab_timing_reports_a_changed_value():
