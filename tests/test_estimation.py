@@ -425,6 +425,28 @@ def branches(draw):
     return lo, lo + width
 
 
+def check_segment_bound(cal, branch, j, shares):
+    """Segment j of the branch table: its need against the bound L the test
+    computes from the calibration-grid interval around the segment, and 4 L^2
+    <= F at the given shares of the way through it."""
+    cfg = cal.config
+    nodes, *_, rows = cal._branch_nodes(*branch)
+    step = math.pi / 2048
+    reach = step + 4 * np.finfo(float).eps * (max(-branch[0], branch[1]) + abs(cfg.phase_offset) + math.pi)
+    peak = np.abs(cal.slopes).max(axis=1)
+    # the interval index by floor division of the midpoint, then mod 2048: the
+    # midpoint of a segment just below 0 taken mod pi rounds to pi, past the grid
+    g = math.floor(0.5 * (nodes[j] + nodes[j + 1]) / step) % 2048
+    lower = max(peak[g], peak[g + 1]) - _curvature_bound(cfg.r1) * reach
+    need = rows[j][-1]
+    if lower <= 1e-100:
+        assert need == math.inf
+        return
+    assert need * lower * lower == pytest.approx(0.5, rel=1e-12)
+    phis = nodes[j] + np.array(shares) * (nodes[j + 1] - nodes[j])
+    assert np.all(4.0 * lower * lower <= fisher(cfg, phis) * (1.0 + 1e-9))
+
+
 count_rows = st.lists(st.tuples(*[st.integers(0, 100_000)] * 4), min_size=1, max_size=6)
 
 
@@ -713,21 +735,20 @@ class TestLowInformationFlag:
         # to a factor 1 + 1e-9 that covers the roundoff of dp and F (each about
         # 1e-13 relative). need = 1/(2 L^2) there, and inf where L <= 1e-100
         cal = CalibrationModel(cfg)
-        nodes, *_, rows = cal._branch_nodes(*branch)
-        step = math.pi / 2048
-        reach = step + 4 * np.finfo(float).eps * (max(-branch[0], branch[1]) + abs(cfg.phase_offset) + math.pi)
-        peak = np.abs(cal.slopes).max(axis=1)
-        for j in data.draw(st.lists(st.integers(0, nodes.size - 2), min_size=1, max_size=6)):
-            g = int(np.mod(0.5 * (nodes[j] + nodes[j + 1]), math.pi) // step)
-            lower = max(peak[g], peak[g + 1]) - _curvature_bound(cfg.r1) * reach
-            need = rows[j][-1]
-            if lower <= 1e-100:
-                assert need == math.inf
-                continue
-            assert need * lower * lower == pytest.approx(0.5, rel=1e-12)
-            shares = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4)))
-            phis = nodes[j] + shares * (nodes[j + 1] - nodes[j])
-            assert np.all(4.0 * lower * lower <= fisher(cfg, phis) * (1.0 + 1e-9))
+        size = cal._branch_nodes(*branch)[0].size
+        for j in data.draw(st.lists(st.integers(0, size - 2), min_size=1, max_size=6)):
+            shares = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+            check_segment_bound(cal, branch, j, shares)
+
+    @pytest.mark.parametrize("r1", [0.43, 0.0])
+    def test_segment_bound_holds_on_a_segment_just_below_zero(self, tracking_cfg, r1):
+        # the first segment, [lo, 0] with lo = -2.1e-29, lies in the last
+        # interval of the calibration grid, [pi - step, pi]; its midpoint taken
+        # mod pi rounds to pi itself. The offset keeps the stationary points
+        # away, so that at r1 = 0.43 the segment's need is finite
+        cal = CalibrationModel(tracking_cfg.with_updates(r1=r1, phase_offset=0.3))
+        assert (cal._branch_nodes(-2.1072764191749093e-29, 1.0)[-1][0][-1] < math.inf) == (r1 > 0.0)
+        check_segment_bound(cal, (-2.1072764191749093e-29, 1.0), 0, [0.0, 0.5, 1.0])
 
     @settings(max_examples=30, deadline=None)
     @given(cfg=random_configs, node=st.integers(0, 2047), share=st.floats(0.0, 1.0), data=st.data())
