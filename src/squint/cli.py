@@ -21,7 +21,7 @@ import numpy as np
 
 from . import presets
 from .detection import _OUTCOMES, fringe, fringe_visibility
-from .estimation import CalibrationModel, _check_branch, _frequencies, estimate_phases, read_json, write_json
+from .estimation import CalibrationModel, _check_branch, _estimates, _frequencies, read_json, write_json
 from .fock import TruncationError, oracle_n_max, simulate_fock
 from .gaussian import InterferometerConfig, InvalidStateError, _mapping, _number
 from .metrology import (
@@ -183,10 +183,10 @@ def cmd_estimate(args) -> int:
             # as floats, exact below 2^53, so that a larger count is refused by its size (from
             # Python ints past 2^63, numpy makes an object array, which is no array of numbers)
             counts = np.array([c for _, c in windows], dtype=float).reshape(-1, 4)
-            _frequencies(counts)
+            freqs, totals = _frequencies(counts)
         except (ValueError, csv.Error) as exc:
             raise ValueError(f"malformed counts file {args.counts}: {exc}") from exc
-    phi_est, objective, low_info = estimate_phases(counts, cal, branch)
+    phi_est, objective, low_info = _estimates(freqs, totals, cal, branch)
     columns = {
         "window_index": [i for i, _ in windows],
         "phi_est": phi_est,

@@ -77,7 +77,7 @@ _REL_GAIN = 1e-12
 _MAX_ITER = 100
 _SINGULAR = 1e-12
 # estimate_phases: windows x nodes per batch; the fig4 replay's 2200 windows
-# peak at 0.42 MB traced, as many far windows at 0.43 MB
+# peak at 0.42 MB traced, as many far windows at 0.43 MB, empty ones at 0.41 MB
 _BATCH_CELLS = 16384
 # an objective varying less than this over the branch nodes carries no phase
 _FLAT = 1e-15
@@ -448,7 +448,8 @@ def _closest(f, segments, shortlist) -> tuple[float, float, float]:
 def _search(freqs, cal: CalibrationModel, lo: float, hi: float):
     """The least-squares phase and objective of the windows' frequencies (W, 4)
     on the branch [lo, hi], the need of its segment, and which windows are
-    dead: empty, or with an objective flat over the branch.
+    dead: empty, or with an objective flat over the branch, which is checked
+    exactly only on a non-empty window that the product cannot tell from flat.
 
     Per batch, one product with the branch's table gives |f - a|^2 - |f|^2 at
     every node, least at the nearest node, N^2 - |f|^2. A segment of length l
@@ -465,13 +466,14 @@ def _search(freqs, cal: CalibrationModel, lo: float, hi: float):
         near = f @ table  # (batch, nodes)
         least = np.minimum.reduce(near, 1)
         # the objective's range over the nodes, exact where the product cannot
-        # tell it from flat, as that of an empty window (f = 0) always is
+        # tell it from flat; an empty window (f = 0), whose product is 0, is dead
         level = dead[w:w + rows]
         np.less(np.maximum.reduce(near, 1) - least, _FLAT + _MARGIN, level)
         if level[level.argmax()]:  # any
-            gap = f[level].T[:, :, None] - values.T[:, None]
+            check = level & f.any(axis=1)
+            gap = f[check].T[:, :, None] - values.T[:, None]
             at = _dot4(gap, gap)
-            level[level] = (at.max(axis=1) - at.min(axis=1) < _FLAT) | ~f[level].any(axis=1)
+            level[check] = at.max(axis=1) - at.min(axis=1) < _FLAT
         bound = np.sqrt(least + np.add.reduce(f * f, 1) + _MARGIN) * (2.0 * rho) + (least + slack)
         end = near <= bound[:, None]
         end[level] = False  # a dead window is not scored

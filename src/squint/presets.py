@@ -2,17 +2,15 @@
 
 The experiment measured two parameter sets, each at 96.6% p11 fringe
 visibility: the r = 0.59 fringe set and the r = 0.43 tracking set. Each
-preset is a constant; its overlap is calibrated once, on first use, so the
-simulated visibility matches the measured one (deterministic bisection).
+preset is a constant whose overlap is the literal that
+``overlap_for_visibility`` finds for FRINGE_VISIBILITY, so the simulated
+visibility matches the measured one; a test recomputes both.
 """
 
 from __future__ import annotations
 
-from functools import cache
-
 import numpy as np
 
-from .detection import overlap_for_visibility
 from .gaussian import InterferometerConfig
 from .metrology import heisenberg_sensitivity
 from .simkit import TrackingScenario
@@ -32,20 +30,14 @@ FRINGE_VISIBILITY = 0.966
 FIG4_PHASES = tuple(round(0.35 + 0.1 * k, 2) for k in range(11))
 
 
-def _calibrated(base: InterferometerConfig) -> InterferometerConfig:
-    return base.with_updates(overlap=overlap_for_visibility(base, FRINGE_VISIBILITY))
-
-
-@cache
 def fringe_config() -> InterferometerConfig:
     """Fringe-measurement parameters: r = 0.59, arm efficiencies 0.744/0.751."""
-    return _calibrated(InterferometerConfig(r1=0.59, r2=0.59, eta_h=0.744, eta_v=0.751))
+    return InterferometerConfig(r1=0.59, r2=0.59, eta_h=0.744, eta_v=0.751, overlap=0.9887022972106934)
 
 
-@cache
 def tracking_config() -> InterferometerConfig:
     """Real-time tracking parameters: r = 0.43, symmetric 75% efficiencies."""
-    return _calibrated(InterferometerConfig(r1=0.43, r2=0.43, eta_h=0.75, eta_v=0.75))
+    return InterferometerConfig(r1=0.43, r2=0.43, eta_h=0.75, eta_v=0.75, overlap=0.9859747886657715)
 
 
 def fig4_scenario(seed: int = 0) -> TrackingScenario:

@@ -13,7 +13,8 @@ calls each), the counts of the fig4 replay (seed 0), ``phi_est``,
 on those windows and of the one-window ``estimate_phase`` on the first W of
 them, and the same three, from one batch and from ``estimate_phase`` one
 window at a time, of as many far windows (uniform random counts, a fixed
-seed), which have the longest shortlists, and of the windows at and next to
+seed), which have the longest shortlists, of as many empty windows, whose
+NaN estimates are compared bit for bit too, and of the windows at and next to
 the stationary points phi = -phase_offset and pi/2 - phase_offset, where the
 low-information flag fires and where it just does not, so that it calls
 ``fisher`` (on the tracking preset, and with its offset moved to put the
@@ -30,8 +31,9 @@ exits 1 after the timings.
 Then it times, in K rounds (default 10), one-phase ``clicks``, one-phase
 ``fisher``, a one-window ``estimate_phase`` over the first W fig4 windows
 (default 200), 2049-phase ``clicks``, ``estimate_phases`` on all 2200 fig4
-windows and on as many far windows, a 200-resample ``bootstrap_sigma``, that
-``calibrate`` and that ``max_fisher``, each by ``time.process_time``. A round
+windows, on as many far windows and on as many empty ones, a 200-resample
+``bootstrap_sigma``, that ``calibrate`` and that ``max_fisher``, each by
+``time.process_time``. A round
 times each row on both sides in turn, and the side that goes first alternates
 by round. For each row it prints both sides' median per call, the median and
 quartiles of the per-round ratio this tree / base, and each side's median
@@ -71,6 +73,7 @@ TOTALS = (100, 10**4, 10**7, 10**10, 10**13, 2**53 - 1)
 MOVED_OFFSET = -1000.3 * math.pi / 2048
 REPEATS = {"clicks, 1 phase": 200, "fisher, 1 phase": 200, "clicks, 2049 phases": 5,
            "estimate_phases, 2200 windows": 2, "estimate_phases, 2200 far windows": 2,
+           "estimate_phases, 2200 empty windows": 2,
            "bootstrap_sigma, 200 resamples": 5, "calibrate, 16 phases": 1,
            "max_fisher, r 0.59": 2}
 # the config of the max_fisher row
@@ -188,6 +191,7 @@ def bit_check(pkgs: dict, windows: dict, n_windows: int) -> list[str]:
         far = far_windows(counts)
         values += pkg.estimate_phases(far, cal, branch)
         values += one_by_one(pkg, far, cal, branch)
+        values += pkg.estimate_phases(np.zeros_like(counts), cal, branch)
         cfg = pkg.presets.tracking_config()
         for model in (cfg, cfg.with_updates(phase_offset=MOVED_OFFSET)):
             for arguments in stationary_windows(pkg, model):
@@ -206,6 +210,7 @@ def bit_check(pkgs: dict, windows: dict, n_windows: int) -> list[str]:
     labels += [f"estimate_phases {f}" for f in ("phi_est", "objective_value", "low_information")]
     labels += [f"far windows, {call} {f}" for call in ("estimate_phases", "estimate_phase")
                for f in ("phi_est", "objective_value", "low_information")]
+    labels += [f"empty windows, estimate_phases {f}" for f in ("phi_est", "objective_value", "low_information")]
     labels += [f"stationary windows, {offset} offset, point {k}, {call} {f}" for offset in ("preset", "moved")
                for k in (0, 1) for call in ("estimate_phases", "estimate_phase")
                for f in ("phi_est", "objective_value", "low_information")]
@@ -221,7 +226,7 @@ def rows(pkg, window, n_windows: int) -> dict:
     cfg, cal, branch, trials, counts = window
     one, batch = np.array([0.7]), np.linspace(0.0, math.pi, 2049)
     picked = counts[:n_windows]
-    far = far_windows(counts)
+    far, empty = far_windows(counts), np.zeros_like(counts)
     scan = calibration_scan(pkg)
     lossless = pkg.InterferometerConfig(**MAX_FISHER)
 
@@ -238,6 +243,8 @@ def rows(pkg, window, n_windows: int) -> dict:
                                           REPEATS["estimate_phases, 2200 windows"]),
         "estimate_phases, 2200 far windows": (lambda: pkg.estimate_phases(far, cal, branch), 1,
                                               REPEATS["estimate_phases, 2200 far windows"]),
+        "estimate_phases, 2200 empty windows": (lambda: pkg.estimate_phases(empty, cal, branch), 1,
+                                                REPEATS["estimate_phases, 2200 empty windows"]),
         "bootstrap_sigma, 200 resamples": (lambda: pkg.bootstrap_sigma(counts[0], cal, branch, RESAMPLES, seed=0), 1,
                                            REPEATS["bootstrap_sigma, 200 resamples"]),
         "calibrate, 16 phases": (lambda: pkg.calibrate(*scan), 1, REPEATS["calibrate, 16 phases"]),
@@ -278,7 +285,7 @@ def main(argv=None) -> int:
             print(line)
         print(f"bit check: {'values differ' if differences else 'every value bitwise equal'} "
               f"({CONFIGS} configs; the counts of {len(windows['head'][4])} fig4 windows and their estimates, "
-              f"the first {args.windows} one by one; as many far windows and "
+              f"the first {args.windows} one by one; as many far windows, as many empty ones and "
               f"{len(STEPS) * len(TOTALS) * 8} windows at and next to stationary points, each in batches and one by "
               f"one; 3 bootstraps; one calibration; one max_fisher)")
 

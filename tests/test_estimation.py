@@ -666,20 +666,24 @@ class TestSearchMatchesFullScan:
 
 class TestScratchBound:
     def test_peak_memory_of_a_replay_batch_and_a_bootstrap(self, tracking_cfg, tracking_cal):
-        # the fig4 replay's windows and as many far windows (uniform random
-        # counts, which have the longest shortlists) in one estimate_phases call
-        # each, and a 200-resample bootstrap: each batch's scratch is bounded by
-        # _BATCH_CELLS, and the low-information bound makes no click call on
-        # these windows. Measured 0.421, 0.480 and 0.297 MB when the limits were
-        # set, 25% above the replay's and the bootstrap's; 0.418, 0.429 and 0.295
-        # MB since each window's shortlist is scored in Python floats
+        # the fig4 replay's windows, as many far windows (uniform random
+        # counts, which have the longest shortlists) and as many empty ones in
+        # one estimate_phases call each, and a 200-resample bootstrap: each
+        # batch's scratch is bounded by _BATCH_CELLS, the low-information bound
+        # makes no click call on these windows, and an empty window takes no
+        # exact flat check. Measured 0.421, 0.480 and 0.297 MB for the replay,
+        # the far windows and the bootstrap when the limits were set, 25% above
+        # the replay's and the bootstrap's; now 0.418, 0.429, 0.413 (empty) and
+        # 0.295 MB. An exact flat check of the empty windows reads 1.67 MB
         scenario = presets.fig4_scenario(seed=0)
         counts = run_tracking(scenario, tracking_cfg, tracking_cal).records.counts
         far = np.random.default_rng(3).integers(0, 10**6, size=(2200, 4))
+        empty = np.zeros((2200, 4))
         branch = scenario.resolved_branch()
         assert len(counts) == 2200
         for call, limit in ((lambda: estimate_phases(counts, tracking_cal, branch), 0.526e6),
                             (lambda: estimate_phases(far, tracking_cal, branch), 0.526e6),
+                            (lambda: estimate_phases(empty, tracking_cal, branch), 0.526e6),
                             (lambda: bootstrap_sigma(counts[5], tracking_cal, branch, resamples=200, seed=1), 0.371e6)):
             call()  # the node table is built
             tracemalloc.start()
@@ -692,7 +696,8 @@ class TestScratchBound:
 
     def test_peak_memory_of_a_long_click_call(self, tracking_cfg):
         # 2049 phases in chunks of _CHUNK = 128: one chunk's scratch and the
-        # output array the chunks are written into. Measured 0.596 MB; the limit is 25% above
+        # output array the chunks are written into. Measured 0.596 MB when the limit was set,
+        # 25% above it; 0.529 MB now, with the blocks of arm V's D not formed
         clicks(tracking_cfg, CalibrationModel.phi_tab)
         tracemalloc.start()
         try:
