@@ -20,7 +20,8 @@ numbers. p and dp/dphi (by the product rule) thus keep their relative
 accuracy where an outcome vanishes, and F = sum dp^2/p needs no guard.
 ``clicks`` returns both on its one path, and ``fringe`` is its p. Both are
 carried as jets through four products: x y, matrix, cross and tr(adj(X) Y),
-each a broadcast over the arms and a chunk of phases.
+each a broadcast over the arms and a chunk of rows: phases of one config, or
+the stacked phases of several, each with its config's factors (``_fringe_rows``).
 """
 
 from __future__ import annotations
@@ -160,22 +161,36 @@ def clicks(cfg: InterferometerConfig, phis) -> tuple[np.ndarray, np.ndarray]:
     """Click probabilities p (N, 4) of a config over an array of phases and
     their derivatives dp/dphi (N, 4), in chunks of _CHUNK phases."""
     phis = _phases(phis)
-    factors = _jet_factors(cfg)
-    p = np.empty((2, 4, phis.size))
-    for k in range(0, phis.size, _CHUNK):
-        p[..., k: k + _CHUNK] = _clicks(cfg, factors, phis[k: k + _CHUNK])
+    p = _rows(_jet_factors(cfg), phis + cfg.phase_offset)
     return _checked(p[0].T), p[1].T
 
 
-def _clicks(cfg, factors, phis):
-    """(p, dp/dphi) of a chunk of phases as a jet (2, 4, N), from cfg's _jet_factors."""
-    w = np.exp(1j * (phis + cfg.phase_offset))
+def _fringe_rows(cfgs, phis) -> np.ndarray:
+    """``fringe`` of each config over the phases, (configs, N, 4), in one pass over their stacked rows."""
+    phis = _phases(phis)
+    factors = [np.concatenate(arrays, axis=-1).repeat(phis.size, axis=-1) for arrays in zip(*map(_jet_factors, cfgs))]
+    p = _rows(factors, np.concatenate([phis + cfg.phase_offset for cfg in cfgs]))[0]
+    return _checked(p.T).reshape(len(cfgs), phis.size, 4)
+
+
+def _rows(factors, t) -> np.ndarray:
+    """_clicks at t = phi + phase_offset in chunks of _CHUNK, from _jet_factors of one config or of each row."""
+    p = np.empty((2, 4, t.size))
+    for k in range(0, t.size, _CHUNK):
+        rows = slice(k, k + _CHUNK) if factors[0].shape[-1] > 1 else slice(None)
+        p[..., k: k + _CHUNK] = _clicks([x[..., rows] for x in factors], t[k: k + _CHUNK])
+    return p
+
+
+def _clicks(factors, t):
+    """(p, dp/dphi) of a chunk of rows as a jet (2, 4, N) at t, from their _jet_factors."""
+    w = np.exp(1j * t)
     at_w, at_wc, (e_tr, e_det, g_n, g_b, g_z, d_b) = factors
     # V*, U and V of one arm before its loss, with an arm axis of length 1
-    t = at_w * w + at_wc * w.conj()
-    v = t[:, 2]
+    uv = at_w * w + at_wc * w.conj()
+    v = uv[:, 2]
     # N0 = V* V^T and M0 = U V^T from one product
-    nm = _mm(t[:, :2].reshape(-1, 4, 3, 1, phis.size), v.swapaxes(1, 2))
+    nm = _mm(uv[:, :2].reshape(-1, 4, 3, 1, w.size), v.swapaxes(1, 2))
     n, m = nm[:, :2], nm[:, 2:]
     tr = (n[:, 0, 0] + n[:, 1, 1]).real  # tr N0 is real: its roundoff imaginary part is dropped
     e_n = e_tr * tr + e_det * (0.5 * _tr_adj(n, n).real)  # e(N) = eta tr N0 + eta^2 det N0
@@ -188,7 +203,7 @@ def _clicks(cfg, factors, phis):
     #   g = eta [(1 - eta_o^2) N0 + lam eta_o (tr N0 N0 - B) + eta_o^2 z* z^T]
     # with B = M0^dag M0 and z = V w*. At lam = 0 only the Gram form is left,
     # exactly 0 where G vanishes identically (the subtraction leaves roundoff).
-    z = _mm(v, _cross(t[:, 1]).conj()[:, :, None])[:, :, 0]
+    z = _mm(v, _cross(uv[:, 1]).conj()[:, :, None])[:, :, 0]
     # B and M0^dag adj(N0*) from one product, adj(N0*) = [[n11*, -n01*], [-n10*, n00*]]
     adj = n[:, ::-1, ::-1].swapaxes(1, 2).conj()
     np.negative(adj, out=adj, where=_OFF_DIAGONAL)

@@ -12,12 +12,13 @@ segment for a whole batch of windows at once, and ``run_tracking``,
 the distances |f - a|^2 to every node into one matrix product with the
 frequencies, accurate to a few 1e-15. A segment within a margin of the best
 distance has an end at most half the longest segment farther than the
-nearest node: the segments with such an end are the shortlist. One scorer,
-``_closest``, applies the exact formula above to each window's shortlist in
-Python floats, in ascending order, and keeps the first least distance; both
-``estimate_phases`` and ``estimate_phase`` call it. The margin covers the
-product's roundoff many times over, so the pick is that of a full exact scan,
-bit for bit, whatever the batch.
+nearest node: the segments with such an end are the shortlist. A node within
+R of f lies within R of it in projection, so ``estimate_phase`` bisects the
+nodes' sorted projection for one window's ends (Friedman, Baskett & Shustek,
+IEEE Trans. Comput. C-24, 1000 (1975)). ``_closest`` scores each shortlist by
+the exact formula in Python floats, in ascending order, keeping the first
+least distance. The margin covers the roundoff many times over, so the pick
+is that of a full exact scan, bit for bit, whatever the batch.
 
 A window is flagged low-information when n F(phi_est) < 1, exactly. A lower
 bound on F over each segment, proven from the calibration table's dp/dphi
@@ -37,13 +38,14 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .detection import _extremes, _phases, clicks, fringe
+from .detection import _extremes, _fringe_rows, _phases, clicks, fringe
 from .gaussian import InterferometerConfig, _is_pair, _mapping, _number, _numbers
 from .metrology import fisher
 
@@ -87,6 +89,12 @@ _FLAT = 1e-15
 # the margin holds every segment that a full exact scan could pick, and every
 # row the product cannot tell from flat
 _MARGIN = 1e-12
+# estimate_phase's reach R in projection: |w.a - w.f| <= |w| |a - f|, and the
+# roundoff of w.a and w.f (2 eps each, norms at most 1), |w| (1 eps), R <= 3
+# (3 eps) and w.f -+ R (2 eps) is 18 eps = 4e-15, half _SLACK; and the most
+# nodes it scores in Python, at about 10 us + 0.6 us a node against 45 us for
+# one window's _search: the two cross near 60 nodes
+_SLACK, _WIDE = 1e-14, 60
 # a whole count is exact as a float, and so is every partial sum of a window,
 # while the window's total is below this
 _EXACT = 2.0**53
@@ -189,16 +197,22 @@ class CalibrationModel:
         """The search table of the branch [lo, hi], built once and kept for the
         last branch: the nodes of the interpolated curves and their values a
         (nodes, 4); the product table (4, nodes); half the longest segment;
-        and each segment's row (a, d, |d|^2, its two nodes, need) as a list of
-        Python floats, which ``_closest`` reads, |d|^2 inf at zero length, so
-        u = 0 there, and need the total of counts from which the segment's
-        bound on F clears the flag."""
+        ``estimate_phase``'s projection (a unit vector w, w.a sorted and the
+        node of each, as lists); and each segment's row (a, d, |d|^2, its two
+        nodes, need) as a list of Python floats, which ``_closest`` reads,
+        |d|^2 inf at zero length, so u = 0 there, and need the total of counts
+        from which the segment's bound on F clears the flag."""
         if self._nodes is None or self._nodes[0] != (lo, hi):
             # the branch ends plus every calibration node strictly inside, pi-periodically
             shifts = math.pi * np.arange(math.floor(lo / math.pi), math.floor(hi / math.pi) + 1)
             inner = (self.phi_tab[:-1] + shifts[:, None]).ravel()
             nodes = np.concatenate(([lo], inner[(inner > lo) & (inner < hi)], [hi]))
             values = self.probabilities(nodes)
+            # estimate_phase's unit vector w: along the chord of the end values, if they differ
+            chord = values[-1] - values[0]
+            w = (chord / math.hypot(*chord) if chord.any() else np.full(4, 0.5)).tolist()
+            proj = values @ w
+            order = np.argsort(proj, kind="stable")
             step = np.diff(values, axis=0)
             length2 = _dot4(step.T, step.T)
             # with sum_k f_k = 1, f.(|a|^2 - 2a) = |f - a|^2 - |f|^2
@@ -235,7 +249,8 @@ class CalibrationModel:
             need = np.divide(0.5, lower * lower, out=np.full_like(lower, np.inf), where=lower > 1e-100)
             rows = np.column_stack([values[:-1], step, np.where(length2 > 0.0, length2, np.inf), nodes[:-1],
                                     nodes[1:], need]).tolist()
-            object.__setattr__(self, "_nodes", ((lo, hi), nodes, values, table, 0.5 * math.sqrt(length2.max()), rows))
+            object.__setattr__(self, "_nodes", ((lo, hi), nodes, values, table, 0.5 * math.sqrt(length2.max()),
+                                                (w, proj[order].tolist(), order.tolist()), rows))
         return self._nodes[1:]
 
     def to_dict(self) -> dict:
@@ -302,9 +317,15 @@ def _frequencies(counts) -> tuple[np.ndarray, np.ndarray]:
     return obs / np.maximum(totals, 1.0)[:, None], totals  # an empty window's frequencies are 0
 
 
-def _window(counts) -> tuple[np.ndarray, np.ndarray]:
-    """``_frequencies`` of one window's counts; an array stays one, so it takes the dtype test."""
-    return _frequencies(counts[None] if isinstance(counts, np.ndarray) else [counts])
+def _window(counts) -> tuple[list, int]:
+    """One window's frequencies, Python floats, and total: for an integer
+    array of four counts that ``_frequencies`` accepts, its quotients in
+    Python, else its output, an array as one, so it takes the dtype test."""
+    whole = counts.tolist() if isinstance(counts, np.ndarray) and counts.shape == (4,) else ()
+    if whole and counts.dtype.kind in "iu" and min(whole) >= 0 and sum(whole) < _EXACT:
+        return [c / (sum(whole) or 1) for c in whole], sum(whole)
+    freqs, totals = _frequencies(counts[None] if isinstance(counts, np.ndarray) else [counts])
+    return freqs[0].tolist(), int(totals[0])
 
 
 def _fitted_config(initial: InterferometerConfig, theta) -> InterferometerConfig:
@@ -352,9 +373,10 @@ def calibrate(
         return ((fringe(_fitted_config(initial, t), phis) - freqs) * weight).ravel()
 
     def jacobian(t: np.ndarray) -> np.ndarray:
-        # central differences, one-sided at a bound
+        # central differences, one-sided at a bound, from one click pass over the ten configs
         up, down = np.minimum(t + _JAC_STEPS, hi), np.maximum(t - _JAC_STEPS, lo)
-        return np.stack([residual(u) - residual(d) for u, d in zip(up, down)], axis=1) / np.diag(up - down)
+        res = (_fringe_rows([_fitted_config(initial, x) for x in (*up, *down)], phis) - freqs) * weight
+        return np.stack(list((res[:len(t)] - res[len(t):]).reshape(len(t), -1)), axis=1) / np.diag(up - down)
 
     res = residual(theta)
     cost = float(res @ res)
@@ -458,7 +480,7 @@ def _search(freqs, cal: CalibrationModel, lo: float, hi: float):
     N^2, has an end with |f - a_e|^2 <= N^2 + 2 rho sqrt(N^2 + _MARGIN) + rho^2
     + _MARGIN. The segments with an end below that plus a second _MARGIN for
     roundoff are a live window's shortlist, which ``_closest`` scores."""
-    nodes, values, table, rho, segments = cal._branch_nodes(lo, hi)
+    nodes, values, table, rho, _, segments = cal._branch_nodes(lo, hi)
     found, dead = np.empty((3, len(freqs))), np.empty(len(freqs), dtype=bool)
     rows, slack, width = max(1, _BATCH_CELLS // nodes.size), rho * rho + 2.0 * _MARGIN, len(segments)
     for w in range(0, len(freqs), rows):
@@ -513,28 +535,30 @@ def estimate_phase(
     UnidentifiableError when the window carries no phase information on the
     branch.
 
-    A numpy call costs more than scoring a few segments, so this path forms its
-    window's shortlist as ``_search`` does without the batch's bookkeeping. An
-    empty window, or one the product cannot tell from flat, goes to _estimates.
+    The shortlist comes from the sorted projection (module docstring): the
+    nodes within ``_search``'s bound, taken from the distance of a segment at
+    a node next to f in projection, which is at least the least one. An empty
+    window takes the batch search, as does one whose reach holds every node,
+    as that of a flat objective does, or more than _WIDE nodes.
     """
-    freqs, totals = _window(observed)
-    total = int(totals[0])
+    f, total = _window(observed)
     if _number("trials", trials, 0, integer=True) and trials != total:
         raise ValueError(f"trials {trials!r} differs from the window's total of counts {total}")
-    _, _, table, rho, segments = cal._branch_nodes(*_check_branch(branch))
-    near = freqs[0] @ table
-    least, most = near.item(near.argmin()), near.item(near.argmax())
-    if total and most - least >= _FLAT + _MARGIN:
-        f = freqs[0].tolist()
-        bound = (math.sqrt(least + sum(x * x for x in f) + _MARGIN) * (2.0 * rho)
-                 + (least + (rho * rho + 2.0 * _MARGIN)))
-        end = near <= bound
-        phi, value, need = _closest(f, segments, (end[:-1] | end[1:]).nonzero()[0].tolist())
-        low = bool(total < need and total * fisher(cal.config, [phi])[0] < 1.0)
-    else:
-        (phi,), (value,), (low,) = (a.tolist() for a in _estimates(freqs, totals, cal, branch))
+    lo, hi = _check_branch(branch)
+    _, _, _, rho, (w, proj, order), segments = cal._branch_nodes(lo, hi)
+    at = ((w[0] * f[0] + w[1] * f[1]) + w[2] * f[2]) + w[3] * f[3]  # w.f
+    k = order[min(bisect_left(proj, at), len(order) - 1)]  # a node next to f in projection
+    near = _closest(f, segments, (max(k - 1, 0), min(k, len(segments) - 1)))[1]  # a distance a segment attains
+    reach = math.sqrt(math.sqrt(near + _MARGIN) * (2.0 * rho) + (near + (rho * rho + 2.0 * _MARGIN))) + _SLACK
+    i, j = bisect_left(proj, at - reach), bisect_right(proj, at + reach)
+    if total and j - i <= _WIDE and j - i < len(proj):
+        ends = {e - d for e in order[i:j] for d in (0, 1)} - {-1, len(segments)}  # the segments at those nodes
+        phi, value, need = _closest(f, segments, sorted(ends))
+    else:  # empty, possibly flat, or far from the curves: the batch search, with nan for a dead window
+        (phi,), (value,), (need,), _ = (a.tolist() for a in _search(np.array([f]), cal, lo, hi))
     if math.isnan(phi):
         raise UnidentifiableError("no phase information on the branch: empty data or a flat objective")
+    low = bool(total < need and total * fisher(cal.config, [phi])[0] < 1.0)
     return PhaseEstimate(phi_est=phi, window_trials=total, objective_value=value, low_information=low)
 
 
@@ -551,7 +575,7 @@ def bootstrap_sigma(
     ``seed`` is an integer seed in [0, 2^64) or a ready generator, used as
     given.
     """
-    freqs, (total,) = _window(counts)
+    freqs, total = _window(counts)
     resamples = _number("resamples", resamples, 100, integer=True)
     if not isinstance(seed, np.random.Generator):
         seed = _number("seed", seed, 0, 2**64 - 1, integer=True)
@@ -560,7 +584,7 @@ def bootstrap_sigma(
     if np.count_nonzero(freqs) < 2:
         raise UnidentifiableError("all counts fall in a single outcome")
     rng = np.random.default_rng(seed)
-    draws = rng.multinomial(int(total), freqs[0], size=resamples)
+    draws = rng.multinomial(total, freqs, size=resamples)
     estimates = estimate_phases(draws, cal, branch)[0]
     if np.isnan(estimates).any():
         raise UnidentifiableError("objective is flat on the branch")

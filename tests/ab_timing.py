@@ -30,7 +30,7 @@ exits 1 after the timings.
 
 Then it times, in K rounds (default 10), one-phase ``clicks``, one-phase
 ``fisher``, a one-window ``estimate_phase`` over the first W fig4 windows
-(default 200), 2049-phase ``clicks``, ``estimate_phases`` on all 2200 fig4
+(default 200) and over the first W far windows, 2049-phase ``clicks``, ``estimate_phases`` on all 2200 fig4
 windows, on as many far windows and on as many empty ones, a 200-resample
 ``bootstrap_sigma``, that ``calibrate`` and that ``max_fisher``, each by
 ``time.process_time``. A round
@@ -234,10 +234,15 @@ def rows(pkg, window, n_windows: int) -> dict:
         for row in picked:
             pkg.estimate_phase(row, cal, branch, trials=trials)
 
+    def far_estimates():
+        for row in far[:n_windows]:
+            pkg.estimate_phase(row, cal, branch)
+
     return {
         "clicks, 1 phase": (lambda: pkg.clicks(cfg, one), 1, REPEATS["clicks, 1 phase"]),
         "fisher, 1 phase": (lambda: pkg.fisher(cfg, one), 1, REPEATS["fisher, 1 phase"]),
         "estimate_phase, 1 window": (estimates, len(picked), 1),
+        "estimate_phase, 1 far window": (far_estimates, len(picked), 1),
         "clicks, 2049 phases": (lambda: pkg.clicks(cfg, batch), 1, REPEATS["clicks, 2049 phases"]),
         "estimate_phases, 2200 windows": (lambda: pkg.estimate_phases(counts, cal, branch), 1,
                                           REPEATS["estimate_phases, 2200 windows"]),

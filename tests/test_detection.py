@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strategies import phase_lists, random_configs
-from squint.detection import _checked, clicks, fringe, fringe_visibility, overlap_for_visibility
+from squint.detection import _checked, _fringe_rows, clicks, fringe, fringe_visibility, overlap_for_visibility
 from squint.gaussian import InterferometerConfig, InvalidStateError
 
 
@@ -121,6 +121,19 @@ class TestBatchInvariance:
         one_p, one_dp = clicks(cfg, [phi])
         assert np.array_equal(one_p[0], p[k]) and np.array_equal(one_dp[0], dp[k])
         assert np.array_equal(fringe(cfg, [phi])[0], fringe(cfg, phis)[k])
+
+    @pytest.mark.parametrize("n_configs, n_phases", [(1, 1), (2, 8), (3, 43), (10, 16)])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_stacked_config_rows_equal_each_fringe(self, n_configs, n_phases, data):
+        # 1, 16, 129 and 160 stacked rows, across _CHUNK = 128, of configs with
+        # distinct offsets and efficiencies: one pass gives each fringe bit for bit
+        cfgs = data.draw(st.lists(random_configs, min_size=n_configs, max_size=n_configs,
+                                  unique_by=(lambda c: c.phase_offset, lambda c: c.eta_h, lambda c: c.eta_v)))
+        phis = data.draw(st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=n_phases, max_size=n_phases))
+        stacked = _fringe_rows(cfgs, phis)
+        assert stacked.shape == (n_configs, n_phases, 4)
+        assert stacked.tobytes() == np.stack([fringe(cfg, phis) for cfg in cfgs]).tobytes()
 
 
 class TestArmSymmetry:

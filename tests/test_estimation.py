@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from search_reference import full_scan
 from strategies import random_configs
-from squint.detection import clicks, fringe
+from squint.detection import _fringe_rows, clicks, fringe
 from squint import estimation
 from squint.estimation import (
     CalibrationModel,
@@ -268,15 +268,38 @@ class TestCalibrate:
 
     def test_exactly_fitting_data_end_the_fit_early(self, monkeypatch):
         # every count in 00: an r -> 0 config fits exactly and the cost falls
-        # geometrically toward 0; the parent ran to its cap with 1103 fringe calls
+        # geometrically toward 0; the parent ran to its cap with 1103 fringe
+        # calls, counted here as configs, one per row of a stacked Jacobian pass
         calls = []
         monkeypatch.setattr("squint.estimation.fringe", lambda cfg, phis: calls.append(0) or fringe(cfg, phis))
+        monkeypatch.setattr("squint.estimation._fringe_rows",
+                            lambda cfgs, phis: calls.extend([0] * len(cfgs)) or _fringe_rows(cfgs, phis))
         samples = [(phi, [1_000_000, 0, 0, 0]) for phi in np.linspace(0.1, 3.0, 16)]
         model = calibrate(samples, InterferometerConfig(r1=0.1, r2=0.1, eta_h=0.9))
         assert len(calls) < 1103 / 3
         assert model.fit_residual < 1e-12 and model.config.r1 < 1e-5
         # at r -> 0 the efficiencies, overlap and offset carry no information
         assert model.degraded and model.sigma == dict.fromkeys(("r", "eta_h", "eta_v", "overlap", "phase_offset"))
+
+    @pytest.mark.parametrize("truth, guess", [
+        ("tracking", {"r1": 0.03, "r2": -0.02, "eta_h": 0.04, "eta_v": -0.03, "overlap": 0.004, "phase_offset": 0.02}),
+        ("ideal", {"eta_h": -0.03, "eta_v": -0.04, "r1": 0.02, "r2": -0.01})])
+    def test_stacked_jacobian_keeps_every_bit(self, tracking_cfg, monkeypatch, truth, guess):
+        # each Jacobian is one _fringe_rows pass over its ten configs; a fringe
+        # call per config gives the same fit bit for bit, also where the
+        # efficiencies reach their bound 1 and the differences are one-sided
+        cfg = tracking_cfg if truth == "tracking" else InterferometerConfig(r1=0.5, r2=0.5)
+        samples = synthetic_samples(cfg, np.linspace(0.1, 3.0, 16), 10_000_000, seed=4)
+        initial = cfg.with_updates(**{k: getattr(cfg, k) + d for k, d in guess.items()})
+        passes = []
+        fits = [calibrate(samples, initial)]
+        monkeypatch.setattr(estimation, "_fringe_rows", lambda cfgs, phis: passes.append(len(cfgs)) or np.stack(
+            [fringe(c, phis) for c in cfgs]))
+        fits.append(calibrate(samples, initial))
+        assert passes and set(passes) == {10}
+        stacked, looped = ([*vars(fit.config).values(), fit.fit_residual, fit.degraded,
+                            *[math.nan if v is None else v for v in fit.sigma.values()]] for fit in fits)
+        assert np.array(stacked).tobytes() == np.array(looped).tobytes()
 
     def test_frequency_rows_rejected(self, tracking_cfg):
         phases = np.linspace(0.1, 3.0, 16)
@@ -366,6 +389,44 @@ class TestEstimatePhase:
             with pytest.raises(ValueError, match=r"2\*\*53"):
                 call()
 
+    @pytest.mark.parametrize("counts", [
+        [1e308] * 4, [2**53, 1, 0, 0], [2**52, 2**52, 0, 0], [2**64, 0, 0, 0], [True, 5, 5, 5], ["1000", 5, 5, 5],
+        [1000, 5, 5, None], [1000, 5, 5, np.True_], [1, 2, 3, -4], [1, 2, 3, math.inf], [1, 2, 3, math.nan],
+        [0.4, 0.2, 0.2, 0.2], [1, 2, 3, 4.5], np.array([True, False, True, True]), np.array(["1000", "5", "5", "5"]),
+        np.array([1000, 5, 5, 5], dtype=object), np.array([1000, 5, 5, 5 + 0j]), np.array([1.0, 2.0, 3.0, 4.5]),
+        np.array([-1, 5, 5, 5]), np.array([5, 5, 5, -2**63]), np.array([2**53, 0, 0, 0]),
+        np.array([2**52, 2**52, 0, 0]), np.array([2**63 - 1, 0, 0, 0]), np.array([2**64 - 1, 0, 0, 0], dtype=np.uint64),
+        np.array([1, 2, 3]), np.array([[1, 2, 3, 4]]), np.array([1, 2, 3, 4, 5]), np.int64(7)])
+    def test_one_window_refuses_what_the_batch_refuses(self, tracking_cal, counts):
+        # an integer array of four counts is checked in Python, any other
+        # window by _frequencies: both refuse alike, with the same message
+        with pytest.raises(ValueError) as one:
+            estimate_phase(counts, tracking_cal, BRANCH)
+        with pytest.raises(ValueError) as batch:
+            estimate_phases(counts[None] if isinstance(counts, np.ndarray) else [counts], tracking_cal, BRANCH)
+        assert (type(one.value), str(one.value)) == (type(batch.value), str(batch.value))
+
+    @pytest.mark.parametrize("branch", [(0.0, 2.0), (False, True), ("0.3", 0.9), 5, None, (0.9, 0.3), (0.3,)])
+    def test_one_window_refuses_the_branches_the_batch_refuses(self, tracking_cal, branch):
+        counts = np.array([600, 150, 150, 100])
+        with pytest.raises(ValueError) as one:
+            estimate_phase(counts, tracking_cal, branch)
+        with pytest.raises(ValueError) as batch:
+            estimate_phases(counts[None], tracking_cal, branch)
+        assert (type(one.value), str(one.value)) == (type(batch.value), str(batch.value))
+
+    @pytest.mark.parametrize("counts", [
+        np.array([2**53 - 1, 0, 0, 0]), np.array([2**52, 2**52 - 1, 0, 0], dtype=np.uint64),
+        np.array([0, 0, 0, 1], dtype=np.int8), np.array([3, 1, 1, 1], dtype=np.uint8)])
+    def test_one_window_accepts_what_the_batch_accepts(self, tracking_cal, counts):
+        # the integer windows that the Python check takes, at the edges of its
+        # range and in narrow dtypes, give the batch's estimate bit for bit
+        est = estimate_phase(counts, tracking_cal, BRANCH)
+        batch = estimate_phases(counts[None], tracking_cal, BRANCH)
+        assert np.array([est.phi_est, est.objective_value, est.low_information]).tobytes() == np.array(
+            [a[0] for a in batch]).tobytes()
+        assert est.window_trials == sum(counts.tolist()) and type(est.window_trials) is int
+
     def test_largest_window_keeps_every_count(self, tracking_cal):
         assert estimate_phase([2**53 - 1, 0, 0, 0], tracking_cal, BRANCH).window_trials == 2**53 - 1
 
@@ -386,14 +447,17 @@ class TestEstimatePhase:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fig4_windows_make_no_exact_fisher_call(self, tracking_cfg, tracking_cal, monkeypatch, seed):
         # the proven lower bound on F clears every fig4 window, so neither the
-        # replay's batch nor one-window estimates call fisher
+        # replay's batch nor one-window estimates call fisher,
         calls = []
         monkeypatch.setattr("squint.estimation.fisher", lambda cfg, phis: calls.append(phis) or fisher(cfg, phis))
         scenario = presets.fig4_scenario(seed=seed)
         records = run_tracking(scenario, tracking_cfg, tracking_cal).records
         branch = scenario.resolved_branch()
+        # and each window's shortlist comes from the projection: none takes the batch search
+        batches, batch = [], estimation._search
+        monkeypatch.setattr(estimation, "_search", lambda *args: batches.append(args) or batch(*args))
         estimates = [estimate_phase(counts, tracking_cal, branch) for counts in records.counts[:300]]
-        assert calls == []
+        assert calls == [] and batches == []
         assert not records.low_information.any() and not any(est.low_information for est in estimates)
 
     def test_estimates_stay_in_branch(self, tracking_cal):
@@ -564,6 +628,22 @@ class TestEstimatePhases:
         assert estimate_phase(np.array([1000, 50, 50, 5]), tracking_cal, BRANCH).phi_est == expected[0][0]
 
 
+# the centre and the plane of circle_model's curves
+C = np.array([0.4, 0.2, 0.2, 0.2])
+E1, E2 = np.array([1.0, -1.0, 0, 0]) / math.sqrt(2), np.array([0, 0, 1.0, -1.0]) / math.sqrt(2)
+
+
+def circle_model(cfg, turns: int):
+    """A model of ``cfg`` whose curves run ``turns`` times round a circle of
+    radius 0.05 about C in the plane of E1 and E2 over [0, pi], with the
+    config's own dp/dphi, which the flag's bound reads."""
+    tab = CalibrationModel.phi_tab
+    curves = C + 0.05 * (np.cos(2 * turns * tab)[:, None] * E1 + np.sin(2 * turns * tab)[:, None] * E2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimation, "clicks", lambda cfg, phis: (curves, clicks(cfg, phis)[1]))
+        return CalibrationModel(cfg)
+
+
 def same_as_full_scan(counts, cal, branch):
     """estimate_phases, and estimate_phase on each window, agree with the full
     scan of search_reference bit for bit; a NaN row of the scan is an
@@ -663,6 +743,62 @@ class TestSearchMatchesFullScan:
             assert same_as_full_scan(np.array([[700, 100, 100, 100], [0, 0, 0, 0]], dtype=float),
                                      CalibrationModel(cfg), BRANCH)
 
+    def test_windows_at_the_width_cutoff(self, tracking_cal, monkeypatch):
+        # windows on a ray from the curve, bisected to the last one whose reach
+        # estimate_phase scores in Python floats and the first, one count
+        # further, that takes the batch search (more than _WIDE of the branch's nodes)
+        batches, batch = [], estimation._search
+        monkeypatch.setattr(estimation, "_search", lambda *args: batches.append(args) or batch(*args))
+        p, ray = tracking_cal.probabilities(0.6), np.array([-0.5, 0.5, 0.5, -0.5])
+
+        def window(s):
+            return np.rint((p + s * ray) * 2**40).astype(np.int64)
+
+        def wide(s):
+            before = len(batches)
+            estimate_phase(window(s), tracking_cal, BRANCH)
+            return len(batches) > before
+
+        inside, past = 0.0, 0.1
+        assert not wide(inside) and wide(past)
+        for _ in range(60):
+            mid = 0.5 * (inside + past)
+            inside, past = (inside, mid) if wide(mid) else (mid, past)
+        windows = np.array([window(inside), window(past)])
+        assert np.abs(windows[1] - windows[0]).max() == 1
+        assert same_as_full_scan(windows, tracking_cal, BRANCH)
+
+    def test_windows_about_a_folded_projection(self, tracking_cfg, monkeypatch):
+        # curves twice round the circle: on a branch of three quarters of a
+        # turn the projection on the chord folds back over itself, so a window's
+        # nearest node in projection may lie across the circle. Windows just
+        # inside and outside it, and at its centre, where the objective is flat
+        cal = circle_model(tracking_cfg, 2)
+        tab, nodes = CalibrationModel.phi_tab, np.arange(100, 869, 24)
+        branch = (tab[100], tab[868])
+        windows = [np.rint((C + radius * (np.cos(4 * tab[k]) * E1 + np.sin(4 * tab[k]) * E2)) * 2**50)
+                   for radius in (0.047, 0.0499, 0.0501, 0.053) for k in nodes]
+        windows = np.array([*windows, np.rint(C * 2**50)])
+        batches, batch = [], estimation._search
+        monkeypatch.setattr(estimation, "_search", lambda *args: batches.append(args) or batch(*args))
+        assert same_as_full_scan(windows, cal, branch)
+        assert np.isnan(estimate_phases(windows, cal, branch)[0]).tolist() == [False] * (len(windows) - 1) + [True]
+        assert 0 < len(batches) - 2 < len(windows)  # both paths, beside the two batch calls
+
+    def test_flat_windows_on_a_branch_of_few_nodes(self, tracking_cfg):
+        # a branch of fewer than _WIDE nodes: a flat window's reach holds every
+        # node, so it takes the batch search and is dead, while the others resolve
+        tab = CalibrationModel.phi_tab
+        cal = circle_model(tracking_cfg, 1)
+        branch = (tab[200], tab[240])
+        assert cal._branch_nodes(*branch)[0].size == 41 < estimation._WIDE
+        windows = np.rint(np.array([C, cal.curves[210], C + 0.001 * E1, cal.curves[239]]) * 2**50)
+        assert same_as_full_scan(windows, cal, branch)
+        assert np.isnan(estimate_phases(windows, cal, branch)[0]).tolist() == [True, False, False, False]
+        for cfg in (tracking_cfg.with_updates(r1=0.0), tracking_cfg.with_updates(eta_h=0.0, eta_v=0.0)):
+            assert same_as_full_scan(np.array([[700, 100, 100, 100], [0, 0, 0, 0]], dtype=float),
+                                     CalibrationModel(cfg), (0.3, 0.33))
+
 
 class TestScratchBound:
     def test_peak_memory_of_a_replay_batch_and_a_bootstrap(self, tracking_cfg, tracking_cal):
@@ -697,15 +833,20 @@ class TestScratchBound:
     def test_peak_memory_of_a_long_click_call(self, tracking_cfg):
         # 2049 phases in chunks of _CHUNK = 128: one chunk's scratch and the
         # output array the chunks are written into. Measured 0.596 MB when the limit was set,
-        # 25% above it; 0.529 MB now, with the blocks of arm V's D not formed
-        clicks(tracking_cfg, CalibrationModel.phi_tab)
-        tracemalloc.start()
-        try:
-            clicks(tracking_cfg, CalibrationModel.phi_tab)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.745e6
+        # 25% above it; 0.546 MB now, with the blocks of arm V's D not formed and
+        # t = phi + phase_offset formed once a call. The 160 stacked rows of a
+        # calibrate Jacobian take two chunks under the same limit: 0.609 MB
+        configs = [tracking_cfg.with_updates(phase_offset=0.01 * k) for k in range(10)]
+        for call in (lambda: clicks(tracking_cfg, CalibrationModel.phi_tab),
+                     lambda: _fringe_rows(configs, np.linspace(0.1, 3.0, 16))):
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 0.745e6
 
 
 def window(probs, total: int) -> list[int]:

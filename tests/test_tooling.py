@@ -121,7 +121,8 @@ def test_ab_timing_against_head_finds_equal_bits_and_times_each_row(monkeypatch,
     assert code == 0, lines
     assert lines[0].startswith("bit check: every value bitwise equal")
     assert [line.split(" | ")[0] for line in lines[3:]] == [
-        "clicks, 1 phase", "fisher, 1 phase", "estimate_phase, 1 window", "clicks, 2049 phases",
+        "clicks, 1 phase", "fisher, 1 phase", "estimate_phase, 1 window", "estimate_phase, 1 far window",
+        "clicks, 2049 phases",
         "estimate_phases, 2200 windows", "estimate_phases, 2200 far windows", "estimate_phases, 2200 empty windows",
         "bootstrap_sigma, 200 resamples",
         "calibrate, 16 phases", "max_fisher, r 0.59"]
