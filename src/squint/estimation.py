@@ -6,19 +6,20 @@ minimizing the unweighted squared difference sum_k (p_k(phi) - f_k)^2 over a
 half-period branch. The curves interpolate linearly between calibration
 nodes, so on the segment from node value a to a + d the objective is an exact
 quadratic whose minimum is the distance from f to the segment, at
-u* = clip((f - a).d / |d|^2, 0, 1). ``estimate_phases`` takes the best
-segment for a whole batch of windows at once, and ``run_tracking``,
-``bootstrap_sigma`` and ``squint estimate`` call it. A per-branch table turns
-the distances |f - a|^2 to every node into one matrix product with the
-frequencies, accurate to a few 1e-15. A segment within a margin of the best
-distance has an end at most half the longest segment farther than the
-nearest node: the segments with such an end are the shortlist. A node within
-R of f lies within R of it in projection, so ``estimate_phase`` bisects the
-nodes' sorted projection for one window's ends (Friedman, Baskett & Shustek,
-IEEE Trans. Comput. C-24, 1000 (1975)). ``_closest`` scores each shortlist by
-the exact formula in Python floats, in ascending order, keeping the first
-least distance. The margin covers the roundoff many times over, so the pick
-is that of a full exact scan, bit for bit, whatever the batch.
+u* = clip((f - a).d / |d|^2, 0, 1). ``estimate_phase`` and
+``estimate_phases`` (which ``run_tracking``, ``bootstrap_sigma`` and ``squint
+estimate`` call) take each window's best segment from one search,
+``_nearest``. A segment within a margin of the best distance has an end at
+most half the longest segment farther than the nearest node: the segments
+with such an end are the shortlist. A node within R of f lies within R of it
+in projection, so the search bisects the nodes' sorted projection for a
+window's ends (Friedman, Baskett & Shustek, IEEE Trans. Comput. C-24, 1000
+(1975)); a window whose reach holds every node or more than _WIDE of them
+takes the exact distances to every node, which also tell a flat objective.
+``_closest`` scores each shortlist by the exact formula in Python floats, in
+ascending order, keeping the first least distance. The margin covers the
+roundoff many times over, so the pick is that of a full exact scan, bit for
+bit, whatever the batch.
 
 A window is flagged low-information when n F(phi_est) < 1, exactly. A lower
 bound on F over each segment, proven from the calibration table's dp/dphi
@@ -78,22 +79,19 @@ _DAMPING, _MAX_DAMPING = 1e-3, 1e10
 _REL_GAIN = 1e-12
 _MAX_ITER = 100
 _SINGULAR = 1e-12
-# estimate_phases: windows x nodes per batch; the fig4 replay's 2200 windows
-# peak at 0.42 MB traced, as many far windows at 0.43 MB, empty ones at 0.41 MB
-_BATCH_CELLS = 16384
 # an objective varying less than this over the branch nodes carries no phase
 _FLAT = 1e-15
-# the shortlist's margin. Every term of both the table's and the exact
-# formula's distances is at most 4 (f and the node values are probability
-# vectors), so each is within about 100 eps = 2.2e-14 of the true distance:
-# the margin holds every segment that a full exact scan could pick, and every
-# row the product cannot tell from flat
+# the shortlist's margin. Every term of the exact formula's distances is at
+# most 4 (f and the node values are probability vectors), so each is within
+# about 100 eps = 2.2e-14 of the true distance: the margin holds every segment
+# that a full exact scan could pick
 _MARGIN = 1e-12
-# estimate_phase's reach R in projection: |w.a - w.f| <= |w| |a - f|, and the
+# _nearest's reach R in projection: |w.a - w.f| <= |w| |a - f|, and the
 # roundoff of w.a and w.f (2 eps each, norms at most 1), |w| (1 eps), R <= 3
 # (3 eps) and w.f -+ R (2 eps) is 18 eps = 4e-15, half _SLACK; and the most
-# nodes it scores in Python, at about 10 us + 0.6 us a node against 45 us for
-# one window's _search: the two cross near 60 nodes
+# nodes it scores in Python, at about 0.6 us a node against 40 us for the exact
+# distances to a fig4 branch's 785 nodes and their shortlist: the two cross
+# near 60 nodes
 _SLACK, _WIDE = 1e-14, 60
 # a whole count is exact as a float, and so is every partial sum of a window,
 # while the window's total is below this
@@ -196,27 +194,24 @@ class CalibrationModel:
     def _branch_nodes(self, lo: float, hi: float) -> tuple:
         """The search table of the branch [lo, hi], built once and kept for the
         last branch: the nodes of the interpolated curves and their values a
-        (nodes, 4); the product table (4, nodes); half the longest segment;
-        ``estimate_phase``'s projection (a unit vector w, w.a sorted and the
-        node of each, as lists); and each segment's row (a, d, |d|^2, its two
-        nodes, need) as a list of Python floats, which ``_closest`` reads,
-        |d|^2 inf at zero length, so u = 0 there, and need the total of counts
-        from which the segment's bound on F clears the flag."""
+        (nodes, 4); half the longest segment; the projection (a unit vector w,
+        w.a sorted and the node of each, as lists); and each segment's row (a,
+        d, |d|^2, its two nodes, need) as a list of Python floats, which
+        ``_closest`` reads, |d|^2 inf at zero length, so u = 0 there, and need
+        the total of counts from which the segment's bound on F clears the flag."""
         if self._nodes is None or self._nodes[0] != (lo, hi):
             # the branch ends plus every calibration node strictly inside, pi-periodically
             shifts = math.pi * np.arange(math.floor(lo / math.pi), math.floor(hi / math.pi) + 1)
             inner = (self.phi_tab[:-1] + shifts[:, None]).ravel()
             nodes = np.concatenate(([lo], inner[(inner > lo) & (inner < hi)], [hi]))
             values = self.probabilities(nodes)
-            # estimate_phase's unit vector w: along the chord of the end values, if they differ
+            # the projection's unit vector w: along the chord of the end values, if they differ
             chord = values[-1] - values[0]
             w = (chord / math.hypot(*chord) if chord.any() else np.full(4, 0.5)).tolist()
             proj = values @ w
             order = np.argsort(proj, kind="stable")
             step = np.diff(values, axis=0)
             length2 = _dot4(step.T, step.T)
-            # with sum_k f_k = 1, f.(|a|^2 - 2a) = |f - a|^2 - |f|^2
-            table = _dot4(values.T, values.T) - 2.0 * values.T
             # The flag n F(phi_est) < 1 comes from the exact ``fisher`` unless a
             # proven bound clears it. With t = phi + phase_offset, p_k = Tr[e^{-iNt}
             # rho e^{iNt} Pi_k]: rho is the state before the phase, N = n_a + n_b
@@ -249,7 +244,7 @@ class CalibrationModel:
             need = np.divide(0.5, lower * lower, out=np.full_like(lower, np.inf), where=lower > 1e-100)
             rows = np.column_stack([values[:-1], step, np.where(length2 > 0.0, length2, np.inf), nodes[:-1],
                                     nodes[1:], need]).tolist()
-            object.__setattr__(self, "_nodes", ((lo, hi), nodes, values, table, 0.5 * math.sqrt(length2.max()),
+            object.__setattr__(self, "_nodes", ((lo, hi), nodes, values, 0.5 * math.sqrt(length2.max()),
                                                 (w, proj[order].tolist(), order.tolist()), rows))
         return self._nodes[1:]
 
@@ -366,11 +361,12 @@ def calibrate(
     theta = np.clip([0.5 * (initial.r1 + initial.r2), initial.eta_h, initial.eta_v, initial.overlap,
                      initial.phase_offset], lo, hi)
     n = totals[:, None]
-    # multinomial weights, fixed at the start point
-    weight = np.sqrt(n / np.maximum(fringe(_fitted_config(initial, theta), phis), 1.0 / n))
+    # multinomial weights, fixed at the start point, whose fringe also gives the first residual
+    start = fringe(_fitted_config(initial, theta), phis)
+    weight = np.sqrt(n / np.maximum(start, 1.0 / n))
 
-    def residual(t: np.ndarray) -> np.ndarray:
-        return ((fringe(_fitted_config(initial, t), phis) - freqs) * weight).ravel()
+    def residual(p: np.ndarray) -> np.ndarray:
+        return ((p - freqs) * weight).ravel()
 
     def jacobian(t: np.ndarray) -> np.ndarray:
         # central differences, one-sided at a bound, from one click pass over the ten configs
@@ -378,7 +374,7 @@ def calibrate(
         res = (_fringe_rows([_fitted_config(initial, x) for x in (*up, *down)], phis) - freqs) * weight
         return np.stack(list((res[:len(t)] - res[len(t):]).reshape(len(t), -1)), axis=1) / np.diag(up - down)
 
-    res = residual(theta)
+    res = residual(start)
     cost = float(res @ res)
     damping = _DAMPING
     for _ in range(_MAX_ITER):
@@ -392,7 +388,7 @@ def calibrate(
             step = np.zeros_like(theta)
             step[free] = np.linalg.solve(block + damping * np.diag(np.diag(block)), -grad[free])
             trial = np.clip(theta + step, lo, hi)
-            trial_res = residual(trial)
+            trial_res = residual(fringe(_fitted_config(initial, trial), phis))
             trial_cost = float(trial_res @ trial_res)
             if trial_cost < cost:
                 gain = cost - trial_cost
@@ -450,9 +446,9 @@ def estimate_phases(
 
 def _closest(f, segments, shortlist) -> tuple[float, float, float]:
     """(phase, distance, need) of the segment nearest to f, four floats, among
-    the rows ``segments[j]`` of ``_branch_nodes`` for j in ``shortlist``, in
-    ascending order: the exact formula in ``_dot4``'s order of sums, a clip that
-    keeps a zero's sign, the first least distance; (nan, inf, inf) for none."""
+    the rows ``segments[j]`` of ``_branch_nodes`` for j in ``shortlist``, which
+    is not empty, in ascending order: the exact formula in ``_dot4``'s order of
+    sums, a clip that keeps a zero's sign, the first least distance."""
     f0, f1, f2, f3 = f
     phi, value, need = math.nan, math.inf, math.inf
     for j in shortlist:
@@ -467,54 +463,54 @@ def _closest(f, segments, shortlist) -> tuple[float, float, float]:
     return phi, value, need
 
 
-def _search(freqs, cal: CalibrationModel, lo: float, hi: float):
-    """The least-squares phase and objective of the windows' frequencies (W, 4)
-    on the branch [lo, hi], the need of its segment, and which windows are
-    dead: empty, or with an objective flat over the branch, which is checked
-    exactly only on a non-empty window that the product cannot tell from flat.
+def _nearest(f, values, rho, projection, segments) -> tuple[float, float, float]:
+    """(phase, objective, need) of one window's frequencies f, four floats, on
+    the branch table of ``_branch_nodes`` after its nodes; (nan, nan, inf) for
+    a dead window: empty (f = 0), or with an objective flat over the branch.
 
-    Per batch, one product with the branch's table gives |f - a|^2 - |f|^2 at
-    every node, least at the nearest node, N^2 - |f|^2. A segment of length l
-    <= 2 rho holds no point nearer to f than min_e |f - a_e| - l/2 over its
-    ends e. So a segment within _MARGIN of the best distance, itself at most
-    N^2, has an end with |f - a_e|^2 <= N^2 + 2 rho sqrt(N^2 + _MARGIN) + rho^2
-    + _MARGIN. The segments with an end below that plus a second _MARGIN for
-    roundoff are a live window's shortlist, which ``_closest`` scores."""
-    nodes, values, table, rho, _, segments = cal._branch_nodes(lo, hi)
-    found, dead = np.empty((3, len(freqs))), np.empty(len(freqs), dtype=bool)
-    rows, slack, width = max(1, _BATCH_CELLS // nodes.size), rho * rho + 2.0 * _MARGIN, len(segments)
-    for w in range(0, len(freqs), rows):
-        f = freqs[w:w + rows]
-        near = f @ table  # (batch, nodes)
-        least = np.minimum.reduce(near, 1)
-        # the objective's range over the nodes, exact where the product cannot
-        # tell it from flat; an empty window (f = 0), whose product is 0, is dead
-        level = dead[w:w + rows]
-        np.less(np.maximum.reduce(near, 1) - least, _FLAT + _MARGIN, level)
-        if level[level.argmax()]:  # any
-            check = level & f.any(axis=1)
-            gap = f[check].T[:, :, None] - values.T[:, None]
-            at = _dot4(gap, gap)
-            level[check] = at.max(axis=1) - at.min(axis=1) < _FLAT
-        bound = np.sqrt(least + np.add.reduce(f * f, 1) + _MARGIN) * (2.0 * rho) + (least + slack)
-        end = near <= bound[:, None]
-        end[level] = False  # a dead window is not scored
-        pairs = (end[:, :-1] | end[:, 1:]).ravel().nonzero()[0]  # row-major; a 2-d nonzero costs 7x more
-        cut = np.searchsorted(pairs, np.arange(0, end.shape[0] * width + 1, width)).tolist()
-        seg = (pairs % width).tolist()
-        best = [_closest(x, segments, seg[i:j]) for x, i, j in zip(f.tolist(), cut, cut[1:])]
-        found[:, w:w + rows] = np.array(best).T
-    return *found, dead
+    A segment of length l <= 2 rho holds no point nearer to f than min_e |f -
+    a_e| - l/2 over its ends e. So with D a distance that a segment attains, a
+    segment within _MARGIN of the best distance has an end with |f - a_e|^2 <=
+    D + 2 rho sqrt(D + _MARGIN) + rho^2 + _MARGIN. The segments with an end
+    below that plus a second _MARGIN for roundoff are the shortlist, which
+    ``_closest`` scores. D is the least distance of the segments at a node next
+    to f in projection, and the ends are the nodes within the bound's root plus
+    _SLACK of f in projection. A reach that holds that node alone keeps its
+    score. One that holds every node, as a flat window's does, or more than
+    _WIDE takes the exact distances to every node instead: the least is D,
+    and their range is the flat test of a full scan."""
+    if not (f[0] or f[1] or f[2] or f[3]):
+        return math.nan, math.nan, math.inf
+    w, proj, order = projection
+    at = ((w[0] * f[0] + w[1] * f[1]) + w[2] * f[2]) + w[3] * f[3]  # w.f
+    pos = min(bisect_left(proj, at), len(order) - 1)
+    k = order[pos]  # a node next to f in projection
+    first = _closest(f, segments, (max(k - 1, 0), min(k, len(segments) - 1)))
+    near = first[1]
+    reach = math.sqrt(math.sqrt(near + _MARGIN) * (2.0 * rho) + (near + (rho * rho + 2.0 * _MARGIN))) + _SLACK
+    i, j = bisect_left(proj, at - reach), bisect_right(proj, at + reach)
+    if i == pos and j == pos + 1:
+        return first
+    if j - i <= _WIDE and j - i < len(proj):
+        return _closest(f, segments, sorted({e - d for e in order[i:j] for d in (0, 1)} - {-1, len(segments)}))
+    gap = (values - f).T
+    exact = _dot4(gap, gap)
+    near = exact.min()
+    if exact.max() - near < _FLAT:
+        return math.nan, math.nan, math.inf
+    end = exact <= math.sqrt(near + _MARGIN) * (2.0 * rho) + (near + (rho * rho + 2.0 * _MARGIN))
+    return _closest(f, segments, (end[:-1] | end[1:]).nonzero()[0].tolist())
 
 
 def _estimates(freqs, totals, cal: CalibrationModel, branch: tuple[float, float]):
     """``estimate_phases`` of the windows' frequencies (W, 4) and totals (W,):
-    the search, then the low-information flag, exact, from the proven bound of
-    the estimate's segment (_branch_nodes) or a batched ``fisher`` call. The
-    search's scratch is freed before the flag's."""
-    lo, hi = _check_branch(branch)
-    phi_est, objective, need, low = _search(freqs, cal, lo, hi)  # low starts as the dead windows
-    phi_est[low] = objective[low] = math.nan
+    ``_nearest`` of each window, then the low-information flag, exact, from the
+    proven bound of the estimate's segment (_branch_nodes) or a batched
+    ``fisher`` call."""
+    table = cal._branch_nodes(*_check_branch(branch))[1:]
+    found = np.fromiter((_nearest(f, *table) for f in map(np.ndarray.tolist, freqs)), (float, 3), len(freqs))
+    phi_est, objective, need = found.T
+    low = np.isnan(phi_est)  # the dead windows
     # the exact flag of every live window the bound leaves open; one phase's
     # Fisher information does not depend on the others in the call
     exact = (totals < need) & ~low
@@ -529,33 +525,16 @@ def estimate_phase(
     branch: tuple[float, float],
     trials: int = 0,
 ) -> PhaseEstimate:
-    """One window of ``estimate_phases``, bit for bit: whole counts (n00, n01,
-    n10, n11), whose total is ``window_trials``. A nonzero ``trials`` is
-    checked against that total and raises ValueError if it differs. Raises
-    UnidentifiableError when the window carries no phase information on the
-    branch.
-
-    The shortlist comes from the sorted projection (module docstring): the
-    nodes within ``_search``'s bound, taken from the distance of a segment at
-    a node next to f in projection, which is at least the least one. An empty
-    window takes the batch search, as does one whose reach holds every node,
-    as that of a flat objective does, or more than _WIDE nodes.
+    """One window of ``estimate_phases``, bit for bit, from the same
+    ``_nearest``: whole counts (n00, n01, n10, n11), whose total is
+    ``window_trials``. A nonzero ``trials`` is checked against that total and
+    raises ValueError if it differs. Raises UnidentifiableError when the window
+    carries no phase information on the branch.
     """
     f, total = _window(observed)
     if _number("trials", trials, 0, integer=True) and trials != total:
         raise ValueError(f"trials {trials!r} differs from the window's total of counts {total}")
-    lo, hi = _check_branch(branch)
-    _, _, _, rho, (w, proj, order), segments = cal._branch_nodes(lo, hi)
-    at = ((w[0] * f[0] + w[1] * f[1]) + w[2] * f[2]) + w[3] * f[3]  # w.f
-    k = order[min(bisect_left(proj, at), len(order) - 1)]  # a node next to f in projection
-    near = _closest(f, segments, (max(k - 1, 0), min(k, len(segments) - 1)))[1]  # a distance a segment attains
-    reach = math.sqrt(math.sqrt(near + _MARGIN) * (2.0 * rho) + (near + (rho * rho + 2.0 * _MARGIN))) + _SLACK
-    i, j = bisect_left(proj, at - reach), bisect_right(proj, at + reach)
-    if total and j - i <= _WIDE and j - i < len(proj):
-        ends = {e - d for e in order[i:j] for d in (0, 1)} - {-1, len(segments)}  # the segments at those nodes
-        phi, value, need = _closest(f, segments, sorted(ends))
-    else:  # empty, possibly flat, or far from the curves: the batch search, with nan for a dead window
-        (phi,), (value,), (need,), _ = (a.tolist() for a in _search(np.array([f]), cal, lo, hi))
+    phi, value, need = _nearest(f, *cal._branch_nodes(*_check_branch(branch))[1:])
     if math.isnan(phi):
         raise UnidentifiableError("no phase information on the branch: empty data or a flat objective")
     low = bool(total < need and total * fisher(cal.config, [phi])[0] < 1.0)

@@ -13,7 +13,9 @@ calls each), the counts of the fig4 replay (seed 0), ``phi_est``,
 on those windows and of the one-window ``estimate_phase`` on the first W of
 them, and the same three, from one batch and from ``estimate_phase`` one
 window at a time, of as many far windows (uniform random counts, a fixed
-seed), which have the longest shortlists, of as many empty windows, whose
+seed), whose reach in projection holds more than ``_WIDE`` nodes for all but
+a few, so that the search takes their exact distances to every node and their
+shortlists are the longest, of as many empty windows, which are dead before any search and whose
 NaN estimates are compared bit for bit too, and of the windows at and next to
 the stationary points phi = -phase_offset and pi/2 - phase_offset, where the
 low-information flag fires and where it just does not, so that it calls
@@ -163,7 +165,7 @@ def calibration_scan(pkg):
 
 def far_windows(counts) -> np.ndarray:
     """Uniform random counts of the shape of ``counts``, from a fixed seed: far
-    from the curves, so they have the longest shortlists."""
+    from the curves, so most take the exact distances and have the longest shortlists."""
     return np.random.default_rng(FAR_SEED).integers(0, FAR_COUNT, size=counts.shape)
 
 

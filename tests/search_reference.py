@@ -1,7 +1,7 @@
 """The branch search that ``estimate_phases`` replaced, used only by the
 tests: every window against every segment of the branch by the exact
-formula, in batches of at most ``estimation._BATCH_CELLS`` windows x nodes.
-Its outputs are the ones the search must keep bit for bit."""
+formula, in batches of at most ``BATCH_CELLS`` windows x nodes. Its outputs
+are the ones the search must keep bit for bit."""
 
 from __future__ import annotations
 
@@ -9,8 +9,11 @@ import math
 
 import numpy as np
 
-from squint.estimation import _BATCH_CELLS, _FLAT, _check_branch, _dot4, _frequencies
+from squint.estimation import _FLAT, _check_branch, _dot4, _frequencies
 from squint.metrology import fisher
+
+# windows x nodes per batch of the scan, which bounds its scratch
+BATCH_CELLS = 16384
 
 
 def branch_table(cal, lo: float, hi: float):
@@ -33,7 +36,7 @@ def full_scan(counts, cal, branch):
     nodes, values, step, length2 = branch_table(cal, *_check_branch(branch))
     phi_est, objective = np.empty((2, totals.size))
     flat = np.empty(totals.size, dtype=bool)
-    rows = max(1, _BATCH_CELLS // nodes.size)
+    rows = max(1, BATCH_CELLS // nodes.size)
     for w in range(0, totals.size, rows):
         gap = freqs[:, w:w + rows, None] - values[:, None]  # (4, batch, nodes)
         at_nodes = _dot4(gap, gap)

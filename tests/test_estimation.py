@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from search_reference import full_scan
+from search_reference import BATCH_CELLS, full_scan
 from strategies import random_configs
 from squint.detection import _fringe_rows, clicks, fringe
 from squint import estimation
@@ -301,6 +301,18 @@ class TestCalibrate:
                             *[math.nan if v is None else v for v in fit.sigma.values()]] for fit in fits)
         assert np.array(stacked).tobytes() == np.array(looped).tobytes()
 
+    def test_start_fringe_is_evaluated_once(self, tracking_cfg, monkeypatch):
+        # the start config's fringe gives both the multinomial weights and the
+        # first residual: one fringe call at the start theta, not two
+        samples = synthetic_samples(tracking_cfg, np.linspace(0.1, 3.0, 16), 10_000_000, seed=4)
+        initial = tracking_cfg.with_updates(r1=0.46, r2=0.4, eta_h=tracking_cfg.eta_h - 0.03)
+        r = 0.5 * (initial.r1 + initial.r2)
+        start = initial.with_updates(r1=r, r2=r)
+        configs = []
+        monkeypatch.setattr(estimation, "fringe", lambda cfg, phis: configs.append(cfg) or fringe(cfg, phis))
+        calibrate(samples, initial)
+        assert configs[0] == start and configs.count(start) == 1 and len(configs) > 1
+
     def test_frequency_rows_rejected(self, tracking_cfg):
         phases = np.linspace(0.1, 3.0, 16)
         with pytest.raises(ValueError, match="whole"):
@@ -448,16 +460,17 @@ class TestEstimatePhase:
     def test_fig4_windows_make_no_exact_fisher_call(self, tracking_cfg, tracking_cal, monkeypatch, seed):
         # the proven lower bound on F clears every fig4 window, so neither the
         # replay's batch nor one-window estimates call fisher,
+        scenario = presets.fig4_scenario(seed=seed)
+        branch = scenario.resolved_branch()
+        tracking_cal._branch_nodes(*branch)  # the node table is built
         calls = []
         monkeypatch.setattr("squint.estimation.fisher", lambda cfg, phis: calls.append(phis) or fisher(cfg, phis))
-        scenario = presets.fig4_scenario(seed=seed)
+        # and each window's shortlist comes from the projection: none takes the exact distances to every node
+        exact, dot4 = [], estimation._dot4
+        monkeypatch.setattr(estimation, "_dot4", lambda a, b: exact.append(a) or dot4(a, b))
         records = run_tracking(scenario, tracking_cfg, tracking_cal).records
-        branch = scenario.resolved_branch()
-        # and each window's shortlist comes from the projection: none takes the batch search
-        batches, batch = [], estimation._search
-        monkeypatch.setattr(estimation, "_search", lambda *args: batches.append(args) or batch(*args))
         estimates = [estimate_phase(counts, tracking_cal, branch) for counts in records.counts[:300]]
-        assert calls == [] and batches == []
+        assert calls == [] and exact == []
         assert not records.low_information.any() and not any(est.low_information for est in estimates)
 
     def test_estimates_stay_in_branch(self, tracking_cal):
@@ -716,10 +729,10 @@ class TestSearchMatchesFullScan:
         m = (np.minimum(np.arange(2049), 2048 - np.arange(2049)) + 3) // 4
         signed = np.stack([3 * m, 512 - m, 256 - m, 256 - m], axis=1) / 1024
         branch = (tab[200], tab[800])
-        # the circle's windows span three batches of its branch (601 nodes), the
-        # last one short, with flat windows (at c) and empty ones at the first
-        # and the last row and on both sides of each batch boundary
-        rows = estimation._BATCH_CELLS // 601
+        # the circle's windows span three batches of the full scan on its branch
+        # (601 nodes), the last one short, with flat windows (at c) and empty ones
+        # at the first and the last row and on both sides of each scan batch boundary
+        rows = BATCH_CELLS // 601
         edges = [0, rows - 1, rows, 2 * rows - 1, 2 * rows, 3 * rows - 6]
         rng = np.random.default_rng(11)
         live = rng.multinomial(10**6, circle[rng.integers(200, 801, 3 * rows - 5)]).astype(float)
@@ -745,19 +758,21 @@ class TestSearchMatchesFullScan:
 
     def test_windows_at_the_width_cutoff(self, tracking_cal, monkeypatch):
         # windows on a ray from the curve, bisected to the last one whose reach
-        # estimate_phase scores in Python floats and the first, one count
-        # further, that takes the batch search (more than _WIDE of the branch's nodes)
-        batches, batch = [], estimation._search
-        monkeypatch.setattr(estimation, "_search", lambda *args: batches.append(args) or batch(*args))
+        # the search scores in Python floats and the first, one count further,
+        # that takes the exact distances to every node (more than _WIDE of the
+        # branch's nodes)
+        tracking_cal._branch_nodes(*BRANCH)  # the node table is built
+        exact, dot4 = [], estimation._dot4
+        monkeypatch.setattr(estimation, "_dot4", lambda a, b: exact.append(a) or dot4(a, b))
         p, ray = tracking_cal.probabilities(0.6), np.array([-0.5, 0.5, 0.5, -0.5])
 
         def window(s):
             return np.rint((p + s * ray) * 2**40).astype(np.int64)
 
         def wide(s):
-            before = len(batches)
+            before = len(exact)
             estimate_phase(window(s), tracking_cal, BRANCH)
-            return len(batches) > before
+            return len(exact) > before
 
         inside, past = 0.0, 0.1
         assert not wide(inside) and wide(past)
@@ -779,15 +794,34 @@ class TestSearchMatchesFullScan:
         windows = [np.rint((C + radius * (np.cos(4 * tab[k]) * E1 + np.sin(4 * tab[k]) * E2)) * 2**50)
                    for radius in (0.047, 0.0499, 0.0501, 0.053) for k in nodes]
         windows = np.array([*windows, np.rint(C * 2**50)])
-        batches, batch = [], estimation._search
-        monkeypatch.setattr(estimation, "_search", lambda *args: batches.append(args) or batch(*args))
         assert same_as_full_scan(windows, cal, branch)
+        exact, dot4 = [], estimation._dot4
+        monkeypatch.setattr(estimation, "_dot4", lambda a, b: exact.append(a) or dot4(a, b))
         assert np.isnan(estimate_phases(windows, cal, branch)[0]).tolist() == [False] * (len(windows) - 1) + [True]
-        assert 0 < len(batches) - 2 < len(windows)  # both paths, beside the two batch calls
+        assert 0 < len(exact) < len(windows)  # both paths: the exact distances of some windows, not all
+
+    def test_a_lone_node_in_reach_beside_the_projection_neighbour(self, tracking_cfg, monkeypatch):
+        # a path along the chord E1 whose two longest segments run from node 499
+        # to node 500 and on to node 501: a window just past node 500
+        # in projection has node 501 as its neighbour there, yet node 500 is the
+        # one node in its reach. Its best segment, from 499 to 500, is not one
+        # of node 501's, so the neighbour's score must not stand
+        tab = CalibrationModel.phi_tab
+        knots = [0, 200, 499, 500, 501, 800, 2048]
+        x = np.interp(np.arange(2049), knots, [-0.2, -0.2, -0.075, 0.0, 0.095, 0.2, 0.2])
+        y = np.interp(np.arange(2049), knots, [0.0, 0.0, 0.05, 0.0, 0.0, 0.0, 0.0])
+        curves = C + x[:, None] * E1 + y[:, None] * E2
+        monkeypatch.setattr(estimation, "clicks", lambda cfg, phis: (curves, clicks(cfg, phis)[1]))
+        cal = CalibrationModel(tracking_cfg)
+        monkeypatch.undo()
+        branch = (tab[200], tab[800])
+        windows = np.rint(np.array([C + 5e-4 * E1 + 5e-3 * E2]) * 2**50)
+        assert same_as_full_scan(windows, cal, branch)
+        assert tab[499] < estimate_phase(windows[0], cal, branch).phi_est < tab[500]
 
     def test_flat_windows_on_a_branch_of_few_nodes(self, tracking_cfg):
         # a branch of fewer than _WIDE nodes: a flat window's reach holds every
-        # node, so it takes the batch search and is dead, while the others resolve
+        # node, so it takes the exact distances and is dead, while the others resolve
         tab = CalibrationModel.phi_tab
         cal = circle_model(tracking_cfg, 1)
         branch = (tab[200], tab[240])
@@ -804,13 +838,15 @@ class TestScratchBound:
     def test_peak_memory_of_a_replay_batch_and_a_bootstrap(self, tracking_cfg, tracking_cal):
         # the fig4 replay's windows, as many far windows (uniform random
         # counts, which have the longest shortlists) and as many empty ones in
-        # one estimate_phases call each, and a 200-resample bootstrap: each
-        # batch's scratch is bounded by _BATCH_CELLS, the low-information bound
-        # makes no click call on these windows, and an empty window takes no
-        # exact flat check. Measured 0.421, 0.480 and 0.297 MB for the replay,
-        # the far windows and the bootstrap when the limits were set, 25% above
-        # the replay's and the bootstrap's; now 0.418, 0.429, 0.413 (empty) and
-        # 0.295 MB. An exact flat check of the empty windows reads 1.67 MB
+        # one estimate_phases call each, and a 200-resample bootstrap: the
+        # windows are searched one row at a time into one (W, 3) array, the
+        # low-information bound makes no click call on these windows, and an
+        # empty window takes no exact distances. Measured 0.421, 0.480 and
+        # 0.297 MB for the replay, the far windows and the bootstrap when the
+        # limits were set, 25% above the replay's and the bootstrap's; now
+        # 0.243, 0.243, 0.173 (empty) and 0.031 MB. An exact flat check of the
+        # empty windows read 1.67 MB, and the frequencies as one list of rows
+        # 0.56 MB for the replay
         scenario = presets.fig4_scenario(seed=0)
         counts = run_tracking(scenario, tracking_cfg, tracking_cal).records.counts
         far = np.random.default_rng(3).integers(0, 10**6, size=(2200, 4))
